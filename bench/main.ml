@@ -1069,47 +1069,14 @@ let par_bench () =
                ]))
          [ 1; 2; 4 ]
   in
-  (* Brute-force grid search over a deliberately large configuration space. *)
-  let grid =
-    Conditions.make ~max_containers:400 ~max_gb:16.0 ~gb_step:0.5 ()
-  in
-  let grid_cost (r : Resources.t) =
-    Raqo_cost.Op_cost.predict_exn m Join_impl.Smj ~small_gb:3.4 ~resources:r
-  in
-  let bf_seq = ref (res 1 1.0, 0.0) in
-  let _, bf_seq_ms =
-    Timer.avg_ms ~runs:3 (fun () -> bf_seq := Raqo_resource.Brute_force.search grid grid_cost)
-  in
-  sample "par:brute-force:seq" (bf_seq_ms /. 1000.0);
-  let bf_rows =
-    [ "brute force"; "seq"; f bf_seq_ms; "1.00"; f (snd !bf_seq) ]
-    :: List.map
-         (fun jobs ->
-           Raqo_par.Pool.with_pool ~jobs (fun pool ->
-               let result = ref (res 1 1.0, 0.0) in
-               let _, ms =
-                 Timer.avg_ms ~runs:3 (fun () ->
-                     result := Raqo_resource.Brute_force.search_par pool grid grid_cost)
-               in
-               sample (Printf.sprintf "par:brute-force:jobs=%d" jobs) (ms /. 1000.0);
-               [
-                 "brute force";
-                 Printf.sprintf "%d domains" jobs;
-                 f ms;
-                 f (bf_seq_ms /. ms);
-                 f (snd !result);
-               ]))
-         [ 1; 2; 4 ]
-  in
   Table.print
     ~title:
       (Printf.sprintf
-         "Parallel planning: randomized restarts (12-relation query, 16 restarts) and \
-          brute-force grid search (%d configs) across domain pools (host has %d cores)"
-         (List.length (Conditions.all_configs grid))
+         "Parallel planning: randomized restarts (12-relation query, 16 restarts) across \
+          domain pools (host has %d cores)"
          (Domain.recommended_domain_count ()))
     ~headers:[ "task"; "pool"; "ms"; "speedup"; "best cost" ]
-    (rand_rows @ bf_rows);
+    rand_rows;
   (* The memoizing coster: same plans, fewer best-join evaluations. *)
   let memo_rows =
     List.map
@@ -1138,7 +1105,7 @@ let par_bench () =
     ~title:"Memoizing coster: resource configs explored, Selinger on TPC-H (hill climbing)"
     ~headers:[ "query"; "plain evals"; "memoized evals"; "saving"; "same plan cost" ]
     memo_rows;
-  note "restart fan-out and grid partitioning return bit-identical plans at any pool size"
+  note "restart fan-out returns bit-identical plans at any pool size"
 
 (* ---------------------------------------------------------------- scaling *)
 
@@ -1468,119 +1435,13 @@ let obs_bench () =
     ~headers:[ "workload"; "obs off ms"; "obs on ms"; "on/off" ] rows;
   note "acceptance: obs-off kernel/scaling samples regress <5%% vs BENCH_PR4.json"
 
-(* ------------------------------------------------------------------- memo *)
-
-(* The parallel shared-memo DP: two views of the same machinery. The DP
-   phase alone times optimize_par_masked against sequential optimize_masked
-   with fixed mask costers (the O(3^n) enumeration the memo table
-   parallelizes); end-to-end times Cost_based.optimize_par against
-   Cost_based.optimize with the full RAQO coster stack — interning, forked
-   resource planners, kernels, and caches included. Plans per second is the
-   headline unit. As in the par section, a single-CPU host shows domain
-   overhead rather than speedup; the bit-identical column is the
-   determinism check and must read "yes" at every pool size, and the
-   speedup acceptance gates read these samples on multi-core CI. *)
-let memo_bench () =
-  let m = Lazy.force model in
-  let jobs_list = [ 1; 2; 4; 8 ] in
-  (* Min-of-3: the DP is deterministic, so the minimum is the least-noisy
-     estimate of the true cost on a shared runner. *)
-  let min_ms fn =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to 3 do
-      let r, ms = Timer.time_ms fn in
-      result := Some r;
-      best := Float.min !best ms
-    done;
-    (Option.get !result, !best)
-  in
-  let random_query n =
-    let rng = Rng.create (600 + n) in
-    let schema = Raqo_catalog.Random_schema.generate rng ~tables:n in
-    (schema, Schema.relation_names schema)
-  in
-  let row phase n pool ms speedup identical =
-    [
-      phase;
-      string_of_int n;
-      pool;
-      f ms;
-      f (1000.0 /. ms);
-      f speedup;
-      (if identical then "yes" else "NO");
-    ]
-  in
-  let dp_rows =
-    List.concat_map
-      (fun n ->
-        let schema, rels = random_query n in
-        let ctx = Raqo_catalog.Interned.make schema rels in
-        let coster () = Raqo_planner.Coster.fixed_masked m ctx (res 10 5.0) in
-        let seq, seq_ms =
-          min_ms (fun () -> Raqo_planner.Dpsub.optimize_masked (coster ()) ctx)
-        in
-        sample (Printf.sprintf "memo:dp:n=%d:seq" n) (seq_ms /. 1000.0);
-        row "dp" n "seq" seq_ms 1.0 true
-        :: List.map
-             (fun jobs ->
-               Raqo_par.Pool.with_pool ~jobs (fun pool ->
-                   let result, ms =
-                     min_ms (fun () ->
-                         Raqo_planner.Dpsub.optimize_par_masked ~coster pool ctx)
-                   in
-                   sample (Printf.sprintf "memo:dp:n=%d:jobs=%d" n jobs) (ms /. 1000.0);
-                   row "dp" n
-                     (Printf.sprintf "%d domains" jobs)
-                     ms (seq_ms /. ms) (result = seq)))
-             jobs_list)
-      [ 12; 14; 16 ]
-  in
-  let e2e_rows =
-    List.concat_map
-      (fun n ->
-        let schema, rels = random_query n in
-        let mk () =
-          Raqo.Cost_based.create ~kind:Raqo.Cost_based.Bushy_dp ~model:m
-            ~conditions:Conditions.default schema
-        in
-        let seq, seq_ms = min_ms (fun () -> Raqo.Cost_based.optimize (mk ()) rels) in
-        sample (Printf.sprintf "memo:e2e:n=%d:seq" n) (seq_ms /. 1000.0);
-        row "end-to-end" n "seq" seq_ms 1.0 true
-        :: List.map
-             (fun jobs ->
-               Raqo_par.Pool.with_pool ~jobs (fun pool ->
-                   let result, ms =
-                     min_ms (fun () -> Raqo.Cost_based.optimize_par (mk ()) pool rels)
-                   in
-                   sample (Printf.sprintf "memo:e2e:n=%d:jobs=%d" n jobs) (ms /. 1000.0);
-                   row "end-to-end" n
-                     (Printf.sprintf "%d domains" jobs)
-                     ms (seq_ms /. ms) (result = seq)))
-             jobs_list)
-      [ 14; 16 ]
-  in
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "Parallel shared-memo DPsub on random sparse schemas: DP phase (fixed costers) \
-          and end-to-end joint planning (RAQO costers); host has %d cores"
-         (Domain.recommended_domain_count ()))
-    ~headers:[ "phase"; "n"; "pool"; "ms"; "plans/s"; "speedup"; "bit-identical" ]
-    (dp_rows @ e2e_rows);
-  note "every pool size returns the sequential plan bit-for-bit (memo determinism)";
-  note
-    "acceptance on multi-core CI: >=2x end-to-end and >=3x DP-phase at 4 domains on \
-     >=14-relation queries"
-
 (* --------------------------------------------------------------- adaptive *)
 
 (* Runtime adaptive re-optimization: a static plan optimized from an
    error-perturbed estimate schema is executed against the ground truth,
    re-planning the remaining join graph at every stage boundary whose
    observed cardinality contradicts its estimate (lib/adaptive). Rows sweep
-   the lognormal error magnitude; the pool column fans the mid-flight
-   re-plans out over the shared-memo DP (bit-identical reports at every pool
-   size — the "same" column). Static latency, adaptive latency, and the
+   the lognormal error magnitude. Static latency, adaptive latency, and the
    adaptive run's wall time (every re-plan included) are recorded as JSON
    samples for cross-PR comparison. *)
 let adaptive_bench () =
@@ -1602,7 +1463,7 @@ let adaptive_bench () =
       ~min_gb:1.0 ~max_gb:8.0 ~gb_step:1.0 ()
   in
   let rows =
-    List.concat_map
+    List.map
       (fun sigma ->
         let error =
           Estimation_error.make (Estimation_error.Lognormal sigma)
@@ -1613,49 +1474,32 @@ let adaptive_bench () =
           Raqo.Cost_based.create ~kind:Raqo.Cost_based.Bushy_dp ~cache:false
             ~model:pm ~conditions estimates
         in
-        let reference = ref None in
-        List.map
-          (fun jobs ->
-            let adapt pool =
-              Raqo.Cost_based.reset opt;
-              Timer.time_ms (fun () ->
-                  Raqo.Cost_based.optimize_adaptive ?pool ~engine:spark ~truth
-                    opt rels)
+        let result, ms =
+          Timer.time_ms (fun () ->
+              Raqo.Cost_based.optimize_adaptive ~engine:spark ~truth opt rels)
+        in
+        match result with
+        | None -> [ f sigma; "-"; "-"; "-"; "-"; "-"; f ms ]
+        | Some (r, _) ->
+            let static_s = Adaptive.latency r.Adaptive.static_outcome in
+            let adaptive_s = Adaptive.latency r.Adaptive.adaptive_outcome in
+            (* Sample names keep their historical jobs=1 suffix so artifacts
+               stay comparable across PRs. *)
+            let tag suffix v =
+              sample (Printf.sprintf "adaptive:sigma=%g:jobs=1:%s" sigma suffix) v
             in
-            let result, ms =
-              if jobs <= 1 then adapt None
-              else
-                Raqo_par.Pool.with_pool ~jobs (fun pool -> adapt (Some pool))
-            in
-            let pool_label = if jobs <= 1 then "seq" else Printf.sprintf "%d domains" jobs in
-            match result with
-            | None -> [ f sigma; pool_label; "-"; "-"; "-"; "-"; "-"; f ms; "-" ]
-            | Some (r, _) ->
-                if jobs <= 1 then reference := Some r;
-                let static_s = Adaptive.latency r.Adaptive.static_outcome in
-                let adaptive_s = Adaptive.latency r.Adaptive.adaptive_outcome in
-                let tag suffix v =
-                  sample
-                    (Printf.sprintf "adaptive:sigma=%g:jobs=%d:%s" sigma jobs suffix)
-                    v
-                in
-                tag "static-latency" static_s;
-                tag "adaptive-latency" adaptive_s;
-                tag "wall" (ms /. 1000.0);
-                [
-                  f sigma;
-                  pool_label;
-                  f static_s;
-                  f adaptive_s;
-                  Printf.sprintf "%.1f%%" (100.0 *. (1.0 -. (adaptive_s /. static_s)));
-                  string_of_int r.Adaptive.replans;
-                  string_of_int r.Adaptive.switches;
-                  f ms;
-                  (match !reference with
-                  | Some reference -> if r = reference then "yes" else "NO"
-                  | None -> "-");
-                ])
-          [ 1; 4; 8 ])
+            tag "static-latency" static_s;
+            tag "adaptive-latency" adaptive_s;
+            tag "wall" (ms /. 1000.0);
+            [
+              f sigma;
+              f static_s;
+              f adaptive_s;
+              Printf.sprintf "%.1f%%" (100.0 *. (1.0 -. (adaptive_s /. static_s)));
+              string_of_int r.Adaptive.replans;
+              string_of_int r.Adaptive.switches;
+              f ms;
+            ])
       [ 0.25; 0.5; 1.0 ]
   in
   Table.print
@@ -1663,11 +1507,9 @@ let adaptive_bench () =
       "Adaptive re-optimization: static vs adaptive latency under lognormal \
        estimation error (12-table random schema, 9-relation query, Spark, bushy DP)"
     ~headers:
-      [ "sigma"; "pool"; "static s"; "adaptive s"; "saved"; "replans"; "switches";
-        "wall ms"; "same" ]
+      [ "sigma"; "static s"; "adaptive s"; "saved"; "replans"; "switches"; "wall ms" ]
     rows;
-  note "never-worse guard: the saved column is nonnegative on every row (oracle-enforced)";
-  note "every pool size produces the sequential report bit-for-bit (shared-memo determinism)"
+  note "never-worse guard: the saved column is nonnegative on every row (oracle-enforced)"
 
 (* ------------------------------------------------------------------ micro *)
 
@@ -2206,7 +2048,6 @@ let figures =
     ("scaling", "planner scaling: interned mask core and pruned resource search", scaling);
     ("kernel", "compiled cost kernels vs the scalar model", kernel_bench);
     ("obs", "observability overhead: instrumented hot paths off vs on", obs_bench);
-    ("memo", "parallel shared-memo DPsub: domains over interned masks", memo_bench);
     ("adaptive", "runtime adaptive re-optimization under estimation error", adaptive_bench);
     ("serve", "resident server: sustained throughput, latency, and load shedding", serve_bench);
     ("rewrite", "logical rewrite memo: search shrinking before enumeration", rewrite_bench);

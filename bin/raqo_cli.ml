@@ -57,12 +57,23 @@ let memory_arg =
 let conditions max_containers max_gb =
   Raqo_cluster.Conditions.make ~max_containers ~max_gb ()
 
+(* Every --jobs takes an integer >= 1: a domain-pool size on the planning
+   subcommands, a simulated job count on [queue]. The same check runs before
+   cmdliner in [main], so a bad value exits 2 on every subcommand. *)
+let jobs_of_string s =
+  match int_of_string_opt s with
+  | Some n when n >= 1 -> Ok n
+  | Some _ | None ->
+      Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= 1" s))
+
+let jobs_conv = Arg.conv (jobs_of_string, Format.pp_print_int)
+
 let jobs_opt_arg =
-  Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
+  Arg.(value & opt jobs_conv 1 & info [ "jobs" ] ~docv:"N"
          ~doc:"Planning domains. With the randomized planner, restarts run on a pool of \
-               $(docv) domains (results are identical to --jobs 1 for a fixed seed); with \
-               the dpsub planner, DP levels fan out over a shared memo table (also \
-               bit-identical at any pool size); with workload batches, queries are \
+               $(docv) domains (results are identical to --jobs 1 for a fixed seed); the \
+               selinger and dpsub planners run sequentially at any $(docv); with workload \
+               batches, server waves and allocator surfaces, independent queries are \
                planned concurrently.")
 
 let no_kernel_arg =
@@ -407,7 +418,9 @@ let queue_cmd =
   let capacity_arg =
     Arg.(value & opt int 90 & info [ "capacity" ] ~docv:"N" ~doc:"Cluster containers.")
   in
-  let jobs_arg = Arg.(value & opt int 5000 & info [ "jobs" ] ~docv:"N" ~doc:"Jobs to simulate.") in
+  let jobs_arg =
+    Arg.(value & opt jobs_conv 5000 & info [ "jobs" ] ~docv:"N" ~doc:"Jobs to simulate.")
+  in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
   let run capacity jobs seed =
     let rng = Raqo_util.Rng.create seed in
@@ -447,7 +460,7 @@ let fuzz_cmd =
            ~doc:"Joins per random query (the query has at most $(docv)+1 relations).")
   in
   let fuzz_jobs_arg =
-    Arg.(value & opt int 4 & info [ "jobs" ] ~docv:"N"
+    Arg.(value & opt jobs_conv 4 & info [ "jobs" ] ~docv:"N"
            ~doc:"Maximum pool size for the parallel-vs-sequential oracle arms; pool sizes \
                  in {2, 4, $(docv)} up to $(docv) are exercised (1 disables them).")
   in
@@ -494,9 +507,9 @@ let trace_cmd =
   let random_arg =
     Arg.(value & opt (some int) None & info [ "random" ] ~docv:"N"
            ~doc:"Ignore the RELATION arguments and plan a seeded random $(docv)-relation \
-                 schema (the same generator the fuzz and memo benches use) — TPC-H tops \
-                 out at 8 relations, so this is how to watch the dpsub levels fan out on \
-                 bigger queries.")
+                 schema (the same generator the fuzz and bench sections use) — TPC-H \
+                 tops out at 8 relations, so this is how to trace the planners on bigger \
+                 queries.")
   in
   let run relations planner random max_containers max_gb jobs no_kernel no_rewrite engine
       adaptive est_error out =
@@ -1096,7 +1109,7 @@ let () =
       exit 2
   | _ -> ());
   (* Same contract for enumerated option values: an unknown --planner or
-     --est-error exits 2 with the valid choices, instead of cmdliner's
+     --est-error, or a --jobs below 1, exits 2 with the valid choices, instead of cmdliner's
      generic usage error (exit 124). Both --flag VALUE and --flag=VALUE
      spellings are caught. *)
   let option_values flag =
@@ -1131,6 +1144,9 @@ let () =
   reject_invalid "--search"
     ~valid:(fun v -> List.mem v [ "exact"; "randomized"; "auto" ])
     ~choices:[ "exact"; "randomized"; "auto" ];
+  reject_invalid "--jobs"
+    ~valid:(fun v -> Result.is_ok (jobs_of_string v))
+    ~choices:[ "an integer >= 1, e.g. 2" ];
   reject_invalid "--fairness"
     ~valid:(fun v ->
       match float_of_string_opt v with

@@ -162,9 +162,8 @@ let m_failed = Raqo_obs.Metrics.counter "raqo_adaptive_failed_replans_total"
 (* Re-optimize the remaining join graph: collapse the in-flight tree's
    leaves into a remaining schema (true statistics on materialized
    intermediates, estimates elsewhere) and run the kernel-backed bushy DP
-   over its interned masks — through the shared-memo parallel sweep with
-   per-worker forked resource planners when a pool is available. *)
-let replan ?pool ~kernel ~fault ~model ~conditions ~truth ~estimates tree =
+   over its interned masks. *)
+let replan ~kernel ~fault ~model ~conditions ~truth ~estimates tree =
   let leaves = leaves_of tree in
   let n = List.length leaves in
   if n < 2 || n > max_replan_relations then None
@@ -175,16 +174,7 @@ let replan ?pool ~kernel ~fault ~model ~conditions ~truth ~estimates tree =
     | exception Invalid_argument _ -> None
     | ctx -> begin
         let rp = Resource_planner.create ~kernel conditions in
-        let result =
-          match pool with
-          | Some pool ->
-              Dpsub.optimize_par_masked
-                ~coster:(fun () ->
-                  fault (Coster.raqo_masked model ctx (Resource_planner.fork rp)))
-                pool ctx
-          | None -> Dpsub.optimize_masked (fault (Coster.raqo_masked model ctx rp)) ctx
-        in
-        match result with
+        match Dpsub.optimize_masked (fault (Coster.raqo_masked model ctx rp)) ctx with
         | None -> None
         | Some (joint, _est_cost) ->
             let table = Hashtbl.create (2 * n) in
@@ -205,7 +195,7 @@ let oom_reason impl ~small_gb ~resources =
 (* Execute the in-flight tree to completion. [adapt] gates the boundary
    re-optimization; with it off this is exactly Simulate.run_joint's
    accounting, stage by stage, float by float. *)
-let exec ?pool ~replan_cost_s ~kernel ~fault ~engine ~model ~conditions ~truth ~estimates
+let exec ~replan_cost_s ~kernel ~fault ~engine ~model ~conditions ~truth ~estimates
     ~adapt tree0 =
   let obs_on = Raqo_obs.Obs.enabled () in
   let rec loop tree index clock gb stages replans switches failed =
@@ -263,14 +253,13 @@ let exec ?pool ~replan_cost_s ~kernel ~fault ~engine ~model ~conditions ~truth ~
               let span = Raqo_obs.Trace.start "adaptive/replan" in
               let candidate, failed =
                 match
-                  replan ?pool ~kernel ~fault ~model ~conditions ~truth ~estimates tree'
+                  replan ~kernel ~fault ~model ~conditions ~truth ~estimates tree'
                 with
                 | candidate -> (candidate, failed)
                 | exception _ ->
                     (* A planner fault mid-re-optimization: fall back to the
-                       remaining static plan. The shared-memo DP released any
-                       claimed entries before re-raising, so the pool and the
-                       next boundary's re-plan stay usable. *)
+                       remaining static plan; the next boundary re-plans on a
+                       fresh resource planner. *)
                     if obs_on then Raqo_obs.Metrics.Counter.inc m_failed;
                     (None, failed + 1)
               in
@@ -309,7 +298,7 @@ let exec ?pool ~replan_cost_s ~kernel ~fault ~engine ~model ~conditions ~truth ~
   in
   loop tree0 0 0.0 0.0 [] 0 0 0
 
-let run ?pool ?(replan_cost_s = default_replan_cost_s) ?(kernel = true)
+let run ?(replan_cost_s = default_replan_cost_s) ?(kernel = true)
     ?(fault = fun (c : Coster.masked) -> c) ~engine ~model ~conditions ~truth ~estimates
     static =
   if not (Join_tree.valid static) then
@@ -323,11 +312,11 @@ let run ?pool ?(replan_cost_s = default_replan_cost_s) ?(kernel = true)
     (Join_tree.relations static);
   let span = Raqo_obs.Trace.start "adaptive/run" in
   let static_outcome, _, _, _, _, _ =
-    exec ?pool ~replan_cost_s ~kernel ~fault ~engine ~model ~conditions ~truth ~estimates
+    exec ~replan_cost_s ~kernel ~fault ~engine ~model ~conditions ~truth ~estimates
       ~adapt:false (of_joint static)
   in
   let adaptive_outcome, adaptive_plan, stages, replans, switches, failed_replans =
-    exec ?pool ~replan_cost_s ~kernel ~fault ~engine ~model ~conditions ~truth ~estimates
+    exec ~replan_cost_s ~kernel ~fault ~engine ~model ~conditions ~truth ~estimates
       ~adapt:true (of_joint static)
   in
   Raqo_obs.Trace.finish span;

@@ -3,7 +3,7 @@
     true size at the stage boundary, and — whenever the observation diverges
     from the estimate — re-invoke the kernel-backed bushy DP
     ({!Raqo_planner.Dpsub}, over the interned masks of the remaining join
-    graph, on the shared-memo parallel sweep when a pool is given) to
+    graph) to
     re-plan everything not yet executed, flipping join implementations and
     re-sizing containers mid-flight.
 
@@ -78,21 +78,17 @@ val default_replan_cost_s : float
     [static] (planned from [estimates]) twice against [truth]: once as-is
     and once adaptively.
 
-    [pool] fans each re-plan out over the shared-memo parallel DP with
-    per-worker forked resource planners — bit-identical reports at any pool
-    size. [kernel] (default true) is forwarded to the per-replan
+    [kernel] (default true) is forwarded to the per-replan
     {!Raqo_resource.Resource_planner}. [fault] wraps every re-planning
     coster (the oracle's fault-injection seam): a coster that raises makes
     the re-plan fall back to the incumbent remainder, counted in
-    [failed_replans], with no memo claim left stranded and the pool still
-    usable. [replan_cost_s] is the switch charge described above.
+    [failed_replans]. [replan_cost_s] is the switch charge described above.
 
     Queries whose remaining join graph exceeds the DPsub cap simply stop
     re-planning (counted as attempts, never as switches).
     @raise Invalid_argument when [static] is invalid or mentions relations
     unknown to [truth] or [estimates]. *)
 val run :
-  ?pool:Raqo_par.Pool.t ->
   ?replan_cost_s:float ->
   ?kernel:bool ->
   ?fault:(Raqo_planner.Coster.masked -> Raqo_planner.Coster.masked) ->

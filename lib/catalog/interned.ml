@@ -65,10 +65,10 @@ let names_of_mask t mask =
   go (t.n - 1) []
 
 (* ---- subset enumeration helpers -----------------------------------------
-   Pure bit manipulation shared by every mask-based enumerator (DPsub,
-   exhaustive shapes, the parallel memo sweep). They live here rather than in
-   the planners so subset order is defined once: ascending for same-size
-   subsets, descending for canonical splits. *)
+   Pure bit manipulation shared by the mask-based enumerators (DPsub,
+   exhaustive shapes). They live here rather than in the planners so subset
+   order is defined once: ascending for same-size subsets, descending for
+   canonical splits. *)
 
 let popcount mask =
   let rec go m acc = if m = 0 then acc else go (m land (m - 1)) (acc + 1) in

@@ -13,7 +13,6 @@ type t = {
   rng : Raqo_util.Rng.t;
   randomized_params : Raqo_planner.Randomized.params;
   memoize : bool;
-  parallel_memo : bool;
   kernel : bool;
   rewrite : Rewrite.t option;
   rewrite_hints : Rewrite.hints;
@@ -28,7 +27,7 @@ let create ?(kind = Selinger) ?(seed = 42)
     ?(randomized_params = Raqo_planner.Randomized.default_params)
     ?(resource_strategy = Resource_planner.Hill_climb) ?(pruned = false) ?(cache = true)
     ?(lookup = Raqo_resource.Plan_cache.Exact) ?(memoize = false) ?(kernel = true)
-    ?(parallel_memo = true) ?cache_capacity ?shared_cache ?(rewrite = true)
+    ?cache_capacity ?shared_cache ?(rewrite = true)
     ?(rewrite_hints = Rewrite.no_hints) ?(metrics = Raqo_obs.Metrics.default) ~model
     ~conditions schema =
   {
@@ -41,7 +40,6 @@ let create ?(kind = Selinger) ?(seed = 42)
     rng = Raqo_util.Rng.create seed;
     randomized_params;
     memoize;
-    parallel_memo;
     kernel;
     rewrite = (if rewrite then Some (Rewrite.create ~registry:metrics schema) else None);
     rewrite_hints;
@@ -158,10 +156,10 @@ let optimize t relations =
       | Some ctx -> run_planner_masked t (masked_coster t ctx) ctx
       | None -> run_planner t (coster t) relations)
 
-(* A fresh coster per restart/worker: the raqo coster's memo tables
-   (statistics and, when enabled, join memoization) are plain hashtables, and
-   the forked resource planner keeps cache and kernel scratch single-domain.
-   The shared atomic counters keep aggregate instrumentation meaningful. *)
+(* A fresh coster per restart: the raqo coster's memo tables (statistics
+   and, when enabled, join memoization) are plain hashtables, and the forked
+   resource planner keeps cache and kernel scratch single-domain. The shared
+   atomic counters keep aggregate instrumentation meaningful. *)
 let restart_planner t = fun () -> Resource_planner.fork t.resource_planner
 
 let restart_coster t =
@@ -176,20 +174,7 @@ let restart_masked_coster t ctx =
 
 let optimize_par t pool relations =
   match t.kind with
-  | Selinger -> optimize t relations
-  | Bushy_dp when not t.parallel_memo -> optimize t relations
-  | Bushy_dp ->
-      instrumented t (fun () ->
-          let t, relations = rewrite_query t relations in
-          match interned_ctx t relations with
-          | Some ctx ->
-              Raqo_planner.Dpsub.optimize_par_masked ~coster:(restart_masked_coster t ctx)
-                pool ctx
-          | None ->
-              (* The string path owns the validation errors for empty /
-                 unknown relation sets; >62-relation queries refuse there
-                 exactly as the sequential DP does. *)
-              run_planner t (coster t) relations)
+  | Selinger | Bushy_dp -> optimize t relations
   | Fast_randomized ->
       instrumented t (fun () ->
           let t, relations = rewrite_query t relations in
@@ -217,7 +202,7 @@ let optimize_adaptive ?pool ?replan_cost_s ~engine ~truth t relations =
   Option.map
     (fun (plan, est_cost) ->
       let report =
-        Raqo_adaptive.Adaptive_exec.run ?pool ?replan_cost_s ~kernel:t.kernel ~engine
+        Raqo_adaptive.Adaptive_exec.run ?replan_cost_s ~kernel:t.kernel ~engine
           ~model:t.model ~conditions:(conditions t) ~truth ~estimates:t.schema plan
       in
       (report, est_cost))

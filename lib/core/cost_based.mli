@@ -38,11 +38,6 @@ type t
     [cache_capacity] bounds the resource-plan cache with LRU eviction
     ({!Raqo_resource.Plan_cache.create}); omitted keeps it unbounded.
 
-    [parallel_memo] (default [true]) lets {!optimize_par} run the [Bushy_dp]
-    enumeration on the shared-memo parallel DP
-    ({!Raqo_planner.Dpsub.optimize_par_masked}); [false] pins it to the
-    sequential sweep regardless of the pool.
-
     [shared_cache] plugs the embedded resource planner into a striped,
     thread-safe cross-query plan cache instead of a private one (see
     {!Raqo_resource.Shared_plan_cache}): every fork handed to parallel
@@ -78,7 +73,6 @@ val create :
   ?lookup:Raqo_resource.Plan_cache.lookup ->
   ?memoize:bool ->
   ?kernel:bool ->
-  ?parallel_memo:bool ->
   ?cache_capacity:int ->
   ?shared_cache:Raqo_resource.Shared_plan_cache.t ->
   ?rewrite:bool ->
@@ -103,15 +97,13 @@ val with_conditions : t -> Raqo_cluster.Conditions.t -> t
 val optimize :
   t -> string list -> (Raqo_plan.Join_tree.joint * float) option
 
-(** [optimize_par t pool relations] is {!optimize} with the search fanned
-    out across [pool]'s domains: the randomized planner's restarts, or — for
-    [Bushy_dp] with [parallel_memo] on — the DP levels of the shared-memo
-    enumeration ({!Raqo_planner.Dpsub.optimize_par_masked}). Each restart or
-    DP worker gets a fresh coster and a forked resource planner sharing
-    [t]'s atomic counters; with the default exact-match cache lookup the
-    result is bit-identical to {!optimize} on an equal-seed optimizer, for
-    any pool size. For [Selinger] — a single-pass left-deep sweep with
-    nothing to fan out — this simply calls {!optimize}. *)
+(** [optimize_par t pool relations] is {!optimize} with the randomized
+    planner's restarts fanned out across [pool]'s domains. Each restart gets
+    a fresh coster and a forked resource planner sharing [t]'s atomic
+    counters; with the default exact-match cache lookup the result is
+    bit-identical to {!optimize} on an equal-seed optimizer, for any pool
+    size. [Selinger] and [Bushy_dp] run their sequential sweeps: {!optimize}
+    unchanged. *)
 val optimize_par :
   t -> Raqo_par.Pool.t -> string list -> (Raqo_plan.Join_tree.joint * float) option
 
@@ -122,10 +114,11 @@ val optimize_par :
     {!Raqo_adaptive.Adaptive_exec} re-optimizing the remaining join graph at
     every stage boundary whose observed cardinality contradicts its
     estimate. Returns the adaptive report with the static plan's estimated
-    cost; [None] when no feasible static plan exists. [pool] fans out both
-    the static optimization and every mid-flight re-plan. The report
-    guarantees [adaptive.seconds <= static.seconds] (bitwise, re-planning
-    cost included) and bit-identity under zero estimation error. *)
+    cost; [None] when no feasible static plan exists. [pool] fans out the
+    static optimization ({!optimize_par}); re-plans run sequentially. The
+    report guarantees [adaptive.seconds <= static.seconds] (bitwise,
+    re-planning cost included) and bit-identity under zero estimation
+    error. *)
 val optimize_adaptive :
   ?pool:Raqo_par.Pool.t ->
   ?replan_cost_s:float ->

@@ -6,9 +6,8 @@ type planned = {
   rewrite : Raqo_rewrite.Rewrite.report option;
 }
 
-let plan ?kind ?seed ?kernel ?parallel_memo ?pool ?adaptive ?shared_cache
-    ?(rewrite = true) ?(metrics = Raqo_obs.Metrics.default) ~model ~conditions ~schema
-    ~columns sql =
+let plan ?kind ?seed ?kernel ?pool ?adaptive ?shared_cache ?(rewrite = true)
+    ?(metrics = Raqo_obs.Metrics.default) ~model ~conditions ~schema ~columns sql =
   (* Registry lookup per query, not per cost evaluation: cheap enough here,
      and it keeps the counter in the caller's registry (a resident server
      threads its own). *)
@@ -30,7 +29,7 @@ let plan ?kind ?seed ?kernel ?parallel_memo ?pool ?adaptive ?shared_cache
              projections additionally enable absorption and narrowing. *)
           let opt =
             if rewrite then
-              Cost_based.create ?kind ?seed ?kernel ?parallel_memo ?shared_cache
+              Cost_based.create ?kind ?seed ?kernel ?shared_cache
                 ~rewrite_hints:
                   {
                     Raqo_rewrite.Rewrite.filters =
@@ -39,7 +38,7 @@ let plan ?kind ?seed ?kernel ?parallel_memo ?pool ?adaptive ?shared_cache
                   }
                 ~metrics ~model ~conditions schema
             else
-              Cost_based.create ?kind ?seed ?kernel ?parallel_memo ?shared_cache
+              Cost_based.create ?kind ?seed ?kernel ?shared_cache
                 ~rewrite:false ~metrics ~model ~conditions
                 analyzed.Raqo_sql.Resolver.schema
           in
@@ -71,7 +70,7 @@ let plan ?kind ?seed ?kernel ?parallel_memo ?pool ?adaptive ?shared_cache
           let truth = analyzed.Raqo_sql.Resolver.schema in
           let estimates = Raqo_execsim.Estimation_error.perturb error truth in
           let opt =
-            Cost_based.create ?kind ?seed ?kernel ?parallel_memo ?shared_cache ~rewrite
+            Cost_based.create ?kind ?seed ?kernel ?shared_cache ~rewrite
               ~rewrite_hints:
                 {
                   Raqo_rewrite.Rewrite.filters = [];

@@ -15,10 +15,10 @@ type planned = {
           [~rewrite:false], [changed = false] when no rule applied *)
 }
 
-(** [plan ?kind ?seed ?kernel ?parallel_memo ?pool ?adaptive ~model
-    ~conditions ~schema ~columns sql] parses, resolves, and jointly
-    optimizes [sql]. [kernel] and [parallel_memo] are forwarded to
-    {!Cost_based.create} (the CLI's [--no-kernel] passes [kernel:false]).
+(** [plan ?kind ?seed ?kernel ?pool ?adaptive ~model ~conditions ~schema
+    ~columns sql] parses, resolves, and jointly optimizes [sql]. [kernel] is
+    forwarded to {!Cost_based.create} (the CLI's [--no-kernel] passes
+    [kernel:false]).
     When [pool] is given the optimization step runs
     {!Cost_based.optimize_par} on it — same plans and costs, fanned out
     across the pool's domains. [adaptive:(engine, error)] treats the
@@ -42,7 +42,6 @@ val plan :
   ?kind:Cost_based.planner_kind ->
   ?seed:int ->
   ?kernel:bool ->
-  ?parallel_memo:bool ->
   ?pool:Raqo_par.Pool.t ->
   ?adaptive:Raqo_execsim.Engine.t * Raqo_execsim.Estimation_error.t ->
   ?shared_cache:Raqo_resource.Shared_plan_cache.t ->

@@ -147,9 +147,6 @@ let run_list t thunks =
 let parallel_map t f xs = run_list t (List.map (fun x () -> f x) xs)
 let parallel_mapi t f xs = run_list t (List.mapi (fun i x () -> f i x) xs)
 
-let parallel_reduce t ~map ~combine ~init xs =
-  List.fold_left combine init (parallel_map t map xs)
-
 let chunks n xs =
   if n < 1 then invalid_arg "Pool.chunks: n must be >= 1";
   let len = List.length xs in

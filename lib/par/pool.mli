@@ -1,6 +1,7 @@
 (** A fixed-size pool of worker domains behind a mutex/condition work queue —
     the substrate for every embarrassingly parallel hot path in the planner
-    (randomized restarts, brute-force resource grids, workload batches).
+    (randomized restarts, server waves, allocator member planning and
+    surface builds, workload batches, fuzz seeds).
 
     Design notes, load-bearing for callers:
 
@@ -63,16 +64,7 @@ val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [parallel_mapi t f xs] is {!parallel_map} with the element index. *)
 val parallel_mapi : t -> (int -> 'a -> 'b) -> 'a list -> 'b list
 
-(** [parallel_reduce t ~map ~combine ~init xs] maps over [xs] on the pool,
-    then folds the mapped results {e sequentially, in input order} in the
-    submitter: [combine (... (combine init y0) ...) yn]. The fold order is
-    fixed so non-commutative combines (first-wins tie-breaks) match their
-    sequential counterparts exactly. *)
-val parallel_reduce :
-  t -> map:('a -> 'b) -> combine:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
-
 (** [chunks n xs] splits [xs] into at most [n] contiguous slices of
     near-equal length, preserving order ([List.concat (chunks n xs) = xs]);
-    fewer slices when [xs] is short. The partitioning helper for grid
-    searches. @raise Invalid_argument when [n < 1]. *)
+    fewer slices when [xs] is short. @raise Invalid_argument when [n < 1]. *)
 val chunks : int -> 'a list -> 'a list list

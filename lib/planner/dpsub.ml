@@ -1,8 +1,6 @@
 module Join_tree = Raqo_plan.Join_tree
 module Schema = Raqo_catalog.Schema
 module Interned = Raqo_catalog.Interned
-module Memo = Raqo_memo.Memo
-module Pool = Raqo_par.Pool
 
 (* Connectivity tables are 2^n bytes and the DP is O(3^n): 20 relations
    (Selinger's cap) is where both stay interactive on sparse join graphs. *)
@@ -109,15 +107,14 @@ let optimize_reference (coster : Coster.t) schema relations =
   Raqo_obs.Trace.finish span;
   best.(size - 1)
 
-(* Connectivity of every subset, shared by the sequential and parallel mask
-   cores. nb.(mask) = union of adjacency over the members of [mask],
-   tabulated in one O(2^n) pass; connected subsets are then marked by forward
-   expansion instead of a per-mask BFS: a set is connected iff it is a
-   singleton or a smaller connected set plus one adjacent relation (drop a
-   spanning-tree leaf), and that smaller set is numerically below it, so one
-   ascending sweep marks every superset before visiting it. Identical table
-   to the reference's BFS. The returned closure only reads the table, so it
-   is safe to share across domains once built. *)
+(* Connectivity of every subset for the mask core. nb.(mask) = union of
+   adjacency over the members of [mask], tabulated in one O(2^n) pass;
+   connected subsets are then marked by forward expansion instead of a
+   per-mask BFS: a set is connected iff it is a singleton or a smaller
+   connected set plus one adjacent relation (drop a spanning-tree leaf), and
+   that smaller set is numerically below it, so one ascending sweep marks
+   every superset before visiting it. Identical table to the reference's
+   BFS. *)
 let connectivity ctx =
   let n = Interned.n ctx in
   let adj = Interned.adj ctx in
@@ -198,130 +195,3 @@ let optimize coster schema relations =
   validate schema relations;
   let ctx = Interned.make schema relations in
   optimize_masked (Coster.of_strings ctx coster) ctx
-
-(* ------------------------------------------------- parallel shared memo *)
-
-(* Static names so per-level spans stay allocation-free on the hot path
-   ([Trace.start] stores the name by reference). *)
-let level_span_names =
-  Array.init (max_relations + 1) (fun k -> Printf.sprintf "dpsub/level-%02d" k)
-
-(* Level-synchronous parallel DPsub over a shared memo table.
-
-   Bit-identity argument: the best plan for a subset of size k is a pure
-   function of the published values of its strict submasks (all of size
-   < k) — the split enumeration, feasibility filters, and strict-< first-wins
-   tie-break inside one subset run sequentially on whichever domain claimed
-   it, in exactly [optimize_masked]'s order. Processing subsets level by
-   level with a barrier between levels (one [Pool.run_list] per level) means
-   every read hits a final value, so the table contents after each level —
-   and hence the final plan, cost, and resource assignment — are independent
-   of claim order, timing, and domain count.
-
-   Work sharing: each level's connected subsets are packed into an array and
-   workers grab contiguous chunks off an atomic cursor (load balancing: the
-   split loop is O(2^k) per subset, wildly uneven across a level). The memo
-   claim CAS then makes not-repeating-work a table invariant rather than a
-   scheduler property. Each worker index owns one coster for the whole
-   query — task w at level k and task w at level k+1 never overlap, so the
-   coster's memo tables and the kernel scratch inside its resource planner
-   stay single-writer while staying warm across levels. *)
-let optimize_par_masked ?memo ~(coster : unit -> Coster.masked) pool ctx =
-  let n = Interned.n ctx in
-  if n > max_relations then invalid_arg "Dpsub.optimize: too many relations for bushy DP";
-  let memo =
-    match memo with
-    | Some m ->
-        if Memo.bits m <> n then
-          invalid_arg "Dpsub.optimize_par_masked: memo sized for a different query";
-        m
-    | None -> Memo.create ~bits:n
-  in
-  let span = Raqo_obs.Trace.start "dpsub/dp-par" in
-  let finish_on_error f =
-    match f () with
-    | v -> v
-    | exception e ->
-        Raqo_obs.Trace.finish span;
-        raise e
-  in
-  finish_on_error @@ fun () ->
-  let adj = Interned.adj ctx in
-  let connected = connectivity ctx in
-  for i = 0 to n - 1 do
-    Memo.publish memo (1 lsl i) (Some (Join_tree.Scan (Interned.name ctx i), 0.0))
-  done;
-  let jobs = Pool.size pool in
-  let costers = Array.init jobs (fun _ -> coster ()) in
-  (* The best plan for one claimed subset, reading published lower levels.
-     Identical split order, filters, and tie-breaks to [optimize_masked]. *)
-  let compute c mask =
-    let best = ref None in
-    Interned.iter_splits mask (fun ~sub ~rest ->
-        if connected sub && connected rest && crossing_edge n adj sub rest then
-          match (Memo.get memo sub, Memo.get memo rest) with
-          | Memo.Published (Some (lt, lc)), Memo.Published (Some (rt, rc)) -> begin
-              if Raqo_obs.Obs.enabled () then Raqo_obs.Metrics.Counter.inc m_expansions;
-              match c.Coster.best_join_masked ~left:sub ~right:rest with
-              | Some { impl; resources; cost } ->
-                  let total = lc +. rc +. cost in
-                  let better =
-                    match !best with
-                    | Some (_, b) -> total < b
-                    | None -> true
-                  in
-                  if better then
-                    best := Some (Join_tree.Join ((impl, resources), lt, rt), total)
-              | None -> ()
-            end
-          | (Memo.Published _ | Memo.Empty | Memo.Claimed), _ -> ());
-    !best
-  in
-  let masks = Array.make (1 lsl n) 0 in
-  for level = 2 to n do
-    let count = ref 0 in
-    Interned.iter_subsets_of_size ~n ~size:level (fun mask ->
-        if connected mask then begin
-          masks.(!count) <- mask;
-          incr count
-        end);
-    let len = !count in
-    if len > 0 then begin
-      let lspan = Raqo_obs.Trace.start level_span_names.(level) in
-      let cursor = Atomic.make 0 in
-      let grain = max 1 (len / (jobs * 8)) in
-      let worker w =
-        let c = costers.(w) in
-        let continue = ref true in
-        while !continue do
-          let start = Atomic.fetch_and_add cursor grain in
-          if start >= len then continue := false
-          else
-            for i = start to min (start + grain) len - 1 do
-              let mask = masks.(i) in
-              if Memo.try_claim memo mask then
-                match compute c mask with
-                | v -> Memo.publish memo mask v
-                | exception e ->
-                    (* Never strand a claimed-but-unpublished entry: revert
-                       the claim, then let the pool re-raise after the whole
-                       batch has run. *)
-                    Memo.release memo mask;
-                    raise e
-            done
-        done
-      in
-      match Pool.run_list pool (List.init jobs (fun w () -> worker w)) with
-      | _ -> Raqo_obs.Trace.finish lspan
-      | exception e ->
-          Raqo_obs.Trace.finish lspan;
-          raise e
-    end
-  done;
-  let result =
-    match Memo.get memo (Interned.full_mask ctx) with
-    | Memo.Published v -> v
-    | Memo.Empty | Memo.Claimed -> None
-  in
-  Raqo_obs.Trace.finish span;
-  result

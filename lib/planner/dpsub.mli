@@ -31,40 +31,6 @@ val optimize_masked :
   Raqo_catalog.Interned.t ->
   (Raqo_plan.Join_tree.joint * float) option
 
-(** [optimize_par_masked ?memo ~coster pool ctx] is {!optimize_masked} with
-    the DP fanned out over [pool]'s domains through a shared
-    {!Raqo_memo.Memo} table: subsets are processed level by level (popcount
-    order, one pool barrier per level), workers claim subsets off an atomic
-    cursor, and each claimed subset's split enumeration runs sequentially in
-    {!optimize_masked}'s exact order. Results — plan shape, cost, resource
-    assignment, and tie-breaks — are bit-identical to {!optimize_masked} for
-    any pool size, provided [coster ()] builds value-deterministic costers:
-    every call must return what a fresh instance would (true of all shipped
-    costers; for resource-planning costers use a private
-    {!Raqo_resource.Resource_planner} per instance with the default
-    exact-match cache lookup, as {!Raqo.Cost_based}'s restart factory does).
-
-    [coster] is invoked once per worker index up front; each instance is
-    only ever used by one task at a time, so single-domain memo tables and
-    kernel scratch buffers inside are safe and stay warm across levels.
-
-    [memo] supplies the table (sized [~bits:(Interned.n ctx)]) — pass it to
-    inspect published subproblems afterwards; by default a private one is
-    created. If a coster raises, the claimed entry is released before the
-    exception is re-raised (after the whole level has drained), so the table
-    is never left with a claimed-but-unpublished entry.
-
-    Instrumented with a [dpsub/dp-par] span, one [dpsub/level-NN] span per
-    level, and the [raqo_memo_*_total] counters.
-    @raise Invalid_argument beyond {!max_relations} relations, or when
-    [memo] is sized for a different query. *)
-val optimize_par_masked :
-  ?memo:(Raqo_plan.Join_tree.joint * float) option Raqo_memo.Memo.t ->
-  coster:(unit -> Coster.masked) ->
-  Raqo_par.Pool.t ->
-  Raqo_catalog.Interned.t ->
-  (Raqo_plan.Join_tree.joint * float) option
-
 (** [optimize_reference coster schema relations] is the historical
     string-list bushy DP, kept as the oracle baseline. Same contract as
     {!optimize}. *)

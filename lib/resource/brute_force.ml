@@ -1,4 +1,3 @@
-module Pool = Raqo_par.Pool
 module Kernel = Raqo_cost.Kernel
 
 (* Observability (recorded only when Raqo_obs.Obs.enabled): how much of the
@@ -10,9 +9,8 @@ let record_pruned ~n_configs ~evals =
   if Raqo_obs.Obs.enabled () then
     Raqo_obs.Metrics.Counter.add m_pruned_cells (n_configs - evals)
 
-(* Shared fold: cheapest config in [configs], ties toward the earlier one,
-   plus the evaluation count. Pure in [cost], so chunks of the grid can run
-   on different domains and be merged in enumeration order. *)
+(* Cheapest config in [configs], ties toward the earlier one, plus the
+   evaluation count. *)
 let fold_best cost configs =
   List.fold_left
     (fun (best, evals) r ->
@@ -25,14 +23,8 @@ let fold_best cost configs =
       (best, evals + 1))
     (None, 0) configs
 
-let merge earlier later =
-  match (earlier, later) with
-  | Some (_, bc), Some (_, c) when bc <= c -> earlier
-  | Some _, Some _ -> later
-  | (Some _ as x), None | None, (Some _ as x) -> x
-  | None, None -> None
-
-let finish ?counters ~evals best =
+let search ?counters conditions cost =
+  let best, evals = fold_best cost (Raqo_cluster.Conditions.all_configs conditions) in
   (match counters with
   | Some k ->
       Counters.record_evaluations k evals;
@@ -41,10 +33,6 @@ let finish ?counters ~evals best =
   match best with
   | Some result -> result
   | None -> invalid_arg "Brute_force.search: empty resource space"
-
-let search ?counters conditions cost =
-  let best, evals = fold_best cost (Raqo_cluster.Conditions.all_configs conditions) in
-  finish ?counters ~evals best
 
 (* Kernel-compiled exhaustive search: one allocation-free sweep into the
    scratch buffer, then an argmin scan. The scan replicates [fold_best]'s
@@ -266,19 +254,3 @@ let search_pruned_kernel ?counters (conditions : Raqo_cluster.Conditions.t) ~ker
       ~containers:(conditions.min_containers + (!best_idx mod nc * conditions.container_step))
       ~container_gb:(conditions.min_gb +. (float_of_int (!best_idx / nc) *. conditions.gb_step)),
     !best_cost )
-
-let search_par ?counters pool conditions cost =
-  let configs = Raqo_cluster.Conditions.all_configs conditions in
-  match Pool.chunks (Pool.size pool) configs with
-  | [] -> finish ?counters ~evals:0 None
-  | [ only ] ->
-      let best, evals = fold_best cost only in
-      finish ?counters ~evals best
-  | chunks ->
-      let best, evals =
-        Pool.parallel_reduce pool
-          ~map:(fold_best cost)
-          ~combine:(fun (best, evals) (b, e) -> (merge best b, evals + e))
-          ~init:(None, 0) chunks
-      in
-      finish ?counters ~evals best

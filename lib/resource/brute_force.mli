@@ -61,17 +61,3 @@ val search_pruned_kernel :
   kernel:Raqo_cost.Kernel.t ->
   scratch:Raqo_cost.Kernel.scratch ->
   Raqo_cluster.Resources.t * float
-
-(** [search_par ?counters pool conditions cost] is {!search} with the
-    configuration grid partitioned into contiguous slices across the pool's
-    domains. [cost] must be safe to call concurrently (the operator cost
-    models are pure). The per-slice minima are merged in enumeration order
-    with the same tie-break, so the result — configuration, cost, and
-    recorded evaluation count — is identical to {!search} for any pool
-    size. *)
-val search_par :
-  ?counters:Counters.t ->
-  Raqo_par.Pool.t ->
-  Raqo_cluster.Conditions.t ->
-  (Raqo_cluster.Resources.t -> float) ->
-  Raqo_cluster.Resources.t * float

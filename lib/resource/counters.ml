@@ -1,8 +1,8 @@
 (* Each instrument owns private sharded cells (Raqo_obs.Metrics.Counter:
-   lock-free per-domain shards merged on read), so parallel searches — pooled
-   brute force, concurrent randomized restarts, batched workload planning —
-   share one instrument without losing increments or contending on a single
-   cache line; see Raqo_par.Pool.
+   lock-free per-domain shards merged on read), so parallel searches —
+   concurrent randomized restarts, batched workload planning — share one
+   instrument without losing increments or contending on a single cache
+   line; see Raqo_par.Pool.
 
    When observability is on, every record additionally bumps the mirror
    handles resolved at [create] time from a metrics registry — the process-wide

@@ -14,13 +14,12 @@ type t = {
   cache : cache_handle option;
   lookup : Plan_cache.lookup;
   counters : Counters.t;
-  pool : Raqo_par.Pool.t option;
   use_kernel : bool;
   scratch : Kernel.scratch;
 }
 
 let create ?(strategy = Hill_climb) ?(pruned = false) ?(cache = true)
-    ?(lookup = Plan_cache.Exact) ?counters ?pool ?(kernel = true) ?cache_capacity
+    ?(lookup = Plan_cache.Exact) ?counters ?(kernel = true) ?cache_capacity
     ?shared_cache ?registry conditions =
   {
     conditions;
@@ -34,7 +33,6 @@ let create ?(strategy = Hill_climb) ?(pruned = false) ?(cache = true)
           else None);
     lookup;
     counters = (match counters with Some k -> k | None -> Counters.create ?registry ());
-    pool;
     use_kernel = kernel;
     scratch = Kernel.create_scratch ();
   }
@@ -96,19 +94,16 @@ let search ?start ?bound ?kernel t cost =
   | Hill_climb, None -> Hill_climb.plan ~counters:t.counters ?start t.conditions cost
   | Brute_force, Some k ->
       (* Kernels compile only where region bounds exist (the paper feature
-         space), so the pruned planner never needs the caller's [bound] here;
-         the kernel path is single-domain by design — the sweep outruns the
-         pooled scalar scan, and results are identical either way. *)
+         space), so the pruned planner never needs the caller's [bound] here. *)
       if t.pruned then
         Brute_force.search_pruned_kernel ~counters:t.counters t.conditions ~kernel:k
           ~scratch:t.scratch
       else Brute_force.search_kernel ~counters:t.counters t.conditions ~kernel:k ~scratch:t.scratch
     | Brute_force, None -> begin
-        match (t.pruned, bound, t.pool) with
-        | true, Some bound, _ ->
+        match (t.pruned, bound) with
+        | true, Some bound ->
             Brute_force.search_pruned ~counters:t.counters t.conditions ~bound cost
-        | _, _, Some pool -> Brute_force.search_par ~counters:t.counters pool t.conditions cost
-        | _, _, None -> Brute_force.search ~counters:t.counters t.conditions cost
+        | _ -> Brute_force.search ~counters:t.counters t.conditions cost
       end
   in
   Raqo_obs.Trace.finish span;

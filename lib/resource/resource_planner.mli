@@ -6,9 +6,9 @@ type strategy = Brute_force | Hill_climb
 
 type t
 
-(** [create ?strategy ?pruned ?cache ?lookup ?counters ?pool conditions]
-    builds a planner. Defaults: hill climbing, no pruning, caching enabled,
-    exact-match lookup, private counters, no pool.
+(** [create ?strategy ?pruned ?cache ?lookup ?counters conditions] builds a
+    planner. Defaults: hill climbing, no pruning, caching enabled,
+    exact-match lookup, private counters.
 
     [pruned] switches the brute-force strategy to branch-and-bound
     ({!Brute_force.search_pruned}) whenever the caller supplies a cost lower
@@ -17,9 +17,7 @@ type t
     only the evaluation counts drop. [counters] shares an existing (atomic)
     instrument — parallel randomized restarts give each restart its own
     planner but one shared counter set so the aggregate figures survive.
-    [pool] parallelizes the unpruned brute-force grid search across its
-    domains (pruned search is sequential — its incumbent is inherently
-    serial — and hill climbing ignores the pool too). The cache, when
+    Every search runs on the calling domain. The cache, when
     enabled, is private to this planner and must only be touched from one
     domain at a time — cache sharing across concurrent queries stays opt-in
     and single-domain.
@@ -30,8 +28,6 @@ type t
     feature vectors — reusing one per-planner scratch buffer across calls so
     steady-state planning does zero grid allocation. [~kernel:false] forces
     the scalar path everywhere (the CLI's [--no-kernel] escape hatch).
-    Kernelised grid searches are single-domain: they ignore [pool], which
-    only shapes the scalar fallback.
 
     [cache_capacity] bounds the plan cache with LRU eviction (see
     {!Plan_cache.create}); omitted means unbounded, the paper's behaviour.
@@ -48,7 +44,6 @@ val create :
   ?cache:bool ->
   ?lookup:Plan_cache.lookup ->
   ?counters:Counters.t ->
-  ?pool:Raqo_par.Pool.t ->
   ?kernel:bool ->
   ?cache_capacity:int ->
   ?shared_cache:Shared_plan_cache.t ->

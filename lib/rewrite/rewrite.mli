@@ -6,8 +6,7 @@
     relation's group into a surviving neighbour's (a union-find recorded in
     the per-apply report as [absorbed]). The surviving groups — with their
     folded cardinalities and narrowed widths — are what the physical
-    planners enumerate, so every rule that fires shrinks the DP lattice the
-    PR-6 shared memo has to claim.
+    planners enumerate, so every rule that fires shrinks their DP lattice.
 
     Rule catalogue, applied in a deterministic order:
 

@@ -220,7 +220,7 @@ let infeasible (req : Protocol.request) =
       message = "no feasible joint plan under the current cluster conditions";
     }
 
-let plan_request ?pool t (req : Protocol.request) : Protocol.response =
+let plan_request t (req : Protocol.request) : Protocol.response =
   match resolve t req.payload with
   | Error message ->
       Protocol.Rejected { id = Some req.id; reason = Protocol.Bad_request; message }
@@ -252,9 +252,7 @@ let plan_request ?pool t (req : Protocol.request) : Protocol.response =
             in
             match
               Raqo_obs.Trace.with_ ~name:"sql/optimize" (fun () ->
-                  match pool with
-                  | Some pool -> Raqo.Cost_based.optimize_par opt pool r.relations
-                  | None -> Raqo.Cost_based.optimize opt r.relations)
+                  Raqo.Cost_based.optimize opt r.relations)
             with
             | Some (plan, cost) -> planned req plan cost None (rewrite_summary opt)
             | None -> infeasible req
@@ -272,8 +270,7 @@ let plan_request ?pool t (req : Protocol.request) : Protocol.response =
             in
             match
               Raqo_obs.Trace.with_ ~name:"sql/optimize" (fun () ->
-                  Raqo.Cost_based.optimize_adaptive ?pool ~engine:sim_engine ~truth opt
-                    r.relations)
+                  Raqo.Cost_based.optimize_adaptive ~engine:sim_engine ~truth opt r.relations)
             with
             | Some (report, cost) ->
                 let summary =

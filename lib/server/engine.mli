@@ -62,12 +62,11 @@ val pool : t -> Raqo_par.Pool.t
     (sequentially); {!process_wave} on a shut-down engine raises. *)
 val shutdown : t -> unit
 
-(** [plan_request ?pool t req] plans one request synchronously, bypassing
-    admission. [pool] fans the {e single} request's search out (randomized
-    restarts / parallel DP); the serve loop instead parallelizes {e across}
-    requests and leaves it unset. Never raises: planner exceptions come back
-    as [Rejected {reason = Internal; _}]. *)
-val plan_request : ?pool:Raqo_par.Pool.t -> t -> Protocol.request -> Protocol.response
+(** [plan_request t req] plans one request synchronously on the calling
+    domain, bypassing admission; the serve loop parallelizes {e across}
+    requests. Never raises: planner exceptions come back as
+    [Rejected {reason = Internal; _}]. *)
+val plan_request : t -> Protocol.request -> Protocol.response
 
 (** [oneshot req] plans on a fresh single-job engine (fresh cache, fresh
     registry) and tears it down — the reference answer the smoke test diffs

@@ -47,14 +47,14 @@ let shrink ?jobs ?fault (t : Oracle.instance) =
    set (checking all error distributions), then the error-seed dimension —
    isolate a single distribution that still fails on the minimized query, so
    the repro names one exact (distribution, seed) error pattern. *)
-let shrink_adaptive ?jobs ?fault (t : Oracle.instance) =
+let shrink_adaptive ?fault (t : Oracle.instance) =
   let minimized, diagnostics =
-    shrink_with (fun t -> Oracle.check_adaptive ?jobs ?fault t) t
+    shrink_with (fun t -> Oracle.check_adaptive ?fault t) t
   in
   let small = Oracle.with_relations t minimized in
   let dist =
     List.find_opt
-      (fun d -> Oracle.check_adaptive ?jobs ~dists:[ d ] ?fault small <> [])
+      (fun d -> Oracle.check_adaptive ~dists:[ d ] ?fault small <> [])
       Oracle.adaptive_dists
   in
   match dist with
@@ -63,14 +63,14 @@ let shrink_adaptive ?jobs ?fault (t : Oracle.instance) =
       let error = Estimation_error.make d ~seed:(Oracle.adaptive_error_seed t.Oracle.seed) in
       ( minimized,
         Some (Estimation_error.to_string error),
-        Oracle.check_adaptive ?jobs ~dists:[ d ] ?fault small )
+        Oracle.check_adaptive ~dists:[ d ] ?fault small )
 
 let report ?jobs ?fault (t : Oracle.instance) =
   let minimized, diagnostics = shrink ?jobs ?fault t in
   { instance = t; minimized; minimized_dist = None; diagnostics }
 
-let report_adaptive ?jobs ?fault (t : Oracle.instance) =
-  let minimized, minimized_dist, diagnostics = shrink_adaptive ?jobs ?fault t in
+let report_adaptive ?fault (t : Oracle.instance) =
+  let minimized, minimized_dist, diagnostics = shrink_adaptive ?fault t in
   { instance = t; minimized; minimized_dist; diagnostics }
 
 let render r =
@@ -105,14 +105,14 @@ let run ?tables ?joins ?jobs ?fault ?(adaptive = false)
     if Raqo_obs.Obs.enabled () then Raqo_obs.Metrics.Counter.inc m_seeds;
     let t = Oracle.instance ?tables ?joins seed in
     let diags =
-      if adaptive then Oracle.check_adaptive ?jobs t else check_full ?jobs ?fault t
+      if adaptive then Oracle.check_adaptive t else check_full ?jobs ?fault t
     in
     match diags with
     | [] -> progress ~seed ~failed:false
     | _ :: _ ->
         progress ~seed ~failed:true;
         failures :=
-          (if adaptive then report_adaptive ?jobs t else report ?jobs ?fault t)
+          (if adaptive then report_adaptive t else report ?jobs ?fault t)
           :: !failures
   done;
   List.rev !failures
@@ -141,14 +141,6 @@ let main ?tables ?joins ?jobs ?(adaptive = false) ?(start = 1) ~seeds () =
     (v "raqo_cost_evaluations_total")
     (v "raqo_plan_cache_hits_total")
     (v "raqo_plan_cache_misses_total");
-  (* The parallel shared-memo DP arms: claims = subproblems computed,
-     conflicts = lost claim races (0 under cursor-based work sharing),
-     publishes must equal claims when no arm raised. *)
-  Printf.printf "memo: claims=%d conflicts=%d publishes=%d hits=%d\n"
-    (v "raqo_memo_claims_total")
-    (v "raqo_memo_conflicts_total")
-    (v "raqo_memo_publishes_total")
-    (v "raqo_memo_hits_total");
   if not adaptive then
     Printf.printf "alloc: surfaces=%d evaluations=%d frontier-points=%d exact-states=%d moves=%d\n"
       (v "raqo_alloc_surfaces_total")

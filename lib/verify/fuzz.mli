@@ -28,7 +28,6 @@ val shrink :
     single failing error spec (if any single distribution suffices), and the
     diagnostics of that narrowest still-failing configuration. *)
 val shrink_adaptive :
-  ?jobs:int list ->
   ?fault:Oracle.masked_fault ->
   Oracle.instance ->
   string list * string option * Diagnostic.t list
@@ -37,8 +36,7 @@ val shrink_adaptive :
 val report : ?jobs:int list -> ?fault:Oracle.fault -> Oracle.instance -> report
 
 (** [report_adaptive t] is {!shrink_adaptive} packaged with the instance. *)
-val report_adaptive :
-  ?jobs:int list -> ?fault:Oracle.masked_fault -> Oracle.instance -> report
+val report_adaptive : ?fault:Oracle.masked_fault -> Oracle.instance -> report
 
 (** [render r] formats a failure as a self-contained repro block: seed,
     generation parameters, original and minimized query, the isolated error
@@ -49,7 +47,8 @@ val render : report -> string
 (** [run ?tables ?joins ?jobs ?fault ?adaptive ?progress ?start ~seeds ()]
     checks seeds [start .. start + seeds - 1] and returns a shrunk report
     per failing seed. [adaptive] (default false) swaps in
-    {!Oracle.check_adaptive} ([fault] applies to the classic oracle only).
+    {!Oracle.check_adaptive} ([fault] applies to the classic oracle only,
+    [jobs] to the classic and allocator oracles).
     [progress] is invoked once per seed. *)
 val run :
   ?tables:int ->

@@ -175,8 +175,8 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
     jobs;
 
   (* ------------------------------------------ resource-planning mode arms *)
-  let raqo_arm arm ~strategy ~cache ?pool () =
-    let rp = Resource_planner.create ~strategy ~cache ?pool conditions in
+  let raqo_arm arm ~strategy ~cache () =
+    let rp = Resource_planner.create ~strategy ~cache conditions in
     (rp, fault ~arm (Coster.raqo model schema rp))
   in
   let rp_bf, bf_coster = raqo_arm "raqo-bf" ~strategy:Resource_planner.Brute_force ~cache:true () in
@@ -199,22 +199,6 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
   relate "oracle/raqo-above-fixed"
     "joint optimization must be <= the two-step baseline at an in-grid config" leq
     (cost raqo_bf) (cost sel);
-
-  (* Parallel brute-force grid partitioning must agree with the sequential
-     scan (first-wins ties, merged in enumeration order). *)
-  List.iter
-    (fun j ->
-      if j > 1 then
-        Pool.with_pool ~jobs:j (fun pool ->
-            let _, coster =
-              raqo_arm "raqo-bf-par" ~strategy:Resource_planner.Brute_force ~cache:true ~pool ()
-            in
-            let par = validate "raqo-bf-par" (Selinger.optimize coster schema rels) in
-            relate "oracle/raqo-par-vs-seq"
-              (Printf.sprintf "partitioned grid search (%d jobs) must equal sequential" j)
-              (fun a b -> a = b)
-              (cost par) (cost raqo_bf)))
-    jobs;
 
   (* ------------------------------------------------ mask-core bit-identity *)
   (* Every mask-based planner must return bit-identical (plan, cost, coster
@@ -262,56 +246,7 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
       let m, mc, s, sc = pair () in
       identical "oracle/mask-randomized" "randomized search (same seed)"
         (Randomized.optimize_masked (Rng.create rand_seed) m ctx, mc ())
-        (Randomized.optimize (Rng.create rand_seed) s schema rels, sc ());
-
-      (* ------------------------------------------ parallel shared-memo DP *)
-      (* The level-synchronous parallel DPsub must be bit-identical — plan
-         shape, cost, resource assignment, tie-breaks — to the sequential
-         mask sweep at every pool size, with both the fixed coster (behind
-         the fault seam) and the resource-planning coster with per-worker
-         forked planners. Structural equality [=] is deliberate: costs must
-         match bitwise, not within tolerance. *)
-      let memo_jobs = List.sort_uniq compare (1 :: List.filter (fun j -> j >= 1) jobs) in
-      if n <= 14 then begin
-        let fixed_base = fault ~arm:"memo-dpsub-par" (Coster.fixed model schema fixed_resources) in
-        let seq = Dpsub.optimize_masked (Coster.of_strings ctx fixed_base) ctx in
-        List.iter
-          (fun j ->
-            Pool.with_pool ~jobs:j (fun pool ->
-                let par =
-                  Dpsub.optimize_par_masked
-                    ~coster:(fun () -> Coster.of_strings ctx fixed_base)
-                    pool ctx
-                in
-                if par <> seq then
-                  add
-                    [ D.v ~invariant:"oracle/memo-dpsub-par-vs-seq"
-                        "parallel shared-memo DP (%d jobs) diverged from sequential DPsub" j ];
-                relate "oracle/memo-dpsub-par-vs-exhaustive"
-                  (Printf.sprintf
-                     "parallel shared-memo DP (%d jobs) must equal the exhaustive oracle" j)
-                  approx_eq (cost par) (cost exhaustive)))
-          memo_jobs
-      end;
-      if n <= 10 then begin
-        let rp = Resource_planner.create conditions in
-        let seq = Dpsub.optimize_masked (Coster.raqo_masked model ctx rp) ctx in
-        List.iter
-          (fun j ->
-            Pool.with_pool ~jobs:j (fun pool ->
-                let par =
-                  Dpsub.optimize_par_masked
-                    ~coster:(fun () ->
-                      Coster.raqo_masked model ctx (Resource_planner.fork rp))
-                    pool ctx
-                in
-                if par <> seq then
-                  add
-                    [ D.v ~invariant:"oracle/memo-dpsub-par-raqo-vs-seq"
-                        "parallel shared-memo joint planning (%d jobs) diverged from the \
-                         sequential resource-planning sweep" j ]))
-          memo_jobs
-      end);
+        (Randomized.optimize (Rng.create rand_seed) s schema rels, sc ()));
 
   (* ------------------------------------------------ pruned resource search *)
   (* Branch-and-bound over the resource grid must return exactly what the
@@ -397,20 +332,6 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
                       "kernel sweep counted %d evaluations, scalar %d, for %s at %.2f GB"
                       (Counters.cost_evaluations kc) (Counters.cost_evaluations sc)
                       (Join_impl.to_string impl) small_gb ];
-              (* Kernel sweep vs the pooled scalar partition, per pool size:
-                 the kernel path is single-domain but must return what any
-                 partitioning returns. *)
-              List.iter
-                (fun j ->
-                  if j > 1 then
-                    Pool.with_pool ~jobs:j (fun pool ->
-                        let par = Brute_force.search_par pool conditions cost in
-                        if swept <> par then
-                          add
-                            [ D.v ~invariant:"oracle/kernel-sweep-vs-par"
-                                "kernel sweep diverged from %d-way partitioned scan for %s at %.2f GB"
-                                j (Join_impl.to_string impl) small_gb ]))
-                jobs;
               (* Pruned search: kernel bounds replicate the scalar bound
                  closure, so the visit pattern — hence result and distinct
                  evaluation count — must match exactly. *)
@@ -585,8 +506,8 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
 
   (* Cost_based threading: with no-op hints, rewrite-on is bit-identical to
      rewrite-off; with count-star hints the brute-force joint optimum is
-     never worse; and the rewritten shared-memo parallel DP reproduces the
-     sequential sweep bitwise at every pool size. *)
+     never worse; and the rewritten randomized restarts, fanned out over a
+     pool, reproduce the sequential search bitwise at every pool size. *)
   let cb_run ?(hints = Rewrite.no_hints) ~rewrite kind pool_jobs =
     let t =
       Cost_based.create ~kind ~kernel:false
@@ -609,15 +530,15 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
     (fun a b -> a <= b)
     (cost cb_hinted) (cost cb_off);
   if n <= 10 then begin
-    let seq = cb_run ~hints:count_star ~rewrite:true Cost_based.Bushy_dp None in
+    let seq = cb_run ~hints:count_star ~rewrite:true Cost_based.Fast_randomized None in
     List.iter
       (fun j ->
         if j > 1 then begin
-          let par = cb_run ~hints:count_star ~rewrite:true Cost_based.Bushy_dp (Some j) in
+          let par = cb_run ~hints:count_star ~rewrite:true Cost_based.Fast_randomized (Some j) in
           if par <> seq then
             add
               [ D.v ~invariant:"oracle/rewrite-par-vs-seq"
-                  "rewritten shared-memo DP (%d jobs) diverged from sequential" j ]
+                  "rewritten randomized restarts (%d jobs) diverged from sequential" j ]
         end)
       jobs
   end;
@@ -642,8 +563,7 @@ let adaptive_dists : Estimation_error.dist list =
    never feeds both the schema generator and the perturbation. *)
 let adaptive_error_seed seed = (seed * 37) + 11
 
-let check_adaptive ?(jobs = [ 2; 4 ]) ?(dists = adaptive_dists) ?(fault = no_masked_fault) t
-    =
+let check_adaptive ?(dists = adaptive_dists) ?(fault = no_masked_fault) t =
   let diags = ref [] in
   let add ds = diags := !diags @ ds in
   let truth = t.schema and rels = t.relations in
@@ -755,26 +675,7 @@ let check_adaptive ?(jobs = [ 2; 4 ]) ?(dists = adaptive_dists) ?(fault = no_mas
                       add
                         [ D.v ~invariant:"oracle/adaptive-oom-regression"
                             "%s: adaptive run failed where the static run completed" arm ]
-                  | _ -> ());
-                  (* Pool bit-identity: the shared-memo parallel re-planner
-                     must reproduce the sequential report exactly, at every
-                     pool size. One planner/engine cell keeps the arm cheap. *)
-                  if pname = "dpsub" && engine.Engine.name = "hive" then
-                    List.iter
-                      (fun j ->
-                        if j > 1 then
-                          Pool.with_pool ~jobs:j (fun pool ->
-                              let par =
-                                Adaptive_exec.run ~pool ~fault ~engine ~model ~conditions
-                                  ~truth ~estimates plan
-                              in
-                              if par <> report then
-                                add
-                                  [ D.v ~invariant:"oracle/adaptive-par-vs-seq"
-                                      "%s: adaptive report with a %d-domain pool diverged \
-                                       from sequential"
-                                      arm j ]))
-                      jobs)
+                  | _ -> ()))
             engines)
         planners)
     dists;

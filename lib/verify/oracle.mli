@@ -15,8 +15,8 @@
     - DPsub <= randomized search; Selinger <= greedy left-deep;
     - bound-pruned Selinger = plain Selinger (non-negative floored costs);
     - memoized coster = plain coster, and never more underlying lookups;
-    - parallel randomized restarts and partitioned brute-force grids are
-      bit-identical to their sequential counterparts for a fixed seed;
+    - parallel randomized restarts are bit-identical to their sequential
+      counterparts for a fixed seed;
     - joint brute force <= joint hill climbing <= nothing (local optima),
       and joint brute force <= the fixed baseline at an in-grid config;
     - exact-lookup caching does not change the brute-force joint optimum;
@@ -47,7 +47,7 @@ val pp_instance : Format.formatter -> instance -> unit
     the hook tests use to prove the oracle catches broken costers (arms:
     ["selinger"], ["selinger-pruned"], ["selinger-memo"], ["dpsub"],
     ["exhaustive"], ["randomized"], ["randomized-par"], ["greedy"],
-    ["raqo-bf"], ["raqo-bf-nocache"], ["raqo-bf-par"], ["raqo-hc"]). *)
+    ["raqo-bf"], ["raqo-bf-nocache"], ["raqo-hc"]). *)
 type fault = arm:string -> Raqo_planner.Coster.t -> Raqo_planner.Coster.t
 
 val no_fault : fault
@@ -83,7 +83,7 @@ val adaptive_dists : Raqo_execsim.Estimation_error.dist list
     arm uses for instance [seed] (printed in fuzz repros). *)
 val adaptive_error_seed : int -> int
 
-(** [check_adaptive ?jobs ?dists ?fault t] runs the runtime-adaptive
+(** [check_adaptive ?dists ?fault t] runs the runtime-adaptive
     re-optimization arm: for every error distribution, a static plan is
     optimized from the perturbed estimate schema (Selinger always, bushy DP
     for queries of [<= 10] relations) and executed against the ground truth
@@ -93,10 +93,8 @@ val adaptive_error_seed : int -> int
     - zero error ([Exact]) fires no re-plan and leaves plan and outcome
       bit-identical to static;
     - adaptive latency [<=] static latency as plain floats (re-planning cost
-      included), and a completed static run is never turned into a failure;
-    - the report is bit-identical at every pool size in [jobs]. *)
+      included), and a completed static run is never turned into a failure. *)
 val check_adaptive :
-  ?jobs:int list ->
   ?dists:Raqo_execsim.Estimation_error.dist list ->
   ?fault:masked_fault ->
   instance ->

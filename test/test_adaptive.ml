@@ -1,9 +1,8 @@
 (* Runtime adaptive re-optimization (lib/adaptive): the zero-error identity
    and never-worse theorems checked directly, a handcrafted OOM rescue with a
    BHJ->SMJ flip, mid-flight container re-sizing, fault-injected re-planning
-   (fallback to the incumbent remainder, pool left usable — the strand-free
-   proof of test_memo.ml at the adaptive layer), pool-size bit-identity, and
-   the Remaining collapse algebra. *)
+   (fallback to the incumbent remainder), pool-size bit-identity of the
+   pooled static plan, and the Remaining collapse algebra. *)
 
 module Adaptive = Raqo_adaptive.Adaptive_exec
 module Remaining = Raqo_adaptive.Remaining
@@ -12,7 +11,6 @@ module Engine = Raqo_execsim.Engine
 module Simulate = Raqo_execsim.Simulate
 module Oracle = Raqo_verify.Oracle
 module Pool = Raqo_par.Pool
-module Interned = Raqo_catalog.Interned
 module Schema = Raqo_catalog.Schema
 module Relation = Raqo_catalog.Relation
 module Join_graph = Raqo_catalog.Join_graph
@@ -21,7 +19,6 @@ module Join_impl = Raqo_plan.Join_impl
 module Conditions = Raqo_cluster.Conditions
 module Resources = Raqo_cluster.Resources
 module Coster = Raqo_planner.Coster
-module Dpsub = Raqo_planner.Dpsub
 
 let model = Oracle.model
 let conditions = Oracle.conditions
@@ -37,9 +34,9 @@ let plan_with schema rels =
   | Some (plan, _) -> plan
   | None -> Alcotest.fail "bushy DP found no plan"
 
-let run_adaptive ?pool ?fault ~engine ~truth ~estimates rels =
+let run_adaptive ?fault ~engine ~truth ~estimates rels =
   let plan = plan_with estimates rels in
-  Adaptive.run ?pool ?fault ~engine ~model ~conditions ~truth ~estimates plan
+  Adaptive.run ?fault ~engine ~model ~conditions ~truth ~estimates plan
 
 let error_of dist seed = Estimation_error.make dist ~seed
 
@@ -221,12 +218,12 @@ let faulted_instance () =
   let error = error_of (Estimation_error.Lognormal 0.6) 101 in
   (t, Estimation_error.perturb error t.Oracle.schema)
 
-let check_fault_fallback ?pool () =
+let test_fault_falls_back () =
   let t, estimates = faulted_instance () in
-  let clean = run_adaptive ?pool ~engine:Engine.hive ~truth:t.Oracle.schema ~estimates t.Oracle.relations in
+  let clean = run_adaptive ~engine:Engine.hive ~truth:t.Oracle.schema ~estimates t.Oracle.relations in
   Alcotest.(check bool) "the instance re-plans at all" true (clean.Adaptive.replans > 0);
   let r =
-    run_adaptive ?pool ~fault:boom_fault ~engine:Engine.hive ~truth:t.Oracle.schema
+    run_adaptive ~fault:boom_fault ~engine:Engine.hive ~truth:t.Oracle.schema
       ~estimates t.Oracle.relations
   in
   Alcotest.(check int) "every re-plan failed" r.Adaptive.replans r.Adaptive.failed_replans;
@@ -239,37 +236,30 @@ let check_fault_fallback ?pool () =
   Alcotest.(check bool) "outcome unchanged" true
     (r.Adaptive.adaptive_outcome = r.Adaptive.static_outcome)
 
-let test_fault_falls_back_sequential () = check_fault_fallback ()
-
-let test_fault_falls_back_pooled_and_pool_survives () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      check_fault_fallback ~pool ();
-      (* The strand-free proof at this layer: after every re-plan raised on
-         the pool's workers, the same pool still answers a clean parallel DP
-         bit-identically to sequential — no claim was left stranded, no
-         worker died (mirrors test_memo's fault recovery). *)
-      let t, _ = faulted_instance () in
-      let ctx = Interned.make t.Oracle.schema t.Oracle.relations in
-      let coster () = Coster.fixed_masked model ctx (res 4 3.0) in
-      let seq = Dpsub.optimize_masked (coster ()) ctx in
-      Alcotest.(check bool) "pool usable after faulted re-plans" true
-        (Dpsub.optimize_par_masked ~coster pool ctx = seq))
-
 (* ------------------------------------------------------ pool bit-identity *)
 
 let test_pooled_report_bit_identical () =
+  (* Cost_based.optimize_adaptive fans the randomized planner's restarts out
+     over the pool; re-plans stay sequential. The report must not depend on
+     the pool size. *)
   let t, estimates = faulted_instance () in
-  let seq = run_adaptive ~engine:Engine.hive ~truth:t.Oracle.schema ~estimates t.Oracle.relations in
+  let adaptive ?pool () =
+    let opt =
+      Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized ~model ~conditions
+        estimates
+    in
+    Raqo.Cost_based.optimize_adaptive ?pool ~engine:Engine.hive ~truth:t.Oracle.schema opt
+      t.Oracle.relations
+  in
+  let seq = adaptive () in
+  Alcotest.(check bool) "a static plan exists" true (Option.is_some seq);
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
-          let par =
-            run_adaptive ~pool ~engine:Engine.hive ~truth:t.Oracle.schema ~estimates
-              t.Oracle.relations
-          in
           Alcotest.(check bool)
             (Printf.sprintf "report identical at %d jobs" jobs)
-            true (par = seq)))
+            true
+            (adaptive ~pool () = seq)))
     [ 1; 2; 4 ]
 
 (* -------------------------------------------------------------- validation *)
@@ -334,7 +324,7 @@ let test_oracle_adaptive_clean () =
     (fun seed ->
       let t = Oracle.instance seed in
       Alcotest.(check (list string)) (Printf.sprintf "seed %d clean" seed) []
-        (List.map Raqo_verify.Diagnostic.to_string (Oracle.check_adaptive ~jobs:[ 2 ] t)))
+        (List.map Raqo_verify.Diagnostic.to_string (Oracle.check_adaptive t)))
     [ 1; 2; 3 ]
 
 let test_oracle_adaptive_clean_under_fault () =
@@ -345,7 +335,7 @@ let test_oracle_adaptive_clean_under_fault () =
       let t = Oracle.instance seed in
       Alcotest.(check (list string)) (Printf.sprintf "seed %d clean under fault" seed) []
         (List.map Raqo_verify.Diagnostic.to_string
-           (Oracle.check_adaptive ~jobs:[ 2 ] ~fault:boom_fault t)))
+           (Oracle.check_adaptive ~fault:boom_fault t)))
     [ 1; 2 ]
 
 let () =
@@ -371,9 +361,7 @@ let () =
       ( "faults",
         [
           Alcotest.test_case "raising re-plan falls back (sequential)" `Quick
-            test_fault_falls_back_sequential;
-          Alcotest.test_case "raising re-plan falls back (pooled), pool survives" `Quick
-            test_fault_falls_back_pooled_and_pool_survives;
+            test_fault_falls_back;
         ] );
       ( "determinism",
         [ Alcotest.test_case "report bit-identical at every pool size" `Quick

@@ -1,6 +1,7 @@
 (* The multicore planning layer: pool semantics (ordering, exceptions,
-   nesting), atomic counters under contention, and the oracle tests pinning
-   every parallel path to its sequential result. *)
+   nesting), atomic counters under contention, the oracle tests pinning
+   every parallel path to its sequential result, and the allocation probe of
+   a kernel sweep on a pool worker. *)
 
 module Pool = Raqo_par.Pool
 module Counters = Raqo_resource.Counters
@@ -30,16 +31,6 @@ let test_mapi () =
       Alcotest.(check (list int))
         "indices flow through" [ 10; 21; 32; 43 ]
         (Pool.parallel_mapi pool (fun i x -> (10 * x) + i) [ 1; 2; 3; 4 ]))
-
-let test_reduce () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let n =
-        Pool.parallel_reduce pool
-          ~map:(fun x -> x * x)
-          ~combine:( + ) ~init:0
-          (List.init 50 (fun i -> i))
-      in
-      Alcotest.(check int) "sum of squares" 40425 n)
 
 let test_empty_and_single () =
   Pool.with_pool ~jobs:2 (fun pool ->
@@ -145,42 +136,6 @@ let test_counters_concurrent () =
   Alcotest.(check int) "hits" 64 (Counters.cache_hits k);
   Alcotest.(check int) "misses" 64 (Counters.cache_misses k);
   Alcotest.(check int) "invocations" 64 (Counters.planner_invocations k)
-
-(* --------------------------------------------------------- oracle: grid *)
-
-let bowl ~nc_opt ~gb_opt (r : Resources.t) =
-  let dn = float_of_int (r.containers - nc_opt) and dg = r.container_gb -. gb_opt in
-  (dn *. dn) +. (10.0 *. dg *. dg)
-
-let test_brute_force_par_oracle () =
-  let cases =
-    [
-      ("bowl", bowl ~nc_opt:42 ~gb_opt:6.0);
-      (* All-ties: the earliest-enumerated config must win at any pool size. *)
-      ("constant", fun (_ : Resources.t) -> 1.0);
-    ]
-  in
-  List.iter
-    (fun (cname, cost) ->
-      let ks = Counters.create () in
-      let seq = Raqo_resource.Brute_force.search ~counters:ks Conditions.default cost in
-      List.iter
-        (fun jobs ->
-          Pool.with_pool ~jobs (fun pool ->
-              let kp = Counters.create () in
-              let par =
-                Raqo_resource.Brute_force.search_par ~counters:kp pool Conditions.default cost
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: same config and cost at %d jobs" cname jobs)
-                true
-                (Resources.equal (fst seq) (fst par) && snd seq = snd par);
-              Alcotest.(check int)
-                (Printf.sprintf "%s: same evaluation count at %d jobs" cname jobs)
-                (Counters.cost_evaluations ks)
-                (Counters.cost_evaluations kp)))
-        pool_sizes)
-    cases
 
 (* --------------------------------------------------- oracle: randomized *)
 
@@ -366,6 +321,39 @@ let test_batch_matches_fifo () =
             seq_outcomes outcomes))
     pool_sizes
 
+(* ------------------------------------------------------------ allocation *)
+
+let test_kernel_sweep_allocation_free_in_pool () =
+  (* A warm compiled-kernel sweep stays allocation-free when it runs on a
+     pool worker, as it does inside randomized restarts' forked resource
+     planners and the allocator's surface builds. Gc.minor_words is
+     per-domain in OCaml 5, so the probe must execute inside the task. *)
+  Raqo_obs.Obs.set_enabled false;
+  let floored = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
+  let c =
+    Conditions.make ~min_containers:1 ~max_containers:60 ~container_step:1 ~min_gb:1.0
+      ~max_gb:60.0 ~gb_step:1.0 ()
+  in
+  let probe () =
+    let k =
+      Option.get (Raqo_cost.Kernel.make floored Raqo_plan.Join_impl.Bhj ~small_gb:12.5)
+    in
+    let s = Raqo_cost.Kernel.create_scratch () in
+    Raqo_cost.Kernel.ensure s (Conditions.n_configs c);
+    let buf = Raqo_cost.Kernel.buffer s in
+    Raqo_cost.Kernel.sweep k c buf;
+    let w0 = Gc.minor_words () in
+    Raqo_cost.Kernel.sweep k c buf;
+    Gc.minor_words () -. w0
+  in
+  Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun delta ->
+          Alcotest.(check bool)
+            (Printf.sprintf "warm sweep on a worker allocated %.0f minor words" delta)
+            true (delta <= 64.0))
+        (Pool.parallel_map pool (fun () -> probe ()) [ (); () ]))
+
 let () =
   Alcotest.run "raqo_par"
     [
@@ -373,7 +361,6 @@ let () =
         [
           Alcotest.test_case "map preserves order" `Quick test_map_order;
           Alcotest.test_case "mapi" `Quick test_mapi;
-          Alcotest.test_case "reduce" `Quick test_reduce;
           Alcotest.test_case "empty and single batches" `Quick test_empty_and_single;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "usable after a failed batch" `Quick
@@ -386,7 +373,6 @@ let () =
         [ Alcotest.test_case "atomic under contention" `Quick test_counters_concurrent ] );
       ( "oracles",
         [
-          Alcotest.test_case "brute force par == seq" `Quick test_brute_force_par_oracle;
           Alcotest.test_case "randomized par == seq" `Quick test_randomized_par_matches_seq;
           Alcotest.test_case "cost-based par == seq" `Quick test_cost_based_par_matches_seq;
           Alcotest.test_case "randomized vs exhaustive" `Quick test_randomized_vs_exhaustive;
@@ -395,5 +381,10 @@ let () =
           Alcotest.test_case "memoize: fewer Selinger evals" `Quick
             test_memoize_reduces_selinger_evals;
           Alcotest.test_case "workload batch == FIFO" `Quick test_batch_matches_fifo;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "kernel sweep allocation-free on a worker" `Quick
+            test_kernel_sweep_allocation_free_in_pool;
         ] );
     ]

@@ -357,6 +357,18 @@ let test_dpsub_single_relation () =
   | Some (Join_tree.Scan "orders", cost) -> Alcotest.(check (float 1e-9)) "free" 0.0 cost
   | _ -> Alcotest.fail "bare scan expected"
 
+let test_dpsub_disconnected_is_none () =
+  (* customer and part share no join edge in TPC-H: the full mask is never
+     connected, so neither the string API nor the mask core finds a plan. *)
+  let rels = [ "customer"; "part" ] in
+  let ctx = Raqo_catalog.Interned.make schema rels in
+  Alcotest.(check bool) "query is disconnected" false
+    (Raqo_catalog.Interned.connected ctx (Raqo_catalog.Interned.full_mask ctx));
+  Alcotest.(check bool) "mask core finds no plan" true
+    (Raqo_planner.Dpsub.optimize_masked (Coster.fixed_masked model ctx fixed_res) ctx = None);
+  Alcotest.(check bool) "string API finds no plan" true
+    (Raqo_planner.Dpsub.optimize (fixed_coster ()) schema rels = None)
+
 let test_dpsub_rejects_oversize () =
   let rng = Rng.create 77 in
   let big = Raqo_catalog.Random_schema.generate rng ~tables:(Raqo_planner.Dpsub.max_relations + 1) in
@@ -729,6 +741,7 @@ let () =
           Alcotest.test_case "never worse than Selinger" `Quick test_dpsub_not_worse_than_selinger;
           Alcotest.test_case "valid joint plans" `Quick test_dpsub_valid_plans;
           Alcotest.test_case "single relation" `Quick test_dpsub_single_relation;
+          Alcotest.test_case "disconnected query" `Quick test_dpsub_disconnected_is_none;
           Alcotest.test_case "rejects oversize inputs" `Quick test_dpsub_rejects_oversize;
         ]
         @ qsuite [ prop_dpsub_below_randomized ] );
