@@ -1,7 +1,6 @@
 (* The multicore planning layer: pool semantics (ordering, exceptions,
-   nesting), atomic counters under contention, the oracle tests pinning
-   every parallel path to its sequential result, and the allocation probe of
-   a kernel sweep on a pool worker. *)
+   nesting), atomic counters under contention, and the oracle tests pinning
+   every parallel path to its sequential result. *)
 
 module Pool = Raqo_par.Pool
 module Counters = Raqo_resource.Counters
@@ -55,8 +54,8 @@ let test_exception_propagation () =
 
 let test_pool_usable_after_exception () =
   (* A failed batch must not poison the pool: the same pool keeps serving
-     full, ordered batches afterwards. The parallel DP relies on this when a
-     coster raises mid-level (see test_memo.ml for the memo-side invariant). *)
+     full, ordered batches afterwards. A long-lived server pool relies on
+     this when one request's planning raises. *)
   Pool.with_pool ~jobs:3 (fun pool ->
       (match
          Pool.parallel_map pool
@@ -321,39 +320,6 @@ let test_batch_matches_fifo () =
             seq_outcomes outcomes))
     pool_sizes
 
-(* ------------------------------------------------------------ allocation *)
-
-let test_kernel_sweep_allocation_free_in_pool () =
-  (* A warm compiled-kernel sweep stays allocation-free when it runs on a
-     pool worker, as it does inside randomized restarts' forked resource
-     planners and the allocator's surface builds. Gc.minor_words is
-     per-domain in OCaml 5, so the probe must execute inside the task. *)
-  Raqo_obs.Obs.set_enabled false;
-  let floored = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
-  let c =
-    Conditions.make ~min_containers:1 ~max_containers:60 ~container_step:1 ~min_gb:1.0
-      ~max_gb:60.0 ~gb_step:1.0 ()
-  in
-  let probe () =
-    let k =
-      Option.get (Raqo_cost.Kernel.make floored Raqo_plan.Join_impl.Bhj ~small_gb:12.5)
-    in
-    let s = Raqo_cost.Kernel.create_scratch () in
-    Raqo_cost.Kernel.ensure s (Conditions.n_configs c);
-    let buf = Raqo_cost.Kernel.buffer s in
-    Raqo_cost.Kernel.sweep k c buf;
-    let w0 = Gc.minor_words () in
-    Raqo_cost.Kernel.sweep k c buf;
-    Gc.minor_words () -. w0
-  in
-  Pool.with_pool ~jobs:2 (fun pool ->
-      List.iter
-        (fun delta ->
-          Alcotest.(check bool)
-            (Printf.sprintf "warm sweep on a worker allocated %.0f minor words" delta)
-            true (delta <= 64.0))
-        (Pool.parallel_map pool (fun () -> probe ()) [ (); () ]))
-
 let () =
   Alcotest.run "raqo_par"
     [
@@ -381,10 +347,5 @@ let () =
           Alcotest.test_case "memoize: fewer Selinger evals" `Quick
             test_memoize_reduces_selinger_evals;
           Alcotest.test_case "workload batch == FIFO" `Quick test_batch_matches_fifo;
-        ] );
-      ( "allocation",
-        [
-          Alcotest.test_case "kernel sweep allocation-free on a worker" `Quick
-            test_kernel_sweep_allocation_free_in_pool;
         ] );
     ]

@@ -1,5 +1,7 @@
 (* Tests for Raqo_scheduler: capacity traces and the policy-driven executor
-   (the paper's "interaction with the DAG scheduler" agenda item). *)
+   (the paper's "interaction with the DAG scheduler" agenda item), the
+   workload runner, and the allocation probe of a kernel sweep on a pool
+   worker. *)
 
 module Capacity = Raqo_scheduler.Capacity
 module Executor = Raqo_scheduler.Executor
@@ -343,6 +345,40 @@ let test_workload_across_query_cache_saves_planning () =
     (Printf.sprintf "cached planning %.1f ms < uncached %.1f ms" with_cache without)
     true (with_cache < without)
 
+(* ------------------------------------------------------------ allocation *)
+
+let test_kernel_sweep_allocation_free_in_pool () =
+  (* A warm compiled-kernel sweep stays allocation-free when it runs on a
+     pool worker, as it does when a workload batch plans its queries in
+     parallel, and inside randomized restarts and the allocator's surface
+     builds. Gc.minor_words is
+     per-domain in OCaml 5, so the probe must execute inside the task. *)
+  Raqo_obs.Obs.set_enabled false;
+  let floored = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
+  let c =
+    Conditions.make ~min_containers:1 ~max_containers:60 ~container_step:1 ~min_gb:1.0
+      ~max_gb:60.0 ~gb_step:1.0 ()
+  in
+  let probe () =
+    let k =
+      Option.get (Raqo_cost.Kernel.make floored Raqo_plan.Join_impl.Bhj ~small_gb:12.5)
+    in
+    let s = Raqo_cost.Kernel.create_scratch () in
+    Raqo_cost.Kernel.ensure s (Conditions.n_configs c);
+    let buf = Raqo_cost.Kernel.buffer s in
+    Raqo_cost.Kernel.sweep k c buf;
+    let w0 = Gc.minor_words () in
+    Raqo_cost.Kernel.sweep k c buf;
+    Gc.minor_words () -. w0
+  in
+  Raqo_par.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun delta ->
+          Alcotest.(check bool)
+            (Printf.sprintf "warm sweep on a worker allocated %.0f minor words" delta)
+            true (delta <= 64.0))
+        (Raqo_par.Pool.parallel_map pool (fun () -> probe ()) [ (); () ]))
+
 let () =
   Alcotest.run "raqo_scheduler"
     [
@@ -391,5 +427,10 @@ let () =
           Alcotest.test_case "failed plans accounted" `Quick test_workload_failed_plans_counted;
           Alcotest.test_case "across-query cache saves planning time" `Quick
             test_workload_across_query_cache_saves_planning;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "kernel sweep allocation-free on a worker" `Quick
+            test_kernel_sweep_allocation_free_in_pool;
         ] );
     ]
