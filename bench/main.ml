@@ -709,51 +709,6 @@ let ablation_sched () =
         rows;
       note "adaptive policies complete during the dip; waiting pays the dip length"
 
-(* Sorted array vs B+-tree plan-cache index at growing sizes — the paper's
-   CSB+-tree suggestion quantified. *)
-let ablation_cacheidx () =
-  let sizes = [ 1_000; 10_000; 100_000 ] in
-  let rows =
-    List.concat_map
-      (fun n ->
-        List.map
-          (fun backend ->
-            let name =
-              match backend with
-              | Raqo_resource.Ordered_index.Sorted_array -> "sorted array"
-              | Raqo_resource.Ordered_index.Btree -> "B+-tree"
-            in
-            let idx = Raqo_resource.Ordered_index.create backend in
-            let (), insert_ms =
-              Timer.time_ms (fun () ->
-                  for i = 1 to n do
-                    Raqo_resource.Ordered_index.insert idx
-                      (float_of_int ((i * 7919) mod 1_000_003))
-                      i
-                  done)
-            in
-            let (), lookup_ms =
-              Timer.time_ms (fun () ->
-                  for i = 1 to 10_000 do
-                    ignore
-                      (Raqo_resource.Ordered_index.within idx
-                         ~center:(float_of_int ((i * 131) mod 1_000_003))
-                         ~radius:50.0)
-                  done)
-            in
-            [
-              string_of_int n; name; f insert_ms; f (insert_ms /. float_of_int n *. 1e6);
-              f (lookup_ms /. 10.0);
-            ])
-          [ Raqo_resource.Ordered_index.Sorted_array; Raqo_resource.Ordered_index.Btree ])
-      sizes
-  in
-  Table.print
-    ~title:"Ablation: plan-cache index backends (random inserts + 10k range lookups)"
-    ~headers:[ "entries"; "backend"; "insert total ms"; "insert ns/op"; "lookup µs/op" ]
-    rows;
-  note "the sorted array's O(n) insert shifting loses to the B+-tree as the cache grows"
-
 (* Robust vs nominal plans under a condition shift. *)
 let ablation_robust () =
   let m = Lazy.force model in
@@ -834,70 +789,6 @@ let ablation_pareto () =
     ~headers:[ "est cost"; "est money"; "" ]
     rows;
   note "%d candidate plans collapse to a %d-point front" 20 (List.length front)
-
-(* Branch-and-bound pruning in the Selinger DP — "identify and prune
-   infeasible or non-interesting query/resource plans early on". *)
-let ablation_pruning () =
-  let m = Lazy.force model in
-  let row schema qname rels =
-    let planner () = Raqo_resource.Resource_planner.create Conditions.default in
-    let count coster =
-      let calls = ref 0 in
-      ( {
-          Raqo_planner.Coster.best_join =
-            (fun ~left ~right ->
-              incr calls;
-              coster.Raqo_planner.Coster.best_join ~left ~right);
-          name = "counting";
-        },
-        calls )
-    in
-    let base_coster () = Raqo_planner.Coster.raqo m schema (planner ()) in
-    let unpruned_coster, unpruned_calls = count (base_coster ()) in
-    let unpruned =
-      match Raqo_planner.Selinger.optimize unpruned_coster schema rels with
-      | Some (_, c) -> c
-      | None -> Float.nan
-    in
-    let pruned_coster, pruned_calls = count (base_coster ()) in
-    let pruned_result, _ = Raqo_planner.Selinger.optimize_pruned pruned_coster schema rels in
-    let pruned =
-      match pruned_result with
-      | Some (_, c) -> c
-      | None -> Float.nan
-    in
-    [
-      qname;
-      string_of_int !unpruned_calls;
-      string_of_int !pruned_calls;
-      f (float_of_int !unpruned_calls /. float_of_int (max 1 !pruned_calls));
-      f (pruned /. unpruned);
-    ]
-  in
-  let tpch_rows = List.map (fun (q, rels) -> row tpch q rels) Tpch.evaluation_queries in
-  let random_rows =
-    List.map
-      (fun seed ->
-        let rng = Rng.create seed in
-        let schema = Raqo_catalog.Random_schema.generate rng ~tables:10 in
-        let schema =
-          List.fold_left
-            (fun s r -> Schema.with_relation s (Relation.scale r 100.0))
-            schema (Schema.relations schema)
-        in
-        row schema (Printf.sprintf "rand-%d (10 tables)" seed) (Schema.relation_names schema))
-      [ 3; 7 ]
-  in
-  Table.print
-    ~title:
-      "Ablation: branch-and-bound pruning in the Selinger DP (greedy plan seeds the bound; \
-       RAQO costing)"
-    ~headers:[ "query"; "joins costed (plain)"; "joins costed (pruned)"; "saving"; "cost ratio" ]
-    (tpch_rows @ random_rows);
-  note "cost ratio 1.00: pruning is exact under the floored (nonnegative) cost model";
-  note
-    "the bound's greedy seed costs n-1 joins itself, so pruning only pays on rich join \
-     graphs (the random schemas); TPC-H's snowflake admits too few orders to prune"
 
 (* Task-level vs analytical stage model: how much do stragglers and wave
    quantization bend the closed-form operator costs the optimizer plans
@@ -1077,43 +968,13 @@ let par_bench () =
          (Domain.recommended_domain_count ()))
     ~headers:[ "task"; "pool"; "ms"; "speedup"; "best cost" ]
     rand_rows;
-  (* The memoizing coster: same plans, fewer best-join evaluations. *)
-  let memo_rows =
-    List.map
-      (fun (qname, rels) ->
-        let evals memoize =
-          let opt =
-            Raqo.Cost_based.create ~memoize ~cache:false ~model:m
-              ~conditions:Conditions.default tpch
-          in
-          match Raqo.Cost_based.optimize opt rels with
-          | Some (_, c) -> (Counters.cost_evaluations (Raqo.Cost_based.counters opt), c)
-          | None -> (0, Float.nan)
-        in
-        let plain_evals, plain_cost = evals false in
-        let memo_evals, memo_cost = evals true in
-        [
-          qname;
-          string_of_int plain_evals;
-          string_of_int memo_evals;
-          f (float_of_int plain_evals /. float_of_int (max 1 memo_evals));
-          (if Float.equal plain_cost memo_cost then "yes" else "NO");
-        ])
-      Tpch.evaluation_queries
-  in
-  Table.print
-    ~title:"Memoizing coster: resource configs explored, Selinger on TPC-H (hill climbing)"
-    ~headers:[ "query"; "plain evals"; "memoized evals"; "saving"; "same plan cost" ]
-    memo_rows;
   note "restart fan-out returns bit-identical plans at any pool size"
 
 (* ---------------------------------------------------------------- scaling *)
 
 (* Planner scaling on the interned mask core: string-keyed reference DP vs
-   mask-based DP (both memoized) on synthetic 8/10/12-relation chains and
-   stars, plus branch-and-bound vs exhaustive resource-search evaluation
-   counts. The masked timings include interning the context, as production
-   admission does. *)
+   mask-based DP on synthetic 8/10/12-relation chains and stars. The masked
+   timings include interning the context, as production admission does. *)
 let scaling () =
   let m = Lazy.force model in
   let synthetic ~shape n =
@@ -1145,19 +1006,14 @@ let scaling () =
             List.map
               (fun n ->
                 let schema, rels = synthetic ~shape n in
-                (* Warm memos on both sides: the timed region is repeated
-                   re-planning (the adaptive re-optimization loop), where
-                   the string side pays key construction and string hashing
-                   per lookup and the mask side an array load. *)
-                let sc =
-                  Raqo_planner.Coster.memoize
-                    (Raqo_planner.Coster.fixed m schema (res 10 5.0))
-                in
+                (* Warm statistics caches on both sides: the timed region
+                   is repeated re-planning (the adaptive re-optimization
+                   loop), where the string side pays name-list key
+                   construction and string hashing per join size and the
+                   mask side an int-keyed probe. *)
+                let sc = Raqo_planner.Coster.fixed m schema (res 10 5.0) in
                 let ctx = Raqo_catalog.Interned.make schema rels in
-                let mc =
-                  Raqo_planner.Coster.memoize_masked ctx
-                    (Raqo_planner.Coster.fixed_masked m ctx (res 10 5.0))
-                in
+                let mc = Raqo_planner.Coster.fixed_masked m ctx (res 10 5.0) in
                 let ref_result = ref (reference sc schema rels) in
                 let _, ref_ms =
                   Timer.avg_ms ~runs (fun () -> ref_result := reference sc schema rels)
@@ -1200,57 +1056,11 @@ let scaling () =
   in
   Table.print
     ~title:
-      "Planner scaling: string-keyed reference vs interned mask core (both memoized; \
-       masked time includes interning)"
+      "Planner scaling: string-keyed reference vs interned mask core (masked time \
+       includes interning)"
     ~headers:[ "planner"; "shape"; "n"; "string ms"; "masked ms"; "speedup"; "cost" ]
     rows;
-  (* Branch-and-bound resource search vs the exhaustive grid, on the paper's
-     default 1000-config cluster. The paper-space model is the one with a
-     monotone region bound (the extended space has none and falls back to
-     the exhaustive scan). Counts are recorded as pseudo-samples. *)
-  let pm = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
-  let exhaustive_evals = ref 0 and pruned_evals = ref 0 in
-  let prune_rows =
-    List.concat_map
-      (fun impl ->
-        List.map
-          (fun small_gb ->
-            let cost r =
-              Raqo_cost.Op_cost.predict_exn pm impl ~small_gb ~resources:r
-            in
-            let bound =
-              Option.get (Raqo_cost.Op_cost.region_lower_bound pm impl ~small_gb)
-            in
-            let ke = Counters.create () and kp = Counters.create () in
-            let _, ce = Raqo_resource.Brute_force.search ~counters:ke Conditions.default cost in
-            let _, cp =
-              Raqo_resource.Brute_force.search_pruned ~counters:kp Conditions.default
-                ~bound cost
-            in
-            exhaustive_evals := !exhaustive_evals + Counters.cost_evaluations ke;
-            pruned_evals := !pruned_evals + Counters.cost_evaluations kp;
-            [
-              Join_impl.to_string impl;
-              f small_gb;
-              string_of_int (Counters.cost_evaluations ke);
-              string_of_int (Counters.cost_evaluations kp);
-              f
-                (float_of_int (Counters.cost_evaluations ke)
-                /. float_of_int (max 1 (Counters.cost_evaluations kp)));
-              (if Float.equal ce cp then "yes" else "NO");
-            ])
-          [ 0.1; 0.5; 2.0; 3.4; 6.0; 8.0 ])
-      Join_impl.all
-  in
-  Table.print
-    ~title:
-      "Pruned resource search: cost evaluations, branch-and-bound vs exhaustive \
-       (1000-config grid)"
-    ~headers:[ "impl"; "small GB"; "exhaustive"; "pruned"; "saving"; "same cost" ]
-    prune_rows;
-  sample "scaling:pruned-evals:exhaustive" (float_of_int !exhaustive_evals);
-  sample "scaling:pruned-evals:pruned" (float_of_int !pruned_evals);
-  note "masked speedup and pruning saving are this PR's acceptance metrics (>=3x, >=5x)"
+  note "masked speedup was the interned core's acceptance metric (>=3x)"
 
 (* ----------------------------------------------------------------- kernel *)
 
@@ -1336,11 +1146,11 @@ let kernel_bench () =
   let e2e_runs = 10 in
   let e2e_rows =
     List.map
-      (fun (sname, strategy, pruned) ->
+      (fun (sname, strategy) ->
         let time kernel =
           let opt =
-            Raqo.Cost_based.create ~resource_strategy:strategy ~pruned ~cache:false
-              ~kernel ~model:pm ~conditions:Conditions.default tpch
+            Raqo.Cost_based.create ~resource_strategy:strategy ~cache:false ~kernel
+              ~model:pm ~conditions:Conditions.default tpch
           in
           let result = ref (Raqo.Cost_based.optimize opt Tpch.q5) in
           let _, ms =
@@ -1361,9 +1171,8 @@ let kernel_bench () =
           (if on_cost = off_cost then "yes" else "DIFFERENT");
         ])
       [
-        ("hill-climb", Raqo_resource.Resource_planner.Hill_climb, false);
-        ("brute-force", Raqo_resource.Resource_planner.Brute_force, false);
-        ("pruned", Raqo_resource.Resource_planner.Brute_force, true);
+        ("hill-climb", Raqo_resource.Resource_planner.Hill_climb);
+        ("brute-force", Raqo_resource.Resource_planner.Brute_force);
       ]
   in
   Table.print
@@ -2038,14 +1847,12 @@ let figures =
     ("fig15b", "scalability with cluster size", fig15b ~full:false);
     ("bushy", "ablation: left-deep vs bushy vs randomized", ablation_bushy);
     ("sched", "ablation: DAG-scheduler policies under a capacity dip", ablation_sched);
-    ("cacheidx", "ablation: plan-cache index backends", ablation_cacheidx);
     ("robust", "ablation: robust vs nominal plans", ablation_robust);
     ("pareto", "ablation: time-money Pareto front", ablation_pareto);
     ("workload", "workload-scale RAQO vs the two-step default", ablation_workload);
     ("tasksim", "ablation: task-level vs analytical stage model", ablation_tasksim);
-    ("pruning", "ablation: branch-and-bound pruning in the DP", ablation_pruning);
-    ("par", "parallel planning: domain pools and the memoizing coster", par_bench);
-    ("scaling", "planner scaling: interned mask core and pruned resource search", scaling);
+    ("par", "parallel planning: randomized restarts across domain pools", par_bench);
+    ("scaling", "planner scaling: interned mask core vs the string reference", scaling);
     ("kernel", "compiled cost kernels vs the scalar model", kernel_bench);
     ("obs", "observability overhead: instrumented hot paths off vs on", obs_bench);
     ("adaptive", "runtime adaptive re-optimization under estimation error", adaptive_bench);

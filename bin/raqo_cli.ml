@@ -54,8 +54,16 @@ let memory_arg =
   Arg.(value & opt float 10.0 & info [ "max-gb" ] ~docv:"GB"
          ~doc:"Cluster condition: maximum container memory in GB.")
 
+(* Every subcommand builds its cluster conditions here, so bad bounds (no
+   containers, memory below the 1 GB floor, NaN or infinite memory) exit 2
+   with a message on all of them instead of escaping as Invalid_argument. *)
 let conditions max_containers max_gb =
-  Raqo_cluster.Conditions.make ~max_containers ~max_gb ()
+  match Raqo_cluster.Conditions.make ~max_containers ~max_gb () with
+  | c -> c
+  | exception Invalid_argument msg ->
+      Printf.eprintf "raqo: invalid cluster bounds (%d containers, %g GB): %s\n"
+        max_containers max_gb msg;
+      exit 2
 
 (* Every --jobs takes an integer >= 1: a domain-pool size on the planning
    subcommands, a simulated job count on [queue]. The same check runs before
@@ -956,6 +964,14 @@ let allocate_cmd =
       | `Randomized -> Allocator.Want_randomized
       | `Auto -> Allocator.Auto
     in
+    (* Every member needs at least its surface's smallest cap; a budget below
+       their sum has no allocation at all. *)
+    (match Allocator.floors ~budget ~fairness queries with
+    | _ -> ()
+    | exception Invalid_argument msg ->
+        Printf.eprintf "raqo: %s (--budget %d for %d queries)\n" msg budget
+          (Array.length queries);
+        exit 2);
     let outcome = Allocator.search ~want ~pricing ~seed ~budget ~fairness queries in
     let chosen =
       let best score =

@@ -66,38 +66,8 @@ let names_of_mask t mask =
 
 (* ---- subset enumeration helpers -----------------------------------------
    Pure bit manipulation shared by the mask-based enumerators (DPsub,
-   exhaustive shapes). They live here rather than in the planners so subset
-   order is defined once: ascending for same-size subsets, descending for
-   canonical splits. *)
-
-let popcount mask =
-  let rec go m acc = if m = 0 then acc else go (m land (m - 1)) (acc + 1) in
-  go mask 0
-
-let iter_subsets_of_size ~n ~size f =
-  if n < 0 || n > max_relations then invalid_arg "Interned.iter_subsets_of_size: bad n";
-  if size > 0 && size <= n then begin
-    (* Gosper's hack: next higher integer with the same popcount, visiting
-       the C(n, size) masks in ascending numeric order. The last subset is
-       computed up front so the increment never has to form [1 lsl n]. *)
-    let last = ((1 lsl size) - 1) lsl (n - size) in
-    let v = ref ((1 lsl size) - 1) in
-    let continue = ref true in
-    while !continue do
-      f !v;
-      if !v = last then continue := false
-      else begin
-        let c = !v land - !v in
-        let r = !v + c in
-        v := (((r lxor !v) lsr 2) / c) lor r
-      end
-    done
-  end
-
-let subsets_of_size ~n ~size =
-  let acc = ref [] in
-  iter_subsets_of_size ~n ~size (fun mask -> acc := mask :: !acc);
-  List.rev !acc
+   exhaustive shapes). It lives here rather than in the planners so split
+   order is defined once: descending for canonical splits. *)
 
 let fold_splits mask ~init ~f =
   (* Canonical proper splits of [mask]: [sub] keeps the lowest set bit (so

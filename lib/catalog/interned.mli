@@ -54,22 +54,10 @@ val connected : t -> int -> bool
 
 (** {2 Subset enumeration}
 
-    Pure bitmask helpers shared by every mask-based enumerator (DPsub,
-    exhaustive shape generation, the parallel memo sweep). They are
-    independent of any context; enumeration orders are part of the contract
-    because the planners' first-wins tie-breaks depend on them. *)
-
-(** [popcount mask] is the number of set bits. *)
-val popcount : int -> int
-
-(** [iter_subsets_of_size ~n ~size f] applies [f] to every subset of
-    [{0..n-1}] with exactly [size] members, in ascending numeric order
-    (Gosper's hack). No calls when [size = 0] or [size > n].
-    @raise Invalid_argument when [n] is negative or above {!max_relations}. *)
-val iter_subsets_of_size : n:int -> size:int -> (int -> unit) -> unit
-
-(** [subsets_of_size ~n ~size] is {!iter_subsets_of_size} as a list. *)
-val subsets_of_size : n:int -> size:int -> int list
+    A pure bitmask helper shared by the mask-based enumerators (DPsub,
+    exhaustive shape generation). It is independent of any context; its
+    enumeration order is part of the contract because the planners'
+    first-wins tie-breaks depend on it. *)
 
 (** [fold_splits mask ~init ~f] folds over the canonical proper splits of
     [mask]: each unordered partition into non-empty [sub] and [rest] appears

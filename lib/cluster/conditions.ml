@@ -12,8 +12,11 @@ let make ?(min_containers = 1) ?(max_containers = 100) ?(container_step = 1) ?(m
   if min_containers <= 0 || max_containers < min_containers then
     invalid_arg "Conditions.make: bad container bounds";
   if container_step <= 0 then invalid_arg "Conditions.make: bad container step";
-  if min_gb <= 0.0 || max_gb < min_gb then invalid_arg "Conditions.make: bad memory bounds";
-  if gb_step <= 0.0 then invalid_arg "Conditions.make: bad memory step";
+  (* Written so NaN fails too: every comparison with NaN is false. *)
+  if not (min_gb > 0.0 && max_gb >= min_gb && Float.is_finite max_gb) then
+    invalid_arg "Conditions.make: bad memory bounds";
+  if not (gb_step > 0.0 && Float.is_finite gb_step) then
+    invalid_arg "Conditions.make: bad memory step";
   { min_containers; max_containers; container_step; min_gb; max_gb; gb_step }
 
 let default = make ()

@@ -13,7 +13,10 @@ type t = {
 }
 
 (** [make ()] validates bounds and steps. All arguments default to the
-    paper's evaluation cluster: 1..100 containers step 1, 1..10 GB step 1. *)
+    paper's evaluation cluster: 1..100 containers step 1, 1..10 GB step 1.
+    @raise Invalid_argument when a minimum is not positive, a maximum is
+    below its minimum, a step is not positive, or a memory bound or step is
+    NaN or infinite. *)
 val make :
   ?min_containers:int ->
   ?max_containers:int ->

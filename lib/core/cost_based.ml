@@ -12,7 +12,6 @@ type t = {
   resource_planner : Resource_planner.t;
   rng : Raqo_util.Rng.t;
   randomized_params : Raqo_planner.Randomized.params;
-  memoize : bool;
   kernel : bool;
   rewrite : Rewrite.t option;
   rewrite_hints : Rewrite.hints;
@@ -25,21 +24,19 @@ type t = {
 
 let create ?(kind = Selinger) ?(seed = 42)
     ?(randomized_params = Raqo_planner.Randomized.default_params)
-    ?(resource_strategy = Resource_planner.Hill_climb) ?(pruned = false) ?(cache = true)
-    ?(lookup = Raqo_resource.Plan_cache.Exact) ?(memoize = false) ?(kernel = true)
-    ?cache_capacity ?shared_cache ?(rewrite = true)
-    ?(rewrite_hints = Rewrite.no_hints) ?(metrics = Raqo_obs.Metrics.default) ~model
-    ~conditions schema =
+    ?(resource_strategy = Resource_planner.Hill_climb) ?(cache = true)
+    ?(lookup = Raqo_resource.Plan_cache.Exact) ?(kernel = true) ?cache_capacity ?shared_cache
+    ?(rewrite = true) ?(rewrite_hints = Rewrite.no_hints) ?(metrics = Raqo_obs.Metrics.default)
+    ~model ~conditions schema =
   {
     kind;
     schema;
     model;
     resource_planner =
-      Resource_planner.create ~strategy:resource_strategy ~pruned ~cache ~lookup ~kernel
+      Resource_planner.create ~strategy:resource_strategy ~cache ~lookup ~kernel
         ?cache_capacity ?shared_cache ~registry:metrics conditions;
     rng = Raqo_util.Rng.create seed;
     randomized_params;
-    memoize;
     kernel;
     rewrite = (if rewrite then Some (Rewrite.create ~registry:metrics schema) else None);
     rewrite_hints;
@@ -107,18 +104,12 @@ let instrumented t f =
         raise e
   end
 
-let wrap t coster = if t.memoize then Coster.memoize coster else coster
-let wrap_masked t ctx m = if t.memoize then Coster.memoize_masked ctx m else m
-
 (* The production costers, exposed so the verification layer can drive (and
    re-cost against) the exact coster [optimize] / [optimize_qo] use. *)
-let coster t = wrap t (Coster.raqo t.model t.schema t.resource_planner)
-let coster_qo t ~resources = wrap t (Coster.fixed t.model t.schema resources)
-
-let masked_coster t ctx = wrap_masked t ctx (Coster.raqo_masked t.model ctx t.resource_planner)
-
-let masked_coster_qo t ctx ~resources =
-  wrap_masked t ctx (Coster.fixed_masked t.model ctx resources)
+let coster t = Coster.raqo t.model t.schema t.resource_planner
+let coster_qo t ~resources = Coster.fixed t.model t.schema resources
+let masked_coster t ctx = Coster.raqo_masked t.model ctx t.resource_planner
+let masked_coster_qo t ctx ~resources = Coster.fixed_masked t.model ctx resources
 
 (* Logical rewrite pass: when a rule fires, the planner below sees the
    rewritten stats and the surviving relations via a record copy — the
@@ -156,21 +147,21 @@ let optimize t relations =
       | Some ctx -> run_planner_masked t (masked_coster t ctx) ctx
       | None -> run_planner t (coster t) relations)
 
-(* A fresh coster per restart: the raqo coster's memo tables (statistics
-   and, when enabled, join memoization) are plain hashtables, and the forked
+(* A fresh coster per restart: the raqo coster's statistics memo table is a
+   plain hashtable, and the forked
    resource planner keeps cache and kernel scratch single-domain. The shared
    atomic counters keep aggregate instrumentation meaningful. *)
 let restart_planner t = fun () -> Resource_planner.fork t.resource_planner
 
 let restart_coster t =
   let planner = restart_planner t in
-  fun () -> wrap t (Coster.raqo t.model t.schema (planner ()))
+  fun () -> Coster.raqo t.model t.schema (planner ())
 
 (* The interned context is immutable, so restarts on different domains share
    it; each gets its own masked coster (private memo tables). *)
 let restart_masked_coster t ctx =
   let planner = restart_planner t in
-  fun () -> wrap_masked t ctx (Coster.raqo_masked t.model ctx (planner ()))
+  fun () -> Coster.raqo_masked t.model ctx (planner ())
 
 let optimize_par t pool relations =
   match t.kind with

@@ -13,20 +13,7 @@ type t
 
 (** [create ?kind ?seed ?randomized_params ~model ~conditions schema] builds
     an optimizer. Defaults: Selinger, hill-climbing resource planning with
-    an exact-match cache, seed 42, no join memoization.
-
-    [memoize] wraps every coster in {!Raqo_planner.Coster.memoize}, caching
-    best-join choices per query on unordered relation-set pairs — it cuts
-    cost evaluations (Selinger's DP re-costs mirrored pairs) without
-    changing any chosen plan. Off by default so instrumentation baselines
-    stay comparable.
-
-    [pruned] turns on branch-and-bound resource search
-    ({!Raqo_resource.Brute_force.search_pruned}) under the brute-force
-    resource strategy, fed by the cost model's monotone region lower bounds.
-    Chosen configurations and costs are identical to the exhaustive scan;
-    only the evaluation counts drop. Off by default, and a no-op under hill
-    climbing or when the model's feature space admits no bound.
+    an exact-match cache, seed 42. It takes 12 optional arguments.
 
     [kernel] (default [true]) compiles paper-space cost models into
     {!Raqo_cost.Kernel} form per costed join, so resource search sweeps the
@@ -68,10 +55,8 @@ val create :
   ?seed:int ->
   ?randomized_params:Raqo_planner.Randomized.params ->
   ?resource_strategy:Raqo_resource.Resource_planner.strategy ->
-  ?pruned:bool ->
   ?cache:bool ->
   ?lookup:Raqo_resource.Plan_cache.lookup ->
-  ?memoize:bool ->
   ?kernel:bool ->
   ?cache_capacity:int ->
   ?shared_cache:Raqo_resource.Shared_plan_cache.t ->
@@ -143,7 +128,7 @@ val optimize_qo :
 val candidates : t -> string list -> (Raqo_plan.Join_tree.joint * float) list
 
 (** [coster t] is the joint (resource-planning) coster [optimize] runs the
-    query planner against, with [t]'s memoization setting applied — the hook
+    query planner against — the hook
     the verification layer uses to re-cost an emitted plan's shape and check
     it reproduces the reported cost. *)
 val coster : t -> Raqo_planner.Coster.t

@@ -12,9 +12,7 @@ module Conditions = Raqo_cluster.Conditions
    hoisting a *prefix* of a left-to-right chain preserves the parse tree:
    acc0 below is the first two additions, row_acc the next two, and the inner
    loop finishes the chain — the grouping is unchanged, so every intermediate
-   is the same IEEE double the scalar path produces. The same care applies to
-   the region bound, which replicates Op_cost.region_lower_bound's (different)
-   association [intercept +. b0*.ss +. b1*.ss*.ss] verbatim. *)
+   is the same IEEE double the scalar path produces. *)
 
 type t = {
   impl : Join_impl.t;
@@ -29,7 +27,6 @@ type t = {
   floor : float;
   bhj : bool;  (* apply the OOM cliff: infeasible below small_gb/headroom *)
   oom_headroom : float;
-  bound_fixed : float;  (* intercept +. b0*.ss +. b1*.ss*.ss, bound association *)
 }
 
 let make (model : Op_cost.t) impl ~small_gb =
@@ -55,7 +52,6 @@ let make (model : Op_cost.t) impl ~small_gb =
           floor = model.Op_cost.floor;
           bhj = (match impl with Join_impl.Bhj -> true | Join_impl.Smj -> false);
           oom_headroom = model.Op_cost.oom_headroom;
-          bound_fixed = lin.Linreg.intercept +. (b.(0) *. ss) +. (b.(1) *. ss *. ss);
         }
 
 let impl t = t.impl
@@ -80,11 +76,6 @@ let predict t ~containers ~container_gb =
 
 let predict_resources t (r : Resources.t) =
   predict t ~containers:r.Resources.containers ~container_gb:r.Resources.container_gb
-
-let point_at t (c : Conditions.t) ~i ~j =
-  predict t
-    ~containers:(c.Conditions.min_containers + (i * c.Conditions.container_step))
-    ~container_gb:(c.Conditions.min_gb +. (float_of_int j *. c.Conditions.gb_step))
 
 let m_sweeps = Raqo_obs.Metrics.counter "raqo_kernel_sweeps_total"
 let m_cells = Raqo_obs.Metrics.counter "raqo_kernel_cells_total"
@@ -130,62 +121,24 @@ let sweep t (c : Conditions.t) buf =
   done;
   Raqo_obs.Trace.finish span
 
-(* Region lower bound, replicating Op_cost.region_lower_bound float-for-float
-   so the pruned kernel search prunes (and therefore counts evaluations)
-   exactly like the scalar pruned search. *)
-
-let bound_corners t ~cs_lo ~cs_hi ~nc_lo ~nc_hi =
-  let term c mlo mhi = if c >= 0.0 then c *. mlo else c *. mhi in
-  let poly_bound ~cs_lo ~cs_hi =
-    t.bound_fixed
-    +. term t.b_cs cs_lo cs_hi
-    +. term t.b_cs2 (cs_lo *. cs_lo) (cs_hi *. cs_hi)
-    +. term t.b_nc nc_lo nc_hi
-    +. term t.b_nc2 (nc_lo *. nc_lo) (nc_hi *. nc_hi)
-    +. term t.b_csnc (cs_lo *. nc_lo) (cs_hi *. nc_hi)
-  in
-  let clamp c = if t.floor > 0.0 then Float.max t.floor c else c in
-  if t.bhj then begin
-    let needed = t.small_gb /. t.oom_headroom in
-    if cs_hi < needed then Float.infinity
-    else clamp (poly_bound ~cs_lo:(Float.max cs_lo needed) ~cs_hi)
-  end
-  else clamp (poly_bound ~cs_lo ~cs_hi)
-
-let bound t ~(lo : Resources.t) ~(hi : Resources.t) =
-  bound_corners t ~cs_lo:lo.Resources.container_gb ~cs_hi:hi.Resources.container_gb
-    ~nc_lo:(float_of_int lo.Resources.containers)
-    ~nc_hi:(float_of_int hi.Resources.containers)
-
-let bound_at t (c : Conditions.t) ~i0 ~i1 ~j0 ~j1 =
-  bound_corners t
-    ~cs_lo:(c.Conditions.min_gb +. (float_of_int j0 *. c.Conditions.gb_step))
-    ~cs_hi:(c.Conditions.min_gb +. (float_of_int j1 *. c.Conditions.gb_step))
-    ~nc_lo:(float_of_int (c.Conditions.min_containers + (i0 * c.Conditions.container_step)))
-    ~nc_hi:(float_of_int (c.Conditions.min_containers + (i1 * c.Conditions.container_step)))
-
-(* Scratch: amortised-growth grid buffer + pruned-search validity bitmap,
-   instrumented so callers can prove the steady state allocates nothing. *)
+(* Scratch: amortised-growth grid buffer, instrumented so callers can prove
+   the steady state allocates nothing. *)
 
 type scratch = {
   mutable buf : float array;
-  mutable seen : Bytes.t;
   mutable allocs : int;
   mutable reuses : int;
 }
 
-let create_scratch () = { buf = [||]; seen = Bytes.empty; allocs = 0; reuses = 0 }
+let create_scratch () = { buf = [||]; allocs = 0; reuses = 0 }
 
 let ensure s n =
   if Array.length s.buf >= n then s.reuses <- s.reuses + 1
   else begin
     s.allocs <- s.allocs + 1;
-    s.buf <- Array.make n 0.0;
-    s.seen <- Bytes.make n '\000'
+    s.buf <- Array.make n 0.0
   end
 
 let buffer s = s.buf
-let seen s = s.seen
-let reset_seen s n = Bytes.fill s.seen 0 n '\000'
 let allocs s = s.allocs
 let reuses s = s.reuses

@@ -21,15 +21,14 @@
     a differential fuzz-oracle arm.
 
     Only {!Feature.Paper} models compile: the extended space has decreasing
-    monomials (1/nc, ss/cs), so — exactly like {!Op_cost.region_lower_bound}
-    returning [None] — {!make} refuses and callers keep the scalar path. *)
+    monomials (1/nc, ss/cs) and other features the split above does not
+    cover, so {!make} refuses and callers keep the scalar path. *)
 
 type t
 (** A compiled kernel: one (model, impl, small_gb) triple. Immutable. *)
 
 (** [make model impl ~small_gb] compiles the model, or [None] when the
-    model's feature space is {!Feature.Extended} (no sound corner bounds,
-    no kernel — scalar fallback). *)
+    model's feature space is {!Feature.Extended} (scalar fallback). *)
 val make : Op_cost.t -> Raqo_plan.Join_impl.t -> small_gb:float -> t option
 
 val impl : t -> Raqo_plan.Join_impl.t
@@ -43,62 +42,37 @@ val predict : t -> containers:int -> container_gb:float -> float
 (** [predict_resources t r] is {!predict} on an existing configuration. *)
 val predict_resources : t -> Raqo_cluster.Resources.t -> float
 
-(** [point_at t conditions ~i ~j] is {!predict} at grid cell (i, j) of
-    [conditions] — containers index [i] varying fastest, matching
-    {!Raqo_cluster.Conditions.all_configs} enumeration order — computing the
-    cell's coordinates with the exact float expressions the scalar searches
-    use, so memo tables keyed on [j * steps_containers + i] agree. *)
-val point_at : t -> Raqo_cluster.Conditions.t -> i:int -> j:int -> float
-
 (** [sweep t conditions buf] fills [buf.(j * steps_containers + i)] with
-    {!point_at} for every grid cell, in one pass with zero allocation: the
-    data prefix is compiled in, the [cs] monomials and the BHJ feasibility
-    test are hoisted per row (an infeasible row is an [Array.fill] of
-    [infinity]), and the floor clamp is fused into the store. [buf] must
-    have at least {!Raqo_cluster.Conditions.n_configs} cells.
+    {!predict} at grid cell (i, j) — containers index [i] varying fastest,
+    matching {!Raqo_cluster.Conditions.all_configs} enumeration order — in
+    one pass with zero allocation: the data prefix is compiled in, the [cs]
+    monomials and the BHJ feasibility test are hoisted per row (an
+    infeasible row is an [Array.fill] of [infinity]), and the floor clamp is
+    fused into the store. [buf] must have at least
+    {!Raqo_cluster.Conditions.n_configs} cells.
     @raise Invalid_argument if [buf] is too small. *)
 val sweep : t -> Raqo_cluster.Conditions.t -> float array -> unit
 
-(** [bound t ~lo ~hi] is bit-identical to the closure returned by
-    {!Op_cost.region_lower_bound} for the compiled triple (which always
-    exists: kernels only compile for the paper space). Used by the pruned
-    kernel search so its box-pruning decisions — and therefore its
-    evaluation counters — match the scalar pruned search exactly. *)
-val bound : t -> lo:Raqo_cluster.Resources.t -> hi:Raqo_cluster.Resources.t -> float
-
-(** [bound_at t conditions ~i0 ~i1 ~j0 ~j1] is {!bound} over the grid-aligned
-    box with corners (i0, j0) and (i1, j1), allocation-free. *)
-val bound_at : t -> Raqo_cluster.Conditions.t -> i0:int -> i1:int -> j0:int -> j1:int -> float
-
 (** {1 Scratch buffers}
 
-    Per-planner scratch so steady-state planning does zero grid allocation:
-    the grid buffer (and the pruned search's seen-bitmap) are grown once to
-    the largest grid ever swept and reused across every subsequent subplan
-    of a Selinger/DPsub run. Reuse is instrumented — [allocs] counts buffer
-    (re)allocations, [reuses] counts sweeps served by an already-large-enough
-    buffer — so tests and benches can assert the steady state allocates
-    nothing. Scratch is single-domain state; parallel searches keep their
-    own. *)
+    Per-planner scratch so steady-state planning does zero grid allocation: the
+    grid buffer is grown once to the largest grid ever swept and reused across
+    every subsequent subplan of a Selinger/DPsub run. Reuse is instrumented —
+    [allocs] counts buffer (re)allocations, [reuses] counts sweeps served by
+    an already-large-enough buffer — so tests and benches can assert the
+    steady state allocates nothing. Scratch is single-domain state; parallel
+    searches keep their own. *)
 
 type scratch
 
 val create_scratch : unit -> scratch
 
-(** [ensure scratch n] grows the buffers to at least [n] cells, bumping
+(** [ensure scratch n] grows the buffer to at least [n] cells, bumping
     [allocs] on growth and [reuses] when already large enough. *)
 val ensure : scratch -> int -> unit
 
 (** [buffer scratch] is the current grid buffer (valid after {!ensure}). *)
 val buffer : scratch -> float array
-
-(** [seen scratch] is the pruned search's memo-validity bitmap, one byte per
-    cell, zeroed by {!ensure}'s caller via {!reset_seen}. *)
-val seen : scratch -> Bytes.t
-
-(** [reset_seen scratch n] zeroes the first [n] validity bytes (no
-    allocation). *)
-val reset_seen : scratch -> int -> unit
 
 val allocs : scratch -> int
 val reuses : scratch -> int

@@ -70,47 +70,6 @@ let predict_exn t impl ~small_gb ~resources =
   | Some c -> c
   | None -> Float.infinity
 
-(* A cost lower bound over an axis-aligned resource box, for branch-and-bound
-   resource search. Only the paper feature space is supported: there every
-   monomial in (cs, nc) — cs, cs², nc, nc², cs·nc — is nonnegative and
-   increasing in each variable over the positive orthant, so per-monomial
-   corner minima by coefficient sign bound the polynomial from below. The
-   extended space has 1/nc and ss/cs terms (decreasing axes) and returns
-   [None]; callers fall back to exhaustive search. *)
-let region_lower_bound t impl ~small_gb =
-  match t.space with
-  | Feature.Extended -> None
-  | Feature.Paper ->
-      let lin = match impl with Join_impl.Smj -> t.smj | Join_impl.Bhj -> t.bhj in
-      let b = lin.Linreg.coefficients in
-      let ss = small_gb in
-      let fixed = lin.Linreg.intercept +. (b.(0) *. ss) +. (b.(1) *. ss *. ss) in
-      let term c mlo mhi = if c >= 0.0 then c *. mlo else c *. mhi in
-      let poly_bound ~cs_lo ~cs_hi ~nc_lo ~nc_hi =
-        fixed
-        +. term b.(2) cs_lo cs_hi
-        +. term b.(3) (cs_lo *. cs_lo) (cs_hi *. cs_hi)
-        +. term b.(4) nc_lo nc_hi
-        +. term b.(5) (nc_lo *. nc_lo) (nc_hi *. nc_hi)
-        +. term b.(6) (cs_lo *. nc_lo) (cs_hi *. nc_hi)
-      in
-      let clamp c = if t.floor > 0.0 then Float.max t.floor c else c in
-      Some
-        (fun ~(lo : Resources.t) ~(hi : Resources.t) ->
-          let nc_lo = float_of_int lo.Resources.containers in
-          let nc_hi = float_of_int hi.Resources.containers in
-          let cs_lo = lo.Resources.container_gb in
-          let cs_hi = hi.Resources.container_gb in
-          match impl with
-          | Join_impl.Smj -> clamp (poly_bound ~cs_lo ~cs_hi ~nc_lo ~nc_hi)
-          | Join_impl.Bhj ->
-              (* BHJ is infeasible (infinite) below the OOM threshold: bound
-                 the polynomial over the feasible slice only; an empty slice
-                 means every configuration in the box costs infinity. *)
-              let needed = small_gb /. t.oom_headroom in
-              if cs_hi < needed then Float.infinity
-              else clamp (poly_bound ~cs_lo:(Float.max cs_lo needed) ~cs_hi ~nc_lo ~nc_hi))
-
 let scan_cost t ~gb ~resources =
   Linreg.predict t.scan (Feature.vector_of t.space ~small_gb:gb ~resources)
 

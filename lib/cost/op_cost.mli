@@ -38,23 +38,6 @@ val predict_exn :
   resources:Raqo_cluster.Resources.t ->
   float
 
-(** [region_lower_bound t impl ~small_gb] is a monotone lower bound on
-    {!predict_exn} over axis-aligned resource boxes, for branch-and-bound
-    resource search: [bound ~lo ~hi <= predict_exn t impl ~small_gb ~resources:r]
-    for every [r] with [lo.containers <= r.containers <= hi.containers] and
-    [lo.container_gb <= r.container_gb <= hi.container_gb]. Built from
-    per-monomial corner minima by coefficient sign, which is valid because
-    every paper-space monomial is nonnegative and increasing per axis over
-    positive resources; BHJ's OOM cliff narrows the bounded slice and an
-    all-infeasible box bounds to [infinity]. [None] for the extended feature
-    space (it has decreasing monomials) — callers must fall back to
-    exhaustive search. *)
-val region_lower_bound :
-  t ->
-  Raqo_plan.Join_impl.t ->
-  small_gb:float ->
-  (lo:Raqo_cluster.Resources.t -> hi:Raqo_cluster.Resources.t -> float) option
-
 (** [scan_cost t ~gb ~resources] estimates a standalone scan. *)
 val scan_cost : t -> gb:float -> resources:Raqo_cluster.Resources.t -> float
 

@@ -42,7 +42,7 @@ let finite_choice impl resources cost =
   if Float.is_finite cost then Some { impl; resources; cost } else None
 
 (* Randomized planners re-cost near-identical subtrees thousands of times;
-   memoize intermediate-result sizes per relation set (statistics caching,
+   cache intermediate-result sizes per relation set (statistics caching,
    as production optimizers do). *)
 let memoized_size schema =
   let sizes = Hashtbl.create 512 in
@@ -86,9 +86,8 @@ let feasible_start model impl ~small_gb (conditions : Raqo_cluster.Conditions.t)
              ~container_gb:(Float.min conditions.max_gb gb))
       end
 
-(* Resource-plan one join implementation: smallest feasible start config,
-   cost-model closure, and — for pruned planners — the monotone lower bound
-   branch-and-bound consults. Shared by the string and masked RAQO costers.
+(* Resource-plan one join implementation: smallest feasible start config
+   and cost-model closure. Shared by the string and masked RAQO costers.
    When the planner accepts kernels, the model is also compiled down to a
    {!Raqo_cost.Kernel.t} for this (impl, small_gb) pair — compilation is a
    handful of multiplies, so it is done per costed join; extended-space
@@ -100,14 +99,13 @@ let raqo_impl model planner ~small_gb best impl =
   | Some start ->
       let key = Join_impl.to_string impl ^ "/join" in
       let cost_fn resources = Op_cost.predict_exn model impl ~small_gb ~resources in
-      let bound = Op_cost.region_lower_bound model impl ~small_gb in
       let kernel =
         if Raqo_resource.Resource_planner.kernel_enabled planner then
           Raqo_cost.Kernel.make model impl ~small_gb
         else None
       in
       let resources, cost =
-        Raqo_resource.Resource_planner.plan ~start ?bound ?kernel planner ~key
+        Raqo_resource.Resource_planner.plan ~start ?kernel planner ~key
           ~data_gb:small_gb ~cost:cost_fn
       in
       pick_cheaper best (finite_choice impl resources cost)
@@ -119,26 +117,6 @@ let raqo model schema planner =
     List.fold_left (raqo_impl model planner ~small_gb) None Join_impl.all
   in
   { best_join; name = "raqo" }
-
-(* All shipped costers are symmetric in (left, right): they reduce the pair
-   to min/max of the two sides' sizes before consulting the cost model. The
-   memo key is therefore the unordered pair of relation sets, which collapses
-   the mirrored lookups dynamic programming produces (Selinger costs both
-   ({a},{b}) and ({b},{a}) for every connected 2-subset). *)
-let memoize inner =
-  let memo = Hashtbl.create 512 in
-  let side names = String.concat "\x00" (List.sort compare names) in
-  let best_join ~left ~right =
-    let a = side left and b = side right in
-    let key = if a <= b then a ^ "\x01" ^ b else b ^ "\x01" ^ a in
-    match Hashtbl.find_opt memo key with
-    | Some choice -> choice
-    | None ->
-        let choice = inner.best_join ~left ~right in
-        Hashtbl.add memo key choice;
-        choice
-  in
-  { best_join; name = inner.name ^ "+memo" }
 
 let counting inner =
   let count = ref 0 in
@@ -228,69 +206,6 @@ let raqo_masked model ctx planner =
     List.fold_left (raqo_impl model planner ~small_gb) None Join_impl.all
   in
   { best_join_masked; masked_name = "raqo" }
-
-let is_singleton m = m <> 0 && m land (m - 1) = 0
-
-let bit_index m =
-  let rec go i m = if m land 1 = 1 then i else go (i + 1) (m lsr 1) in
-  go 0 m
-
-(* Memo keyed on the unordered mask pair — the same equivalence classes as
-   the string [memoize] (a mask determines the sorted name set and vice
-   versa), so hit/miss sequences are bit-identical. Layout is tiered by
-   query size: for n <= 16 the dominant singleton-vs-subset lookups (all of
-   left-deep DP) hit a flat array indexed by (singleton id, other mask);
-   larger queries pack the pair into one int key while masks still fit. *)
-let memoize_masked ctx inner =
-  let n = Interned.n ctx in
-  let lookup_tbl tbl key ~left ~right =
-    match Hashtbl.find_opt tbl key with
-    | Some choice -> choice
-    | None ->
-        let choice = inner.best_join_masked ~left ~right in
-        Hashtbl.add tbl key choice;
-        choice
-  in
-  let best_join_masked =
-    if n <= 16 then begin
-      let rows = Array.make (n lsl n) None in
-      let rest = Hashtbl.create 256 in
-      fun ~left ~right ->
-        let sl = is_singleton left and sr = is_singleton right in
-        if sl || sr then begin
-          (* Both singleton: the lower id is the row, so mirrored pairs
-             collapse exactly as the unordered string key does. *)
-          let row, col =
-            if sl && sr then if left <= right then (left, right) else (right, left)
-            else if sl then (left, right)
-            else (right, left)
-          in
-          let idx = (bit_index row lsl n) lor col in
-          match rows.(idx) with
-          | Some choice -> choice
-          | None ->
-              let choice = inner.best_join_masked ~left ~right in
-              rows.(idx) <- Some choice;
-              choice
-        end
-        else
-          let lo = min left right and hi = max left right in
-          lookup_tbl rest ((lo lsl n) lor hi) ~left ~right
-    end
-    else if n <= 31 then begin
-      let memo = Hashtbl.create 1024 in
-      fun ~left ~right ->
-        let lo = min left right and hi = max left right in
-        lookup_tbl memo ((lo lsl n) lor hi) ~left ~right
-    end
-    else begin
-      let memo = Hashtbl.create 1024 in
-      fun ~left ~right ->
-        let lo = min left right and hi = max left right in
-        lookup_tbl memo (lo, hi) ~left ~right
-    end
-  in
-  { best_join_masked; masked_name = inner.masked_name ^ "+memo" }
 
 let counting_masked inner =
   let count = ref 0 in

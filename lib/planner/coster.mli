@@ -54,19 +54,9 @@ val raqo :
   Raqo_resource.Resource_planner.t ->
   t
 
-(** [memoize t] caches [best_join] results (including [None]) per query,
-    keyed on the unordered pair of relation sets. Sound for symmetric
-    costers — every shipped coster keys its cost on the smaller side's size,
-    so [best_join ~left ~right = best_join ~left:right ~right:left] — and it
-    collapses the mirrored pairs Selinger's DP enumerates. The memo table is
-    a plain [Hashtbl]: use a memoized coster from one domain only (parallel
-    restarts each wrap their own instance). *)
-val memoize : t -> t
-
 (** [counting t] wraps [t] with an invocation counter (a plain [ref]: use from
     one domain only). Instrumentation seam for tests and the differential
-    oracle — e.g. proving {!memoize} never issues more underlying lookups
-    than the plain coster. *)
+    oracle — e.g. counting how many joins a planner costs. *)
 val counting : t -> t * (unit -> int)
 
 (** [simulator engine schema resources] — ground truth: cost joins with the
@@ -110,23 +100,12 @@ val fixed_masked :
   Raqo_cluster.Resources.t ->
   masked
 
-(** [raqo_masked model ctx planner] is {!raqo} on the mask seam. Like the
-    string {!raqo} it hands the resource planner the operator's monotone
-    cost lower bound ({!Raqo_cost.Op_cost.region_lower_bound}), which
-    planners created with [~pruned:true] use for branch-and-bound. *)
+(** [raqo_masked model ctx planner] is {!raqo} on the mask seam. *)
 val raqo_masked :
   Raqo_cost.Op_cost.t ->
   Raqo_catalog.Interned.t ->
   Raqo_resource.Resource_planner.t ->
   masked
-
-(** [memoize_masked ctx m] caches [best_join_masked] results per query,
-    keyed on the unordered mask pair — the same equivalence classes as the
-    string {!memoize}, so hit/miss sequences are bit-identical. Queries of
-    up to 16 relations back the dominant singleton-versus-subset lookups
-    with a flat array; larger queries use packed-int hash keys. Same
-    single-domain discipline as {!memoize}. *)
-val memoize_masked : Raqo_catalog.Interned.t -> masked -> masked
 
 (** [counting_masked m] is {!counting} on the mask seam. *)
 val counting_masked : masked -> masked * (unit -> int)

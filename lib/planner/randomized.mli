@@ -53,7 +53,7 @@ val local_optima :
     [coster] is a factory invoked once per restart: the shipped costers hold
     non-thread-safe memo tables, so each restart needs its own instance. As
     long as the factory's costers compute the same values (true of every
-    pure coster, memoized or not), the result — order included — is
+    pure coster), the result — order included — is
     bit-identical to [local_optima rng (coster ())] for any pool size. *)
 val local_optima_par :
   ?params:params ->

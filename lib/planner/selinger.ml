@@ -26,16 +26,13 @@ let popcount m =
   go m 0
 
 (* The reference DP core over string lists, kept verbatim as the
-   differential-oracle baseline for the mask-based core below. Parameterized
-   by an optional upper bound: partial plans costing >= the bound are dropped
-   (sound for nonnegative join costs). Returns the best full plan and the
-   number of coster invocations. *)
-let dp ?bound (coster : Coster.t) schema relations =
+   differential-oracle baseline for the mask-based core below. Returns the
+   best full plan and the number of coster invocations. *)
+let dp (coster : Coster.t) schema relations =
   validate schema relations;
   let span = Raqo_obs.Trace.start "selinger/dp-reference" in
   let n = List.length relations in
   let invocations = ref 0 in
-  let upper = ref bound in
   let rels = Array.of_list relations in
   let graph = Schema.graph schema in
   let adjacent i j =
@@ -75,18 +72,8 @@ let dp ?bound (coster : Coster.t) schema relations =
                 match coster.Coster.best_join ~left ~right with
                 | None -> ()
                 | Some { impl; resources; cost } ->
-                    (* Negative costs break the bound argument: stop
-                       pruning for the rest of the search. *)
-                    if cost < 0.0 then upper := None;
                     let total = left_cost +. cost in
-                    let pruned =
-                      match !upper with
-                      | Some u -> total >= u
-                      | None -> false
-                    in
                     let better =
-                      (not pruned)
-                      &&
                       match best.(mask) with
                       | Some (_, c) -> total < c
                       | None -> true
@@ -113,15 +100,14 @@ let dp ?bound (coster : Coster.t) schema relations =
    subset marks its one-relation adjacent extensions, and only marked masks
    are expanded — a mask the reference loop could issue a coster call for is
    exactly a marked one, so on sparse graphs (chains) the bulk of the 2^n
-   sweep costs one byte load per mask. Enumeration order, pruning, and
-   tie-breaks mirror [dp] exactly, so (plan, cost, invocation count) are
+   sweep costs one byte load per mask. Enumeration order and tie-breaks
+   mirror [dp] exactly, so (plan, cost, invocation count) are
    bit-identical. *)
-let dp_masked ?bound (m : Coster.masked) ctx =
+let dp_masked (m : Coster.masked) ctx =
   let n = Interned.n ctx in
   if n > 20 then invalid_arg "Selinger.optimize: too many relations for exhaustive DP";
   let span = Raqo_obs.Trace.start "selinger/dp" in
   let invocations = ref 0 in
-  let upper = ref bound in
   let adj = Interned.adj ctx in
   let size = 1 lsl n in
   let best : (Join_tree.joint * float) option array = Array.make size None in
@@ -150,16 +136,8 @@ let dp_masked ?bound (m : Coster.masked) ctx =
                 match m.Coster.best_join_masked ~left:rest ~right:(1 lsl r) with
                 | None -> ()
                 | Some { impl; resources; cost } ->
-                    if cost < 0.0 then upper := None;
                     let total = left_cost +. cost in
-                    let pruned =
-                      match !upper with
-                      | Some u -> total >= u
-                      | None -> false
-                    in
                     let better =
-                      (not pruned)
-                      &&
                       match best.(mask) with
                       | Some (_, c) -> total < c
                       | None -> true
@@ -201,48 +179,3 @@ let optimize coster schema relations =
   optimize_masked (Coster.of_strings ctx coster) ctx
 
 let optimize_reference coster schema relations = fst (dp coster schema relations)
-
-let pruned_with ~greedy_cost_tree ~dp greedy_shape =
-  (* Seed the bound with the greedy left-deep plan, when one is costable. *)
-  let seed =
-    match greedy_shape with
-    | Some shape -> greedy_cost_tree shape
-    | None -> None
-  in
-  match seed with
-  | None -> dp None
-  | Some ((_, greedy_cost) as greedy) ->
-      let result, invocations = dp (Some greedy_cost) in
-      (* The bound is strict, so the greedy plan itself may have been pruned;
-         fall back to it when the DP returns nothing cheaper. *)
-      let result =
-        match result with
-        | Some _ as r -> r
-        | None -> Some greedy
-      in
-      (result, invocations)
-
-let greedy_shape schema relations =
-  match Heuristics.greedy_left_deep schema relations with
-  | shape -> Some shape
-  | exception Invalid_argument _ -> None
-
-let optimize_pruned_masked m ctx =
-  if Interned.n ctx > 20 then
-    invalid_arg "Selinger.optimize: too many relations for exhaustive DP";
-  pruned_with
-    ~greedy_cost_tree:(Coster.cost_tree_masked m ctx)
-    ~dp:(fun bound -> dp_masked ?bound m ctx)
-    (greedy_shape (Interned.schema ctx) (Interned.relations ctx))
-
-let optimize_pruned coster schema relations =
-  validate schema relations;
-  let ctx = Interned.make schema relations in
-  optimize_pruned_masked (Coster.of_strings ctx coster) ctx
-
-let optimize_pruned_reference coster schema relations =
-  validate schema relations;
-  pruned_with
-    ~greedy_cost_tree:(Coster.cost_tree coster)
-    ~dp:(fun bound -> dp ?bound coster schema relations)
-    (greedy_shape schema relations)

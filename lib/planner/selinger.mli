@@ -18,23 +18,9 @@ val optimize :
   string list ->
   (Raqo_plan.Join_tree.joint * float) option
 
-(** [optimize_pruned coster schema relations] is {!optimize} with
-    branch-and-bound pruning (the paper's "prune infeasible or
-    non-interesting query/resource plans early on"): the greedy left-deep
-    plan seeds an upper bound, and any partial plan already costing at least
-    the bound is discarded. Sound when join costs are nonnegative (the
-    trained models' floor guarantees this); if a negative cost is observed,
-    pruning disables itself for the remainder of the search. Returns the
-    plan together with the number of costed joins (the pruning metric). *)
-val optimize_pruned :
-  Coster.t ->
-  Raqo_catalog.Schema.t ->
-  string list ->
-  (Raqo_plan.Join_tree.joint * float) option * int
-
 (** {2 Mask-based core}
 
-    {!optimize} and {!optimize_pruned} run on the interned, mask-based DP:
+    {!optimize} runs on the interned, mask-based DP:
     relations are interned once at admission, DP tables are flat arrays
     indexed by subset masks, and connectivity is a single AND against the
     precomputed adjacency mask. The entry points below expose that core
@@ -50,12 +36,6 @@ val optimize_masked :
   Raqo_catalog.Interned.t ->
   (Raqo_plan.Join_tree.joint * float) option
 
-(** [optimize_pruned_masked m ctx] is {!optimize_pruned} on the mask seam. *)
-val optimize_pruned_masked :
-  Coster.masked ->
-  Raqo_catalog.Interned.t ->
-  (Raqo_plan.Join_tree.joint * float) option * int
-
 (** [optimize_reference coster schema relations] is the historical
     string-list DP, kept as the oracle baseline the mask-based core is
     differenced against. Same contract as {!optimize}. *)
@@ -64,12 +44,3 @@ val optimize_reference :
   Raqo_catalog.Schema.t ->
   string list ->
   (Raqo_plan.Join_tree.joint * float) option
-
-(** [optimize_pruned_reference coster schema relations] is the historical
-    string-list branch-and-bound DP (oracle baseline for
-    {!optimize_pruned}). *)
-val optimize_pruned_reference :
-  Coster.t ->
-  Raqo_catalog.Schema.t ->
-  string list ->
-  (Raqo_plan.Join_tree.joint * float) option * int

@@ -1,380 +1,78 @@
-type backend = Sorted_array | Btree
+(* Contiguous parallel key/value arrays, binary search, shift on insert. *)
 
-(* ------------------------------------------------------------ sorted array *)
+type 'a t = { mutable keys : float array; mutable values : 'a array; mutable n : int }
 
-module Arr = struct
-  type 'a t = { mutable keys : float array; mutable values : 'a array; mutable n : int }
+let create () = { keys = [||]; values = [||]; n = 0 }
+let size t = t.n
 
-  let create () = { keys = [||]; values = [||]; n = 0 }
-
-  (* Index of the first key >= [key], in [0, n]. *)
-  let lower_bound t key =
-    let lo = ref 0 and hi = ref t.n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if t.keys.(mid) < key then lo := mid + 1 else hi := mid
-    done;
-    !lo
-
-  let insert t key value =
-    let pos = lower_bound t key in
-    if pos < t.n && t.keys.(pos) = key then t.values.(pos) <- value
-    else begin
-      if t.n = Array.length t.keys then begin
-        let capacity = max 16 (2 * t.n) in
-        let keys = Array.make capacity 0.0 in
-        let values = Array.make capacity value in
-        Array.blit t.keys 0 keys 0 t.n;
-        Array.blit t.values 0 values 0 t.n;
-        t.keys <- keys;
-        t.values <- values
-      end;
-      Array.blit t.keys pos t.keys (pos + 1) (t.n - pos);
-      Array.blit t.values pos t.values (pos + 1) (t.n - pos);
-      t.keys.(pos) <- key;
-      t.values.(pos) <- value;
-      t.n <- t.n + 1
-    end
-
-  let find_exact t key =
-    let pos = lower_bound t key in
-    if pos < t.n && t.keys.(pos) = key then Some t.values.(pos) else None
-
-  let remove t key =
-    let pos = lower_bound t key in
-    if pos < t.n && t.keys.(pos) = key then begin
-      Array.blit t.keys (pos + 1) t.keys pos (t.n - pos - 1);
-      Array.blit t.values (pos + 1) t.values pos (t.n - pos - 1);
-      t.n <- t.n - 1;
-      true
-    end
-    else false
-
-  let within t ~center ~radius =
-    let pos = lower_bound t (center -. radius) in
-    let rec collect i acc =
-      if i >= t.n || t.keys.(i) > center +. radius then List.rev acc
-      else collect (i + 1) ((t.keys.(i), t.values.(i)) :: acc)
-    in
-    collect pos []
-
-  (* Only the successor and predecessor of [center] can be nearest; ties go
-     to the predecessor, i.e. the lower key. *)
-  let nearest t ~center ~radius =
-    if t.n = 0 then None
-    else begin
-      let pos = lower_bound t center in
-      let best =
-        if pos >= t.n then pos - 1
-        else if pos = 0 then 0
-        else if Float.abs (t.keys.(pos - 1) -. center) <= Float.abs (t.keys.(pos) -. center)
-        then pos - 1
-        else pos
-      in
-      if Float.abs (t.keys.(best) -. center) <= radius then
-        Some (t.keys.(best), t.values.(best))
-      else None
-    end
-
-  let to_list t = List.init t.n (fun i -> (t.keys.(i), t.values.(i)))
-end
-
-(* ---------------------------------------------------------------- B+-tree *)
-
-module Bt = struct
-  let order = 16 (* max keys per node *)
-
-  type 'a node =
-    | Leaf of 'a leaf
-    | Internal of 'a internal
-
-  and 'a leaf = {
-    mutable lkeys : float array;
-    mutable lvalues : 'a array;
-    mutable ln : int;
-    mutable next : 'a leaf option;  (** leaf link, for range scans *)
-  }
-
-  and 'a internal = {
-    mutable ikeys : float array;  (** separators: child i holds keys < ikeys.(i) *)
-    mutable children : 'a node array;
-    mutable inn : int;  (** number of children; separators = inn - 1 *)
-  }
-
-  type 'a t = { mutable root : 'a node; mutable count : int }
-
-  let new_leaf value =
-    { lkeys = Array.make order 0.0; lvalues = Array.make order value; ln = 0; next = None }
-
-  let create_with value = { root = Leaf (new_leaf value); count = 0 }
-
-  (* First index in [keys[0..n)] with keys.(i) >= key. *)
-  let lower_bound keys n key =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if keys.(mid) < key then lo := mid + 1 else hi := mid
-    done;
-    !lo
-
-  (* Child to descend into for [key]: first separator > key ... standard
-     "child i covers keys < ikeys.(i)" with the last child open-ended. *)
-  let child_index (node : 'a internal) key =
-    let lo = ref 0 and hi = ref (node.inn - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if key >= node.ikeys.(mid) then lo := mid + 1 else hi := mid
-    done;
-    !lo
-
-  let rec find_leaf node key =
-    match node with
-    | Leaf l -> l
-    | Internal i -> find_leaf i.children.(child_index i key) key
-
-  let find_exact t key =
-    let l = find_leaf t.root key in
-    let pos = lower_bound l.lkeys l.ln key in
-    if pos < l.ln && l.lkeys.(pos) = key then Some l.lvalues.(pos) else None
-
-  (* Insert into a subtree. Returns [Some (separator, right_sibling)] when
-     the node split and the parent must absorb the new child. *)
-  let rec insert_node node key value =
-    match node with
-    | Leaf l ->
-        let pos = lower_bound l.lkeys l.ln key in
-        if pos < l.ln && l.lkeys.(pos) = key then begin
-          l.lvalues.(pos) <- value;
-          `Overwrote
-        end
-        else begin
-          if l.ln < order then begin
-            Array.blit l.lkeys pos l.lkeys (pos + 1) (l.ln - pos);
-            Array.blit l.lvalues pos l.lvalues (pos + 1) (l.ln - pos);
-            l.lkeys.(pos) <- key;
-            l.lvalues.(pos) <- value;
-            l.ln <- l.ln + 1;
-            `Inserted None
-          end
-          else begin
-            (* Split the full leaf, then insert into the proper half. *)
-            let half = order / 2 in
-            let right = new_leaf value in
-            Array.blit l.lkeys half right.lkeys 0 (order - half);
-            Array.blit l.lvalues half right.lvalues 0 (order - half);
-            right.ln <- order - half;
-            l.ln <- half;
-            right.next <- l.next;
-            l.next <- Some right;
-            let target = if key < right.lkeys.(0) then Leaf l else Leaf right in
-            (match insert_node target key value with
-            | `Inserted None | `Overwrote -> ()
-            | `Inserted (Some _) -> assert false (* halves have room *));
-            `Inserted (Some (right.lkeys.(0), Leaf right))
-          end
-        end
-    | Internal node ->
-        let ci = child_index node key in
-        begin
-          match insert_node node.children.(ci) key value with
-          | `Overwrote -> `Overwrote
-          | `Inserted None -> `Inserted None
-          | `Inserted (Some (sep, right_child)) ->
-              if node.inn <= order then begin
-                (* Absorb: separator goes at position ci, child at ci+1. *)
-                Array.blit node.ikeys ci node.ikeys (ci + 1) (node.inn - 1 - ci);
-                Array.blit node.children (ci + 1) node.children (ci + 2) (node.inn - 1 - ci);
-                node.ikeys.(ci) <- sep;
-                node.children.(ci + 1) <- right_child;
-                node.inn <- node.inn + 1;
-                if node.inn <= order then `Inserted None
-                else begin
-                  (* Overfull internal node: split around the middle key. *)
-                  let mid = node.inn / 2 in
-                  let up = node.ikeys.(mid - 1) in
-                  let right =
-                    {
-                      ikeys = Array.make (order + 1) 0.0;
-                      children = Array.make (order + 2) node.children.(0);
-                      inn = node.inn - mid;
-                    }
-                  in
-                  Array.blit node.ikeys mid right.ikeys 0 (node.inn - 1 - mid);
-                  Array.blit node.children mid right.children 0 (node.inn - mid);
-                  node.inn <- mid;
-                  `Inserted (Some (up, Internal right))
-                end
-              end
-              else assert false
-        end
-
-  let insert t key value =
-    match insert_node t.root key value with
-    | `Overwrote -> ()
-    | `Inserted None -> t.count <- t.count + 1
-    | `Inserted (Some (sep, right)) ->
-        t.count <- t.count + 1;
-        let root =
-          {
-            ikeys = Array.make (order + 1) 0.0;
-            children = Array.make (order + 2) t.root;
-            inn = 2;
-          }
-        in
-        root.ikeys.(0) <- sep;
-        root.children.(0) <- t.root;
-        root.children.(1) <- right;
-        t.root <- Internal root
-
-  (* Deletion without rebalancing: shift the covering leaf's tail left. An
-     emptied leaf stays in place (separators and leaf links unchanged) — every
-     traversal already skips past [ln = 0] leaves via the links, and the plan
-     cache's LRU workload deletes cold entries only, so the tree never
-     degenerates faster than it grows. *)
-  let remove t key =
-    let l = find_leaf t.root key in
-    let pos = lower_bound l.lkeys l.ln key in
-    if pos < l.ln && l.lkeys.(pos) = key then begin
-      Array.blit l.lkeys (pos + 1) l.lkeys pos (l.ln - pos - 1);
-      Array.blit l.lvalues (pos + 1) l.lvalues pos (l.ln - pos - 1);
-      l.ln <- l.ln - 1;
-      t.count <- t.count - 1;
-      true
-    end
-    else false
-
-  let within t ~center ~radius =
-    let l = find_leaf t.root (center -. radius) in
-    let rec scan (l : 'a leaf) i acc =
-      if i >= l.ln then begin
-        match l.next with
-        | Some next -> scan next 0 acc
-        | None -> List.rev acc
-      end
-      else begin
-        let k = l.lkeys.(i) in
-        if k > center +. radius then List.rev acc
-        else if k >= center -. radius then scan l (i + 1) ((k, l.lvalues.(i)) :: acc)
-        else scan l (i + 1) acc
-      end
-    in
-    scan l 0 []
-
-  (* First entry with key >= [key]: descend to the covering leaf, then walk
-     the leaf links right past any smaller tail. *)
-  let succ_entry t key =
-    let rec go (l : 'a leaf) =
-      let pos = lower_bound l.lkeys l.ln key in
-      if pos < l.ln then Some (l.lkeys.(pos), l.lvalues.(pos))
-      else match l.next with Some next -> go next | None -> None
-    in
-    go (find_leaf t.root key)
-
-  (* Last entry with key < [key]: rightmost success over the children up to
-     the covering one (leaves have no back links, so descend instead). *)
-  let pred_entry t key =
-    let rec go node =
-      match node with
-      | Leaf l ->
-          let pos = lower_bound l.lkeys l.ln key in
-          if pos > 0 then Some (l.lkeys.(pos - 1), l.lvalues.(pos - 1)) else None
-      | Internal node ->
-          let rec try_child ci =
-            if ci < 0 then None
-            else
-              match go node.children.(ci) with
-              | Some _ as found -> found
-              | None -> try_child (ci - 1)
-          in
-          try_child (child_index node key)
-    in
-    go t.root
-
-  let nearest t ~center ~radius =
-    let best =
-      match (pred_entry t center, succ_entry t center) with
-      | Some ((pk, _) as p), Some ((sk, _) as s) ->
-          (* Ties go to the predecessor, i.e. the lower key. *)
-          if Float.abs (pk -. center) <= Float.abs (sk -. center) then Some p else Some s
-      | (Some _ as p), None -> p
-      | None, (Some _ as s) -> s
-      | None, None -> None
-    in
-    match best with
-    | Some (k, _) when Float.abs (k -. center) <= radius -> best
-    | Some _ | None -> None
-
-  let to_list t =
-    (* Leftmost leaf, then follow the links. *)
-    let rec leftmost = function
-      | Leaf l -> l
-      | Internal i -> leftmost i.children.(0)
-    in
-    let rec walk (l : 'a leaf) acc =
-      let acc = ref acc in
-      for i = 0 to l.ln - 1 do
-        acc := (l.lkeys.(i), l.lvalues.(i)) :: !acc
-      done;
-      match l.next with
-      | Some next -> walk next !acc
-      | None -> List.rev !acc
-    in
-    walk (leftmost t.root) []
-end
-
-(* --------------------------------------------------------------- facade *)
-
-type 'a repr = A of 'a Arr.t | B of 'a Bt.t | Empty_btree
-type 'a t = { mutable repr : 'a repr; which : backend }
-
-let create = function
-  | Sorted_array -> { repr = A (Arr.create ()); which = Sorted_array }
-  | Btree -> { repr = Empty_btree; which = Btree }
-
-let backend t = t.which
-
-let size t =
-  match t.repr with
-  | A a -> a.Arr.n
-  | B b -> b.Bt.count
-  | Empty_btree -> 0
+(* Index of the first key >= [key], in [0, n]. *)
+let lower_bound t key =
+  let lo = ref 0 and hi = ref t.n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.keys.(mid) < key then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let insert t key value =
-  match t.repr with
-  | A a -> Arr.insert a key value
-  | B b -> Bt.insert b key value
-  | Empty_btree ->
-      (* The B+-tree needs a witness value for array initialization. *)
-      let b = Bt.create_with value in
-      Bt.insert b key value;
-      t.repr <- B b
+  let pos = lower_bound t key in
+  if pos < t.n && t.keys.(pos) = key then t.values.(pos) <- value
+  else begin
+    if t.n = Array.length t.keys then begin
+      let capacity = max 16 (2 * t.n) in
+      let keys = Array.make capacity 0.0 in
+      let values = Array.make capacity value in
+      Array.blit t.keys 0 keys 0 t.n;
+      Array.blit t.values 0 values 0 t.n;
+      t.keys <- keys;
+      t.values <- values
+    end;
+    Array.blit t.keys pos t.keys (pos + 1) (t.n - pos);
+    Array.blit t.values pos t.values (pos + 1) (t.n - pos);
+    t.keys.(pos) <- key;
+    t.values.(pos) <- value;
+    t.n <- t.n + 1
+  end
 
 let find_exact t key =
-  match t.repr with
-  | A a -> Arr.find_exact a key
-  | B b -> Bt.find_exact b key
-  | Empty_btree -> None
+  let pos = lower_bound t key in
+  if pos < t.n && t.keys.(pos) = key then Some t.values.(pos) else None
 
 let remove t key =
-  match t.repr with
-  | A a -> Arr.remove a key
-  | B b -> Bt.remove b key
-  | Empty_btree -> false
+  let pos = lower_bound t key in
+  if pos < t.n && t.keys.(pos) = key then begin
+    Array.blit t.keys (pos + 1) t.keys pos (t.n - pos - 1);
+    Array.blit t.values (pos + 1) t.values pos (t.n - pos - 1);
+    t.n <- t.n - 1;
+    true
+  end
+  else false
 
 let within t ~center ~radius =
-  match t.repr with
-  | A a -> Arr.within a ~center ~radius
-  | B b -> Bt.within b ~center ~radius
-  | Empty_btree -> []
+  let pos = lower_bound t (center -. radius) in
+  let rec collect i acc =
+    if i >= t.n || t.keys.(i) > center +. radius then List.rev acc
+    else collect (i + 1) ((t.keys.(i), t.values.(i)) :: acc)
+  in
+  collect pos []
 
+(* Only the successor and predecessor of [center] can be nearest; ties go
+   to the predecessor, i.e. the lower key. *)
 let nearest t ~center ~radius =
-  match t.repr with
-  | A a -> Arr.nearest a ~center ~radius
-  | B b -> Bt.nearest b ~center ~radius
-  | Empty_btree -> None
+  if t.n = 0 then None
+  else begin
+    let pos = lower_bound t center in
+    let best =
+      if pos >= t.n then pos - 1
+      else if pos = 0 then 0
+      else if Float.abs (t.keys.(pos - 1) -. center) <= Float.abs (t.keys.(pos) -. center)
+      then pos - 1
+      else pos
+    in
+    if Float.abs (t.keys.(best) -. center) <= radius then
+      Some (t.keys.(best), t.values.(best))
+    else None
+  end
 
-let to_list t =
-  match t.repr with
-  | A a -> Arr.to_list a
-  | B b -> Bt.to_list b
-  | Empty_btree -> []
+let to_list t = List.init t.n (fun i -> (t.keys.(i), t.values.(i)))
+

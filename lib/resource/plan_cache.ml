@@ -10,20 +10,18 @@ type lookup = Exact | Nearest_neighbor of float | Weighted_average of float
    themselves to, and keeps the sorted indexes free of intrusive links. *)
 type t = {
   indexes : (string, Resources.t Ordered_index.t) Hashtbl.t;
-  backend : Ordered_index.backend;
   capacity : int option;
   stamps : (string * float, int) Hashtbl.t;
   mutable clock : int;
 }
 
-let create ?(backend = Ordered_index.Sorted_array) ?capacity () =
+let create ?capacity () =
   (match capacity with
   | Some c when c < 1 -> invalid_arg "Plan_cache.create: capacity must be >= 1"
   | Some _ | None -> ());
-  { indexes = Hashtbl.create 16; backend; capacity; stamps = Hashtbl.create 16; clock = 0 }
+  { indexes = Hashtbl.create 16; capacity; stamps = Hashtbl.create 16; clock = 0 }
 
 let capacity t = t.capacity
-let backend t = t.backend
 
 let touch t key data_gb =
   match t.capacity with
@@ -133,7 +131,7 @@ let insert ?counters t ~key ~data_gb resources =
     match Hashtbl.find_opt t.indexes key with
     | Some idx -> idx
     | None ->
-        let idx = Ordered_index.create t.backend in
+        let idx = Ordered_index.create () in
         Hashtbl.add t.indexes key idx;
         idx
   in

@@ -1,10 +1,8 @@
 (** The resource-plan cache (paper Section VI-B3): for each cost model and
     sub-plan kind, an in-memory sorted index from data characteristics (the
     smaller input size) to the best resource configuration previously
-    computed for them. Backed by a sorted, auto-resizing array with binary
-    search by default (as in the paper's prototype), or by a B+-tree for
-    large workloads (the paper's CSB+-tree suggestion) — see
-    {!Ordered_index.backend}. *)
+    computed for them, backed by a sorted, auto-resizing array with binary
+    search as in the paper's prototype ({!Ordered_index}). *)
 
 type t
 
@@ -18,21 +16,17 @@ type lookup =
       (** inverse-distance-weighted average of the entries within the
           threshold (paper: HC+Caching_WA) *)
 
-(** [create ()] builds an empty cache. Default backend: the paper's sorted
-    array. [capacity] bounds the total entry count across keys: inserting
-    past it evicts least-recently-used entries (recency is refreshed by
-    inserts and by every lookup that consults the entry — exact hits, the
-    nearest-neighbor match, and each weighted-average contributor). The
-    default keeps the paper's unbounded behaviour, with zero bookkeeping
-    overhead on the lookup path.
+(** [create ()] builds an empty cache. [capacity] bounds the total entry count
+    across keys: inserting past it evicts least-recently-used entries (recency
+    is refreshed by inserts and by every lookup that consults the entry —
+    exact hits, the nearest-neighbor match, and each weighted-average
+    contributor). The default keeps the paper's unbounded behaviour, with zero
+    bookkeeping overhead on the lookup path.
     @raise Invalid_argument if [capacity < 1]. *)
-val create : ?backend:Ordered_index.backend -> ?capacity:int -> unit -> t
+val create : ?capacity:int -> unit -> t
 
 (** [capacity t] is the bound [t] was created with, if any. *)
 val capacity : t -> int option
-
-(** [backend t] is the index backend [t] was created with. *)
-val backend : t -> Ordered_index.backend
 
 (** [find t ~key ~data_gb lookup] queries the index for [key] (e.g.
     ["SMJ/join"]). Updates hit/miss counters in [counters] when given. *)

@@ -10,7 +10,6 @@ type cache_handle = Private of Plan_cache.t | Shared of Shared_plan_cache.t
 type t = {
   conditions : Raqo_cluster.Conditions.t;
   strategy : strategy;
-  pruned : bool;
   cache : cache_handle option;
   lookup : Plan_cache.lookup;
   counters : Counters.t;
@@ -18,13 +17,12 @@ type t = {
   scratch : Kernel.scratch;
 }
 
-let create ?(strategy = Hill_climb) ?(pruned = false) ?(cache = true)
+let create ?(strategy = Hill_climb) ?(cache = true)
     ?(lookup = Plan_cache.Exact) ?counters ?(kernel = true) ?cache_capacity
     ?shared_cache ?registry conditions =
   {
     conditions;
     strategy;
-    pruned;
     cache =
       (match shared_cache with
       | Some shared -> Some (Shared shared)
@@ -51,14 +49,10 @@ let fork t =
     cache =
       (match t.cache with
       | Some (Private cache) ->
-          Some
-            (Private
-               (Plan_cache.create ~backend:(Plan_cache.backend cache)
-                  ?capacity:(Plan_cache.capacity cache) ()))
+          Some (Private (Plan_cache.create ?capacity:(Plan_cache.capacity cache) ()))
       | (Some (Shared _) | None) as cache -> cache);
     scratch = Kernel.create_scratch ();
   }
-let pruned t = t.pruned
 let kernel_enabled t = t.use_kernel
 let scratch t = t.scratch
 
@@ -68,50 +62,37 @@ let m_kernel_searches = Raqo_obs.Metrics.counter "raqo_resource_search_kernel_to
 let m_scalar_searches = Raqo_obs.Metrics.counter "raqo_resource_search_scalar_total"
 
 (* Static span names: picked by branch, never built at runtime. *)
-let span_name strategy ~pruned ~kernel =
-  match (strategy, pruned, kernel) with
-  | Hill_climb, _, true -> "resource/hill-climb-kernel"
-  | Hill_climb, _, false -> "resource/hill-climb"
-  | Brute_force, true, true -> "resource/pruned-kernel"
-  | Brute_force, false, true -> "resource/sweep-kernel"
-  | Brute_force, true, false -> "resource/pruned"
-  | Brute_force, false, false -> "resource/brute-force"
+let span_name strategy ~kernel =
+  match (strategy, kernel) with
+  | Hill_climb, true -> "resource/hill-climb-kernel"
+  | Hill_climb, false -> "resource/hill-climb"
+  | Brute_force, true -> "resource/sweep-kernel"
+  | Brute_force, false -> "resource/brute-force"
 
-let search ?start ?bound ?kernel t cost =
+let search ?start ?kernel t cost =
   let kernel = if t.use_kernel then kernel else None in
   let span =
     if not (Raqo_obs.Obs.enabled ()) then Raqo_obs.Trace.none
     else begin
       Raqo_obs.Metrics.Counter.inc
         (match kernel with Some _ -> m_kernel_searches | None -> m_scalar_searches);
-      Raqo_obs.Trace.start
-        (span_name t.strategy ~pruned:t.pruned ~kernel:(Option.is_some kernel))
+      Raqo_obs.Trace.start (span_name t.strategy ~kernel:(Option.is_some kernel))
     end
   in
   let result =
     match (t.strategy, kernel) with
-  | Hill_climb, Some k -> Hill_climb.plan_kernel ~counters:t.counters ?start t.conditions k
-  | Hill_climb, None -> Hill_climb.plan ~counters:t.counters ?start t.conditions cost
-  | Brute_force, Some k ->
-      (* Kernels compile only where region bounds exist (the paper feature
-         space), so the pruned planner never needs the caller's [bound] here. *)
-      if t.pruned then
-        Brute_force.search_pruned_kernel ~counters:t.counters t.conditions ~kernel:k
-          ~scratch:t.scratch
-      else Brute_force.search_kernel ~counters:t.counters t.conditions ~kernel:k ~scratch:t.scratch
-    | Brute_force, None -> begin
-        match (t.pruned, bound) with
-        | true, Some bound ->
-            Brute_force.search_pruned ~counters:t.counters t.conditions ~bound cost
-        | _ -> Brute_force.search ~counters:t.counters t.conditions cost
-      end
+    | Hill_climb, Some k -> Hill_climb.plan_kernel ~counters:t.counters ?start t.conditions k
+    | Hill_climb, None -> Hill_climb.plan ~counters:t.counters ?start t.conditions cost
+    | Brute_force, Some k ->
+        Brute_force.search_kernel ~counters:t.counters t.conditions ~kernel:k ~scratch:t.scratch
+    | Brute_force, None -> Brute_force.search ~counters:t.counters t.conditions cost
   in
   Raqo_obs.Trace.finish span;
   result
 
-let plan ?start ?bound ?kernel t ~key ~data_gb ~cost =
+let plan ?start ?kernel t ~key ~data_gb ~cost =
   match t.cache with
-  | None -> search ?start ?bound ?kernel t cost
+  | None -> search ?start ?kernel t cost
   | Some handle -> begin
       (* The shared handle records hits/misses in the planner's own counters
          too (the striped cache's internal counters are the cross-planner
@@ -138,7 +119,7 @@ let plan ?start ?bound ?kernel t ~key ~data_gb ~cost =
           in
           (cached, c)
       | None ->
-          let resources, best = search ?start ?bound ?kernel t cost in
+          let resources, best = search ?start ?kernel t cost in
           (match handle with
           | Private cache -> Plan_cache.insert ~counters:t.counters cache ~key ~data_gb resources
           | Shared shared -> Shared_plan_cache.insert shared ~key ~data_gb resources);

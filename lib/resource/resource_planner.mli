@@ -6,15 +6,11 @@ type strategy = Brute_force | Hill_climb
 
 type t
 
-(** [create ?strategy ?pruned ?cache ?lookup ?counters conditions] builds a
-    planner. Defaults: hill climbing, no pruning, caching enabled,
-    exact-match lookup, private counters.
+(** [create ?strategy ?cache ?lookup ?counters conditions] builds a
+    planner. Defaults: hill climbing, caching enabled, exact-match lookup,
+    private counters.
 
-    [pruned] switches the brute-force strategy to branch-and-bound
-    ({!Brute_force.search_pruned}) whenever the caller supplies a cost lower
-    bound to {!plan}; calls without a bound (and hill climbing) are
-    unaffected, so results are always identical to the exhaustive scan —
-    only the evaluation counts drop. [counters] shares an existing (atomic)
+    [counters] shares an existing (atomic)
     instrument — parallel randomized restarts give each restart its own
     planner but one shared counter set so the aggregate figures survive.
     Every search runs on the calling domain. The cache, when
@@ -40,7 +36,6 @@ type t
     [counters] is not supplied (see {!Counters.create}). *)
 val create :
   ?strategy:strategy ->
-  ?pruned:bool ->
   ?cache:bool ->
   ?lookup:Plan_cache.lookup ->
   ?counters:Counters.t ->
@@ -50,9 +45,6 @@ val create :
   ?registry:Raqo_obs.Metrics.registry ->
   Raqo_cluster.Conditions.t ->
   t
-
-(** [pruned t] reports whether branch-and-bound pruning is enabled. *)
-val pruned : t -> bool
 
 (** [kernel_enabled t] reports whether this planner accepts compiled kernels
     from {!plan} (the [?kernel] creation flag). *)
@@ -71,14 +63,14 @@ val conditions : t -> Raqo_cluster.Conditions.t
 val with_conditions : t -> Raqo_cluster.Conditions.t -> t
 
 (** [fork t] is a private copy for another domain or restart: identical
-    configuration (strategy, pruning, lookup, kernel setting, conditions)
-    and shared atomic counters, but a fresh, empty plan cache (same backend
-    and capacity bound) and fresh kernel scratch — the two pieces of
-    single-writer state. A planner created over a [shared_cache] keeps the
-    same (synchronized) handle across forks — cross-query, cross-domain
-    reuse is what the shared cache is for. With the default exact-match
-    cache lookup a fork returns the same (configuration, cost) answers as
-    the original, so parallel planners hand one fork to each worker. *)
+    configuration (strategy, lookup, kernel setting, conditions) and shared
+    atomic counters, but a fresh, empty plan cache (same capacity bound) and
+    fresh kernel scratch — the two pieces of single-writer state. A planner
+    created over a [shared_cache] keeps the same (synchronized) handle across
+    forks — cross-query, cross-domain reuse is what the shared cache is for.
+    With the default exact-match cache lookup a fork returns the same
+    (configuration, cost) answers as the original, so parallel planners hand
+    one fork to each worker. *)
 val fork : t -> t
 
 (** [plan t ~key ~data_gb ~cost] returns the chosen configuration and its
@@ -92,11 +84,6 @@ val fork : t -> t
     below a memory threshold — should pass their smallest feasible
     configuration, or the climb never escapes the infinite-cost plateau.
 
-    [bound ~lo ~hi] is an optional lower bound on [cost] over resource
-    boxes (see {!Raqo_cost.Op_cost.region_lower_bound}); it is consulted
-    only when this planner was created with [~pruned:true] under the
-    brute-force strategy, and ignored otherwise.
-
     [kernel] is a compiled form of [cost] (same model, same impl, same
     [data_gb] — see {!Raqo_cost.Kernel.make}); when given and the planner
     was created with [~kernel:true], searches and cache-hit re-costing run
@@ -107,7 +94,6 @@ val fork : t -> t
     returns [None]) and keep the scalar path. *)
 val plan :
   ?start:Raqo_cluster.Resources.t ->
-  ?bound:(lo:Raqo_cluster.Resources.t -> hi:Raqo_cluster.Resources.t -> float) ->
   ?kernel:Raqo_cost.Kernel.t ->
   t ->
   key:string ->

@@ -21,7 +21,6 @@ type shard = { mutex : Mutex.t; cache : Plan_cache.t }
 type t = {
   shards : shard array;
   per_shard_capacity : int option;
-  backend : Ordered_index.backend;
   hits : M.Counter.t;
   misses : M.Counter.t;
   evictions : M.Counter.t;
@@ -34,8 +33,7 @@ type t = {
   g_entries : M.Gauge.t;
 }
 
-let create ?(backend = Ordered_index.Sorted_array) ?(shards = 8) ?capacity
-    ?(registry = M.default) () =
+let create ?(shards = 8) ?capacity ?(registry = M.default) () =
   if shards < 1 then invalid_arg "Shared_plan_cache.create: shards must be >= 1";
   (match capacity with
   | Some c when c < 1 -> invalid_arg "Shared_plan_cache.create: capacity must be >= 1"
@@ -48,10 +46,9 @@ let create ?(backend = Ordered_index.Sorted_array) ?(shards = 8) ?capacity
       Array.init shards (fun _ ->
           {
             mutex = Mutex.create ();
-            cache = Plan_cache.create ~backend ?capacity:per_shard_capacity ();
+            cache = Plan_cache.create ?capacity:per_shard_capacity ();
           });
     per_shard_capacity;
-    backend;
     hits = M.Counter.create ();
     misses = M.Counter.create ();
     evictions = M.Counter.create ();
@@ -66,7 +63,6 @@ let create ?(backend = Ordered_index.Sorted_array) ?(shards = 8) ?capacity
 
 let shard_count t = Array.length t.shards
 let per_shard_capacity t = t.per_shard_capacity
-let backend t = t.backend
 
 (* Route by the key string only: all data characteristics of one key must
    land in the same shard for range lookups to see them. *)

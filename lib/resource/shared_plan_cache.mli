@@ -23,14 +23,12 @@
 
 type t
 
-(** [create ()] builds an empty cache with 8 shards, the paper's sorted-array
-    backend and no capacity bound. [capacity] is the {e total} entry bound,
-    split evenly into per-shard LRU bounds of [ceil (capacity / shards)].
-    [registry] receives the observability mirrors (default: the process-wide
-    registry).
+(** [create ()] builds an empty cache with 8 shards and no capacity bound.
+    [capacity] is the {e total} entry bound, split evenly into per-shard LRU
+    bounds of [ceil (capacity / shards)]. [registry] receives the
+    observability mirrors (default: the process-wide registry).
     @raise Invalid_argument when [shards < 1] or [capacity < 1]. *)
 val create :
-  ?backend:Ordered_index.backend ->
   ?shards:int ->
   ?capacity:int ->
   ?registry:Raqo_obs.Metrics.registry ->
@@ -41,8 +39,6 @@ val shard_count : t -> int
 
 (** [per_shard_capacity t] is the LRU bound each shard enforces, if any. *)
 val per_shard_capacity : t -> int option
-
-val backend : t -> Ordered_index.backend
 
 (** [shard_of t ~key] is the shard index [key] routes to (all data
     characteristics of one key share a shard; test hook). *)

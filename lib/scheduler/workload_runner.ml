@@ -175,16 +175,11 @@ let default_planner engine ~resources =
    resource planner (cache sharing stays opt-in and single-domain via
    [raqo_planner ~cache_across_queries]), so the planning phase fans out
    across the pool while the FIFO execution phase stays sequential. *)
-let optimize_batch ?pool ?memoize ~model ~conditions schema submissions =
+let optimize_batch ?pool ~model ~conditions schema submissions =
   let plan_query submission =
     let planner schema relations =
       let rp = Raqo_resource.Resource_planner.create conditions in
       let coster = Raqo_planner.Coster.raqo model schema rp in
-      let coster =
-        match memoize with
-        | Some true -> Raqo_planner.Coster.memoize coster
-        | Some false | None -> coster
-      in
       Option.map fst (Raqo_planner.Selinger.optimize coster schema relations)
     in
     plan_one ~planner schema submission
@@ -193,5 +188,5 @@ let optimize_batch ?pool ?memoize ~model ~conditions schema submissions =
   | None -> List.map plan_query submissions
   | Some pool -> Raqo_par.Pool.parallel_map pool plan_query submissions
 
-let run_batch ?pool ?memoize engine ~model ~conditions schema submissions =
-  execute engine schema (optimize_batch ?pool ?memoize ~model ~conditions schema submissions)
+let run_batch ?pool engine ~model ~conditions schema submissions =
+  execute engine schema (optimize_batch ?pool ~model ~conditions schema submissions)

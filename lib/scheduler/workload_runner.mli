@@ -75,29 +75,26 @@ val execute :
   planned list ->
   summary * query_outcome list
 
-(** [optimize_batch ?pool ?memoize ~model ~conditions schema submissions]
-    plans every submission with cost-based RAQO (Selinger over a
-    per-query resource planner, optionally a {!Raqo_planner.Coster.memoize}d
-    coster), concurrently across [pool]'s domains when given. Each query gets
+(** [optimize_batch ?pool ~model ~conditions schema submissions] plans every
+    submission with cost-based RAQO (Selinger over a per-query resource
+    planner), concurrently across [pool]'s domains when given. Each query gets
     a private resource planner and cache, so queries are independent and the
     output order matches the input order regardless of pool size; sharing a
-    cache across queries remains the opt-in, single-domain
-    [raqo_planner ~cache_across_queries] path. *)
+    cache across queries remains the opt-in, single-domain [raqo_planner
+    ~cache_across_queries] path. *)
 val optimize_batch :
   ?pool:Raqo_par.Pool.t ->
-  ?memoize:bool ->
   model:Raqo_cost.Op_cost.t ->
   conditions:Raqo_cluster.Conditions.t ->
   Raqo_catalog.Schema.t ->
   submission list ->
   planned list
 
-(** [run_batch ?pool ?memoize engine ~model ~conditions schema submissions]
+(** [run_batch ?pool engine ~model ~conditions schema submissions]
     is {!optimize_batch} followed by {!execute}: parallel planning, FIFO
     simulation. *)
 val run_batch :
   ?pool:Raqo_par.Pool.t ->
-  ?memoize:bool ->
   Raqo_execsim.Engine.t ->
   model:Raqo_cost.Op_cost.t ->
   conditions:Raqo_cluster.Conditions.t ->

@@ -62,8 +62,8 @@ let conditions =
 (* In-grid fixed configuration for the two-step ("QO") baseline arms. *)
 let fixed_resources = Resources.make ~containers:4 ~container_gb:3.0
 
-(* Floored model: non-negative join costs make bound-pruning sound and give
-   the cost-ordering relations below their meaning. *)
+(* Floored model: non-negative join costs give the cost-ordering relations
+   below their meaning. *)
 let model = Op_cost.with_floor 0.01 Op_cost.paper
 
 (* Relative tolerance for cross-arm cost comparisons: the same join set can
@@ -107,13 +107,7 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
   in
 
   (* ------------------------------------------- fixed-resource planner arms *)
-  let sel_coster, sel_invocations = Coster.counting (fixed "selinger") in
-  let sel = validate "selinger" (Selinger.optimize sel_coster schema rels) in
-  let sel_pruned =
-    validate "selinger-pruned" (fst (Selinger.optimize_pruned (fixed "selinger-pruned") schema rels))
-  in
-  let memo_inner, memo_invocations = Coster.counting (fixed "selinger-memo") in
-  let sel_memo = validate "selinger+memo" (Selinger.optimize (Coster.memoize memo_inner) schema rels) in
+  let sel = validate "selinger" (Selinger.optimize (fixed "selinger") schema rels) in
   let dpsub = if n <= 14 then validate "dpsub" (Dpsub.optimize (fixed "dpsub") schema rels) else None in
   let exhaustive =
     if n <= 7 then validate "exhaustive" (Exhaustive.optimize (fixed "exhaustive") schema rels)
@@ -141,20 +135,11 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
     (cost dpsub) (cost rand_seq);
   relate "oracle/selinger-above-greedy" "Selinger DP must be <= greedy left-deep" leq (cost sel)
     greedy;
-  relate "oracle/pruned-vs-plain" "bound-pruned Selinger must keep the optimum" approx_eq
-    (cost sel_pruned) (cost sel);
-  relate "oracle/memo-vs-plain" "memoized coster must not change the Selinger optimum" approx_eq
-    (cost sel_memo) (cost sel);
   if n <= 3 then
     (* With <= 3 relations every cartesian-free bushy tree is left-deep up to
        mirroring, which symmetric costers cannot distinguish. *)
     relate "oracle/selinger-vs-dpsub-small" "left-deep and bushy DP coincide for n <= 3"
       approx_eq (cost sel) (cost dpsub);
-  if sel_memo <> None && memo_invocations () > sel_invocations () then
-    add
-      [ D.v ~invariant:"oracle/memo-extra-lookups"
-          "memoized coster issued %d underlying lookups, plain Selinger %d" (memo_invocations ())
-          (sel_invocations ()) ];
 
   (* Parallel randomized restarts must be bit-identical to sequential for a
      fixed seed (pre-split restart RNGs, order-preserving pool). *)
@@ -223,14 +208,6 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
       identical "oracle/mask-selinger" "Selinger"
         (Selinger.optimize_masked m ctx, mc ())
         (Selinger.optimize_reference s schema rels, sc ());
-      let m, mc, s, sc = pair () in
-      identical "oracle/mask-selinger-pruned" "bound-pruned Selinger"
-        (Selinger.optimize_pruned_masked m ctx, mc ())
-        (Selinger.optimize_pruned_reference s schema rels, sc ());
-      let m, mc, s, sc = pair () in
-      identical "oracle/mask-selinger-memo" "memoized Selinger"
-        (Selinger.optimize_masked (Coster.memoize_masked ctx m) ctx, mc ())
-        (Selinger.optimize_reference (Coster.memoize s) schema rels, sc ());
       if n <= 14 then begin
         let m, mc, s, sc = pair () in
         identical "oracle/mask-dpsub" "bushy DP"
@@ -248,48 +225,12 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
         (Randomized.optimize_masked (Rng.create rand_seed) m ctx, mc ())
         (Randomized.optimize (Rng.create rand_seed) s schema rels, sc ()));
 
-  (* ------------------------------------------------ pruned resource search *)
-  (* Branch-and-bound over the resource grid must return exactly what the
-     exhaustive scan returns — configuration, cost, and tie-breaks — for
-     every join implementation across a spread of build-side sizes (feasible
-     everywhere, partially feasible, and all-infeasible for BHJ). *)
-  List.iter
-    (fun impl ->
-      List.iter
-        (fun small_gb ->
-          match Op_cost.region_lower_bound model impl ~small_gb with
-          | None -> ()
-          | Some bound ->
-              let cost r = Op_cost.predict_exn model impl ~small_gb ~resources:r in
-              let exhaustive_counters = Counters.create () in
-              let pruned_counters = Counters.create () in
-              let exact = Brute_force.search ~counters:exhaustive_counters conditions cost in
-              let pruned =
-                Brute_force.search_pruned ~counters:pruned_counters conditions ~bound cost
-              in
-              if exact <> pruned then
-                add
-                  [ D.v ~invariant:"oracle/pruned-grid-vs-exhaustive"
-                      "pruned grid search diverged for %s at %.2f GB (%.6f vs %.6f)"
-                      (Join_impl.to_string impl) small_gb (snd pruned) (snd exact) ];
-              if
-                Counters.cost_evaluations pruned_counters
-                > Counters.cost_evaluations exhaustive_counters
-              then
-                add
-                  [ D.v ~invariant:"oracle/pruned-extra-evals"
-                      "pruned grid search costed %d configs, exhaustive %d, for %s at %.2f GB"
-                      (Counters.cost_evaluations pruned_counters)
-                      (Counters.cost_evaluations exhaustive_counters)
-                      (Join_impl.to_string impl) small_gb ])
-        [ 0.1; 1.0; 3.0; 8.0; 25.0 ])
-    Join_impl.all;
-
   (* ------------------------------------------------ compiled cost kernels *)
   (* The kernel path must be bit-identical to the scalar oracle baseline —
      same floats at every grid point, same winners and tie-breaks from every
-     search, same evaluation counts — across both join implementations and
-     the same build-side size spread as the pruned arms. *)
+     search, same evaluation counts — across both join implementations and a
+     spread of build-side sizes (feasible everywhere, partially feasible, and
+     all-infeasible for BHJ). *)
   let scratch = Raqo_cost.Kernel.create_scratch () in
   List.iter
     (fun impl ->
@@ -332,24 +273,6 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
                       "kernel sweep counted %d evaluations, scalar %d, for %s at %.2f GB"
                       (Counters.cost_evaluations kc) (Counters.cost_evaluations sc)
                       (Join_impl.to_string impl) small_gb ];
-              (* Pruned search: kernel bounds replicate the scalar bound
-                 closure, so the visit pattern — hence result and distinct
-                 evaluation count — must match exactly. *)
-              (match Op_cost.region_lower_bound model impl ~small_gb with
-              | None -> ()
-              | Some bound ->
-                  let kc = Counters.create () and sc = Counters.create () in
-                  let kp =
-                    Brute_force.search_pruned_kernel ~counters:kc conditions ~kernel ~scratch
-                  in
-                  let sp = Brute_force.search_pruned ~counters:sc conditions ~bound cost in
-                  if kp <> sp || Counters.cost_evaluations kc <> Counters.cost_evaluations sc
-                  then
-                    add
-                      [ D.v ~invariant:"oracle/kernel-pruned-vs-scalar"
-                          "kernel pruned search diverged for %s at %.2f GB (%d evals vs %d)"
-                          (Join_impl.to_string impl) small_gb (Counters.cost_evaluations kc)
-                          (Counters.cost_evaluations sc) ]);
               (* Hill climbing probes through the kernel must trace the same
                  trajectory: same optimum, same cost, same evaluations. *)
               let kc = Counters.create () and sc = Counters.create () in
@@ -377,12 +300,10 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
   (* Joint planning with kernels on must be bit-identical to kernels off —
      plans, costs, and instrumentation — under both search strategies. *)
   List.iter
-    (fun (label, strategy, pruned) ->
+    (fun (label, strategy) ->
       let run kernel =
         let counters = Counters.create () in
-        let rp =
-          Resource_planner.create ~strategy ~pruned ~cache:false ~kernel ~counters conditions
-        in
+        let rp = Resource_planner.create ~strategy ~cache:false ~kernel ~counters conditions in
         let coster = fault ~arm:("raqo-kernel-" ^ label) (Coster.raqo model schema rp) in
         let result = Selinger.optimize coster schema rels in
         (result, Counters.cost_evaluations counters, Counters.planner_invocations counters)
@@ -392,24 +313,7 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
         add
           [ D.v ~invariant:"oracle/kernel-joint-vs-scalar"
               "kernelised joint planning (%s) diverged from the scalar path" label ])
-    [
-      ("bf", Resource_planner.Brute_force, false);
-      ("bf-pruned", Resource_planner.Brute_force, true);
-      ("hc", Resource_planner.Hill_climb, false);
-    ];
-
-  (* The pruned joint arm must be bit-identical to the uncached exhaustive
-     arm: same plan, same cost, never more cost-model evaluations. *)
-  let rp_pruned =
-    Resource_planner.create ~strategy:Resource_planner.Brute_force ~pruned:true ~cache:false
-      conditions
-  in
-  let pruned_coster = fault ~arm:"raqo-bf-pruned" (Coster.raqo model schema rp_pruned) in
-  let raqo_bf_pruned = validate "raqo-bf-pruned" (Selinger.optimize pruned_coster schema rels) in
-  relate "oracle/raqo-pruned-vs-exhaustive"
-    "pruned resource search must pick the exhaustive joint optimum"
-    (fun a b -> a = b)
-    (cost raqo_bf_pruned) (cost raqo_bf_nocache);
+    [ ("bf", Resource_planner.Brute_force); ("hc", Resource_planner.Hill_climb) ];
 
   (* Resource-plan cache answers must stay within their lookup radius and
      reproduce the stored entries (exercises every lookup policy against the

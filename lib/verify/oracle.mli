@@ -1,6 +1,6 @@
 (** Cross-planner differential oracle. One random instance (schema + query)
-    is driven through every planner (Selinger, pruned Selinger, memoized
-    Selinger, DPsub, exhaustive, randomized Trummer–Koch), every
+    is driven through every planner (Selinger, DPsub, exhaustive,
+    randomized Trummer–Koch), every
     resource-planning mode (fixed two-step baseline, joint brute force with
     and without the resource-plan cache, joint hill climbing), and both
     sequential and parallel execution ([jobs]); the relations that must hold
@@ -13,8 +13,6 @@
     - exhaustive <= Selinger and DPsub <= Selinger (bushy space contains
       left-deep), with equality for queries of <= 3 relations;
     - DPsub <= randomized search; Selinger <= greedy left-deep;
-    - bound-pruned Selinger = plain Selinger (non-negative floored costs);
-    - memoized coster = plain coster, and never more underlying lookups;
     - parallel randomized restarts are bit-identical to their sequential
       counterparts for a fixed seed;
     - joint brute force <= joint hill climbing <= nothing (local optima),
@@ -45,7 +43,7 @@ val pp_instance : Format.formatter -> instance -> unit
 
 (** A fault injects a wrapper around the coster of the named oracle arm —
     the hook tests use to prove the oracle catches broken costers (arms:
-    ["selinger"], ["selinger-pruned"], ["selinger-memo"], ["dpsub"],
+    ["selinger"], ["dpsub"],
     ["exhaustive"], ["randomized"], ["randomized-par"], ["greedy"],
     ["raqo-bf"], ["raqo-bf-nocache"], ["raqo-hc"]). *)
 type fault = arm:string -> Raqo_planner.Coster.t -> Raqo_planner.Coster.t

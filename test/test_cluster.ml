@@ -74,7 +74,25 @@ let test_conditions_scale_capacity () =
 
 let test_conditions_rejects_bad () =
   Alcotest.check_raises "bounds" (Invalid_argument "Conditions.make: bad container bounds")
-    (fun () -> ignore (Conditions.make ~min_containers:10 ~max_containers:5 ()))
+    (fun () -> ignore (Conditions.make ~min_containers:10 ~max_containers:5 ()));
+  Alcotest.check_raises "no containers" (Invalid_argument "Conditions.make: bad container bounds")
+    (fun () -> ignore (Conditions.make ~max_containers:0 ()));
+  List.iter
+    (fun max_gb ->
+      Alcotest.check_raises
+        (Printf.sprintf "max_gb %g" max_gb)
+        (Invalid_argument "Conditions.make: bad memory bounds")
+        (fun () -> ignore (Conditions.make ~max_gb ())))
+    [ 0.0; -1.0; Float.nan; Float.infinity ];
+  Alcotest.check_raises "nan min_gb" (Invalid_argument "Conditions.make: bad memory bounds")
+    (fun () -> ignore (Conditions.make ~min_gb:Float.nan ()));
+  List.iter
+    (fun gb_step ->
+      Alcotest.check_raises
+        (Printf.sprintf "gb_step %g" gb_step)
+        (Invalid_argument "Conditions.make: bad memory step")
+        (fun () -> ignore (Conditions.make ~gb_step ())))
+    [ 0.0; Float.nan; Float.infinity ]
 
 let prop_clamp_idempotent =
   QCheck.Test.make ~name:"clamp is idempotent and lands in bounds" ~count:100

@@ -263,18 +263,17 @@ let test_kernel_toggle_is_invisible () =
   in
   let strategies =
     [
-      ("hill climb", Raqo_resource.Resource_planner.Hill_climb, false);
-      ("brute force", Raqo_resource.Resource_planner.Brute_force, false);
-      ("pruned brute force", Raqo_resource.Resource_planner.Brute_force, true);
+      ("hill climb", Raqo_resource.Resource_planner.Hill_climb);
+      ("brute force", Raqo_resource.Resource_planner.Brute_force);
     ]
   in
   List.iter
     (fun (mname, model) ->
       List.iter
-        (fun (sname, strategy, pruned) ->
+        (fun (sname, strategy) ->
           let run kernel =
             let opt =
-              Cost_based.create ~resource_strategy:strategy ~pruned ~cache:false ~kernel
+              Cost_based.create ~resource_strategy:strategy ~cache:false ~kernel
                 ~model ~conditions:Conditions.default schema
             in
             let result = Cost_based.optimize opt Tpch.q5 in

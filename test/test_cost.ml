@@ -290,17 +290,13 @@ let extended_model =
   }
 
 let test_kernel_refuses_extended_space () =
-  (* Mirrors region_lower_bound: the extended space has decreasing monomials,
-     so neither kernels nor bounds exist there — callers keep the scalar
-     path. *)
+  (* The extended space has decreasing monomials the kernel's split does
+     not cover, so no kernel exists there — callers keep the scalar path. *)
   List.iter
     (fun impl ->
       Alcotest.(check bool)
         "no kernel for the extended space" true
         (Kernel.make extended_model impl ~small_gb:2.0 = None);
-      Alcotest.(check bool)
-        "no region bound for the extended space either" true
-        (Op_cost.region_lower_bound extended_model impl ~small_gb:2.0 = None);
       Alcotest.(check bool)
         "paper space does compile" true
         (Kernel.make floored impl ~small_gb:2.0 <> None))
@@ -353,25 +349,8 @@ let prop_kernel_sweep_bitwise =
         (fun idx (r : Resources.t) ->
           let cell = buf.(((idx / nc) * nc) + (idx mod nc)) in
           Int64.bits_of_float cell
-          = Int64.bits_of_float (Op_cost.predict_exn floored impl ~small_gb ~resources:r)
-          && Int64.bits_of_float cell
-             = Int64.bits_of_float
-                 (Kernel.point_at k c ~i:(idx mod nc) ~j:(idx / nc)))
+          = Int64.bits_of_float (Op_cost.predict_exn floored impl ~small_gb ~resources:r))
         (List.init n Fun.id) (Conditions.all_configs c))
-
-let prop_kernel_bound_bitwise =
-  (* The kernel's region bound must replicate the scalar bound closure so
-     pruned kernel searches make identical pruning decisions. *)
-  QCheck.Test.make ~name:"kernel region bound is bit-identical" ~count:200
-    QCheck.(
-      quad gen_impl (float_range 0.01 30.0) (pair (int_range 1 50) (int_range 0 49))
-        (pair (float_range 0.5 12.0) (float_range 0.0 8.0)))
-    (fun (impl, small_gb, (nc_lo, nc_extra), (gb_lo, gb_extra)) ->
-      let lo = res nc_lo gb_lo in
-      let hi = res (nc_lo + nc_extra) (gb_lo +. gb_extra) in
-      let k = Option.get (Kernel.make floored impl ~small_gb) in
-      let scalar = Option.get (Op_cost.region_lower_bound floored impl ~small_gb) in
-      Int64.bits_of_float (Kernel.bound k ~lo ~hi) = Int64.bits_of_float (scalar ~lo ~hi))
 
 let test_kernel_sweep_rejects_small_buffer () =
   let c = Conditions.make ~max_containers:4 ~max_gb:3.0 () in
@@ -478,10 +457,5 @@ let () =
           Alcotest.test_case "warm sweep allocates nothing" `Quick
             test_kernel_sweep_allocation_free;
         ]
-        @ qsuite
-            [
-              prop_kernel_predict_bitwise;
-              prop_kernel_sweep_bitwise;
-              prop_kernel_bound_bitwise;
-            ] );
+        @ qsuite [ prop_kernel_predict_bitwise; prop_kernel_sweep_bitwise ] );
     ]

@@ -193,7 +193,7 @@ let test_cost_based_par_matches_seq () =
 
 let test_randomized_vs_exhaustive () =
   (* On a query small enough for the exact bushy DP, no randomized variant —
-     sequential, pooled, memoized — may beat the exhaustive optimum, and all
+     sequential or pooled — may beat the exhaustive optimum, and all
      must agree with each other. *)
   let resources = Resources.make ~containers:10 ~container_gb:5.0 in
   let coster () = Raqo_planner.Coster.fixed model tpch resources in
@@ -211,74 +211,7 @@ let test_randomized_vs_exhaustive () =
   | None -> Alcotest.fail "randomized found no plan");
   Pool.with_pool ~jobs:4 (fun pool ->
       Alcotest.check joint_opt "pooled matches sequential" seq
-        (Raqo_planner.Randomized.optimize_par pool (Rng.create 3) ~coster tpch rels);
-      Alcotest.check joint_opt "pooled memoized matches sequential" seq
-        (Raqo_planner.Randomized.optimize_par pool (Rng.create 3)
-           ~coster:(fun () -> Raqo_planner.Coster.memoize (coster ()))
-           tpch rels))
-
-(* ----------------------------------------------------- oracle: memoize *)
-
-let test_memoize_same_plans () =
-  let resources = Resources.make ~containers:10 ~container_gb:5.0 in
-  List.iter
-    (fun (qname, rels) ->
-      let plain =
-        Raqo_planner.Selinger.optimize (Raqo_planner.Coster.fixed model tpch resources) tpch
-          rels
-      in
-      let memo =
-        Raqo_planner.Selinger.optimize
-          (Raqo_planner.Coster.memoize (Raqo_planner.Coster.fixed model tpch resources))
-          tpch rels
-      in
-      Alcotest.check joint_opt (qname ^ ": memoized Selinger unchanged") plain memo)
-    Tpch.evaluation_queries
-
-let test_memoize_caches_infeasible () =
-  (* A None best_join (no feasible implementation) is cached too. *)
-  let calls = ref 0 in
-  let never =
-    Raqo_planner.Coster.
-      {
-        best_join =
-          (fun ~left:_ ~right:_ ->
-            incr calls;
-            None);
-        name = "never";
-      }
-  in
-  let memo = Raqo_planner.Coster.memoize never in
-  Alcotest.(check bool) "miss" true
-    (memo.Raqo_planner.Coster.best_join ~left:[ "a" ] ~right:[ "b" ] = None);
-  Alcotest.(check bool) "hit" true
-    (memo.Raqo_planner.Coster.best_join ~left:[ "a" ] ~right:[ "b" ] = None);
-  Alcotest.(check bool) "mirrored hit" true
-    (memo.Raqo_planner.Coster.best_join ~left:[ "b" ] ~right:[ "a" ] = None);
-  Alcotest.(check int) "inner called once" 1 !calls;
-  Alcotest.(check string) "name tagged" "never+memo" memo.Raqo_planner.Coster.name
-
-let test_memoize_reduces_selinger_evals () =
-  (* The counter-verified saving: Selinger's DP costs mirrored relation-set
-     pairs, which the unordered memo key collapses — fewer resource-planner
-     cost evaluations for the same chosen plan. *)
-  List.iter
-    (fun (qname, rels) ->
-      let run memoize =
-        let opt =
-          Raqo.Cost_based.create ~memoize ~cache:false ~model ~conditions:Conditions.default
-            tpch
-        in
-        let result = Raqo.Cost_based.optimize opt rels in
-        (Counters.cost_evaluations (Raqo.Cost_based.counters opt), result)
-      in
-      let plain_evals, plain = run false in
-      let memo_evals, memo = run true in
-      Alcotest.check joint_opt (qname ^ ": same plan") plain memo;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: fewer evaluations (%d < %d)" qname memo_evals plain_evals)
-        true (memo_evals < plain_evals))
-    Tpch.evaluation_queries
+        (Raqo_planner.Randomized.optimize_par pool (Rng.create 3) ~coster tpch rels))
 
 (* --------------------------------------------------- oracle: workloads *)
 
@@ -342,10 +275,6 @@ let () =
           Alcotest.test_case "randomized par == seq" `Quick test_randomized_par_matches_seq;
           Alcotest.test_case "cost-based par == seq" `Quick test_cost_based_par_matches_seq;
           Alcotest.test_case "randomized vs exhaustive" `Quick test_randomized_vs_exhaustive;
-          Alcotest.test_case "memoize: same plans" `Quick test_memoize_same_plans;
-          Alcotest.test_case "memoize: caches infeasible" `Quick test_memoize_caches_infeasible;
-          Alcotest.test_case "memoize: fewer Selinger evals" `Quick
-            test_memoize_reduces_selinger_evals;
           Alcotest.test_case "workload batch == FIFO" `Quick test_batch_matches_fifo;
         ] );
     ]

@@ -268,50 +268,6 @@ let test_exhaustive_rejects_oversize () =
     (Invalid_argument "Exhaustive.all_shapes: too many relations") (fun () ->
       ignore (Exhaustive.all_shapes big (Schema.relation_names big)))
 
-(* --------------------------------------------------------------- Pruning *)
-
-let test_pruned_matches_unpruned_cost () =
-  (* Floored model: nonnegative costs, so pruning is sound and exact. *)
-  let coster = fixed_coster () in
-  List.iter
-    (fun (name, rels) ->
-      let plain = Selinger.optimize coster schema rels in
-      let pruned, _ = Selinger.optimize_pruned coster schema rels in
-      match (plain, pruned) with
-      | Some (_, a), Some (_, b) -> Alcotest.(check (float 1e-9)) (name ^ " same cost") a b
-      | _ -> Alcotest.failf "%s: both should plan" name)
-    Tpch.evaluation_queries
-
-let test_pruned_saves_invocations () =
-  let coster = fixed_coster () in
-  let _, unpruned =
-    (* Count baseline invocations via a wrapping coster. *)
-    let count = ref 0 in
-    let counting =
-      {
-        Coster.best_join =
-          (fun ~left ~right ->
-            incr count;
-            coster.Coster.best_join ~left ~right);
-        name = "counting";
-      }
-    in
-    let _ = Selinger.optimize counting schema Tpch.all in
-    ((), !count)
-  in
-  let _, pruned = Selinger.optimize_pruned coster schema Tpch.all in
-  Alcotest.(check bool)
-    (Printf.sprintf "pruned %d <= unpruned %d" pruned unpruned)
-    true (pruned <= unpruned)
-
-let test_pruned_with_raqo_coster () =
-  let planner = Raqo_resource.Resource_planner.create Conditions.default in
-  let coster = Coster.raqo model schema planner in
-  let result, _ = Selinger.optimize_pruned coster schema Tpch.q3 in
-  match (result, Selinger.optimize coster schema Tpch.q3) with
-  | Some (_, a), Some (_, b) -> Alcotest.(check (float 1e-9)) "same optimum" b a
-  | _ -> Alcotest.fail "plans expected"
-
 (* ----------------------------------------------------------------- DPsub *)
 
 let test_dpsub_matches_exhaustive () =
@@ -502,35 +458,13 @@ let test_interned_validation () =
   Alcotest.check_raises "unknown" (Invalid_argument "Interned.make: unknown zz") (fun () ->
       ignore (Interned.make schema [ "zz" ]))
 
-(* The extracted enumeration helpers against brute-force references: both the
-   set of values and the visiting order are part of the contract. *)
-let test_interned_subsets_of_size () =
-  for n = 0 to 12 do
-    for size = 0 to n + 1 do
-      let reference =
-        (* The documented contract: no subsets enumerated at size 0. *)
-        if size = 0 then []
-        else
-          List.filter
-            (fun m -> Interned.popcount m = size)
-            (List.init (1 lsl n) Fun.id)
-      in
-      Alcotest.(check (list int))
-        (Printf.sprintf "n=%d size=%d: ascending and complete" n size)
-        reference
-        (Interned.subsets_of_size ~n ~size)
-    done
-  done;
-  Alcotest.(check (list int)) "size 0 is empty" [] (Interned.subsets_of_size ~n:5 ~size:0);
-  Alcotest.(check (list int)) "size > n is empty" [] (Interned.subsets_of_size ~n:3 ~size:4);
-  Alcotest.check_raises "negative n"
-    (Invalid_argument "Interned.iter_subsets_of_size: bad n") (fun () ->
-      ignore (Interned.subsets_of_size ~n:(-1) ~size:1));
-  Alcotest.check_raises "n above the cap"
-    (Invalid_argument "Interned.iter_subsets_of_size: bad n") (fun () ->
-      ignore (Interned.subsets_of_size ~n:(Interned.max_relations + 1) ~size:1))
-
+(* The extracted split enumeration against its brute-force reference: both
+   the set of splits and the visiting order are part of the contract. *)
 let test_interned_fold_splits () =
+  let popcount m =
+    let rec go m acc = if m = 0 then acc else go (m land (m - 1)) (acc + 1) in
+    go m 0
+  in
   (* The historical inline loop the planners used, kept as the oracle. *)
   let reference mask =
     let low = mask land (-mask) in
@@ -556,7 +490,7 @@ let test_interned_fold_splits () =
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "splits of %#x in reference order" mask)
         want got;
-      let k = Interned.popcount mask in
+      let k = popcount mask in
       Alcotest.(check int)
         (Printf.sprintf "split count of %#x" mask)
         ((1 lsl (k - 1)) - 1)
@@ -594,16 +528,6 @@ let test_masked_selinger_bit_identical () =
       Alcotest.(check int) (name ^ ": same invocations") (sc ()) (mc ()))
     Tpch.evaluation_queries
 
-let test_masked_selinger_pruned_bit_identical () =
-  List.iter
-    (fun (name, rels) ->
-      let ctx, m, mc, s, sc = masked_and_reference_arms rels (fixed_coster ()) in
-      let masked = Selinger.optimize_pruned_masked m ctx in
-      let reference = Selinger.optimize_pruned_reference s schema rels in
-      Alcotest.(check bool) (name ^ ": same plan, cost, DP count") true (masked = reference);
-      Alcotest.(check int) (name ^ ": same coster invocations") (sc ()) (mc ()))
-    Tpch.evaluation_queries
-
 let test_masked_dpsub_bit_identical () =
   List.iter
     (fun (name, rels) ->
@@ -620,18 +544,6 @@ let test_masked_randomized_bit_identical () =
   let reference = Randomized.optimize (Rng.create 11) s schema Tpch.q2 in
   Alcotest.(check bool) "same plan and cost for one seed" true (masked = reference);
   Alcotest.(check int) "same invocations" (sc ()) (mc ())
-
-let test_masked_memoize_bit_identical () =
-  (* The mask memo must collapse exactly the pairs the string memo collapses:
-     same results AND the same number of underlying lookups. *)
-  List.iter
-    (fun (name, rels) ->
-      let ctx, m, mc, s, sc = masked_and_reference_arms rels (fixed_coster ()) in
-      let masked = Selinger.optimize_masked (Coster.memoize_masked ctx m) ctx in
-      let reference = Selinger.optimize_reference (Coster.memoize s) schema rels in
-      Alcotest.(check bool) (name ^ ": same plan and cost") true (masked = reference);
-      Alcotest.(check int) (name ^ ": same underlying lookups") (sc ()) (mc ()))
-    Tpch.evaluation_queries
 
 let test_masked_raqo_coster_bit_identical () =
   (* Joint arms: each side gets its own (deterministic) resource planner. *)
@@ -715,14 +627,6 @@ let () =
           Alcotest.test_case "simulator-coster consistency" `Quick
             test_selinger_with_simulator_coster;
         ]
-        @ [
-            Alcotest.test_case "pruned DP keeps the optimum" `Quick
-              test_pruned_matches_unpruned_cost;
-            Alcotest.test_case "pruning never costs more joins" `Quick
-              test_pruned_saves_invocations;
-            Alcotest.test_case "pruned DP with the RAQO coster" `Quick
-              test_pruned_with_raqo_coster;
-          ]
         @ qsuite [ prop_selinger_never_worse_than_greedy ] );
       ( "randomized",
         [
@@ -759,19 +663,13 @@ let () =
           Alcotest.test_case "connectivity matches the join graph" `Quick
             test_interned_connected_matches_graph;
           Alcotest.test_case "input validation" `Quick test_interned_validation;
-          Alcotest.test_case "subsets_of_size matches brute force" `Quick
-            test_interned_subsets_of_size;
           Alcotest.test_case "fold_splits matches the inline loop" `Quick
             test_interned_fold_splits;
           Alcotest.test_case "masked Selinger bit-identical" `Quick
             test_masked_selinger_bit_identical;
-          Alcotest.test_case "masked pruned Selinger bit-identical" `Quick
-            test_masked_selinger_pruned_bit_identical;
           Alcotest.test_case "masked DPsub bit-identical" `Quick test_masked_dpsub_bit_identical;
           Alcotest.test_case "masked randomized bit-identical" `Quick
             test_masked_randomized_bit_identical;
-          Alcotest.test_case "masked memoization bit-identical" `Quick
-            test_masked_memoize_bit_identical;
           Alcotest.test_case "masked RAQO coster bit-identical" `Quick
             test_masked_raqo_coster_bit_identical;
           Alcotest.test_case "public entry points = references" `Quick

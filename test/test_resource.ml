@@ -45,108 +45,13 @@ let test_brute_force_tie_break_stable () =
   Alcotest.(check int) "min containers" 1 best.Resources.containers;
   check_float "min memory" 1.0 best.Resources.container_gb
 
-(* --------------------------------------------------- Pruned brute force *)
+(* ------------------------------------------------ operator cost surfaces *)
 
 module Op_cost = Raqo_cost.Op_cost
 module Join_impl = Raqo_plan.Join_impl
 
 let model = Op_cost.with_floor 0.01 Op_cost.paper
 let op_cost impl ~small_gb r = Op_cost.predict_exn model impl ~small_gb ~resources:r
-
-let op_bound impl ~small_gb =
-  match Op_cost.region_lower_bound model impl ~small_gb with
-  | Some b -> b
-  | None -> Alcotest.failf "no region bound for %s" (Join_impl.to_string impl)
-
-let test_pruned_matches_exhaustive () =
-  (* Exact equality — configuration (ties included) and cost — on the
-     paper's default 1000-config grid, across both operators and data sizes
-     spanning the BHJ feasibility cliff. *)
-  let c = Conditions.default in
-  List.iter
-    (fun impl ->
-      List.iter
-        (fun small_gb ->
-          let cost = op_cost impl ~small_gb in
-          let exhaustive = Brute_force.search c cost in
-          let pruned =
-            Brute_force.search_pruned c ~bound:(op_bound impl ~small_gb) cost
-          in
-          if pruned <> exhaustive then
-            Alcotest.failf "%s small_gb=%g: pruned differs from exhaustive"
-              (Join_impl.to_string impl) small_gb)
-        [ 0.1; 0.5; 1.0; 2.0; 3.0; 6.0; 8.0; 25.0 ])
-    Join_impl.all
-
-let test_pruned_five_x_fewer_evals () =
-  (* The acceptance bar: branch-and-bound must cost <= 1/5 of the grid. *)
-  let c = Conditions.default in
-  let exhaustive = ref 0 and pruned = ref 0 in
-  List.iter
-    (fun impl ->
-      List.iter
-        (fun small_gb ->
-          let ke = Counters.create () and kp = Counters.create () in
-          let cost = op_cost impl ~small_gb in
-          let _ = Brute_force.search ~counters:ke c cost in
-          let _ =
-            Brute_force.search_pruned ~counters:kp c
-              ~bound:(op_bound impl ~small_gb) cost
-          in
-          exhaustive := !exhaustive + Counters.cost_evaluations ke;
-          pruned := !pruned + Counters.cost_evaluations kp)
-        [ 0.5; 2.0; 6.0 ])
-    Join_impl.all;
-  Alcotest.(check bool)
-    (Printf.sprintf "pruned %d <= exhaustive %d / 5" !pruned !exhaustive)
-    true
-    (!pruned * 5 <= !exhaustive)
-
-let test_pruned_bhj_partial_infeasibility () =
-  (* A data size feasible only in the upper memory range: the bound must
-     price infeasible boxes at infinity without clipping the true optimum. *)
-  let c = Conditions.default in
-  let small_gb = 6.0 in
-  let cost = op_cost Join_impl.Bhj ~small_gb in
-  let (re, ce) = Brute_force.search c cost in
-  let (rp, cp) =
-    Brute_force.search_pruned c ~bound:(op_bound Join_impl.Bhj ~small_gb) cost
-  in
-  Alcotest.(check bool) "partially feasible surface" true
-    (cost (Conditions.min_config c) = Float.infinity && ce < Float.infinity);
-  Alcotest.(check bool) "same config" true (Resources.equal re rp);
-  Alcotest.(check bool) "same cost" true (ce = cp)
-
-let test_pruned_all_infeasible_degenerate () =
-  (* BHJ with an impossibly large build side: every config is infinite, and
-     both searches must agree on the first-enumerated config at infinity. *)
-  let c = Conditions.default in
-  let small_gb = 1e6 in
-  let cost = op_cost Join_impl.Bhj ~small_gb in
-  Alcotest.(check bool) "all infeasible" true
-    (cost (Conditions.max_config c) = Float.infinity);
-  let (re, ce) = Brute_force.search c cost in
-  let (rp, cp) =
-    Brute_force.search_pruned c ~bound:(op_bound Join_impl.Bhj ~small_gb) cost
-  in
-  Alcotest.(check bool) "infinite cost" true (ce = Float.infinity && cp = Float.infinity);
-  Alcotest.(check bool) "same config" true (Resources.equal re rp);
-  Alcotest.(check int) "first config" 1 rp.Resources.containers;
-  check_float "first config memory" 1.0 rp.Resources.container_gb
-
-let prop_pruned_matches_exhaustive_random_grids =
-  QCheck.Test.make ~name:"pruned search equals exhaustive on random grids" ~count:50
-    QCheck.(triple (int_range 1 60) (int_range 1 12) (float_range 0.05 20.0))
-    (fun (ncs, ngbs, small_gb) ->
-      let c = Conditions.make ~max_containers:ncs ~max_gb:(float_of_int ngbs) () in
-      List.for_all
-        (fun impl ->
-          let cost = op_cost impl ~small_gb in
-          Brute_force.search c cost
-          = Brute_force.search_pruned c ~bound:(op_bound impl ~small_gb) cost)
-        Join_impl.all)
-
-(* ---------------------------------------------------------- Hill climbing *)
 
 let test_hill_climb_convex_exact () =
   let c = Conditions.default in
@@ -403,12 +308,10 @@ let prop_cache_nn_within_threshold =
 
 module Ordered_index = Raqo_resource.Ordered_index
 
-let both_backends f =
-  List.iter (fun b -> f b) [ Ordered_index.Sorted_array; Ordered_index.Btree ]
+let with_index f = f (Ordered_index.create ())
 
 let test_index_insert_find () =
-  both_backends (fun backend ->
-      let idx = Ordered_index.create backend in
+  with_index (fun idx ->
       Ordered_index.insert idx 3.0 "c";
       Ordered_index.insert idx 1.0 "a";
       Ordered_index.insert idx 2.0 "b";
@@ -417,8 +320,7 @@ let test_index_insert_find () =
       Alcotest.(check int) "size" 3 (Ordered_index.size idx))
 
 let test_index_overwrite () =
-  both_backends (fun backend ->
-      let idx = Ordered_index.create backend in
+  with_index (fun idx ->
       Ordered_index.insert idx 1.0 "old";
       Ordered_index.insert idx 1.0 "new";
       Alcotest.(check (option string)) "overwritten" (Some "new")
@@ -426,15 +328,13 @@ let test_index_overwrite () =
       Alcotest.(check int) "size 1" 1 (Ordered_index.size idx))
 
 let test_index_within () =
-  both_backends (fun backend ->
-      let idx = Ordered_index.create backend in
+  with_index (fun idx ->
       List.iter (fun k -> Ordered_index.insert idx k (string_of_float k)) [ 1.;2.;3.;4.;5. ];
       let hits = Ordered_index.within idx ~center:3.0 ~radius:1.0 in
       Alcotest.(check (list (float 1e-9))) "keys 2..4" [ 2.0; 3.0; 4.0 ] (List.map fst hits))
 
 let test_index_ordered_iteration () =
-  both_backends (fun backend ->
-      let idx = Ordered_index.create backend in
+  with_index (fun idx ->
       let rng = Raqo_util.Rng.create 3 in
       let keys = Array.init 500 (fun i -> float_of_int i) in
       Raqo_util.Rng.shuffle rng keys;
@@ -444,25 +344,8 @@ let test_index_ordered_iteration () =
       Alcotest.(check (list (float 1e-9))) "sorted"
         (List.init 500 float_of_int) listed)
 
-let test_btree_large_scale () =
-  (* Enough entries to force several levels of splits. *)
-  let idx = Ordered_index.create Ordered_index.Btree in
-  for i = 1 to 20_000 do
-    Ordered_index.insert idx (float_of_int ((i * 7919) mod 100_003)) i
-  done;
-  (* 7919 and 100003 are coprime: all keys distinct. *)
-  Alcotest.(check int) "20k entries" 20_000 (Ordered_index.size idx);
-  (* Every inserted key is findable. *)
-  for i = 1 to 100 do
-    let k = float_of_int ((i * 7919) mod 100_003) in
-    match Ordered_index.find_exact idx k with
-    | Some _ -> ()
-    | None -> Alcotest.failf "lost key %f" k
-  done
-
 let test_index_nearest_basic () =
-  both_backends (fun backend ->
-      let idx = Ordered_index.create backend in
+  with_index (fun idx ->
       Alcotest.(check (option (pair (float 1e-9) string))) "empty" None
         (Ordered_index.nearest idx ~center:1.0 ~radius:10.0);
       Ordered_index.insert idx 5.0 "five";
@@ -473,8 +356,7 @@ let test_index_nearest_basic () =
         (Ordered_index.nearest idx ~center:3.0 ~radius:0.5))
 
 let test_index_nearest_tie_goes_to_lower_key () =
-  both_backends (fun backend ->
-      let idx = Ordered_index.create backend in
+  with_index (fun idx ->
       Ordered_index.insert idx 2.0 "lo";
       Ordered_index.insert idx 4.0 "hi";
       match Ordered_index.nearest idx ~center:3.0 ~radius:5.0 with
@@ -482,21 +364,6 @@ let test_index_nearest_tie_goes_to_lower_key () =
           check_float "lower key wins the tie" 2.0 k;
           Alcotest.(check string) "its value" "lo" v
       | None -> Alcotest.fail "hit expected")
-
-let test_index_nearest_btree_across_leaves () =
-  (* Enough keys for several leaf splits; every probe sits exactly between
-     two keys, so ties must resolve to the lower one across leaf
-     boundaries. *)
-  let idx = Ordered_index.create Ordered_index.Btree in
-  for i = 0 to 999 do
-    Ordered_index.insert idx (float_of_int (2 * i)) i
-  done;
-  for p = 0 to 500 do
-    let center = float_of_int (2 * p) +. 1.0 in
-    match Ordered_index.nearest idx ~center ~radius:2.0 with
-    | Some (k, _) -> check_float "tie to lower" (float_of_int (2 * p)) k
-    | None -> Alcotest.fail "hit expected"
-  done
 
 let prop_nearest_matches_linear_scan =
   QCheck.Test.make ~name:"nearest equals a linear scan with lower-key ties" ~count:100
@@ -506,58 +373,21 @@ let prop_nearest_matches_linear_scan =
         (int_range 0 100) (int_range 0 20))
     (fun (keys, probe, radius) ->
       let center = float_of_int probe and radius = float_of_int radius in
-      List.for_all
-        (fun backend ->
-          let idx = Ordered_index.create backend in
-          List.iter (fun k -> Ordered_index.insert idx (float_of_int k) k) keys;
-          let expected =
-            (* to_list is ascending, so keeping the first minimum reproduces
-               the tie-to-lower-key contract. *)
-            List.fold_left
-              (fun acc (k, v) ->
-                let d = Float.abs (k -. center) in
-                match acc with
-                | None -> if d <= radius then Some (k, v) else None
-                | Some (bk, _) ->
-                    if d <= radius && d < Float.abs (bk -. center) then Some (k, v)
-                    else acc)
-              None (Ordered_index.to_list idx)
-          in
-          Ordered_index.nearest idx ~center ~radius = expected)
-        [ Ordered_index.Sorted_array; Ordered_index.Btree ])
-
-let prop_backends_agree =
-  (* Random (insert | lookup | range) traces produce identical results on
-     both backends. *)
-  QCheck.Test.make ~name:"sorted array and B+-tree agree" ~count:60
-    QCheck.(list_of_size Gen.(int_range 1 200) (pair (int_range 0 100) (int_range 0 2)))
-    (fun ops ->
-      let a = Ordered_index.create Ordered_index.Sorted_array in
-      let b = Ordered_index.create Ordered_index.Btree in
-      List.for_all
-        (fun (k, op) ->
-          let key = float_of_int k in
-          match op with
-          | 0 ->
-              Ordered_index.insert a key k;
-              Ordered_index.insert b key k;
-              true
-          | 1 -> Ordered_index.find_exact a key = Ordered_index.find_exact b key
-          | _ ->
-              Ordered_index.within a ~center:key ~radius:5.0
-              = Ordered_index.within b ~center:key ~radius:5.0)
-        ops
-      && Ordered_index.to_list a = Ordered_index.to_list b)
-
-let test_cache_btree_backend () =
-  let cache = Plan_cache.create ~backend:Ordered_index.Btree () in
-  for i = 1 to 300 do
-    Plan_cache.insert cache ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
-  done;
-  Alcotest.(check int) "300 entries" 300 (Plan_cache.size cache);
-  match Plan_cache.find cache ~key:"k" ~data_gb:150.2 (Plan_cache.Nearest_neighbor 0.5) with
-  | Some r -> Alcotest.(check int) "nearest" 150 r.Resources.containers
-  | None -> Alcotest.fail "hit expected"
+      let idx = Ordered_index.create () in
+      List.iter (fun k -> Ordered_index.insert idx (float_of_int k) k) keys;
+      let expected =
+        (* to_list is ascending, so keeping the first minimum reproduces the
+           tie-to-lower-key contract. *)
+        List.fold_left
+          (fun acc (k, v) ->
+            let d = Float.abs (k -. center) in
+            match acc with
+            | None -> if d <= radius then Some (k, v) else None
+            | Some (bk, _) ->
+                if d <= radius && d < Float.abs (bk -. center) then Some (k, v) else acc)
+          None (Ordered_index.to_list idx)
+      in
+      Ordered_index.nearest idx ~center ~radius = expected)
 
 (* ------------------------------------------------------ Resource_planner *)
 
@@ -621,40 +451,6 @@ let test_planner_reset () =
     (Counters.cost_evaluations (Resource_planner.counters planner));
   Alcotest.(check int) "cache emptied" 0 (Resource_planner.cache_size planner)
 
-let test_planner_pruned_brute_force () =
-  (* With ~pruned:true and a bound, the planner must return the exhaustive
-     optimum while evaluating a fraction of the 1000-config grid. *)
-  let planner =
-    Resource_planner.create ~strategy:Resource_planner.Brute_force ~pruned:true
-      ~cache:false Conditions.default
-  in
-  Alcotest.(check bool) "pruned flag" true (Resource_planner.pruned planner);
-  let small_gb = 2.0 in
-  let cost = op_cost Join_impl.Smj ~small_gb in
-  let baseline, baseline_cost = Brute_force.search Conditions.default cost in
-  let r, c =
-    Resource_planner.plan planner
-      ~bound:(op_bound Join_impl.Smj ~small_gb)
-      ~key:"smj/join" ~data_gb:small_gb ~cost
-  in
-  Alcotest.(check bool) "same config as exhaustive" true (Resources.equal r baseline);
-  check_float "same cost" baseline_cost c;
-  let evals = Counters.cost_evaluations (Resource_planner.counters planner) in
-  Alcotest.(check bool)
-    (Printf.sprintf "pruned evals %d <= 1000 / 5" evals)
-    true (evals * 5 <= 1000)
-
-let test_planner_pruned_without_bound_stays_exhaustive () =
-  let planner =
-    Resource_planner.create ~strategy:Resource_planner.Brute_force ~pruned:true
-      ~cache:false Conditions.default
-  in
-  let _ =
-    Resource_planner.plan planner ~key:"k" ~data_gb:1.0 ~cost:(bowl ~nc_opt:3 ~gb_opt:2.0)
-  in
-  Alcotest.(check int) "full grid without a bound" 1000
-    (Counters.cost_evaluations (Resource_planner.counters planner))
-
 let test_counters_add () =
   let a = Counters.create () and b = Counters.create () in
   Counters.record_evaluations a 3;
@@ -708,28 +504,6 @@ let test_search_kernel_tie_break_on_plateau () =
   Alcotest.(check bool) "same winner on the plateau" true (swept = scanned);
   Alcotest.(check int) "first config" 1 (fst swept).Resources.containers
 
-let test_search_pruned_kernel_matches_scalar () =
-  let c = Conditions.default in
-  let scratch = Kernel.create_scratch () in
-  List.iter
-    (fun impl ->
-      List.iter
-        (fun small_gb ->
-          let kp = Counters.create () and sp = Counters.create () in
-          let kernel = kernel_of impl ~small_gb in
-          let kerneled = Brute_force.search_pruned_kernel ~counters:kp c ~kernel ~scratch in
-          let scalar =
-            Brute_force.search_pruned ~counters:sp c ~bound:(op_bound impl ~small_gb)
-              (op_cost impl ~small_gb)
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s @ %.1f GB identical" (Join_impl.to_string impl) small_gb)
-            true (kerneled = scalar);
-          Alcotest.(check int) "identical distinct-evaluation count"
-            (Counters.cost_evaluations sp) (Counters.cost_evaluations kp))
-        [ 0.1; 2.0; 7.5; 1e6 ])
-    Join_impl.all
-
 let prop_kernel_searches_match_scalar_random_grids =
   QCheck.Test.make ~name:"kernel searches equal scalar searches on random grids" ~count:50
     QCheck.(triple (int_range 1 60) (int_range 1 12) (float_range 0.05 20.0))
@@ -740,9 +514,7 @@ let prop_kernel_searches_match_scalar_random_grids =
         (fun impl ->
           let kernel = kernel_of impl ~small_gb in
           let cost = op_cost impl ~small_gb in
-          Brute_force.search_kernel c ~kernel ~scratch = Brute_force.search c cost
-          && Brute_force.search_pruned_kernel c ~kernel ~scratch
-             = Brute_force.search_pruned c ~bound:(op_bound impl ~small_gb) cost)
+          Brute_force.search_kernel c ~kernel ~scratch = Brute_force.search c cost)
         Join_impl.all)
 
 let test_hill_climb_kernel_matches_scalar () =
@@ -861,13 +633,8 @@ let prop_cache_capacity_never_exceeded =
 
 (* ------------------------------------------------- ordered-index removal *)
 
-let with_index_backends f =
-  List.iter
-    (fun backend -> f (Ordered_index.create backend))
-    [ Ordered_index.Sorted_array; Ordered_index.Btree ]
-
 let test_index_remove_basic () =
-  with_index_backends (fun idx ->
+  with_index (fun idx ->
       List.iter (fun k -> Ordered_index.insert idx k (int_of_float k)) [ 5.0; 1.0; 3.0 ];
       Alcotest.(check bool) "removes present key" true (Ordered_index.remove idx 3.0);
       Alcotest.(check int) "size drops" 2 (Ordered_index.size idx);
@@ -878,31 +645,10 @@ let test_index_remove_basic () =
         "order preserved" [ 1.0; 5.0 ]
         (List.map fst (Ordered_index.to_list idx)))
 
-let test_index_remove_btree_across_leaves () =
-  (* Enough entries to force leaf splits; removals must stay consistent with
-     a reference model even when leaves empty out. *)
-  let idx = Ordered_index.create Ordered_index.Btree in
-  let n = 200 in
-  for i = 0 to n - 1 do
-    Ordered_index.insert idx (float_of_int i) i
-  done;
-  let expected = ref [] in
-  for i = n - 1 downto 0 do
-    if i mod 3 <> 0 then expected := (float_of_int i, i) :: !expected
-    else Alcotest.(check bool) "removed" true (Ordered_index.remove idx (float_of_int i))
-  done;
-  Alcotest.(check int) "size" (List.length !expected) (Ordered_index.size idx);
-  Alcotest.(check bool) "contents" true (Ordered_index.to_list idx = !expected);
-  (* Survivors stay findable and re-insertable after their neighbors left. *)
-  Alcotest.(check bool) "find survivor" true (Ordered_index.find_exact idx 100.0 = Some 100);
-  Ordered_index.insert idx 99.0 (-99);
-  Alcotest.(check bool) "reinsert into emptied region" true
-    (Ordered_index.find_exact idx 99.0 = Some (-99))
-
 (* -------------------------------------------- nearest: edge-case corpus *)
 
 let test_index_nearest_single_element () =
-  with_index_backends (fun idx ->
+  with_index (fun idx ->
       Ordered_index.insert idx 5.0 50;
       Alcotest.(check bool) "query below" true
         (Ordered_index.nearest idx ~center:1.0 ~radius:10.0 = Some (5.0, 50));
@@ -916,7 +662,7 @@ let test_index_nearest_single_element () =
 let test_index_nearest_duplicate_inserts () =
   (* Keys are unique: re-inserting overwrites, and nearest sees the latest
      value, never a stale duplicate. *)
-  with_index_backends (fun idx ->
+  with_index (fun idx ->
       Ordered_index.insert idx 2.0 1;
       Ordered_index.insert idx 2.0 2;
       Ordered_index.insert idx 2.0 3;
@@ -925,7 +671,7 @@ let test_index_nearest_duplicate_inserts () =
         (Ordered_index.nearest idx ~center:2.4 ~radius:1.0 = Some (2.0, 3)))
 
 let test_index_nearest_outside_key_range () =
-  with_index_backends (fun idx ->
+  with_index (fun idx ->
       List.iter (fun k -> Ordered_index.insert idx k (int_of_float k)) [ 10.0; 20.0; 30.0 ];
       Alcotest.(check bool) "below all keys snaps to the lowest" true
         (Ordered_index.nearest idx ~center:(-5.0) ~radius:100.0 = Some (10.0, 10));
@@ -935,38 +681,6 @@ let test_index_nearest_outside_key_range () =
         (Ordered_index.nearest idx ~center:(-5.0) ~radius:1.0 = None);
       Alcotest.(check bool) "above all keys, out of radius" true
         (Ordered_index.nearest idx ~center:99.0 ~radius:1.0 = None))
-
-let prop_nearest_backends_agree =
-  (* Array and B+-tree must answer identically on random key sets and random
-     probes — including after interleaved removals. *)
-  QCheck.Test.make ~name:"nearest: array and B+-tree backends agree" ~count:200
-    QCheck.(
-      triple
-        (list_of_size Gen.(int_range 1 40) (int_range 0 60))
-        (list_of_size Gen.(int_range 0 10) (int_range 0 60))
-        (list_of_size Gen.(int_range 1 20) (pair (int_range (-10) 70) (int_range 0 8))))
-    (fun (keys, removals, probes) ->
-      let arr = Ordered_index.create Ordered_index.Sorted_array in
-      let bt = Ordered_index.create Ordered_index.Btree in
-      List.iter
-        (fun k ->
-          Ordered_index.insert arr (float_of_int k) k;
-          Ordered_index.insert bt (float_of_int k) k)
-        keys;
-      List.iter
-        (fun k ->
-          let a = Ordered_index.remove arr (float_of_int k) in
-          let b = Ordered_index.remove bt (float_of_int k) in
-          if a <> b then QCheck.Test.fail_reportf "remove %d disagreed" k)
-        removals;
-      Ordered_index.size arr = Ordered_index.size bt
-      && List.for_all
-           (fun (center, radius) ->
-             Ordered_index.nearest arr ~center:(float_of_int center)
-               ~radius:(float_of_int radius)
-             = Ordered_index.nearest bt ~center:(float_of_int center)
-                 ~radius:(float_of_int radius))
-           probes)
 
 (* ------------------------------------------ planner kernel integration *)
 
@@ -1009,29 +723,6 @@ let test_planner_kernel_disabled_ignores_kernel () =
   Alcotest.(check bool) "scalar result" true
     (result = Brute_force.search Conditions.default (op_cost Join_impl.Smj ~small_gb:2.0));
   Alcotest.(check int) "scratch untouched" 0 (Kernel.allocs (Resource_planner.scratch planner))
-
-let test_planner_kernel_pruned_no_bound_needed () =
-  (* With a kernel in hand the pruned planner needs no caller bound: kernels
-     only compile where bounds exist, and carry their own. *)
-  let counters = Counters.create () in
-  let planner =
-    Resource_planner.create ~strategy:Resource_planner.Brute_force ~pruned:true ~cache:false
-      ~counters Conditions.default
-  in
-  let small_gb = 2.0 in
-  let kernel = kernel_of Join_impl.Bhj ~small_gb in
-  let kerneled =
-    Resource_planner.plan ~kernel planner ~key:"BHJ/join" ~data_gb:small_gb
-      ~cost:(op_cost Join_impl.Bhj ~small_gb)
-  in
-  let sc = Counters.create () in
-  let scalar =
-    Brute_force.search_pruned ~counters:sc Conditions.default
-      ~bound:(op_bound Join_impl.Bhj ~small_gb) (op_cost Join_impl.Bhj ~small_gb)
-  in
-  Alcotest.(check bool) "same result as scalar pruned" true (kerneled = scalar);
-  Alcotest.(check int) "same pruned evaluation count" (Counters.cost_evaluations sc)
-    (Counters.cost_evaluations counters)
 
 let test_planner_kernel_cache_hit_recosting () =
   (* On a cache hit the cached configuration is re-costed through the kernel:
@@ -1217,18 +908,6 @@ let () =
             test_brute_force_counts_every_config;
           Alcotest.test_case "stable tie-break" `Quick test_brute_force_tie_break_stable;
         ] );
-      ( "brute_force_pruned",
-        [
-          Alcotest.test_case "equals exhaustive on the default grid" `Quick
-            test_pruned_matches_exhaustive;
-          Alcotest.test_case ">=5x fewer cost evaluations" `Quick
-            test_pruned_five_x_fewer_evals;
-          Alcotest.test_case "BHJ partial infeasibility" `Quick
-            test_pruned_bhj_partial_infeasibility;
-          Alcotest.test_case "all-infeasible degenerate surface" `Quick
-            test_pruned_all_infeasible_degenerate;
-        ]
-        @ qsuite [ prop_pruned_matches_exhaustive_random_grids ] );
       ( "hill_climb",
         [
           Alcotest.test_case "exact on convex surfaces" `Quick test_hill_climb_convex_exact;
@@ -1275,15 +954,11 @@ let () =
           Alcotest.test_case "range queries" `Quick test_index_within;
           Alcotest.test_case "ordered iteration after shuffled inserts" `Quick
             test_index_ordered_iteration;
-          Alcotest.test_case "B+-tree at 20k entries" `Quick test_btree_large_scale;
-          Alcotest.test_case "plan cache on the B+-tree backend" `Quick test_cache_btree_backend;
           Alcotest.test_case "nearest: empty/single/radius" `Quick test_index_nearest_basic;
           Alcotest.test_case "nearest: ties go to the lower key" `Quick
             test_index_nearest_tie_goes_to_lower_key;
-          Alcotest.test_case "nearest: B+-tree across leaf boundaries" `Quick
-            test_index_nearest_btree_across_leaves;
         ]
-        @ qsuite [ prop_backends_agree; prop_nearest_matches_linear_scan ] );
+        @ qsuite [ prop_nearest_matches_linear_scan ] );
       ( "resource_planner",
         [
           Alcotest.test_case "cache hit short-circuits search" `Quick test_planner_cache_flow;
@@ -1291,10 +966,6 @@ let () =
           Alcotest.test_case "NN lookup reuses neighbors" `Quick
             test_planner_nn_lookup_reuses_neighbor;
           Alcotest.test_case "brute-force strategy" `Quick test_planner_brute_force_strategy;
-          Alcotest.test_case "pruned brute force matches exhaustive" `Quick
-            test_planner_pruned_brute_force;
-          Alcotest.test_case "pruned without a bound stays exhaustive" `Quick
-            test_planner_pruned_without_bound_stays_exhaustive;
           Alcotest.test_case "condition change clamps cached plans" `Quick
             test_planner_with_conditions_shares_cache;
           Alcotest.test_case "reset" `Quick test_planner_reset;
@@ -1306,8 +977,6 @@ let () =
             test_search_kernel_matches_scalar;
           Alcotest.test_case "tie-break on a floored plateau" `Quick
             test_search_kernel_tie_break_on_plateau;
-          Alcotest.test_case "pruned kernel equals scalar pruned" `Quick
-            test_search_pruned_kernel_matches_scalar;
           Alcotest.test_case "kernel hill climb equals scalar climb" `Quick
             test_hill_climb_kernel_matches_scalar;
         ]
@@ -1341,8 +1010,6 @@ let () =
       ( "ordered_index_remove",
         [
           Alcotest.test_case "remove on both backends" `Quick test_index_remove_basic;
-          Alcotest.test_case "B+-tree removal across leaves" `Quick
-            test_index_remove_btree_across_leaves;
         ] );
       ( "ordered_index_nearest_edges",
         [
@@ -1351,16 +1018,13 @@ let () =
             test_index_nearest_duplicate_inserts;
           Alcotest.test_case "queries outside the key range" `Quick
             test_index_nearest_outside_key_range;
-        ]
-        @ qsuite [ prop_nearest_backends_agree ] );
+        ] );
       ( "resource_planner_kernel",
         [
           Alcotest.test_case "scratch reuse across plans" `Quick
             test_planner_kernel_scratch_reuse;
           Alcotest.test_case "kernel:false ignores supplied kernels" `Quick
             test_planner_kernel_disabled_ignores_kernel;
-          Alcotest.test_case "pruned kernel search needs no bound" `Quick
-            test_planner_kernel_pruned_no_bound_needed;
           Alcotest.test_case "cache hits re-cost through the kernel" `Quick
             test_planner_kernel_cache_hit_recosting;
           Alcotest.test_case "cache capacity plumbed through" `Quick

@@ -346,6 +346,25 @@ let test_allocate_served_equals_oneshot () =
           Alcotest.(check string) "served equals oneshot, byte for byte" alone served
       | out -> Alcotest.failf "expected one response, got %d" (List.length out))
 
+(* Four members need at least four containers: a budget of 3 has no
+   allocation, and both paths answer one typed bad_request naming why. *)
+let test_allocate_budget_below_floor () =
+  let member i =
+    Printf.sprintf "{\"id\":\"q%d\",\"relations\":[\"orders\",\"lineitem\"]}" i
+  in
+  let line =
+    Printf.sprintf "{\"op\":\"allocate\",\"id\":\"low\",\"budget\":3,\"queries\":[%s]}"
+      (String.concat "," (List.map member [ 1; 2; 3; 4 ]))
+  in
+  let alone = Protocol.response_to_json (Engine.oneshot_allocate (parse_alloc line)) in
+  Alcotest.(check bool) "typed bad_request" true (contains alone "\"bad_request\"");
+  Alcotest.(check bool) "names the member floor" true
+    (contains alone "minimum per-query allocations");
+  with_engine (fun t ->
+      match Serve.serve_lines t [ line ] with
+      | [ served ] -> Alcotest.(check string) "served equals oneshot" alone served
+      | out -> Alcotest.failf "expected one response, got %d" (List.length out))
+
 (* ----------------------------------------------------------------- Serve *)
 
 let test_serve_lines_end_to_end () =
@@ -580,6 +599,8 @@ let () =
           Alcotest.test_case "strict parsing" `Quick test_allocate_parse;
           Alcotest.test_case "served equals oneshot" `Quick
             test_allocate_served_equals_oneshot;
+          Alcotest.test_case "budget below member floor" `Quick
+            test_allocate_budget_below_floor;
         ] );
       ( "serve",
         [

@@ -165,23 +165,6 @@ let test_oracle_catches_sign_flip () =
   check_has "cost/negative" diags;
   check_has "oracle/dpsub-above-selinger" diags
 
-let test_oracle_catches_memo_drift () =
-  (* A silently drifting memoized coster: costs inflated by 5% only on the
-     memoized arm must break the memo-equivalence relation. *)
-  let drift ~arm coster =
-    if arm = "selinger-memo" then
-      {
-        Coster.name = coster.Coster.name ^ "+drift";
-        best_join =
-          (fun ~left ~right ->
-            Option.map
-              (fun c -> { c with Coster.cost = c.Coster.cost *. 1.05 })
-              (coster.Coster.best_join ~left ~right));
-      }
-    else coster
-  in
-  check_has "oracle/memo-vs-plain" (Oracle.check ~jobs:seq_jobs ~fault:drift (Oracle.instance 5))
-
 let test_oracle_catches_broken_joint_arm () =
   (* Overstating every joint cost makes "joint <= fixed baseline" fail. *)
   let inflate ~arm coster =
@@ -366,7 +349,6 @@ let () =
           Alcotest.test_case "clean instance passes with parallel arms" `Quick
             test_oracle_clean_parallel_arms;
           Alcotest.test_case "catches a sign-flipped coster" `Quick test_oracle_catches_sign_flip;
-          Alcotest.test_case "catches memoized-coster drift" `Quick test_oracle_catches_memo_drift;
           Alcotest.test_case "catches a broken joint arm" `Quick
             test_oracle_catches_broken_joint_arm;
         ] );
