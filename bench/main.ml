@@ -1090,7 +1090,7 @@ let kernel_bench () =
         List.map
           (fun impl ->
             let cost r = Raqo_cost.Op_cost.predict_exn pm impl ~small_gb ~resources:r in
-            let kernel = Option.get (Kernel.make pm impl ~small_gb) in
+            let kernel = Kernel.make pm impl ~small_gb in
             let iname = Join_impl.to_string impl in
             (* Warm both paths (and the scratch buffer) before timing. *)
             let scalar_result = ref (Brute_force.search c cost) in
@@ -1195,7 +1195,7 @@ let obs_bench () =
   let pm = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
   let module Kernel = Raqo_cost.Kernel in
   let c = Conditions.make ~max_containers:60 ~max_gb:60.0 () in
-  let kernel = Option.get (Kernel.make pm Join_impl.Bhj ~small_gb:2.0) in
+  let kernel = Kernel.make pm Join_impl.Bhj ~small_gb:2.0 in
   let scratch = Kernel.create_scratch () in
   Kernel.ensure scratch (Conditions.n_configs c);
   let buf = Kernel.buffer scratch in

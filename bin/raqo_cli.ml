@@ -528,10 +528,10 @@ let trace_cmd =
       | `Randomized -> Raqo.Cost_based.Fast_randomized
       | `Dpsub -> Raqo.Cost_based.Bushy_dp
     in
-    (* Brute-force resource search and the paper-space model so the trace
-       shows the full nesting: planner span -> resource-search spans ->
-       kernel sweeps. (The trained models are extended-space, for which
-       [Kernel.make] refuses to compile; see kernel.mli.) *)
+    (* Brute-force resource search so the trace shows the full nesting:
+       planner span -> resource-search spans -> kernel sweeps. The model is
+       the paper's published one; the trained extended-space models compile
+       to kernels as well (see kernel.mli). *)
     let model = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
     let truth, relations =
       match random with
@@ -614,9 +614,8 @@ let metrics_cmd =
   let run max_containers max_gb no_kernel prometheus =
     Raqo_obs.Obs.set_enabled true;
     (* Drive every instrumented layer once: plan each TPC-H evaluation query
-       jointly, sharing one optimizer so the plan cache sees reuse. The
-       paper-space model keeps the kernel path live (kernel counters would
-       read zero under the extended-space trained models). *)
+       jointly with the paper's published model, sharing one optimizer so
+       the plan cache sees reuse and the kernel counters move. *)
     let model = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
     let opt =
       Raqo.Cost_based.create

@@ -80,16 +80,8 @@ let build ?(use_kernel = true) ~model ~conditions ~schema ~name plan =
       Array.fill col_gbs 0 sc 0.0;
       List.iter
         (fun impl ->
-          let swept =
-            use_kernel
-            &&
-            match Kernel.make model impl ~small_gb with
-            | Some k ->
-                Kernel.sweep k conditions buf;
-                true
-            | None -> false
-          in
-          if not swept then
+          if use_kernel then Kernel.sweep (Kernel.make model impl ~small_gb) conditions buf
+          else
             for j = 0 to sg - 1 do
               for i = 0 to sc - 1 do
                 let resources = Resources.make ~containers:caps.(i) ~container_gb:gbs.(j) in

@@ -5,8 +5,8 @@
     The workload allocator needs to re-price a query at many different
     container budgets without re-planning it. Given a joint plan's shape,
     each join stage's cost over the full (containers x memory) grid is swept
-    once — through the compiled {!Raqo_cost.Kernel} whenever the model
-    compiles, scalar {!Raqo_cost.Op_cost.predict_exn} otherwise — taking the
+    once — through the compiled {!Raqo_cost.Kernel} unless kernels are
+    switched off, scalar {!Raqo_cost.Op_cost.predict_exn} then — taking the
     better of both join implementations per cell. A per-stage prefix-min
     over the container axis then yields, for every cap [c], the best
     per-stage configuration using at most [c] containers; summing stages
@@ -19,8 +19,8 @@ type t
 (** [build ?use_kernel ~model ~conditions ~schema ~name plan] sweeps the
     plan's stages over [conditions] and returns the surface. The plan's
     *shape* is fixed; implementation and resources are re-chosen per cap.
-    [use_kernel:false] forces the scalar sweep (extended-space models never
-    compile and use it regardless). *)
+    [use_kernel:false] forces the scalar sweep; both give the same
+    surface. *)
 val build :
   ?use_kernel:bool ->
   model:Raqo_cost.Op_cost.t ->

@@ -14,7 +14,8 @@ type t
 val max_relations : int
 
 (** [make schema relations] interns [relations] (ids in list order) and
-    precomputes per-relation adjacency masks from the schema's join graph.
+    precomputes per-relation adjacency masks from the schema's join graph,
+    plus the size statistics {!join_size_gb} reads.
     @raise Invalid_argument on an empty list, more than {!max_relations}
     relations, or a name missing from [schema]. *)
 val make : Schema.t -> string list -> t
@@ -47,6 +48,13 @@ val mask_of_names : t -> string list -> int
 (** [names_of_mask t mask] lists the members of [mask] in ascending id
     order — the order the string planners historically produced. *)
 val names_of_mask : t -> int -> string list
+
+(** [join_size_gb t mask] is
+    [Schema.join_size_gb (schema t) (names_of_mask t mask)], bit for bit,
+    computed from per-relation statistics and a pairwise log-selectivity
+    table precomputed by {!make}: no name list, map lookup or tuple is built.
+    @raise Invalid_argument on an empty mask. *)
+val join_size_gb : t -> int -> float
 
 (** [connected t mask] is true when the join sub-graph induced by [mask] is
     connected (BFS over the adjacency masks). *)

@@ -86,22 +86,26 @@ let feasible_start model impl ~small_gb (conditions : Raqo_cluster.Conditions.t)
              ~container_gb:(Float.min conditions.max_gb gb))
       end
 
+(* Resource-plan cache keys, built once per implementation rather than per
+   costed join. *)
+let smj_key = Join_impl.to_string Join_impl.Smj ^ "/join"
+let bhj_key = Join_impl.to_string Join_impl.Bhj ^ "/join"
+
 (* Resource-plan one join implementation: smallest feasible start config
    and cost-model closure. Shared by the string and masked RAQO costers.
    When the planner accepts kernels, the model is also compiled down to a
    {!Raqo_cost.Kernel.t} for this (impl, small_gb) pair — compilation is a
-   handful of multiplies, so it is done per costed join; extended-space
-   models yield no kernel and keep the scalar path throughout. *)
+   handful of multiplies, so it is done per costed join. *)
 let raqo_impl model planner ~small_gb best impl =
   let conditions = Raqo_resource.Resource_planner.conditions planner in
   match feasible_start model impl ~small_gb conditions with
   | None -> best
   | Some start ->
-      let key = Join_impl.to_string impl ^ "/join" in
+      let key = match impl with Join_impl.Smj -> smj_key | Join_impl.Bhj -> bhj_key in
       let cost_fn resources = Op_cost.predict_exn model impl ~small_gb ~resources in
       let kernel =
         if Raqo_resource.Resource_planner.kernel_enabled planner then
-          Raqo_cost.Kernel.make model impl ~small_gb
+          Some (Raqo_cost.Kernel.make model impl ~small_gb)
         else None
       in
       let resources, cost =
@@ -175,15 +179,15 @@ let to_strings ctx m =
   { best_join; name = m.masked_name }
 
 (* Statistics cache keyed on the subset mask — one Hashtbl probe on an int
-   instead of sort + concat over the relation names. *)
+   instead of sort + concat over the relation names; a miss reads the
+   context's precomputed statistics instead of the schema's maps. *)
 let memoized_size_masked ctx =
   let sizes = Hashtbl.create 512 in
-  let schema = Interned.schema ctx in
   fun mask ->
     match Hashtbl.find_opt sizes mask with
     | Some s -> s
     | None ->
-        let s = Schema.join_size_gb schema (Interned.names_of_mask ctx mask) in
+        let s = Interned.join_size_gb ctx mask in
         Hashtbl.add sizes mask s;
         s
 

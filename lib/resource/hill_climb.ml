@@ -8,16 +8,20 @@ let to_vec (r : Resources.t) = [| float_of_int r.containers; r.container_gb |]
 let of_vec v =
   Resources.make ~containers:(int_of_float (Float.round v.(0))) ~container_gb:v.(1)
 
-(* The climb itself, generic in how a (containers, gb) point is costed so the
-   compiled-kernel path can skip building Resources.t values per probe. Both
-   entry points feed bit-identical costs, so the trajectory — every step,
-   the stopping point, the result — is the same either way. *)
-let plan_gen ?counters ?start (conditions : Conditions.t) eval_point =
+let start_of ?start conditions =
+  match start with
+  | Some s -> Conditions.clamp conditions s
+  | None -> Conditions.min_config conditions
+
+(* The scalar climb. [Raqo_cost.Kernel.climb] is the same loop over two
+   unboxed coordinates; any change to the probe order, the restore
+   arithmetic or the stopping rule here must be made there too. *)
+let plan ?counters ?start (conditions : Conditions.t) cost =
   let eval v =
     (match counters with
     | Some k -> Counters.record_evaluation k
     | None -> ());
-    eval_point ~containers:(int_of_float (Float.round v.(0))) ~container_gb:v.(1)
+    cost (of_vec v)
   in
   (match counters with
   | Some k -> Counters.record_invocation k
@@ -28,12 +32,7 @@ let plan_gen ?counters ?start (conditions : Conditions.t) eval_point =
   let minimum = to_vec (Conditions.min_config conditions) in
   let maximum = to_vec (Conditions.max_config conditions) in
   let candidate = [| -1.0; 1.0 |] in
-  let curr_res =
-    to_vec
-      (match start with
-      | Some s -> Conditions.clamp conditions s
-      | None -> Conditions.min_config conditions)
-  in
+  let curr_res = to_vec (start_of ?start conditions) in
   let dims = Array.length curr_res in
   let rec climb () =
     let curr_cost = eval curr_res in
@@ -61,10 +60,12 @@ let plan_gen ?counters ?start (conditions : Conditions.t) eval_point =
   in
   climb ()
 
-let plan ?counters ?start conditions cost =
-  plan_gen ?counters ?start conditions (fun ~containers ~container_gb ->
-      cost (Resources.make ~containers ~container_gb))
-
 let plan_kernel ?counters ?start conditions kernel =
-  plan_gen ?counters ?start conditions (fun ~containers ~container_gb ->
-      Raqo_cost.Kernel.predict kernel ~containers ~container_gb)
+  (match counters with
+  | Some k -> Counters.record_invocation k
+  | None -> ());
+  let r = Raqo_cost.Kernel.climb kernel conditions ~start:(start_of ?start conditions) in
+  (match counters with
+  | Some k -> Counters.record_evaluations k r.Raqo_cost.Kernel.evaluations
+  | None -> ());
+  (r.Raqo_cost.Kernel.best, r.Raqo_cost.Kernel.cost)

@@ -16,12 +16,12 @@ val plan :
   (Raqo_cluster.Resources.t -> float) ->
   Raqo_cluster.Resources.t * float
 
-(** [plan_kernel ?counters ?start conditions kernel] is {!plan} costing
-    probes through a compiled kernel instead of a [Resources.t -> float]
-    closure: no configuration value or feature vector is built per probe.
-    {!Raqo_cost.Kernel.predict} is bit-identical to the scalar model, so the
-    climb's trajectory, result, cost, and evaluation count all match
-    {!plan}'s on the same model. *)
+(** [plan_kernel ?counters ?start conditions kernel] is {!plan} run as
+    {!Raqo_cost.Kernel.climb}: one loop over two unboxed coordinates that
+    builds no configuration value, feature vector or boxed cost per probe,
+    and records its evaluations once per climb. Kernel costs are
+    bit-identical to the scalar model, so the climb's trajectory, result,
+    cost, and evaluation count all match {!plan}'s on the same model. *)
 val plan_kernel :
   ?counters:Counters.t ->
   ?start:Raqo_cluster.Resources.t ->

@@ -66,6 +66,11 @@ let fixed_resources = Resources.make ~containers:4 ~container_gb:3.0
    below their meaning. *)
 let model = Op_cost.with_floor 0.01 Op_cost.paper
 
+(* The trained Hive model: extended feature space, floored. The resident
+   server, the CLI and the SQL frontend plan with it, so the kernel arms
+   check it as well as the paper-space [model]. Trained once per process. *)
+let extended_model () = Raqo.Models.hive ()
+
 (* Relative tolerance for cross-arm cost comparisons: the same join set can
    be summed in different orders by different planners. *)
 let tol a b = 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
@@ -228,92 +233,89 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
   (* ------------------------------------------------ compiled cost kernels *)
   (* The kernel path must be bit-identical to the scalar oracle baseline —
      same floats at every grid point, same winners and tie-breaks from every
-     search, same evaluation counts — across both join implementations and a
+     search, same evaluation counts — across both join implementations, a
      spread of build-side sizes (feasible everywhere, partially feasible, and
-     all-infeasible for BHJ). *)
+     all-infeasible for BHJ), and both feature spaces: the paper-space oracle
+     model and the trained extended-space model the server plans with. *)
   let scratch = Raqo_cost.Kernel.create_scratch () in
-  List.iter
-    (fun impl ->
-      List.iter
-        (fun small_gb ->
-          match Raqo_cost.Kernel.make model impl ~small_gb with
-          | None ->
-              (* The oracle model is paper-space; a refusal here is a bug. *)
+  let kernel_arms (space, model) =
+    List.iter
+      (fun impl ->
+        List.iter
+          (fun small_gb ->
+            let kernel = Raqo_cost.Kernel.make model impl ~small_gb in
+            let cost r = Op_cost.predict_exn model impl ~small_gb ~resources:r in
+            (* Pointwise: Kernel.predict = Op_cost.predict_exn on every
+               grid configuration, bitwise (infinity mask included). *)
+            List.iter
+              (fun (r : Resources.t) ->
+                let k = Raqo_cost.Kernel.predict_resources kernel r in
+                let s = cost r in
+                if not (Float.equal k s) then
+                  add
+                    [ D.v ~invariant:"oracle/kernel-point-vs-scalar"
+                        "%s-space kernel cost diverged for %s at %.2f GB, %d x %.1f GB (%h vs %h)"
+                        space (Join_impl.to_string impl) small_gb r.Resources.containers
+                        r.Resources.container_gb k s ])
+              (Conditions.all_configs conditions);
+            (* Exhaustive sweep vs scalar scan: identical tuple and counts. *)
+            let kc = Counters.create () and sc = Counters.create () in
+            let swept = Brute_force.search_kernel ~counters:kc conditions ~kernel ~scratch in
+            let scanned = Brute_force.search ~counters:sc conditions cost in
+            if swept <> scanned then
               add
-                [ D.v ~invariant:"oracle/kernel-refused"
-                    "kernel failed to compile the paper-space model for %s at %.2f GB"
-                    (Join_impl.to_string impl) small_gb ]
-          | Some kernel ->
-              let cost r = Op_cost.predict_exn model impl ~small_gb ~resources:r in
-              (* Pointwise: Kernel.predict = Op_cost.predict_exn on every
-                 grid configuration, bitwise (infinity mask included). *)
-              List.iter
-                (fun (r : Resources.t) ->
-                  let k = Raqo_cost.Kernel.predict_resources kernel r in
-                  let s = cost r in
-                  if not (Float.equal k s) then
-                    add
-                      [ D.v ~invariant:"oracle/kernel-point-vs-scalar"
-                          "kernel cost diverged for %s at %.2f GB, %d x %.1f GB (%h vs %h)"
-                          (Join_impl.to_string impl) small_gb r.Resources.containers
-                          r.Resources.container_gb k s ])
-                (Conditions.all_configs conditions);
-              (* Exhaustive sweep vs scalar scan: identical tuple and counts. *)
-              let kc = Counters.create () and sc = Counters.create () in
-              let swept = Brute_force.search_kernel ~counters:kc conditions ~kernel ~scratch in
-              let scanned = Brute_force.search ~counters:sc conditions cost in
-              if swept <> scanned then
-                add
-                  [ D.v ~invariant:"oracle/kernel-sweep-vs-scalar"
-                      "kernel grid sweep diverged for %s at %.2f GB (%.6f vs %.6f)"
-                      (Join_impl.to_string impl) small_gb (snd swept) (snd scanned) ];
-              if Counters.cost_evaluations kc <> Counters.cost_evaluations sc then
-                add
-                  [ D.v ~invariant:"oracle/kernel-sweep-evals"
-                      "kernel sweep counted %d evaluations, scalar %d, for %s at %.2f GB"
-                      (Counters.cost_evaluations kc) (Counters.cost_evaluations sc)
-                      (Join_impl.to_string impl) small_gb ];
-              (* Hill climbing probes through the kernel must trace the same
-                 trajectory: same optimum, same cost, same evaluations. *)
-              let kc = Counters.create () and sc = Counters.create () in
-              let start =
-                match impl with
-                | Join_impl.Smj -> None
-                | Join_impl.Bhj ->
-                    Some
-                      (Conditions.clamp conditions
-                         (Resources.make ~containers:1
-                            ~container_gb:(Float.min conditions.max_gb (Float.max 1.0 small_gb))))
-              in
-              let kh =
-                Raqo_resource.Hill_climb.plan_kernel ~counters:kc ?start conditions kernel
-              in
-              let sh = Raqo_resource.Hill_climb.plan ~counters:sc ?start conditions cost in
-              if kh <> sh || Counters.cost_evaluations kc <> Counters.cost_evaluations sc then
-                add
-                  [ D.v ~invariant:"oracle/kernel-hillclimb-vs-scalar"
-                      "kernel hill climb diverged for %s at %.2f GB" (Join_impl.to_string impl)
-                      small_gb ])
-        [ 0.1; 1.0; 3.0; 8.0; 25.0 ])
-    Join_impl.all;
-
-  (* Joint planning with kernels on must be bit-identical to kernels off —
-     plans, costs, and instrumentation — under both search strategies. *)
-  List.iter
-    (fun (label, strategy) ->
-      let run kernel =
-        let counters = Counters.create () in
-        let rp = Resource_planner.create ~strategy ~cache:false ~kernel ~counters conditions in
-        let coster = fault ~arm:("raqo-kernel-" ^ label) (Coster.raqo model schema rp) in
-        let result = Selinger.optimize coster schema rels in
-        (result, Counters.cost_evaluations counters, Counters.planner_invocations counters)
-      in
-      let on = run true and off = run false in
-      if on <> off then
-        add
-          [ D.v ~invariant:"oracle/kernel-joint-vs-scalar"
-              "kernelised joint planning (%s) diverged from the scalar path" label ])
-    [ ("bf", Resource_planner.Brute_force); ("hc", Resource_planner.Hill_climb) ];
+                [ D.v ~invariant:"oracle/kernel-sweep-vs-scalar"
+                    "%s-space kernel grid sweep diverged for %s at %.2f GB (%.6f vs %.6f)"
+                    space (Join_impl.to_string impl) small_gb (snd swept) (snd scanned) ];
+            if Counters.cost_evaluations kc <> Counters.cost_evaluations sc then
+              add
+                [ D.v ~invariant:"oracle/kernel-sweep-evals"
+                    "%s-space kernel sweep counted %d evaluations, scalar %d, for %s at %.2f GB"
+                    space (Counters.cost_evaluations kc) (Counters.cost_evaluations sc)
+                    (Join_impl.to_string impl) small_gb ];
+            (* Hill climbing probes through the kernel must trace the same
+               trajectory: same optimum, same cost, same evaluations. *)
+            let kc = Counters.create () and sc = Counters.create () in
+            let start =
+              match impl with
+              | Join_impl.Smj -> None
+              | Join_impl.Bhj ->
+                  Some
+                    (Conditions.clamp conditions
+                       (Resources.make ~containers:1
+                          ~container_gb:(Float.min conditions.max_gb (Float.max 1.0 small_gb))))
+            in
+            let kh =
+              Raqo_resource.Hill_climb.plan_kernel ~counters:kc ?start conditions kernel
+            in
+            let sh = Raqo_resource.Hill_climb.plan ~counters:sc ?start conditions cost in
+            if kh <> sh || Counters.cost_evaluations kc <> Counters.cost_evaluations sc then
+              add
+                [ D.v ~invariant:"oracle/kernel-hillclimb-vs-scalar"
+                    "%s-space kernel hill climb diverged for %s at %.2f GB" space
+                    (Join_impl.to_string impl) small_gb ])
+          [ 0.1; 1.0; 3.0; 8.0; 25.0 ])
+      Join_impl.all;
+    (* Joint planning with kernels on must be bit-identical to kernels off —
+       plans, costs, and instrumentation — under both search strategies. *)
+    List.iter
+      (fun (label, strategy) ->
+        let run kernel =
+          let counters = Counters.create () in
+          let rp = Resource_planner.create ~strategy ~cache:false ~kernel ~counters conditions in
+          let coster = fault ~arm:("raqo-kernel-" ^ label) (Coster.raqo model schema rp) in
+          let result = Selinger.optimize coster schema rels in
+          (result, Counters.cost_evaluations counters, Counters.planner_invocations counters)
+        in
+        let on = run true and off = run false in
+        if on <> off then
+          add
+            [ D.v ~invariant:"oracle/kernel-joint-vs-scalar"
+                "kernelised joint planning (%s, %s space) diverged from the scalar path" label
+                space ])
+      [ ("bf", Resource_planner.Brute_force); ("hc", Resource_planner.Hill_climb) ]
+  in
+  List.iter kernel_arms [ ("paper", model); ("extended", extended_model ()) ];
 
   (* Resource-plan cache answers must stay within their lookup radius and
      reproduce the stored entries (exercises every lookup policy against the

@@ -59,6 +59,10 @@ val fixed_resources : Raqo_cluster.Resources.t
 (** The floored (non-negative) paper cost model the oracle costs with. *)
 val model : Raqo_cost.Op_cost.t
 
+(** The trained extended-space model ({!Raqo.Models.hive}) the compiled
+    kernel arms check alongside {!model}. *)
+val extended_model : unit -> Raqo_cost.Op_cost.t
+
 (** [check ?jobs ?fault t] runs every arm and returns the violated
     invariants ([] = the instance is consistent). [jobs] lists the pool
     sizes for the parallel arms (default [[2; 4]]; values [<= 1] are

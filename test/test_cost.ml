@@ -274,8 +274,8 @@ let check_bits msg expected actual =
 
 let floored = Op_cost.with_floor 0.01 Op_cost.paper
 
-(* A well-formed extended-space model (11-dim coefficients), for the
-   refuse-and-fall-back satellite. *)
+(* A well-formed extended-space model (11-dim coefficients): the paper's
+   polynomial plus small extended terms. *)
 let extended_model =
   let extend (l : Linreg.t) =
     Linreg.of_coefficients ~intercept:l.Linreg.intercept
@@ -289,22 +289,51 @@ let extended_model =
     scan = extend Op_cost.paper.Op_cost.scan;
   }
 
-let test_kernel_refuses_extended_space () =
-  (* The extended space has decreasing monomials the kernel's split does
-     not cover, so no kernel exists there — callers keep the scalar path. *)
+(* Every model the kernel must reproduce bitwise: both feature spaces,
+   floored and unfloored, and the trained Hive model the server plans
+   with. *)
+let kernel_models () =
+  [
+    Op_cost.paper;
+    floored;
+    extended_model;
+    Op_cost.with_floor 0.01 extended_model;
+    Raqo.Models.hive ();
+  ]
+
+let test_kernel_extended_space_compiles () =
+  (* The trained models are extended-space; their kernels must cost every
+     point of a grid exactly as the scalar model does, and a model whose
+     coefficient count does not match its space is refused up front. *)
+  let c = Conditions.make ~max_containers:12 ~max_gb:6.0 ~gb_step:0.5 () in
   List.iter
-    (fun impl ->
-      Alcotest.(check bool)
-        "no kernel for the extended space" true
-        (Kernel.make extended_model impl ~small_gb:2.0 = None);
-      Alcotest.(check bool)
-        "paper space does compile" true
-        (Kernel.make floored impl ~small_gb:2.0 <> None))
-    Join_impl.all
+    (fun model ->
+      List.iter
+        (fun impl ->
+          List.iter
+            (fun small_gb ->
+              let k = Kernel.make model impl ~small_gb in
+              List.iter
+                (fun (r : Resources.t) ->
+                  check_bits
+                    (Printf.sprintf "%s @ %.1f GB, %d x %.1f GB" (Join_impl.to_string impl)
+                       small_gb r.Resources.containers r.Resources.container_gb)
+                    (Op_cost.predict_exn model impl ~small_gb ~resources:r)
+                    (Kernel.predict_resources k r))
+                (Conditions.all_configs c))
+            [ 0.05; 1.0; 3.3; 7.0 ])
+        Join_impl.all)
+    [ extended_model; Op_cost.with_floor 0.01 extended_model; Raqo.Models.hive () ];
+  Alcotest.check_raises "paper coefficients in the extended space"
+    (Invalid_argument "Kernel.make: coefficient count does not match the feature space")
+    (fun () ->
+      ignore
+        (Kernel.make { floored with Op_cost.space = Feature.Extended } Join_impl.Smj
+           ~small_gb:1.0))
 
 let test_kernel_predict_bhj_cliff () =
   let small_gb = 5.0 in
-  let k = Option.get (Kernel.make floored Join_impl.Bhj ~small_gb) in
+  let k = Kernel.make floored Join_impl.Bhj ~small_gb in
   (* Below the OOM threshold (5.0 / 1.15 ≈ 4.35 GB) the mask applies. *)
   check_bits "infeasible side is infinity" Float.infinity
     (Kernel.predict k ~containers:4 ~container_gb:4.0);
@@ -322,11 +351,11 @@ let prop_kernel_predict_bitwise =
     (fun (impl, small_gb, containers, container_gb) ->
       List.for_all
         (fun model ->
-          let k = Option.get (Kernel.make model impl ~small_gb) in
+          let k = Kernel.make model impl ~small_gb in
           let resources = res containers container_gb in
           Int64.bits_of_float (Kernel.predict k ~containers ~container_gb)
           = Int64.bits_of_float (Op_cost.predict_exn model impl ~small_gb ~resources))
-        [ Op_cost.paper; floored ])
+        (kernel_models ()))
 
 let prop_kernel_sweep_bitwise =
   (* One sweep = per-point scalar prediction, bitwise, at every grid cell of
@@ -340,21 +369,24 @@ let prop_kernel_sweep_bitwise =
           ~max_gb:(0.5 +. (0.75 *. float_of_int (gb_steps - 1)))
           ~gb_step:0.75 ()
       in
-      let k = Option.get (Kernel.make floored impl ~small_gb) in
-      let n = Conditions.n_configs c in
-      let buf = Array.make n nan in
-      Kernel.sweep k c buf;
-      let nc = Conditions.steps_containers c in
-      List.for_all2
-        (fun idx (r : Resources.t) ->
-          let cell = buf.(((idx / nc) * nc) + (idx mod nc)) in
-          Int64.bits_of_float cell
-          = Int64.bits_of_float (Op_cost.predict_exn floored impl ~small_gb ~resources:r))
-        (List.init n Fun.id) (Conditions.all_configs c))
+      List.for_all
+        (fun model ->
+          let k = Kernel.make model impl ~small_gb in
+          let n = Conditions.n_configs c in
+          let buf = Array.make n nan in
+          Kernel.sweep k c buf;
+          let nc = Conditions.steps_containers c in
+          List.for_all2
+            (fun idx (r : Resources.t) ->
+              let cell = buf.(((idx / nc) * nc) + (idx mod nc)) in
+              Int64.bits_of_float cell
+              = Int64.bits_of_float (Op_cost.predict_exn model impl ~small_gb ~resources:r))
+            (List.init n Fun.id) (Conditions.all_configs c))
+        (kernel_models ()))
 
 let test_kernel_sweep_rejects_small_buffer () =
   let c = Conditions.make ~max_containers:4 ~max_gb:3.0 () in
-  let k = Option.get (Kernel.make floored Join_impl.Smj ~small_gb:1.0) in
+  let k = Kernel.make floored Join_impl.Smj ~small_gb:1.0 in
   Alcotest.check_raises "undersized scratch"
     (Invalid_argument "Kernel.sweep: scratch buffer too small") (fun () ->
       Kernel.sweep k c (Array.make (Conditions.n_configs c - 1) 0.0))
@@ -379,7 +411,7 @@ let test_kernel_sweep_allocation_free () =
     Conditions.make ~min_containers:1 ~max_containers:60 ~container_step:1 ~min_gb:1.0
       ~max_gb:60.0 ~gb_step:1.0 ()
   in
-  let k = Option.get (Kernel.make floored Join_impl.Bhj ~small_gb:12.5) in
+  let k = Kernel.make floored Join_impl.Bhj ~small_gb:12.5 in
   let s = Kernel.create_scratch () in
   Kernel.ensure s (Conditions.n_configs c);
   let buf = Kernel.buffer s in
@@ -390,6 +422,54 @@ let test_kernel_sweep_allocation_free () =
   Alcotest.(check bool)
     (Printf.sprintf "warm sweep allocated %.0f minor words" delta)
     true (delta <= 64.0)
+
+let test_kernel_climb_allocation_flat () =
+  (* A warm kernel climb allocates per climb (its result), never per probe:
+     a climb of a handful of evaluations and one of hundreds must allocate
+     the same number of minor words, in both feature spaces. *)
+  let c =
+    Conditions.make ~min_containers:1 ~max_containers:200 ~container_step:1 ~min_gb:1.0
+      ~max_gb:60.0 ~gb_step:0.5 ()
+  in
+  let climb_words kernel start =
+    let counters = Raqo_resource.Counters.create () in
+    let climb () = Raqo_resource.Hill_climb.plan_kernel ~counters ~start c kernel in
+    ignore (climb ());
+    let evals0 = Raqo_resource.Counters.cost_evaluations counters in
+    let w0 = Gc.minor_words () in
+    let result = climb () in
+    let w = Gc.minor_words () -. w0 in
+    ignore (Sys.opaque_identity result);
+    (w, Raqo_resource.Counters.cost_evaluations counters - evals0)
+  in
+  List.iter
+    (fun (name, model) ->
+      List.iter
+        (fun impl ->
+          let kernel = Kernel.make model impl ~small_gb:4.0 in
+          (* From some corner or midpoint the climb walks a long way; from
+             that climb's optimum it stops after one round of probes. *)
+          let corner =
+            List.fold_left
+              (fun (best, evals) start ->
+                let _, e = climb_words kernel start in
+                if e > evals then (start, e) else (best, evals))
+              (res 1 1.0, 0)
+              [ res 1 1.0; res 200 60.0; res 1 60.0; res 200 1.0; res 100 30.0; res 1 5.0 ]
+            |> fst
+          in
+          let long_w, long_evals = climb_words kernel corner in
+          let opt, _ = Raqo_resource.Hill_climb.plan_kernel ~start:corner c kernel in
+          let short_w, short_evals = climb_words kernel opt in
+          if long_evals < 10 * short_evals then
+            Alcotest.failf "%s %s: climbs too similar (%d vs %d evaluations)" name
+              (Join_impl.to_string impl) long_evals short_evals;
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s %s: %d-evaluation climb allocates like a %d-evaluation one"
+               name (Join_impl.to_string impl) long_evals short_evals)
+            short_w long_w)
+        Join_impl.all)
+    [ ("paper", floored); ("extended", Raqo.Models.hive ()) ]
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -446,8 +526,8 @@ let () =
         @ qsuite [ prop_pareto_front_sound; prop_pareto_front_complete ] );
       ( "kernel",
         [
-          Alcotest.test_case "refuses the extended space" `Quick
-            test_kernel_refuses_extended_space;
+          Alcotest.test_case "extended space compiles bit-identically" `Quick
+            test_kernel_extended_space_compiles;
           Alcotest.test_case "BHJ OOM cliff is an infinity mask" `Quick
             test_kernel_predict_bhj_cliff;
           Alcotest.test_case "rejects undersized buffers" `Quick
@@ -456,6 +536,8 @@ let () =
             test_kernel_scratch_reuse_accounting;
           Alcotest.test_case "warm sweep allocates nothing" `Quick
             test_kernel_sweep_allocation_free;
+          Alcotest.test_case "climb allocation is flat in its length" `Quick
+            test_kernel_climb_allocation_flat;
         ]
         @ qsuite [ prop_kernel_predict_bitwise; prop_kernel_sweep_bitwise ] );
     ]

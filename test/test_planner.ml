@@ -458,6 +458,69 @@ let test_interned_validation () =
   Alcotest.check_raises "unknown" (Invalid_argument "Interned.make: unknown zz") (fun () ->
       ignore (Interned.make schema [ "zz" ]))
 
+(* Interned.join_size_gb replays Schema.join_size_gb's fold order over the
+   mask's members, so the two must agree to the bit. *)
+let join_size_agrees ctx mask =
+  let schema = Interned.schema ctx in
+  let expected = Schema.join_size_gb schema (Interned.names_of_mask ctx mask) in
+  let actual = Interned.join_size_gb ctx mask in
+  if Int64.bits_of_float expected <> Int64.bits_of_float actual then
+    Alcotest.failf "join size of mask %#x: schema %h, interned %h" mask expected actual
+
+(* A random non-empty submask of [full], each member kept with
+   probability 1/2. *)
+let random_submask rng full =
+  let rec draw () =
+    let m = ref 0 in
+    for i = 0 to 61 do
+      if full land (1 lsl i) <> 0 && Raqo_util.Rng.int rng 2 = 0 then m := !m lor (1 lsl i)
+    done;
+    if !m = 0 then draw () else !m
+  in
+  draw ()
+
+let test_interned_join_size_edge_cases () =
+  (* The largest query masks can hold. *)
+  let rng = Raqo_util.Rng.create 62 in
+  let big = Raqo_catalog.Random_schema.generate rng ~tables:80 in
+  let rels = Raqo_catalog.Random_schema.query rng big ~joins:61 in
+  Alcotest.(check int) "62 relations" 62 (List.length rels);
+  let ctx = Interned.make big rels in
+  join_size_agrees ctx (Interned.full_mask ctx);
+  for _ = 1 to 200 do
+    join_size_agrees ctx (random_submask rng (Interned.full_mask ctx))
+  done;
+  (* A duplicated name keeps its own id: both occurrences count. *)
+  let dup = Interned.make schema [ "orders"; "customer"; "orders"; "lineitem" ] in
+  for mask = 1 to Interned.full_mask dup do
+    join_size_agrees dup mask
+  done;
+  (* Disconnected members: no edge between region and orders. *)
+  let ctx = Interned.make schema Tpch.all in
+  let disconnected = Interned.mask_of_names ctx [ "region"; "orders" ] in
+  Alcotest.(check bool) "mask is disconnected" false (Interned.connected ctx disconnected);
+  join_size_agrees ctx disconnected;
+  for mask = 1 to Interned.full_mask ctx do
+    join_size_agrees ctx mask
+  done;
+  Alcotest.check_raises "empty mask" (Invalid_argument "Interned.join_size_gb: empty mask")
+    (fun () -> ignore (Interned.join_size_gb ctx 0))
+
+let prop_interned_join_size_bitwise =
+  QCheck.Test.make ~name:"interned join sizes equal schema join sizes bitwise" ~count:100
+    QCheck.(pair (int_range 1 100_000) (int_range 2 80))
+    (fun (seed, tables) ->
+      let rng = Raqo_util.Rng.create seed in
+      let s = Raqo_catalog.Random_schema.generate rng ~tables in
+      let joins = Raqo_util.Rng.int rng (min tables Interned.max_relations) in
+      let rels = Raqo_catalog.Random_schema.query rng s ~joins in
+      let ctx = Interned.make s rels in
+      for _ = 1 to 20 do
+        join_size_agrees ctx (random_submask rng (Interned.full_mask ctx))
+      done;
+      join_size_agrees ctx (Interned.full_mask ctx);
+      true)
+
 (* The extracted split enumeration against its brute-force reference: both
    the set of splits and the visiting order are part of the contract. *)
 let test_interned_fold_splits () =
@@ -663,6 +726,8 @@ let () =
           Alcotest.test_case "connectivity matches the join graph" `Quick
             test_interned_connected_matches_graph;
           Alcotest.test_case "input validation" `Quick test_interned_validation;
+          Alcotest.test_case "join sizes: 62 relations, duplicates, disconnected" `Quick
+            test_interned_join_size_edge_cases;
           Alcotest.test_case "fold_splits matches the inline loop" `Quick
             test_interned_fold_splits;
           Alcotest.test_case "masked Selinger bit-identical" `Quick
@@ -676,7 +741,7 @@ let () =
             test_masked_public_entry_points_agree;
           Alcotest.test_case "relation caps preserved" `Quick test_masked_caps_preserved;
         ]
-        @ qsuite [ prop_masked_selinger_matches_reference ] );
+        @ qsuite [ prop_masked_selinger_matches_reference; prop_interned_join_size_bitwise ] );
       ( "heuristics",
         [
           Alcotest.test_case "greedy left-deep is valid" `Quick test_greedy_left_deep_valid;

@@ -464,10 +464,7 @@ let test_counters_add () =
 
 module Kernel = Raqo_cost.Kernel
 
-let kernel_of ?(model = model) impl ~small_gb =
-  match Kernel.make model impl ~small_gb with
-  | Some k -> k
-  | None -> Alcotest.failf "no kernel for %s" (Join_impl.to_string impl)
+let kernel_of ?(model = model) impl ~small_gb = Kernel.make model impl ~small_gb
 
 let test_search_kernel_matches_scalar () =
   let c = Conditions.default in
@@ -518,25 +515,48 @@ let prop_kernel_searches_match_scalar_random_grids =
         Join_impl.all)
 
 let test_hill_climb_kernel_matches_scalar () =
-  let c = Conditions.default in
+  (* Both feature spaces (the trained Hive model is extended-space), and a
+     quarter-GB memory step where the climb's in-place restore
+     [(x +. 0.25) -. 0.25] does not return x: 0.85, 3.85 and 7.8 each lose
+     their last bit to the forward probe, so an exact restore would end the
+     climb on a different double. *)
+  let quarter =
+    Conditions.make ~min_containers:1 ~max_containers:40 ~min_gb:0.85 ~max_gb:9.6
+      ~gb_step:0.25 ()
+  in
   List.iter
-    (fun impl ->
+    (fun (name, model) ->
       List.iter
-        (fun small_gb ->
+        (fun (c, starts) ->
           List.iter
-            (fun start ->
-              let kc = Counters.create () and sc = Counters.create () in
-              let kernel = kernel_of impl ~small_gb in
-              let k = Hill_climb.plan_kernel ~counters:kc ?start c kernel in
-              let s = Hill_climb.plan ~counters:sc ?start c (op_cost impl ~small_gb) in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s @ %.1f GB same climb" (Join_impl.to_string impl) small_gb)
-                true (k = s);
-              Alcotest.(check int) "same evaluations" (Counters.cost_evaluations sc)
-                (Counters.cost_evaluations kc))
-            [ None; Some (res 50 5.0); Some (res 100 10.0) ])
-        [ 0.1; 2.0; 7.5 ])
-    Join_impl.all
+            (fun impl ->
+              List.iter
+                (fun small_gb ->
+                  List.iter
+                    (fun start ->
+                      let kc = Counters.create () and sc = Counters.create () in
+                      let kernel = kernel_of ~model impl ~small_gb in
+                      let k = Hill_climb.plan_kernel ~counters:kc ?start c kernel in
+                      let s =
+                        Hill_climb.plan ~counters:sc ?start c (fun r ->
+                            Op_cost.predict_exn model impl ~small_gb ~resources:r)
+                      in
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s %s @ %.1f GB same climb" name
+                           (Join_impl.to_string impl) small_gb)
+                        true (k = s);
+                      Alcotest.(check int) "same evaluations" (Counters.cost_evaluations sc)
+                        (Counters.cost_evaluations kc);
+                      Alcotest.(check int) "one invocation each"
+                        (Counters.planner_invocations sc) (Counters.planner_invocations kc))
+                    starts)
+                [ 0.1; 2.0; 7.5 ])
+            Join_impl.all)
+        [
+          (Conditions.default, [ None; Some (res 50 5.0); Some (res 100 10.0) ]);
+          (quarter, [ None; Some (res 20 3.85); Some (res 40 7.8) ]);
+        ])
+    [ ("paper", model); ("extended", Raqo.Models.hive ()) ]
 
 (* --------------------------------------------------- LRU-bounded cache *)
 

@@ -340,7 +340,15 @@ let test_workload_across_query_cache_saves_planning () =
     let s, _ = Workload_runner.run hive base_schema subs ~planner in
     s.Workload_runner.total_plan_ms
   in
-  let without = run false and with_cache = run true in
+  (* With compiled climbs the saving is about 2 ms in 4-6 ms, the size of
+     one preemption on a loaded host, so each side is its fastest of five
+     interleaved runs. *)
+  let without = ref Float.infinity and with_cache = ref Float.infinity in
+  for _ = 1 to 5 do
+    without := Float.min !without (run false);
+    with_cache := Float.min !with_cache (run true)
+  done;
+  let without = !without and with_cache = !with_cache in
   Alcotest.(check bool)
     (Printf.sprintf "cached planning %.1f ms < uncached %.1f ms" with_cache without)
     true (with_cache < without)
@@ -361,7 +369,7 @@ let test_kernel_sweep_allocation_free_in_pool () =
   in
   let probe () =
     let k =
-      Option.get (Raqo_cost.Kernel.make floored Raqo_plan.Join_impl.Bhj ~small_gb:12.5)
+      Raqo_cost.Kernel.make floored Raqo_plan.Join_impl.Bhj ~small_gb:12.5
     in
     let s = Raqo_cost.Kernel.create_scratch () in
     Raqo_cost.Kernel.ensure s (Conditions.n_configs c);
