@@ -1341,12 +1341,16 @@ let micro () =
   in
   let cache =
     let c = Raqo_resource.Plan_cache.create () in
+    let key =
+      { Raqo_resource.Plan_cache.model = Raqo_cost.Op_cost.paper;
+        conditions = Conditions.default; impl = Join_impl.Smj }
+    in
     for i = 1 to 256 do
-      Raqo_resource.Plan_cache.insert c ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
+      Raqo_resource.Plan_cache.insert c ~key ~data_gb:(float_of_int i) (res i 1.0)
     done;
     Test.make ~name:"cache lookup (NN, 256 entries)"
       (Staged.stage (fun () ->
-           Raqo_resource.Plan_cache.find c ~key:"k" ~data_gb:77.7
+           Raqo_resource.Plan_cache.find c ~key ~data_gb:77.7
              (Raqo_resource.Plan_cache.Nearest_neighbor 1.0)))
   in
   let selinger =

@@ -682,11 +682,7 @@ let serve_cmd =
   in
   let cache_capacity_arg =
     Arg.(value & opt int 4096 & info [ "cache-capacity" ] ~docv:"N"
-           ~doc:"Shared plan-cache entry bound (LRU, split across shards); 0 = unbounded.")
-  in
-  let shards_arg =
-    Arg.(value & opt int 8 & info [ "shards" ] ~docv:"N"
-           ~doc:"Stripe count of the shared plan cache.")
+           ~doc:"Shared plan-cache entry bound (LRU); 0 = unbounded.")
   in
   let max_connections_arg =
     Arg.(value & opt (some int) None & info [ "max-connections" ] ~docv:"N"
@@ -716,7 +712,7 @@ let serve_cmd =
                  registry) — the reference the smoke test diffs served responses against; \
                  byte-identical answers are the contract.")
   in
-  let run port jobs queue_capacity tenant_quota batch cache_capacity shards no_kernel
+  let run port jobs queue_capacity tenant_quota batch cache_capacity no_kernel
       no_rewrite max_containers max_gb max_connections gen_trace arrival_rate seed
       oneshot trace =
     match gen_trace with
@@ -733,7 +729,6 @@ let serve_cmd =
             tenant_quota;
             batch;
             cache_capacity = (if cache_capacity <= 0 then None else Some cache_capacity);
-            cache_shards = shards;
             kernel = not no_kernel;
             rewrite = not no_rewrite;
             scale_factor = 100.0;
@@ -776,9 +771,10 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Resident optimizer: plan line-delimited JSON requests over stdio or TCP, \
-             with a sharded cross-query plan cache and bounded-queue admission control")
+             with a cross-query plan cache keyed by cost model, cluster conditions and \
+             operator, and bounded-queue admission control")
     Term.(const run $ port_arg $ jobs_opt_arg $ queue_arg $ tenant_quota_arg $ batch_arg
-          $ cache_capacity_arg $ shards_arg $ no_kernel_arg $ no_rewrite_arg
+          $ cache_capacity_arg $ no_kernel_arg $ no_rewrite_arg
           $ containers_arg $ memory_arg $ max_connections_arg $ gen_trace_arg
           $ arrival_rate_arg $ seed_arg $ oneshot_arg $ trace_arg)
 

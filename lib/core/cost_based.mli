@@ -15,18 +15,18 @@ type t
     an optimizer. Defaults: Selinger, hill-climbing resource planning with
     an exact-match cache, seed 42. It takes 12 optional arguments.
 
-    [kernel] (default [true]) compiles paper-space cost models into
-    {!Raqo_cost.Kernel} form per costed join, so resource search sweeps the
-    grid allocation-free instead of building a feature vector per point —
+    [kernel] (default [true]) compiles the cost model — the paper's or a
+    trained extended-space one — into {!Raqo_cost.Kernel} form on each
+    resource-plan cache miss, so resource search sweeps the grid
+    allocation-free instead of building a feature vector per point —
     bit-identical plans, costs, and counters, just faster. [~kernel:false]
-    (the CLI's [--no-kernel]) forces the scalar path; extended-space models
-    never compile and use it regardless.
+    (the CLI's [--no-kernel]) forces the scalar path.
 
     [cache_capacity] bounds the resource-plan cache with LRU eviction
     ({!Raqo_resource.Plan_cache.create}); omitted keeps it unbounded.
 
-    [shared_cache] plugs the embedded resource planner into a striped,
-    thread-safe cross-query plan cache instead of a private one (see
+    [shared_cache] plugs the embedded resource planner into a thread-safe
+    cross-query plan cache instead of a private one (see
     {!Raqo_resource.Shared_plan_cache}): every fork handed to parallel
     workers keeps the same handle, so concurrent optimizers warm each other.
 
@@ -74,7 +74,9 @@ val conditions : t -> Raqo_cluster.Conditions.t
 val resource_planner : t -> Raqo_resource.Resource_planner.t
 
 (** [with_conditions t conditions] re-targets new cluster conditions,
-    sharing the cost model; cache and counters are fresh. *)
+    sharing the cost model, the resource-plan cache and the counters. The
+    cache key holds the conditions, so the result plans exactly as a fresh
+    optimizer under [conditions] would. *)
 val with_conditions : t -> Raqo_cluster.Conditions.t -> t
 
 (** [optimize t relations] emits the joint query and resource plan with its

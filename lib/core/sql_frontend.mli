@@ -27,7 +27,7 @@ type planned = {
     [engine] — the report lands in the result's [adaptive] field. Errors
     are SQL front-end errors; an infeasible plan reports as an error too.
     [shared_cache] and [metrics] are forwarded to {!Cost_based.create}: a
-    resident server passes its striped cross-query plan cache and its own
+    resident server passes its cross-query plan cache and its own
     metrics registry, so concurrent requests warm each other while distinct
     servers share no mutable state.
 

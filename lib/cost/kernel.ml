@@ -19,7 +19,7 @@ module Conditions = Raqo_cluster.Conditions
    as written, never as a reciprocal multiply. *)
 
 (* The float fields sit in an all-float record, which OCaml stores flat:
-   compiling a kernel (once per costed join) allocates two small blocks
+   compiling a kernel (once per resource-plan cache miss) allocates two small blocks
    rather than one box per coefficient. *)
 type coefs = {
   small_gb : float;

@@ -67,58 +67,20 @@ let fixed model schema resources =
   in
   { best_join; name = "qo-fixed-resources" }
 
-(* The smallest grid configuration where [impl] is feasible: BHJ must start
-   its hill climb above the OOM cliff, or the climb never leaves the
-   infinite-cost plateau. [None] when no configuration is feasible. *)
-let feasible_start model impl ~small_gb (conditions : Raqo_cluster.Conditions.t) =
-  match impl with
-  | Join_impl.Smj -> Some (Raqo_cluster.Conditions.min_config conditions)
-  | Join_impl.Bhj ->
-      let needed = small_gb /. model.Op_cost.oom_headroom in
-      if needed > conditions.max_gb then None
-      else begin
-        let steps =
-          Float.max 0.0 (ceil ((needed -. conditions.min_gb) /. conditions.gb_step))
-        in
-        let gb = conditions.min_gb +. (steps *. conditions.gb_step) in
-        Some
-          (Raqo_cluster.Resources.make ~containers:conditions.min_containers
-             ~container_gb:(Float.min conditions.max_gb gb))
-      end
-
-(* Resource-plan cache keys, built once per implementation rather than per
-   costed join. *)
-let smj_key = Join_impl.to_string Join_impl.Smj ^ "/join"
-let bhj_key = Join_impl.to_string Join_impl.Bhj ^ "/join"
-
-(* Resource-plan one join implementation: smallest feasible start config
-   and cost-model closure. Shared by the string and masked RAQO costers.
-   When the planner accepts kernels, the model is also compiled down to a
-   {!Raqo_cost.Kernel.t} for this (impl, small_gb) pair — compilation is a
-   handful of multiplies, so it is done per costed join. *)
-let raqo_impl model planner ~small_gb best impl =
-  let conditions = Raqo_resource.Resource_planner.conditions planner in
-  match feasible_start model impl ~small_gb conditions with
-  | None -> best
-  | Some start ->
-      let key = match impl with Join_impl.Smj -> smj_key | Join_impl.Bhj -> bhj_key in
-      let cost_fn resources = Op_cost.predict_exn model impl ~small_gb ~resources in
-      let kernel =
-        if Raqo_resource.Resource_planner.kernel_enabled planner then
-          Some (Raqo_cost.Kernel.make model impl ~small_gb)
-        else None
-      in
-      let resources, cost =
-        Raqo_resource.Resource_planner.plan ~start ?kernel planner ~key
-          ~data_gb:small_gb ~cost:cost_fn
-      in
-      pick_cheaper best (finite_choice impl resources cost)
+(* One join's best (implementation, resources) pair: resource-plan each
+   implementation, keep the cheapest feasible one (SMJ on ties). *)
+let best_choice model planner ~small_gb =
+  List.fold_left
+    (fun best impl ->
+      match Raqo_resource.Resource_planner.plan planner ~model ~impl ~small_gb with
+      | None -> best
+      | Some (resources, cost) -> pick_cheaper best (finite_choice impl resources cost))
+    None Join_impl.all
 
 let raqo model schema planner =
   let size = memoized_size schema in
   let best_join ~left ~right =
-    let small_gb = Float.min (size left) (size right) in
-    List.fold_left (raqo_impl model planner ~small_gb) None Join_impl.all
+    best_choice model planner ~small_gb:(Float.min (size left) (size right))
   in
   { best_join; name = "raqo" }
 
@@ -206,8 +168,7 @@ let fixed_masked model ctx resources =
 let raqo_masked model ctx planner =
   let size = memoized_size_masked ctx in
   let best_join_masked ~left ~right =
-    let small_gb = Float.min (size left) (size right) in
-    List.fold_left (raqo_impl model planner ~small_gb) None Join_impl.all
+    best_choice model planner ~small_gb:(Float.min (size left) (size right))
   in
   { best_join_masked; masked_name = "raqo" }
 

@@ -40,19 +40,26 @@ val fixed :
   t
 
 (** [raqo model schema planner] — cost-based RAQO: resource-plan each
-    implementation of each join (hill climbing / cache per [planner]), then
-    keep the cheapest feasible (implementation, resources) pair. When
-    [planner] accepts kernels ({!Raqo_resource.Resource_planner.create}'s
-    [?kernel], the default), paper-space models are compiled per
-    (implementation, size) into {!Raqo_cost.Kernel.t} values and resource
-    search runs on the bit-identical kernel path — same plans and costs,
-    allocation-free grid sweeps; extended-space models keep the scalar
-    path. *)
+    implementation of each join ({!best_choice}, hill climbing / cache per
+    [planner]), then keep the cheapest feasible (implementation, resources)
+    pair. When [planner] compiles kernels
+    ({!Raqo_resource.Resource_planner.create}'s [?kernel], the default),
+    both feature spaces — the paper's models and the trained ones — are
+    compiled per (implementation, size) into {!Raqo_cost.Kernel.t} values on
+    each cache miss, and resource search runs on the bit-identical kernel
+    path: same plans and costs, allocation-free grid sweeps. *)
 val raqo :
   Raqo_cost.Op_cost.t ->
   Raqo_catalog.Schema.t ->
   Raqo_resource.Resource_planner.t ->
   t
+
+(** [best_choice model planner ~small_gb] is the per-join step of {!raqo}:
+    {!Raqo_resource.Resource_planner.plan} for each implementation at build
+    side [small_gb], keeping the cheaper feasible one (SMJ on ties); [None]
+    when neither is feasible. *)
+val best_choice :
+  Raqo_cost.Op_cost.t -> Raqo_resource.Resource_planner.t -> small_gb:float -> choice option
 
 (** [counting t] wraps [t] with an invocation counter (a plain [ref]: use from
     one domain only). Instrumentation seam for tests and the differential

@@ -1,8 +1,18 @@
-(* Contiguous parallel key/value arrays, binary search, shift on insert. *)
+(* Contiguous parallel key/value arrays, binary search, shift on insert. A
+   stamped index keeps a third, float array of stamps (exact up to 2^53): a
+   float array shifts with one memory move, while shifting an int array in
+   the major heap pays a write barrier per slot, as the boxed [values] array
+   does. Unstamped indexes carry no stamp array at all. *)
 
-type 'a t = { mutable keys : float array; mutable values : 'a array; mutable n : int }
+type 'a t = {
+  stamped : bool;
+  mutable keys : float array;
+  mutable values : 'a array;
+  mutable stamps : float array;  (** [[||]] unless [stamped] *)
+  mutable n : int;
+}
 
-let create () = { keys = [||]; values = [||]; n = 0 }
+let create ?(stamped = false) () = { stamped; keys = [||]; values = [||]; stamps = [||]; n = 0 }
 let size t = t.n
 
 (* Index of the first key >= [key], in [0, n]. *)
@@ -14,9 +24,14 @@ let lower_bound t key =
   done;
   !lo
 
-let insert t key value =
+let set_stamp t pos stamp = if t.stamped then t.stamps.(pos) <- float_of_int stamp
+
+let insert ?(stamp = 0) t key value =
   let pos = lower_bound t key in
-  if pos < t.n && t.keys.(pos) = key then t.values.(pos) <- value
+  if pos < t.n && t.keys.(pos) = key then begin
+    t.values.(pos) <- value;
+    set_stamp t pos stamp
+  end
   else begin
     if t.n = Array.length t.keys then begin
       let capacity = max 16 (2 * t.n) in
@@ -25,12 +40,19 @@ let insert t key value =
       Array.blit t.keys 0 keys 0 t.n;
       Array.blit t.values 0 values 0 t.n;
       t.keys <- keys;
-      t.values <- values
+      t.values <- values;
+      if t.stamped then begin
+        let stamps = Array.make capacity 0.0 in
+        Array.blit t.stamps 0 stamps 0 t.n;
+        t.stamps <- stamps
+      end
     end;
     Array.blit t.keys pos t.keys (pos + 1) (t.n - pos);
     Array.blit t.values pos t.values (pos + 1) (t.n - pos);
+    if t.stamped then Array.blit t.stamps pos t.stamps (pos + 1) (t.n - pos);
     t.keys.(pos) <- key;
     t.values.(pos) <- value;
+    set_stamp t pos stamp;
     t.n <- t.n + 1
   end
 
@@ -43,6 +65,7 @@ let remove t key =
   if pos < t.n && t.keys.(pos) = key then begin
     Array.blit t.keys (pos + 1) t.keys pos (t.n - pos - 1);
     Array.blit t.values (pos + 1) t.values pos (t.n - pos - 1);
+    if t.stamped then Array.blit t.stamps (pos + 1) t.stamps pos (t.n - pos - 1);
     t.n <- t.n - 1;
     true
   end
@@ -72,6 +95,21 @@ let nearest t ~center ~radius =
     if Float.abs (t.keys.(best) -. center) <= radius then
       Some (t.keys.(best), t.values.(best))
     else None
+  end
+
+let touch t key stamp =
+  let pos = lower_bound t key in
+  if pos < t.n && t.keys.(pos) = key then set_stamp t pos stamp
+
+let oldest t =
+  if t.n = 0 then None
+  else if not t.stamped then Some (t.keys.(0), 0)
+  else begin
+    let best = ref 0 in
+    for i = 1 to t.n - 1 do
+      if t.stamps.(i) < t.stamps.(!best) then best := i
+    done;
+    Some (t.keys.(!best), int_of_float t.stamps.(!best))
   end
 
 let to_list t = List.init t.n (fun i -> (t.keys.(i), t.values.(i)))

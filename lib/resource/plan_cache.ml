@@ -1,17 +1,22 @@
 module Resources = Raqo_cluster.Resources
 
+type key = {
+  model : Raqo_cost.Op_cost.t;
+  conditions : Raqo_cluster.Conditions.t;
+  impl : Raqo_plan.Join_impl.t;
+}
+
 type lookup = Exact | Nearest_neighbor of float | Weighted_average of float
 
-(* LRU bookkeeping is engaged only for capacity-bounded caches: unbounded
-   caches (the default, the paper's behaviour) skip every stamp update, so
-   the hot lookup path is unchanged. Recency is a monotone clock stamped per
-   touch; eviction scans the stamp table for the minimum — O(size) per
-   eviction, which is fine at the small capacities batch runs bound
-   themselves to, and keeps the sorted indexes free of intrusive links. *)
+(* A handful of keys (two implementations per model and conditions in
+   play), so a linear scan over a short array finds an index. Recency is
+   kept only for bounded caches: a monotone clock stamped into the touched
+   index slot, beside its configuration. Eviction scans the indexes for the
+   oldest stamp — O(size), which the batch and server bounds keep small —
+   and unbounded caches (the paper's behaviour) never stamp. *)
 type t = {
-  indexes : (string, Resources.t Ordered_index.t) Hashtbl.t;
+  mutable slots : (key * Resources.t Ordered_index.t) array;
   capacity : int option;
-  stamps : (string * float, int) Hashtbl.t;
   mutable clock : int;
 }
 
@@ -19,32 +24,42 @@ let create ?capacity () =
   (match capacity with
   | Some c when c < 1 -> invalid_arg "Plan_cache.create: capacity must be >= 1"
   | Some _ | None -> ());
-  { indexes = Hashtbl.create 16; capacity; stamps = Hashtbl.create 16; clock = 0 }
+  { slots = [||]; capacity; clock = 0 }
 
 let capacity t = t.capacity
 
-let touch t key data_gb =
+let same_key a b = a.model == b.model && a.conditions == b.conditions && a.impl == b.impl
+
+(* The slot holding [key], or -1. *)
+let slot t key =
+  let rec go i =
+    if i = Array.length t.slots then -1
+    else if same_key (fst t.slots.(i)) key then i
+    else go (i + 1)
+  in
+  go 0
+
+let touch t idx data_gb =
   match t.capacity with
   | None -> ()
   | Some _ ->
       t.clock <- t.clock + 1;
-      Hashtbl.replace t.stamps (key, data_gb) t.clock
+      Ordered_index.touch idx data_gb t.clock
 
 (* Two data characteristics closer than this are the same measurement: the
    sizes flowing in here are products of float cardinality estimates, so keys
    that should be equal often differ in the last few ulps. *)
 let exact_epsilon ~data_gb = 1e-9 *. Float.max 1.0 (Float.abs data_gb)
 
-(* Lookups report which stored entries they consulted (by stored key) so a
-   bounded cache can refresh their recency: an entry that keeps answering
-   nearest-neighbor or weighted-average probes is warm even if its exact key
-   is never queried. *)
-let find_in_index idx ~key ~data_gb lookup touch_entry =
+(* Lookups touch every entry they consult, so an entry that keeps answering
+   nearest-neighbor or weighted-average probes stays warm even if its exact
+   key is never queried. *)
+let find_in_index t idx ~data_gb lookup =
   match lookup with
   | Exact -> begin
       match Ordered_index.find_exact idx data_gb with
       | Some plan ->
-          touch_entry key data_gb;
+          touch t idx data_gb;
           Some plan
       | None -> None
     end
@@ -53,7 +68,7 @@ let find_in_index idx ~key ~data_gb lookup touch_entry =
          radius band; same answer, ties to the lower key either way. *)
       match Ordered_index.nearest idx ~center:data_gb ~radius:threshold with
       | Some (k, plan) ->
-          touch_entry key k;
+          touch t idx k;
           Some plan
       | None -> None
     end
@@ -61,7 +76,7 @@ let find_in_index idx ~key ~data_gb lookup touch_entry =
       match Ordered_index.within idx ~center:data_gb ~radius:threshold with
       | [] -> None
       | close ->
-          List.iter (fun (k, _) -> touch_entry key k) close;
+          List.iter (fun (k, _) -> touch t idx k) close;
           (* Inverse-distance weights; a (near-)exact entry wins outright.
              The epsilon guard matters: a key float-unequal to [data_gb] by a
              few ulps would otherwise get weight 1/d with d near 0, swamping
@@ -88,9 +103,9 @@ let find_in_index idx ~key ~data_gb lookup touch_entry =
 
 let find ?counters t ~key ~data_gb lookup =
   let result =
-    match Hashtbl.find_opt t.indexes key with
-    | None -> None
-    | Some idx -> find_in_index idx ~key ~data_gb lookup (touch t)
+    match slot t key with
+    | -1 -> None
+    | i -> find_in_index t (snd t.slots.(i)) ~data_gb lookup
   in
   (match counters with
   | Some k -> begin
@@ -101,57 +116,52 @@ let find ?counters t ~key ~data_gb lookup =
   | None -> ());
   result
 
-let size t = Hashtbl.fold (fun _ idx acc -> acc + Ordered_index.size idx) t.indexes 0
+let size t = Array.fold_left (fun acc (_, idx) -> acc + Ordered_index.size idx) 0 t.slots
 
-(* Drop the least-recently-touched entry. The stamp table is authoritative
-   for bounded caches: every insert stamps, so every resident entry has a
-   stamp. *)
+(* Drop the least-recently-touched entry, and its key once emptied. *)
 let evict_lru ?counters t =
   let victim =
-    Hashtbl.fold
-      (fun entry stamp best ->
-        match best with
-        | Some (_, s) when s <= stamp -> best
-        | Some _ | None -> Some (entry, stamp))
-      t.stamps None
+    Array.fold_left
+      (fun best (_, idx) ->
+        match (Ordered_index.oldest idx, best) with
+        | Some (_, stamp), Some (_, _, s) when stamp >= s -> best
+        | Some (data_gb, stamp), _ -> Some (idx, data_gb, stamp)
+        | None, _ -> best)
+      None t.slots
   in
   match victim with
   | None -> ()
-  | Some (((key, data_gb) as entry), _) ->
-      Hashtbl.remove t.stamps entry;
-      (match Hashtbl.find_opt t.indexes key with
-      | None -> ()
-      | Some idx ->
-          ignore (Ordered_index.remove idx data_gb);
-          if Ordered_index.size idx = 0 then Hashtbl.remove t.indexes key);
+  | Some (idx, data_gb, _) ->
+      ignore (Ordered_index.remove idx data_gb);
+      if Ordered_index.size idx = 0 then
+        t.slots <- Array.of_list (List.filter (fun (_, i) -> i != idx) (Array.to_list t.slots));
       (match counters with Some k -> Counters.record_eviction k | None -> ())
 
 let insert ?counters t ~key ~data_gb resources =
   let idx =
-    match Hashtbl.find_opt t.indexes key with
-    | Some idx -> idx
-    | None ->
-        let idx = Ordered_index.create () in
-        Hashtbl.add t.indexes key idx;
+    match slot t key with
+    | -1 ->
+        let idx = Ordered_index.create ~stamped:(Option.is_some t.capacity) () in
+        t.slots <- Array.append t.slots [| (key, idx) |];
         idx
+    | i -> snd t.slots.(i)
   in
-  Ordered_index.insert idx data_gb resources;
-  touch t key data_gb;
   match t.capacity with
-  | None -> ()
+  | None -> Ordered_index.insert idx data_gb resources
   | Some cap ->
+      t.clock <- t.clock + 1;
+      Ordered_index.insert ~stamp:t.clock idx data_gb resources;
       while size t > cap do
         evict_lru ?counters t
       done
 
 let clear t =
-  Hashtbl.reset t.indexes;
-  Hashtbl.reset t.stamps;
+  t.slots <- [||];
   t.clock <- 0
 
-let keys t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.indexes [])
+let keys t = Array.to_list (Array.map fst t.slots)
 
 let entries t ~key =
-  match Hashtbl.find_opt t.indexes key with
-  | None -> []
-  | Some idx -> Ordered_index.to_list idx
+  match slot t key with
+  | -1 -> []
+  | i -> Ordered_index.to_list (snd t.slots.(i))

@@ -6,6 +6,16 @@
 
 type t
 
+(** What a search reads besides the data characteristic: the cost model, the
+    cluster conditions it searched, and the join implementation. The model
+    and the conditions are compared with [==], so a structurally equal copy
+    only misses; it never returns another search's answer. *)
+type key = {
+  model : Raqo_cost.Op_cost.t;
+  conditions : Raqo_cluster.Conditions.t;
+  impl : Raqo_plan.Join_impl.t;
+}
+
 (** Cache lookup policies, in the paper's terms. Thresholds are in the data
     characteristic's unit (GB of smaller input). *)
 type lookup =
@@ -20,20 +30,21 @@ type lookup =
     across keys: inserting past it evicts least-recently-used entries (recency
     is refreshed by inserts and by every lookup that consults the entry —
     exact hits, the nearest-neighbor match, and each weighted-average
-    contributor). The default keeps the paper's unbounded behaviour, with zero
-    bookkeeping overhead on the lookup path.
+    contributor). Each index slot holds its last-touch stamp beside the
+    configuration; an eviction scans the indexes for the oldest. The default
+    keeps the paper's unbounded behaviour, with no recency bookkeeping.
     @raise Invalid_argument if [capacity < 1]. *)
 val create : ?capacity:int -> unit -> t
 
 (** [capacity t] is the bound [t] was created with, if any. *)
 val capacity : t -> int option
 
-(** [find t ~key ~data_gb lookup] queries the index for [key] (e.g.
-    ["SMJ/join"]). Updates hit/miss counters in [counters] when given. *)
+(** [find t ~key ~data_gb lookup] queries [key]'s index. Updates hit/miss
+    counters in [counters] when given. *)
 val find :
   ?counters:Counters.t ->
   t ->
-  key:string ->
+  key:key ->
   data_gb:float ->
   lookup ->
   Raqo_cluster.Resources.t option
@@ -43,7 +54,7 @@ val find :
     On a capacity-bounded cache, inserting a new entry past the bound evicts
     the least-recently-used entries (recorded in [counters] when given). *)
 val insert :
-  ?counters:Counters.t -> t -> key:string -> data_gb:float -> Raqo_cluster.Resources.t -> unit
+  ?counters:Counters.t -> t -> key:key -> data_gb:float -> Raqo_cluster.Resources.t -> unit
 
 (** [clear t] empties the cache (the evaluation clears it between queries
     unless measuring across-query caching). *)
@@ -52,12 +63,13 @@ val clear : t -> unit
 (** [size t] is the total number of entries across keys. *)
 val size : t -> int
 
-(** [keys t] lists the distinct cache keys, sorted (verification hook). *)
-val keys : t -> string list
+(** [keys t] lists the keys holding entries, oldest first (verification
+    hook). *)
+val keys : t -> key list
 
 (** [entries t ~key] is [key]'s index content in ascending data-characteristic
     order — the ground truth the verification layer checks lookups against. *)
-val entries : t -> key:string -> (float * Raqo_cluster.Resources.t) list
+val entries : t -> key:key -> (float * Raqo_cluster.Resources.t) list
 
 (** [exact_epsilon ~data_gb] is the tolerance under which two data
     characteristics are treated as the same measurement (the weighted-average

@@ -1,14 +1,17 @@
 module Kernel = Raqo_cost.Kernel
+module Op_cost = Raqo_cost.Op_cost
+module Join_impl = Raqo_plan.Join_impl
+module Conditions = Raqo_cluster.Conditions
 
 type strategy = Brute_force | Hill_climb
 
 (* The cache behind [plan]: either the historical private Plan_cache (one
-   per planner, single-writer) or a handle to a striped cross-query cache a
+   per planner, single-writer) or a handle to the cross-query cache a
    resident server shares between all its concurrent planners. *)
 type cache_handle = Private of Plan_cache.t | Shared of Shared_plan_cache.t
 
 type t = {
-  conditions : Raqo_cluster.Conditions.t;
+  conditions : Conditions.t;
   strategy : strategy;
   cache : cache_handle option;
   lookup : Plan_cache.lookup;
@@ -40,8 +43,8 @@ let with_conditions t conditions = { t with conditions }
 
 (* A private copy for another domain (or another restart): same
    configuration and shared counters, but fresh single-writer state — a new
-   private cache and, critically, fresh kernel scratch. A shared striped
-   cache is synchronized and cross-query by design, so forks keep the same
+   private cache and, critically, fresh kernel scratch. A shared cache is
+   synchronized and cross-query by design, so forks keep the same
    handle: that sharing is the point of a resident server. *)
 let fork t =
   {
@@ -53,7 +56,6 @@ let fork t =
       | (Some (Shared _) | None) as cache -> cache);
     scratch = Kernel.create_scratch ();
   }
-let kernel_enabled t = t.use_kernel
 let scratch t = t.scratch
 
 (* Which implementation a search took, split kernel vs scalar so `raqo
@@ -69,61 +71,85 @@ let span_name strategy ~kernel =
   | Brute_force, true -> "resource/sweep-kernel"
   | Brute_force, false -> "resource/brute-force"
 
-let search ?start ?kernel t cost =
-  let kernel = if t.use_kernel then kernel else None in
+(* The smallest grid configuration where [impl] is feasible: BHJ must start
+   its hill climb above the OOM cliff, or the climb never leaves the
+   infinite-cost plateau. [None] when no configuration is feasible. *)
+let feasible_start (model : Op_cost.t) impl ~small_gb (conditions : Conditions.t) =
+  match impl with
+  | Join_impl.Smj -> Some (Conditions.min_config conditions)
+  | Join_impl.Bhj ->
+      let needed = small_gb /. model.oom_headroom in
+      if needed > conditions.max_gb then None
+      else begin
+        let steps = Float.max 0.0 (ceil ((needed -. conditions.min_gb) /. conditions.gb_step)) in
+        let gb = conditions.min_gb +. (steps *. conditions.gb_step) in
+        Some
+          (Raqo_cluster.Resources.make ~containers:conditions.min_containers
+             ~container_gb:(Float.min conditions.max_gb gb))
+      end
+
+(* The kernel is compiled here, on a miss only: a hit never searches. *)
+let search t ~start model impl ~small_gb =
   let span =
     if not (Raqo_obs.Obs.enabled ()) then Raqo_obs.Trace.none
     else begin
-      Raqo_obs.Metrics.Counter.inc
-        (match kernel with Some _ -> m_kernel_searches | None -> m_scalar_searches);
-      Raqo_obs.Trace.start (span_name t.strategy ~kernel:(Option.is_some kernel))
+      Raqo_obs.Metrics.Counter.inc (if t.use_kernel then m_kernel_searches else m_scalar_searches);
+      Raqo_obs.Trace.start (span_name t.strategy ~kernel:t.use_kernel)
     end
   in
   let result =
-    match (t.strategy, kernel) with
-    | Hill_climb, Some k -> Hill_climb.plan_kernel ~counters:t.counters ?start t.conditions k
-    | Hill_climb, None -> Hill_climb.plan ~counters:t.counters ?start t.conditions cost
-    | Brute_force, Some k ->
-        Brute_force.search_kernel ~counters:t.counters t.conditions ~kernel:k ~scratch:t.scratch
-    | Brute_force, None -> Brute_force.search ~counters:t.counters t.conditions cost
+    if t.use_kernel then begin
+      let kernel = Kernel.make model impl ~small_gb in
+      match t.strategy with
+      | Hill_climb -> Hill_climb.plan_kernel ~counters:t.counters ~start t.conditions kernel
+      | Brute_force ->
+          Brute_force.search_kernel ~counters:t.counters t.conditions ~kernel ~scratch:t.scratch
+    end
+    else begin
+      let cost resources = Op_cost.predict_exn model impl ~small_gb ~resources in
+      match t.strategy with
+      | Hill_climb -> Hill_climb.plan ~counters:t.counters ~start t.conditions cost
+      | Brute_force -> Brute_force.search ~counters:t.counters t.conditions cost
+    end
   in
   Raqo_obs.Trace.finish span;
   result
 
-let plan ?start ?kernel t ~key ~data_gb ~cost =
-  match t.cache with
-  | None -> search ?start ?kernel t cost
-  | Some handle -> begin
-      (* The shared handle records hits/misses in the planner's own counters
-         too (the striped cache's internal counters are the cross-planner
-         aggregate), so per-request instrumentation reads the same either
-         way. *)
-      let found =
-        match handle with
-        | Private cache -> Plan_cache.find ~counters:t.counters cache ~key ~data_gb t.lookup
-        | Shared shared ->
-            let r = Shared_plan_cache.find shared ~key ~data_gb t.lookup in
-            (match r with
-            | Some _ -> Counters.record_hit t.counters
-            | None -> Counters.record_miss t.counters);
-            r
-      in
-      match found with
-      | Some cached ->
-          let cached = Raqo_cluster.Conditions.clamp t.conditions cached in
-          Counters.record_evaluation t.counters;
-          let c =
-            match (if t.use_kernel then kernel else None) with
-            | Some k -> Kernel.predict_resources k cached
-            | None -> cost cached
+let plan t ~model ~impl ~small_gb =
+  match feasible_start model impl ~small_gb t.conditions with
+  | None -> None
+  | Some start -> begin
+      match t.cache with
+      | None -> Some (search t ~start model impl ~small_gb)
+      | Some handle -> begin
+          let key = { Plan_cache.model; conditions = t.conditions; impl } in
+          (* The shared handle records hits/misses in the planner's own
+             counters too (the shared cache's internal counters are the
+             cross-planner aggregate), so per-request instrumentation reads
+             the same either way. *)
+          let found =
+            match handle with
+            | Private cache ->
+                Plan_cache.find ~counters:t.counters cache ~key ~data_gb:small_gb t.lookup
+            | Shared shared ->
+                let r = Shared_plan_cache.find shared ~key ~data_gb:small_gb t.lookup in
+                (match r with
+                | Some _ -> Counters.record_hit t.counters
+                | None -> Counters.record_miss t.counters);
+                r
           in
-          (cached, c)
-      | None ->
-          let resources, best = search ?start ?kernel t cost in
-          (match handle with
-          | Private cache -> Plan_cache.insert ~counters:t.counters cache ~key ~data_gb resources
-          | Shared shared -> Shared_plan_cache.insert shared ~key ~data_gb resources);
-          (resources, best)
+          match found with
+          | Some cached ->
+              Counters.record_evaluation t.counters;
+              Some (cached, Op_cost.predict_exn model impl ~small_gb ~resources:cached)
+          | None ->
+              let resources, cost = search t ~start model impl ~small_gb in
+              (match handle with
+              | Private cache ->
+                  Plan_cache.insert ~counters:t.counters cache ~key ~data_gb:small_gb resources
+              | Shared shared -> Shared_plan_cache.insert shared ~key ~data_gb:small_gb resources);
+              Some (resources, cost)
+        end
     end
 
 let counters t = t.counters

@@ -1,6 +1,10 @@
-(** The resource planner cost-based RAQO invokes per costed sub-plan: a
-    search strategy (brute force or hill climbing) behind an optional
-    resource-plan cache, with instrumentation. *)
+(** The resource planner cost-based RAQO invokes per costed sub-plan: for
+    one join implementation at one data size, a search strategy (brute
+    force or hill climbing) behind an optional resource-plan cache, with
+    instrumentation. It owns both the search and the cache entry the search
+    reads and writes, so the cache key ({!Plan_cache.key}) is exactly what
+    the search reads: the cost model, the conditions and the
+    implementation. *)
 
 type strategy = Brute_force | Hill_climb
 
@@ -18,9 +22,9 @@ type t
     domain at a time — cache sharing across concurrent queries stays opt-in
     and single-domain.
 
-    [kernel] (default [true]) lets {!plan} use compiled cost kernels when
-    the caller supplies one: grid sweeps and hill-climb probes run through
-    {!Raqo_cost.Kernel} — bit-identical costs, same plans, no per-point
+    [kernel] (default [true]) makes {!plan} compile the cost model into a
+    {!Raqo_cost.Kernel.t} on every cache miss: grid sweeps and hill-climb
+    probes run through it — bit-identical costs, same plans, no per-point
     feature vectors — reusing one per-planner scratch buffer across calls so
     steady-state planning does zero grid allocation. [~kernel:false] forces
     the scalar path everywhere (the CLI's [--no-kernel] escape hatch).
@@ -29,7 +33,7 @@ type t
     {!Plan_cache.create}); omitted means unbounded, the paper's behaviour.
 
     [shared_cache] replaces the private per-planner cache with a handle to a
-    striped, thread-safe cross-query cache ({!Shared_plan_cache}) owned by a
+    thread-safe cross-query cache ({!Shared_plan_cache}) owned by a
     resident server: {!fork} then shares the handle instead of starting
     empty, and [cache]/[cache_capacity] are ignored. [registry] directs the
     planner's counter mirrors at a per-server metrics registry when
@@ -46,10 +50,6 @@ val create :
   Raqo_cluster.Conditions.t ->
   t
 
-(** [kernel_enabled t] reports whether this planner accepts compiled kernels
-    from {!plan} (the [?kernel] creation flag). *)
-val kernel_enabled : t -> bool
-
 (** [scratch t] is the planner's private kernel scratch buffer — exposed so
     tests and benches can audit its allocation/reuse counters
     ({!Raqo_cost.Kernel.allocs}, {!Raqo_cost.Kernel.reuses}) and prove the
@@ -59,7 +59,9 @@ val scratch : t -> Raqo_cost.Kernel.scratch
 val conditions : t -> Raqo_cluster.Conditions.t
 
 (** [with_conditions t conditions] shares the cache and counters but plans
-    against new cluster conditions (adaptive re-optimization). *)
+    against new cluster conditions (adaptive re-optimization). The cache key
+    holds the conditions, so entries planned under other conditions are
+    never returned. *)
 val with_conditions : t -> Raqo_cluster.Conditions.t -> t
 
 (** [fork t] is a private copy for another domain or restart: identical
@@ -73,33 +75,24 @@ val with_conditions : t -> Raqo_cluster.Conditions.t -> t
     one fork to each worker. *)
 val fork : t -> t
 
-(** [plan t ~key ~data_gb ~cost] returns the chosen configuration and its
-    cost. [key] identifies the (cost model, sub-plan kind) cache index, e.g.
-    ["hive/SMJ/join"]; [data_gb] is the data characteristic. On a cache hit
-    the cached configuration is returned with one cost evaluation; on a miss
-    the search runs and its result is inserted.
+(** [plan t ~model ~impl ~small_gb] returns the configuration chosen for
+    running [impl] on a build side of [small_gb] GB under [model], and its
+    cost; [None] when no configuration is feasible (a BHJ build side larger
+    than the biggest container allows), in which case nothing is searched
+    or counted.
 
-    [start] seeds the hill climb (default: the cluster's minimum
-    configuration). Operators with feasibility cliffs — BHJ is infeasible
-    below a memory threshold — should pass their smallest feasible
-    configuration, or the climb never escapes the infinite-cost plateau.
-
-    [kernel] is a compiled form of [cost] (same model, same impl, same
-    [data_gb] — see {!Raqo_cost.Kernel.make}); when given and the planner
-    was created with [~kernel:true], searches and cache-hit re-costing run
-    through it instead of [cost]. The kernel is bit-identical to the scalar
-    model, so passing it never changes the chosen configuration, its cost,
-    or the evaluation counters — only the time and allocation spent. Callers
-    with extended-space models simply have no kernel to pass ([Kernel.make]
-    returns [None]) and keep the scalar path. *)
+    The climb starts from the smallest feasible configuration: BHJ is
+    infeasible below a memory threshold, and a climb started below it never
+    leaves the infinite-cost plateau. On a cache hit the cached
+    configuration is re-costed with the scalar model (one evaluation,
+    bit-equal to the kernel's cost); on a miss the search runs and its
+    result is inserted. *)
 val plan :
-  ?start:Raqo_cluster.Resources.t ->
-  ?kernel:Raqo_cost.Kernel.t ->
   t ->
-  key:string ->
-  data_gb:float ->
-  cost:(Raqo_cluster.Resources.t -> float) ->
-  Raqo_cluster.Resources.t * float
+  model:Raqo_cost.Op_cost.t ->
+  impl:Raqo_plan.Join_impl.t ->
+  small_gb:float ->
+  (Raqo_cluster.Resources.t * float) option
 
 val counters : t -> Counters.t
 
@@ -120,7 +113,7 @@ val cache_size : t -> int
     Read-only use only. *)
 val cache : t -> Plan_cache.t option
 
-(** [shared_cache t] is the striped cross-query cache handle, when this
+(** [shared_cache t] is the cross-query cache handle, when this
     planner was created with one. *)
 val shared_cache : t -> Shared_plan_cache.t option
 

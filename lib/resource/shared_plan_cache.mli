@@ -1,16 +1,9 @@
-(** A sharded, thread-safe, cross-query resource-plan cache.
+(** A thread-safe, cross-query resource-plan cache.
 
     {!Plan_cache} is deliberately unsynchronized (single-writer, one per
     planner); a resident optimizer serving concurrent requests instead
-    shares one of these: a striped wrapper that routes every entry of a
-    cache key to one shard (so nearest-neighbor and weighted-average range
-    lookups stay correct under a single shard lock) and lets distinct keys
-    proceed in parallel.
-
-    The LRU bound is {e per shard}: a total [capacity] is split evenly
-    across shards and enforced by each shard's own {!Plan_cache} bound, so a
-    hot shard evicts independently of a cold one and the whole structure
-    never holds more than [shards * per_shard_capacity] entries.
+    shares one of these: one {!Plan_cache} behind one mutex. The [capacity]
+    bound is the total entry count, enforced by the wrapped cache's LRU.
 
     Hit/miss/eviction/insert counts are always recorded in lock-free sharded
     cells (exact once concurrent sections have joined); when
@@ -23,45 +16,29 @@
 
 type t
 
-(** [create ()] builds an empty cache with 8 shards and no capacity bound.
-    [capacity] is the {e total} entry bound, split evenly into per-shard LRU
-    bounds of [ceil (capacity / shards)]. [registry] receives the
-    observability mirrors (default: the process-wide registry).
-    @raise Invalid_argument when [shards < 1] or [capacity < 1]. *)
-val create :
-  ?shards:int ->
-  ?capacity:int ->
-  ?registry:Raqo_obs.Metrics.registry ->
-  unit ->
-  t
+(** [create ()] builds an empty cache with no capacity bound. [capacity] is
+    the total entry bound (LRU). [registry] receives the observability
+    mirrors (default: the process-wide registry).
+    @raise Invalid_argument when [capacity < 1]. *)
+val create : ?capacity:int -> ?registry:Raqo_obs.Metrics.registry -> unit -> t
 
-val shard_count : t -> int
-
-(** [per_shard_capacity t] is the LRU bound each shard enforces, if any. *)
-val per_shard_capacity : t -> int option
-
-(** [shard_of t ~key] is the shard index [key] routes to (all data
-    characteristics of one key share a shard; test hook). *)
-val shard_of : t -> key:string -> int
-
-(** [find t ~key ~data_gb lookup] is {!Plan_cache.find} under the owning
-    shard's lock. Records a hit or miss in [t]'s own counters (callers that
-    also keep per-planner {!Counters} record there themselves). *)
-val find : t -> key:string -> data_gb:float -> Plan_cache.lookup -> Raqo_cluster.Resources.t option
+(** [find t ~key ~data_gb lookup] is {!Plan_cache.find} under the lock.
+    Records a hit or miss in [t]'s own counters (callers that also keep
+    per-planner {!Counters} record there themselves). *)
+val find :
+  t ->
+  key:Plan_cache.key ->
+  data_gb:float ->
+  Plan_cache.lookup ->
+  Raqo_cluster.Resources.t option
 
 (** [insert t ~key ~data_gb resources] is {!Plan_cache.insert} under the
-    owning shard's lock; evictions forced by the per-shard bound are counted
-    against [t]. *)
-val insert : t -> key:string -> data_gb:float -> Raqo_cluster.Resources.t -> unit
+    lock; evictions forced by the bound are counted against [t]. *)
+val insert : t -> key:Plan_cache.key -> data_gb:float -> Raqo_cluster.Resources.t -> unit
 
-(** [size t] is the total entry count across shards (locks each shard in
-    turn: a consistent value only once concurrent writers have joined). *)
+(** [size t] is the total entry count (a consistent value only once
+    concurrent writers have joined). *)
 val size : t -> int
-
-(** [shard_sizes t] is the per-shard entry count, index-aligned with
-    {!shard_of} — the hook the LRU-bound tests check against
-    {!per_shard_capacity}. *)
-val shard_sizes : t -> int array
 
 val clear : t -> unit
 
@@ -74,5 +51,5 @@ val inserts : t -> int
 
 (** {2 Verification hooks} *)
 
-val keys : t -> string list
-val entries : t -> key:string -> (float * Raqo_cluster.Resources.t) list
+val keys : t -> Plan_cache.key list
+val entries : t -> key:Plan_cache.key -> (float * Raqo_cluster.Resources.t) list

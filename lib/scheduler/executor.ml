@@ -4,7 +4,6 @@ module Resources = Raqo_cluster.Resources
 module Conditions = Raqo_cluster.Conditions
 module Operators = Raqo_execsim.Operators
 module Simulate = Raqo_execsim.Simulate
-module Op_cost = Raqo_cost.Op_cost
 module Remaining = Raqo_adaptive.Remaining
 
 type policy = Wait of float option | Fail | Downscale | Reoptimize | Replan_remaining
@@ -44,47 +43,12 @@ let stages_of schema plan =
        [] plan)
 
 (* Re-pick one stage's operator and resources under current conditions:
-   per-operator adaptive RAQO (model-driven hill climb, then a simulator
-   feasibility check). *)
+   per-operator adaptive RAQO (the planner's model-driven per-join search on
+   a cache-less planner, then a simulator feasibility check). *)
 let reoptimize_stage model conditions stage =
-  let candidates =
-    List.filter_map
-      (fun impl ->
-        let start =
-          match impl with
-          | Join_impl.Smj -> Some (Conditions.min_config conditions)
-          | Join_impl.Bhj ->
-              let needed = stage.small_gb /. model.Op_cost.oom_headroom in
-              if needed > conditions.Conditions.max_gb then None
-              else begin
-                let steps =
-                  Float.max 0.0
-                    (ceil
-                       ((needed -. conditions.Conditions.min_gb)
-                       /. conditions.Conditions.gb_step))
-                in
-                Some
-                  (Resources.make ~containers:conditions.Conditions.min_containers
-                     ~container_gb:
-                       (Float.min conditions.Conditions.max_gb
-                          (conditions.Conditions.min_gb
-                          +. (steps *. conditions.Conditions.gb_step))))
-              end
-        in
-        Option.map
-          (fun start ->
-            let cost r = Op_cost.predict_exn model impl ~small_gb:stage.small_gb ~resources:r in
-            let resources, c = Raqo_resource.Hill_climb.plan ~start conditions cost in
-            (impl, resources, c))
-          start)
-      Join_impl.all
-  in
-  List.fold_left
-    (fun best (impl, resources, c) ->
-      match best with
-      | Some (_, _, bc) when bc <= c -> best
-      | Some _ | None -> if Float.is_finite c then Some (impl, resources, c) else best)
-    None candidates
+  Raqo_planner.Coster.best_choice model
+    (Raqo_resource.Resource_planner.create ~cache:false conditions)
+    ~small_gb:stage.small_gb
 
 (* Re-plan the entire remaining join graph under the current conditions:
    collapse executed subtrees into measured pseudo-relations
@@ -170,7 +134,7 @@ let run ?(policy = Wait None) ?(submit = 0.0) engine ~model schema ~capacity pla
         in
         let reoptimize_here () =
           match reoptimize_stage model conditions stage with
-          | Some (impl, resources, _) ->
+          | Some { Raqo_planner.Coster.impl; resources; _ } ->
               (* The model may still disagree with the simulator near the
                  OOM cliff; fall back to the simulator's choice. *)
               let impl, resources =

@@ -150,6 +150,13 @@ let execute engine schema planned =
 let run engine schema submissions ~planner =
   execute engine schema (List.map (plan_one ~planner schema) submissions)
 
+(* Selinger over the mask core, costing joins through [rp]'s resource
+   search. *)
+let plan_masked ~model rp schema relations =
+  let ctx = Raqo_catalog.Interned.make schema relations in
+  Option.map fst
+    (Raqo_planner.Selinger.optimize_masked (Raqo_planner.Coster.raqo_masked model ctx rp) ctx)
+
 let raqo_planner ?(cache_across_queries = true) ~model ~conditions () =
   let opt = ref None in
   fun schema relations ->
@@ -163,8 +170,7 @@ let raqo_planner ?(cache_across_queries = true) ~model ~conditions () =
           opt := Some p;
           p
     in
-    let coster = Raqo_planner.Coster.raqo model schema planner in
-    Option.map fst (Raqo_planner.Selinger.optimize coster schema relations)
+    plan_masked ~model planner schema relations
 
 let default_planner engine ~resources =
   fun schema relations ->
@@ -178,9 +184,7 @@ let default_planner engine ~resources =
 let optimize_batch ?pool ~model ~conditions schema submissions =
   let plan_query submission =
     let planner schema relations =
-      let rp = Raqo_resource.Resource_planner.create conditions in
-      let coster = Raqo_planner.Coster.raqo model schema rp in
-      Option.map fst (Raqo_planner.Selinger.optimize coster schema relations)
+      plan_masked ~model (Raqo_resource.Resource_planner.create conditions) schema relations
     in
     plan_one ~planner schema submission
   in

@@ -6,7 +6,6 @@ type config = {
   tenant_quota : int option;
   batch : int;
   cache_capacity : int option;
-  cache_shards : int;
   kernel : bool;
   rewrite : bool;
   scale_factor : float;
@@ -20,7 +19,6 @@ let default_config =
     tenant_quota = None;
     batch = 8;
     cache_capacity = Some 4096;
-    cache_shards = 8;
     kernel = true;
     rewrite = true;
     scale_factor = 100.0;
@@ -68,8 +66,7 @@ let create ?(config = default_config) ?registry () =
   | _ -> ());
   let registry = match registry with Some r -> r | None -> M.create_registry () in
   let cache =
-    Raqo_resource.Shared_plan_cache.create ~shards:config.cache_shards
-      ?capacity:config.cache_capacity ~registry ()
+    Raqo_resource.Shared_plan_cache.create ?capacity:config.cache_capacity ~registry ()
   in
   {
     config;
@@ -488,7 +485,6 @@ let health t ~id =
     {
       id;
       queue_depth = queue_depth t;
-      shards = t.config.cache_shards;
       jobs = t.config.jobs;
       ready = true;
     }
@@ -498,7 +494,6 @@ let oneshot_health ?(config = { default_config with jobs = 1 }) ~id () =
     {
       id;
       queue_depth = 0;
-      shards = config.cache_shards;
       jobs = config.jobs;
       ready = true;
     }
@@ -576,7 +571,7 @@ let process_wave t =
         (req, response)
       in
       (* One pool task per request: requests inside a wave plan concurrently,
-         each on its own optimizer (private scratch, shared striped cache),
+         each on its own optimizer (private scratch, shared cache),
          results back in submission order. *)
       let wave =
         Raqo_par.Pool.run_list t.pool (List.map (fun req () -> respond req) batch)

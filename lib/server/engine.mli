@@ -1,6 +1,6 @@
 (** The resident optimizer: one value of {!t} owns everything a planner
     process would otherwise re-build per query — the interned TPC-H catalog,
-    the trained cost model (warm compiled kernels), a striped cross-query
+    the trained cost model (warm compiled kernels), a cross-query
     {!Raqo_resource.Shared_plan_cache}, a private metrics
     {!Raqo_obs.Metrics.registry}, and a {!Raqo_par.Pool} of planning domains.
     Nothing is ambient: two engines (two servers, or a server and the CLI)
@@ -29,7 +29,6 @@ type config = {
           the rest. [None] (default) disables the quota. *)
   batch : int;  (** max requests planned per {!process_wave} *)
   cache_capacity : int option;  (** shared-cache LRU bound ([None] unbounded) *)
-  cache_shards : int;
   kernel : bool;  (** compiled cost kernels (the CLI's [--no-kernel] gates it) *)
   rewrite : bool;
       (** logical rewrite pass before enumeration: SQL filter selectivities
@@ -42,7 +41,7 @@ type config = {
   conditions : Raqo_cluster.Conditions.t;
 }
 
-(** jobs 1, queue 64, batch 8, cache 4096 over 8 shards, kernel on, rewrite
+(** jobs 1, queue 64, batch 8, cache 4096 entries, kernel on, rewrite
     on, SF 100, default conditions. *)
 val default_config : config
 
@@ -95,13 +94,13 @@ val submit : t -> Protocol.request -> Protocol.response option
 val queue_depth : t -> int
 
 (** [health t ~id] is the immediate [Health_ok] answer to an
-    [{"op":"health"}] probe: current queue depth, cache shards, pool jobs,
+    [{"op":"health"}] probe: current queue depth, pool jobs,
     [ready = true]. Never queued — it must answer even under overload — and
     carries no wall-clock field, so probe responses are deterministic. *)
 val health : t -> id:string option -> Protocol.response
 
 (** [oneshot_health ~id ()] is {!health} for the engine-less
-    [raqo serve --oneshot] path: depth 0 and [config]'s shards/jobs. *)
+    [raqo serve --oneshot] path: depth 0 and [config]'s jobs. *)
 val oneshot_health : ?config:config -> id:string option -> unit -> Protocol.response
 
 (** [process_wave t] drains up to [config.batch] queued requests and plans

@@ -81,7 +81,6 @@ type response =
   | Health_ok of {
       id : string option;
       queue_depth : int;
-      shards : int;
       jobs : int;
       ready : bool;
     }
@@ -487,7 +486,7 @@ let response_to_json = function
               ("resources", resources_json);
             ]
            @ adaptive_fields @ rewrite_fields))
-  | Health_ok { id; queue_depth; shards; jobs; ready } ->
+  | Health_ok { id; queue_depth; jobs; ready } ->
       let id_field = match id with None -> [] | Some id -> [ ("id", Json.Str id) ] in
       Json.to_string
         (Json.Obj
@@ -496,7 +495,6 @@ let response_to_json = function
                ("status", Json.Str "ok");
                ("op", Json.Str "health");
                ("queue_depth", Json.Num (float_of_int queue_depth));
-               ("shards", Json.Num (float_of_int shards));
                ("jobs", Json.Num (float_of_int jobs));
                ("ready", Json.Bool ready);
              ]))

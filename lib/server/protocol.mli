@@ -24,7 +24,7 @@
 
     Health probes: [{"op":"health"}] (optional ["id"]) answers immediately —
     without queueing — with [{"status":"ok","op":"health","queue_depth":N,
-    "shards":N,"jobs":N,"ready":true}]: readiness with no wall-clock field,
+    "jobs":N,"ready":true}]: readiness with no wall-clock field,
     so probe responses are deterministic. Parse request-or-probe lines with
     {!parse_line}.
 
@@ -131,7 +131,6 @@ type response =
   | Health_ok of {
       id : string option;
       queue_depth : int;
-      shards : int;  (** shared plan-cache stripes *)
       jobs : int;  (** pool parallelism *)
       ready : bool;
     }

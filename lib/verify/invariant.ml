@@ -152,41 +152,42 @@ let check_pareto ~objective ~describe items =
 let check_cache_lookup cache ~key ~data_gb lookup =
   let result = Plan_cache.find cache ~key ~data_gb lookup in
   let entries = Plan_cache.entries cache ~key in
+  let label = Raqo_plan.Join_impl.to_string key.Plan_cache.impl in
   let dist k = Float.abs (k -. data_gb) in
   let in_radius radius = List.filter (fun (k, _) -> dist k <= radius) entries in
   let fail invariant fmt = D.v ~invariant fmt in
   match (lookup, result) with
   | Plan_cache.Exact, None ->
       if List.exists (fun (k, _) -> k = data_gb) entries then
-        [ fail "cache/exact-missed" "%s: exact entry at %g not returned" key data_gb ]
+        [ fail "cache/exact-missed" "%s: exact entry at %g not returned" label data_gb ]
       else []
   | Plan_cache.Exact, Some r ->
       if List.exists (fun (k, v) -> k = data_gb && Resources.equal v r) entries then []
       else
-        [ fail "cache/exact-wrong" "%s: returned %s, no exact entry at %g matches" key
+        [ fail "cache/exact-wrong" "%s: returned %s, no exact entry at %g matches" label
             (Resources.to_string r) data_gb ]
   | Plan_cache.Nearest_neighbor radius, None ->
       if in_radius radius = [] then []
-      else [ fail "cache/nn-missed" "%s: entries within %g of %g but no answer" key radius data_gb ]
+      else [ fail "cache/nn-missed" "%s: entries within %g of %g but no answer" label radius data_gb ]
   | Plan_cache.Nearest_neighbor radius, Some r -> begin
       match in_radius radius with
       | [] ->
-          [ fail "cache/nn-out-of-radius" "%s: answered %s with no entry within %g of %g" key
+          [ fail "cache/nn-out-of-radius" "%s: answered %s with no entry within %g of %g" label
               (Resources.to_string r) radius data_gb ]
       | close ->
           let dmin = List.fold_left (fun acc (k, _) -> Float.min acc (dist k)) infinity close in
           if List.exists (fun (k, v) -> dist k = dmin && Resources.equal v r) close then []
           else
-            [ fail "cache/nn-not-nearest" "%s: %s is not a nearest entry to %g (dmin %g)" key
+            [ fail "cache/nn-not-nearest" "%s: %s is not a nearest entry to %g (dmin %g)" label
                 (Resources.to_string r) data_gb dmin ]
     end
   | Plan_cache.Weighted_average radius, None ->
       if in_radius radius = [] then []
-      else [ fail "cache/wa-missed" "%s: entries within %g of %g but no answer" key radius data_gb ]
+      else [ fail "cache/wa-missed" "%s: entries within %g of %g but no answer" label radius data_gb ]
   | Plan_cache.Weighted_average radius, Some r -> begin
       match in_radius radius with
       | [] ->
-          [ fail "cache/wa-out-of-radius" "%s: answered %s with no entry within %g of %g" key
+          [ fail "cache/wa-out-of-radius" "%s: answered %s with no entry within %g of %g" label
               (Resources.to_string r) radius data_gb ]
       | close -> begin
           let eps = Plan_cache.exact_epsilon ~data_gb in
@@ -194,7 +195,7 @@ let check_cache_lookup cache ~key ~data_gb lookup =
           | Some (_, exact) ->
               if Resources.equal r exact then []
               else
-                [ fail "cache/wa-not-exact" "%s: near-exact entry %s at %g, got %s" key
+                [ fail "cache/wa-not-exact" "%s: near-exact entry %s at %g, got %s" label
                     (Resources.to_string exact) data_gb (Resources.to_string r) ]
           | None ->
               (* The weighted average is a convex combination: every field must
@@ -215,7 +216,7 @@ let check_cache_lookup cache ~key ~data_gb lookup =
               if ok_c && ok_gb then []
               else
                 [ fail "cache/wa-outside-hull"
-                    "%s: %s outside hull [%d..%d] x [%.3f..%.3f] of in-radius entries" key
+                    "%s: %s outside hull [%d..%d] x [%.3f..%.3f] of in-radius entries" label
                     (Resources.to_string r) min_c max_c min_gb max_gb ]
         end
     end

@@ -65,7 +65,7 @@ val check_pareto :
     in-radius entries; and no lookup may answer from outside its radius. *)
 val check_cache_lookup :
   Raqo_resource.Plan_cache.t ->
-  key:string ->
+  key:Raqo_resource.Plan_cache.key ->
   data_gb:float ->
   Raqo_resource.Plan_cache.lookup ->
   Diagnostic.t list

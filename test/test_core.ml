@@ -244,6 +244,28 @@ let test_with_conditions_changes_bounds () =
         (Join_tree.annotations plan)
   | None -> Alcotest.fail "plan expected"
 
+let test_with_conditions_plans_fresh () =
+  (* A warm optimizer re-targeted at new conditions must plan exactly as a
+     fresh optimizer built for them: its cache holds entries hill-climbed
+     under the old conditions, and none of them may answer. *)
+  List.iter
+    (fun (name, query, containers, gb) ->
+      let conditions = Conditions.make ~max_containers:containers ~max_gb:gb () in
+      let warm = make_opt () in
+      ignore (Cost_based.optimize warm query);
+      let fresh = Cost_based.create ~model ~conditions schema in
+      let expected = Cost_based.optimize fresh query in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s at %d x %.0f GB" name containers gb)
+        true
+        (Cost_based.optimize (Cost_based.with_conditions warm conditions) query = expected))
+    [
+      ("q3", Tpch.q3, 30, 6.0);
+      ("q3", Tpch.q3, 8, 3.0);
+      ("q12", Tpch.q12, 8, 3.0);
+      ("q2", Tpch.q2, 50, 8.0);
+    ]
+
 let test_candidates_nonempty () =
   let opt = make_opt ~kind:Cost_based.Fast_randomized () in
   let cands = Cost_based.candidates opt Tpch.q3 in
@@ -252,9 +274,8 @@ let test_candidates_nonempty () =
 let test_kernel_toggle_is_invisible () =
   (* Compiled kernels are a pure perf lever: a kernel-on optimizer and its
      --no-kernel twin emit identical joint plans, costs, and instrumentation.
-     On the paper-space model the kernels actually engage; on the
-     extended-space hive model Kernel.make refuses and both sides run the
-     scalar fallback — the flag must be invisible either way. *)
+     The kernels engage on both the paper-space model and the
+     extended-space hive model; the flag must be invisible either way. *)
   let models =
     [
       ("paper", Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper);
@@ -691,6 +712,8 @@ let () =
             test_hill_climb_matches_brute_force_on_trained_model;
           Alcotest.test_case "condition changes rebound resources" `Quick
             test_with_conditions_changes_bounds;
+          Alcotest.test_case "condition change plans like a fresh optimizer" `Quick
+            test_with_conditions_plans_fresh;
           Alcotest.test_case "candidates for multi-objective use" `Quick test_candidates_nonempty;
           Alcotest.test_case "kernel toggle changes nothing observable" `Quick
             test_kernel_toggle_is_invisible;

@@ -152,41 +152,47 @@ let prop_hill_climb_never_beats_brute_force =
 
 (* ------------------------------------------------------------ Plan cache *)
 
+(* Cache keys compare their model and conditions with [==]: a second
+   conditions value, even an equal one, makes another key. *)
+let key_of ?(conditions = Conditions.default) impl = { Plan_cache.model; conditions; impl }
+let smj = key_of Join_impl.Smj
+let bhj = key_of Join_impl.Bhj
+
 let test_cache_exact_hit_miss () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"smj" ~data_gb:3.0 (res 10 2.0);
-  (match Plan_cache.find cache ~key:"smj" ~data_gb:3.0 Plan_cache.Exact with
+  Plan_cache.insert cache ~key:smj ~data_gb:3.0 (res 10 2.0);
+  (match Plan_cache.find cache ~key:smj ~data_gb:3.0 Plan_cache.Exact with
   | Some r -> Alcotest.(check int) "hit" 10 r.Resources.containers
   | None -> Alcotest.fail "expected hit");
   Alcotest.(check bool) "miss on other size" true
-    (Plan_cache.find cache ~key:"smj" ~data_gb:3.1 Plan_cache.Exact = None);
+    (Plan_cache.find cache ~key:smj ~data_gb:3.1 Plan_cache.Exact = None);
   Alcotest.(check bool) "miss on other key" true
-    (Plan_cache.find cache ~key:"bhj" ~data_gb:3.0 Plan_cache.Exact = None)
+    (Plan_cache.find cache ~key:bhj ~data_gb:3.0 Plan_cache.Exact = None)
 
 let test_cache_overwrite () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 9 9.0);
-  (match Plan_cache.find cache ~key:"k" ~data_gb:1.0 Plan_cache.Exact with
+  Plan_cache.insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:1.0 (res 9 9.0);
+  (match Plan_cache.find cache ~key:smj ~data_gb:1.0 Plan_cache.Exact with
   | Some r -> Alcotest.(check int) "overwritten" 9 r.Resources.containers
   | None -> Alcotest.fail "hit expected");
   Alcotest.(check int) "still one entry" 1 (Plan_cache.size cache)
 
 let test_cache_nearest_neighbor () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 10 1.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 20 2.0);
-  (match Plan_cache.find cache ~key:"k" ~data_gb:1.9 (Plan_cache.Nearest_neighbor 0.5) with
+  Plan_cache.insert cache ~key:smj ~data_gb:1.0 (res 10 1.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:2.0 (res 20 2.0);
+  (match Plan_cache.find cache ~key:smj ~data_gb:1.9 (Plan_cache.Nearest_neighbor 0.5) with
   | Some r -> Alcotest.(check int) "closest is 2.0" 20 r.Resources.containers
   | None -> Alcotest.fail "hit expected");
   Alcotest.(check bool) "outside threshold misses" true
-    (Plan_cache.find cache ~key:"k" ~data_gb:3.0 (Plan_cache.Nearest_neighbor 0.5) = None)
+    (Plan_cache.find cache ~key:smj ~data_gb:3.0 (Plan_cache.Nearest_neighbor 0.5) = None)
 
 let test_cache_weighted_average () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 10 2.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:3.0 (res 30 4.0);
-  match Plan_cache.find cache ~key:"k" ~data_gb:2.0 (Plan_cache.Weighted_average 1.5) with
+  Plan_cache.insert cache ~key:smj ~data_gb:1.0 (res 10 2.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:3.0 (res 30 4.0);
+  match Plan_cache.find cache ~key:smj ~data_gb:2.0 (Plan_cache.Weighted_average 1.5) with
   | Some r ->
       (* Equidistant: plain average. *)
       Alcotest.(check int) "containers averaged" 20 r.Resources.containers;
@@ -195,9 +201,9 @@ let test_cache_weighted_average () =
 
 let test_cache_weighted_average_prefers_exact () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 7 7.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.5 (res 9 9.0);
-  match Plan_cache.find cache ~key:"k" ~data_gb:2.0 (Plan_cache.Weighted_average 1.0) with
+  Plan_cache.insert cache ~key:smj ~data_gb:2.0 (res 7 7.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:2.5 (res 9 9.0);
+  match Plan_cache.find cache ~key:smj ~data_gb:2.0 (Plan_cache.Weighted_average 1.0) with
   | Some r -> Alcotest.(check int) "exact wins" 7 r.Resources.containers
   | None -> Alcotest.fail "hit expected"
 
@@ -208,9 +214,9 @@ let test_cache_weighted_average_epsilon_exact_guard () =
      an exact hit and return it verbatim. *)
   let cache = Plan_cache.create () in
   let near_exact = Float.succ 2.0 in
-  Plan_cache.insert cache ~key:"k" ~data_gb:near_exact (res 8 4.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.5 (res 2 1.0);
-  match Plan_cache.find cache ~key:"k" ~data_gb:2.0 (Plan_cache.Weighted_average 1.0) with
+  Plan_cache.insert cache ~key:smj ~data_gb:near_exact (res 8 4.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:2.5 (res 2 1.0);
+  match Plan_cache.find cache ~key:smj ~data_gb:2.0 (Plan_cache.Weighted_average 1.0) with
   | Some r ->
       Alcotest.(check bool)
         (Printf.sprintf "near-exact entry returned verbatim (got %s)" (Resources.to_string r))
@@ -223,21 +229,21 @@ let test_cache_weighted_average_denormal_distance () =
      weight to infinity and the average to nan, which [Resources.make]
      rejects — the lookup used to raise instead of answering. *)
   let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1e-310 (res 8 4.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:0.3 (res 2 1.0);
-  match Plan_cache.find cache ~key:"k" ~data_gb:0.0 (Plan_cache.Weighted_average 0.5) with
+  Plan_cache.insert cache ~key:smj ~data_gb:1e-310 (res 8 4.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:0.3 (res 2 1.0);
+  match Plan_cache.find cache ~key:smj ~data_gb:0.0 (Plan_cache.Weighted_average 0.5) with
   | Some r -> Alcotest.(check bool) "near-exact entry wins" true (Resources.equal r (res 8 4.0))
   | None -> Alcotest.fail "hit expected"
 
 let test_cache_resizes_past_initial_capacity () =
   let cache = Plan_cache.create () in
   for i = 1 to 100 do
-    Plan_cache.insert cache ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
+    Plan_cache.insert cache ~key:smj ~data_gb:(float_of_int i) (res i 1.0)
   done;
   Alcotest.(check int) "100 entries" 100 (Plan_cache.size cache);
   (* Every entry still findable after the resizes and shifting. *)
   for i = 1 to 100 do
-    match Plan_cache.find cache ~key:"k" ~data_gb:(float_of_int i) Plan_cache.Exact with
+    match Plan_cache.find cache ~key:smj ~data_gb:(float_of_int i) Plan_cache.Exact with
     | Some r -> Alcotest.(check int) "right plan" i r.Resources.containers
     | None -> Alcotest.failf "entry %d lost" i
   done
@@ -247,26 +253,39 @@ let test_cache_insert_random_order_stays_sorted () =
   let rng = Raqo_util.Rng.create 5 in
   let sizes = Array.init 50 (fun i -> float_of_int (i + 1)) in
   Raqo_util.Rng.shuffle rng sizes;
-  Array.iter (fun s -> Plan_cache.insert cache ~key:"k" ~data_gb:s (res 1 1.0)) sizes;
+  Array.iter (fun s -> Plan_cache.insert cache ~key:smj ~data_gb:s (res 1 1.0)) sizes;
   (* Nearest-neighbor across the whole range works iff ordering is intact. *)
-  match Plan_cache.find cache ~key:"k" ~data_gb:25.4 (Plan_cache.Nearest_neighbor 1.0) with
+  match Plan_cache.find cache ~key:smj ~data_gb:25.4 (Plan_cache.Nearest_neighbor 1.0) with
   | Some _ -> ()
   | None -> Alcotest.fail "expected neighbor"
 
 let test_cache_clear () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
   Plan_cache.clear cache;
   Alcotest.(check int) "empty" 0 (Plan_cache.size cache)
 
 let test_cache_counters () =
   let cache = Plan_cache.create () in
   let k = Counters.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  ignore (Plan_cache.find ~counters:k cache ~key:"k" ~data_gb:1.0 Plan_cache.Exact);
-  ignore (Plan_cache.find ~counters:k cache ~key:"k" ~data_gb:9.0 Plan_cache.Exact);
+  Plan_cache.insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  ignore (Plan_cache.find ~counters:k cache ~key:smj ~data_gb:1.0 Plan_cache.Exact);
+  ignore (Plan_cache.find ~counters:k cache ~key:smj ~data_gb:9.0 Plan_cache.Exact);
   Alcotest.(check int) "one hit" 1 (Counters.cache_hits k);
   Alcotest.(check int) "one miss" 1 (Counters.cache_misses k)
+
+let test_cache_key_identity () =
+  (* Keys hold the model and the conditions by identity: a structurally
+     equal copy of either only misses, and so does the other operator. *)
+  let cache = Plan_cache.create () in
+  Plan_cache.insert cache ~key:smj ~data_gb:1.0 (res 4 2.0);
+  let miss key = Plan_cache.find cache ~key ~data_gb:1.0 Plan_cache.Exact = None in
+  Alcotest.(check bool) "same key hits" false (miss smj);
+  Alcotest.(check bool) "equal conditions copy misses" true
+    (miss (key_of ~conditions:(Conditions.make ()) Join_impl.Smj));
+  Alcotest.(check bool) "equal model copy misses" true
+    (miss { smj with Plan_cache.model = { model with Op_cost.floor = model.Op_cost.floor } });
+  Alcotest.(check bool) "other operator misses" true (miss bhj)
 
 let prop_cache_wa_within_neighbor_hull =
   (* Weighted averages stay inside the bounding box of the neighbors they
@@ -276,11 +295,11 @@ let prop_cache_wa_within_neighbor_hull =
     (fun (entries, probe) ->
       let cache = Plan_cache.create () in
       List.iter
-        (fun c -> Plan_cache.insert cache ~key:"k" ~data_gb:(float_of_int c) (res c (float_of_int (1 + (c mod 10)))))
+        (fun c -> Plan_cache.insert cache ~key:smj ~data_gb:(float_of_int c) (res c (float_of_int (1 + (c mod 10)))))
         entries;
       let threshold = 10.0 in
       match
-        Plan_cache.find cache ~key:"k" ~data_gb:(float_of_int probe)
+        Plan_cache.find cache ~key:smj ~data_gb:(float_of_int probe)
           (Plan_cache.Weighted_average threshold)
       with
       | None -> true
@@ -297,10 +316,10 @@ let prop_cache_nn_within_threshold =
     (fun (inserts, probe) ->
       let cache = Plan_cache.create () in
       List.iteri
-        (fun i s -> Plan_cache.insert cache ~key:"k" ~data_gb:s (res (i + 1) 1.0))
+        (fun i s -> Plan_cache.insert cache ~key:smj ~data_gb:s (res (i + 1) 1.0))
         inserts;
       let threshold = 2.0 in
-      match Plan_cache.find cache ~key:"k" ~data_gb:probe (Plan_cache.Nearest_neighbor threshold) with
+      match Plan_cache.find cache ~key:smj ~data_gb:probe (Plan_cache.Nearest_neighbor threshold) with
       | Some _ -> List.exists (fun s -> Float.abs (s -. probe) <= threshold) inserts
       | None -> not (List.exists (fun s -> Float.abs (s -. probe) <= threshold) inserts))
 
@@ -309,6 +328,25 @@ let prop_cache_nn_within_threshold =
 module Ordered_index = Raqo_resource.Ordered_index
 
 let with_index f = f (Ordered_index.create ())
+
+let test_index_stamps () =
+  (* Stamps ride with their slot through shifting inserts and removals; an
+     unstamped index reads every stamp as 0. *)
+  let idx = Ordered_index.create ~stamped:true () in
+  Alcotest.(check bool) "empty has no oldest" true (Ordered_index.oldest idx = None);
+  Ordered_index.insert ~stamp:5 idx 2.0 "b";
+  Ordered_index.insert ~stamp:7 idx 3.0 "c";
+  Ordered_index.insert ~stamp:6 idx 1.0 "a";
+  Alcotest.(check bool) "oldest by stamp" true (Ordered_index.oldest idx = Some (2.0, 5));
+  Ordered_index.touch idx 2.0 9;
+  Alcotest.(check bool) "touch moves it" true (Ordered_index.oldest idx = Some (1.0, 6));
+  ignore (Ordered_index.remove idx 1.0);
+  Alcotest.(check bool) "removal shifts stamps" true (Ordered_index.oldest idx = Some (3.0, 7));
+  let plain = Ordered_index.create () in
+  Ordered_index.insert ~stamp:5 plain 2.0 "b";
+  Ordered_index.insert ~stamp:3 plain 4.0 "d";
+  Alcotest.(check bool) "unstamped: lowest key, stamp 0" true
+    (Ordered_index.oldest plain = Some (2.0, 0))
 
 let test_index_insert_find () =
   with_index (fun idx ->
@@ -391,12 +429,15 @@ let prop_nearest_matches_linear_scan =
 
 (* ------------------------------------------------------ Resource_planner *)
 
+(* [plan] on the real operator model at one build-side size. *)
+let plan_smj ?(small_gb = 3.0) planner =
+  Option.get (Resource_planner.plan planner ~model ~impl:Join_impl.Smj ~small_gb)
+
 let test_planner_cache_flow () =
   let planner = Resource_planner.create Conditions.default in
-  let f = bowl ~nc_opt:20 ~gb_opt:5.0 in
-  let r1, c1 = Resource_planner.plan planner ~key:"smj/join" ~data_gb:3.0 ~cost:f in
+  let r1, c1 = plan_smj planner in
   let evals_after_first = Counters.cost_evaluations (Resource_planner.counters planner) in
-  let r2, c2 = Resource_planner.plan planner ~key:"smj/join" ~data_gb:3.0 ~cost:f in
+  let r2, c2 = plan_smj planner in
   let evals_after_second = Counters.cost_evaluations (Resource_planner.counters planner) in
   Alcotest.(check bool) "same result" true (Resources.equal r1 r2);
   check_float "same cost" c1 c2;
@@ -405,10 +446,9 @@ let test_planner_cache_flow () =
 
 let test_planner_no_cache_recomputes () =
   let planner = Resource_planner.create ~cache:false Conditions.default in
-  let f = bowl ~nc_opt:20 ~gb_opt:5.0 in
-  let _ = Resource_planner.plan planner ~key:"k" ~data_gb:3.0 ~cost:f in
+  let _ = plan_smj planner in
   let e1 = Counters.cost_evaluations (Resource_planner.counters planner) in
-  let _ = Resource_planner.plan planner ~key:"k" ~data_gb:3.0 ~cost:f in
+  let _ = plan_smj planner in
   let e2 = Counters.cost_evaluations (Resource_planner.counters planner) in
   Alcotest.(check bool) "full recompute" true (e2 - e1 > 1)
 
@@ -416,9 +456,8 @@ let test_planner_nn_lookup_reuses_neighbor () =
   let planner =
     Resource_planner.create ~lookup:(Plan_cache.Nearest_neighbor 0.5) Conditions.default
   in
-  let f = bowl ~nc_opt:20 ~gb_opt:5.0 in
-  let _ = Resource_planner.plan planner ~key:"k" ~data_gb:3.0 ~cost:f in
-  let _ = Resource_planner.plan planner ~key:"k" ~data_gb:3.2 ~cost:f in
+  let _ = plan_smj ~small_gb:3.0 planner in
+  let _ = plan_smj ~small_gb:3.2 planner in
   Alcotest.(check int) "neighbor hit" 1 (Counters.cache_hits (Resource_planner.counters planner))
 
 let test_planner_brute_force_strategy () =
@@ -426,25 +465,42 @@ let test_planner_brute_force_strategy () =
     Resource_planner.create ~strategy:Resource_planner.Brute_force ~cache:false
       Conditions.default
   in
-  let _ = Resource_planner.plan planner ~key:"k" ~data_gb:1.0 ~cost:(bowl ~nc_opt:3 ~gb_opt:2.0) in
+  let _ = plan_smj ~small_gb:1.0 planner in
   Alcotest.(check int) "explored all" 1000
     (Counters.cost_evaluations (Resource_planner.counters planner))
 
-let test_planner_with_conditions_shares_cache () =
+let test_planner_infeasible_searches_nothing () =
+  (* A BHJ build side beyond the largest container has no feasible start:
+     no search, no cache probe, nothing counted. *)
   let planner = Resource_planner.create Conditions.default in
-  let f = bowl ~nc_opt:20 ~gb_opt:5.0 in
-  let _ = Resource_planner.plan planner ~key:"k" ~data_gb:3.0 ~cost:f in
+  Alcotest.(check bool) "no configuration" true
+    (Resource_planner.plan planner ~model ~impl:Join_impl.Bhj ~small_gb:1e6 = None);
+  let k = Resource_planner.counters planner in
+  Alcotest.(check int) "no invocation" 0 (Counters.planner_invocations k);
+  Alcotest.(check int) "no probe" 0 (Counters.cache_hits k + Counters.cache_misses k)
+
+let test_planner_with_conditions_never_reuses () =
+  (* The cache key holds the conditions: a planner re-targeted at new
+     conditions shares the cache but never answers from an entry planned
+     under the old ones — it plans exactly as a fresh planner would. *)
+  let planner = Resource_planner.create Conditions.default in
+  let wide = plan_smj planner in
   let small = Conditions.make ~max_containers:10 ~max_gb:3.0 () in
   let planner2 = Resource_planner.with_conditions planner small in
-  (* The stale cached plan (20 containers) must be clamped into the new
-     conditions on reuse. *)
-  let r, _ = Resource_planner.plan planner2 ~key:"k" ~data_gb:3.0 ~cost:f in
-  Alcotest.(check bool) "clamped into new bounds" true (Conditions.contains small r)
+  let hits = Counters.cache_hits (Resource_planner.counters planner) in
+  let narrow = plan_smj planner2 in
+  Alcotest.(check int) "a miss, not a hit" hits
+    (Counters.cache_hits (Resource_planner.counters planner));
+  Alcotest.(check bool) "equals a fresh planner's answer" true
+    (narrow = plan_smj (Resource_planner.create small));
+  Alcotest.(check bool) "within the new bounds" true (Conditions.contains small (fst narrow));
+  Alcotest.(check bool) "the old entry still answers the old conditions" true
+    (plan_smj planner = wide);
+  Alcotest.(check int) "one entry per conditions" 2 (Resource_planner.cache_size planner)
 
 let test_planner_reset () =
   let planner = Resource_planner.create Conditions.default in
-  let f = bowl ~nc_opt:20 ~gb_opt:5.0 in
-  let _ = Resource_planner.plan planner ~key:"k" ~data_gb:3.0 ~cost:f in
+  let _ = plan_smj planner in
   Resource_planner.reset_counters planner;
   Resource_planner.clear_cache planner;
   Alcotest.(check int) "counters zeroed" 0
@@ -569,69 +625,70 @@ let test_cache_unbounded_by_default () =
   let cache = Plan_cache.create () in
   Alcotest.(check bool) "no capacity" true (Plan_cache.capacity cache = None);
   for i = 1 to 100 do
-    Plan_cache.insert cache ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
+    Plan_cache.insert cache ~key:smj ~data_gb:(float_of_int i) (res i 1.0)
   done;
   Alcotest.(check int) "everything retained" 100 (Plan_cache.size cache)
 
 let test_cache_capacity_evicts_lru () =
   let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 2 2.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:3.0 (res 3 3.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:2.0 (res 2 2.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:3.0 (res 3 3.0);
   Alcotest.(check int) "bounded" 2 (Plan_cache.size cache);
   Alcotest.(check (list (float 0.0)))
     "oldest evicted" [ 2.0; 3.0 ]
-    (List.map fst (Plan_cache.entries cache ~key:"k"))
+    (List.map fst (Plan_cache.entries cache ~key:smj))
 
 let test_cache_lookup_refreshes_recency () =
   let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 2 2.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:2.0 (res 2 2.0);
   (* Touch 1.0: now 2.0 is the cold entry. *)
   Alcotest.(check bool) "hit" true
-    (Plan_cache.find cache ~key:"k" ~data_gb:1.0 Plan_cache.Exact <> None);
-  Plan_cache.insert cache ~key:"k" ~data_gb:3.0 (res 3 3.0);
+    (Plan_cache.find cache ~key:smj ~data_gb:1.0 Plan_cache.Exact <> None);
+  Plan_cache.insert cache ~key:smj ~data_gb:3.0 (res 3 3.0);
   Alcotest.(check (list (float 0.0)))
     "2.0 evicted, touched 1.0 kept" [ 1.0; 3.0 ]
-    (List.map fst (Plan_cache.entries cache ~key:"k"))
+    (List.map fst (Plan_cache.entries cache ~key:smj))
 
 let test_cache_nearest_lookup_refreshes_recency () =
   let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 2 2.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:2.0 (res 2 2.0);
   (* A nearest-neighbor probe that matches 1.0 must warm that entry. *)
   Alcotest.(check bool) "nn hit" true
-    (Plan_cache.find cache ~key:"k" ~data_gb:1.1 (Plan_cache.Nearest_neighbor 0.5) <> None);
-  Plan_cache.insert cache ~key:"k" ~data_gb:3.0 (res 3 3.0);
+    (Plan_cache.find cache ~key:smj ~data_gb:1.1 (Plan_cache.Nearest_neighbor 0.5) <> None);
+  Plan_cache.insert cache ~key:smj ~data_gb:3.0 (res 3 3.0);
   Alcotest.(check (list (float 0.0)))
     "nn-matched entry survives" [ 1.0; 3.0 ]
-    (List.map fst (Plan_cache.entries cache ~key:"k"))
+    (List.map fst (Plan_cache.entries cache ~key:smj))
 
 let test_cache_capacity_spans_keys () =
   (* The bound is global across cache keys, and an emptied key disappears. *)
   let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert cache ~key:"a" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert cache ~key:"b" ~data_gb:1.0 (res 2 2.0);
-  Plan_cache.insert cache ~key:"b" ~data_gb:2.0 (res 3 3.0);
+  Plan_cache.insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  Plan_cache.insert cache ~key:bhj ~data_gb:1.0 (res 2 2.0);
+  Plan_cache.insert cache ~key:bhj ~data_gb:2.0 (res 3 3.0);
   Alcotest.(check int) "bounded across keys" 2 (Plan_cache.size cache);
-  Alcotest.(check (list string)) "key a emptied and dropped" [ "b" ] (Plan_cache.keys cache)
+  Alcotest.(check (list string)) "key a emptied and dropped" [ "BHJ" ]
+    (List.map (fun k -> Join_impl.to_string k.Plan_cache.impl) (Plan_cache.keys cache))
 
 let test_cache_overwrite_does_not_evict () =
   let k = Counters.create () in
   let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert ~counters:k cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert ~counters:k cache ~key:"k" ~data_gb:2.0 (res 2 2.0);
-  Plan_cache.insert ~counters:k cache ~key:"k" ~data_gb:2.0 (res 9 9.0);
+  Plan_cache.insert ~counters:k cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  Plan_cache.insert ~counters:k cache ~key:smj ~data_gb:2.0 (res 2 2.0);
+  Plan_cache.insert ~counters:k cache ~key:smj ~data_gb:2.0 (res 9 9.0);
   Alcotest.(check int) "still two entries" 2 (Plan_cache.size cache);
   Alcotest.(check int) "no evictions" 0 (Counters.cache_evictions k);
   Alcotest.(check bool) "overwrite took" true
-    (Plan_cache.find cache ~key:"k" ~data_gb:2.0 Plan_cache.Exact = Some (res 9 9.0))
+    (Plan_cache.find cache ~key:smj ~data_gb:2.0 Plan_cache.Exact = Some (res 9 9.0))
 
 let test_cache_eviction_counters () =
   let k = Counters.create () in
   let cache = Plan_cache.create ~capacity:3 () in
   for i = 1 to 10 do
-    Plan_cache.insert ~counters:k cache ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
+    Plan_cache.insert ~counters:k cache ~key:smj ~data_gb:(float_of_int i) (res i 1.0)
   done;
   Alcotest.(check int) "bounded" 3 (Plan_cache.size cache);
   Alcotest.(check int) "seven evictions recorded" 7 (Counters.cache_evictions k);
@@ -644,7 +701,8 @@ let prop_cache_capacity_never_exceeded =
         (list_of_size Gen.(int_range 1 60) (pair (int_range 0 2) (int_range 1 20))))
     (fun (cap, ops) ->
       let cache = Plan_cache.create ~capacity:cap () in
-      let key = function 0 -> "a" | 1 -> "b" | _ -> "c" in
+      let other = key_of ~conditions:(Conditions.make ()) Join_impl.Smj in
+      let key = function 0 -> smj | 1 -> bhj | _ -> other in
       List.for_all
         (fun (k, v) ->
           Plan_cache.insert cache ~key:(key k) ~data_gb:(float_of_int v) (res v 1.0);
@@ -711,18 +769,13 @@ let test_planner_kernel_scratch_reuse () =
     Resource_planner.create ~strategy:Resource_planner.Brute_force ~cache:false
       Conditions.default
   in
-  Alcotest.(check bool) "kernels on by default" true (Resource_planner.kernel_enabled planner);
   List.iter
     (fun small_gb ->
-      let kernel = kernel_of Join_impl.Smj ~small_gb in
-      let kerneled =
-        Resource_planner.plan ~kernel planner ~key:"SMJ/join" ~data_gb:small_gb
-          ~cost:(op_cost Join_impl.Smj ~small_gb)
-      in
       let scalar =
         Brute_force.search Conditions.default (op_cost Join_impl.Smj ~small_gb)
       in
-      Alcotest.(check bool) "matches the scalar search" true (kerneled = scalar))
+      Alcotest.(check bool) "matches the scalar search" true
+        (plan_smj ~small_gb planner = scalar))
     [ 0.5; 1.5; 2.5; 3.5 ];
   let s = Resource_planner.scratch planner in
   Alcotest.(check int) "one grid allocation" 1 (Kernel.allocs s);
@@ -733,36 +786,27 @@ let test_planner_kernel_disabled_ignores_kernel () =
     Resource_planner.create ~strategy:Resource_planner.Brute_force ~cache:false
       ~kernel:false Conditions.default
   in
-  Alcotest.(check bool) "reports disabled" true
-    (not (Resource_planner.kernel_enabled planner));
-  let kernel = kernel_of Join_impl.Smj ~small_gb:2.0 in
-  let result =
-    Resource_planner.plan ~kernel planner ~key:"SMJ/join" ~data_gb:2.0
-      ~cost:(op_cost Join_impl.Smj ~small_gb:2.0)
-  in
   Alcotest.(check bool) "scalar result" true
-    (result = Brute_force.search Conditions.default (op_cost Join_impl.Smj ~small_gb:2.0));
+    (plan_smj ~small_gb:2.0 planner
+    = Brute_force.search Conditions.default (op_cost Join_impl.Smj ~small_gb:2.0));
   Alcotest.(check int) "scratch untouched" 0 (Kernel.allocs (Resource_planner.scratch planner))
 
 let test_planner_kernel_cache_hit_recosting () =
-  (* On a cache hit the cached configuration is re-costed through the kernel:
-     same float as the scalar closure, one recorded evaluation. *)
+  (* A miss searches through the kernel; a hit re-costs the cached
+     configuration with the scalar model: the same float, one recorded
+     evaluation. *)
   let counters = Counters.create () in
   let planner =
     Resource_planner.create ~strategy:Resource_planner.Hill_climb ~cache:true ~counters
       Conditions.default
   in
   let small_gb = 2.0 in
-  let kernel = kernel_of Join_impl.Smj ~small_gb in
-  let cost = op_cost Join_impl.Smj ~small_gb in
-  let first =
-    Resource_planner.plan ~kernel planner ~key:"SMJ/join" ~data_gb:small_gb ~cost
-  in
-  let hit = Resource_planner.plan ~kernel planner ~key:"SMJ/join" ~data_gb:small_gb ~cost in
+  let first = plan_smj ~small_gb planner in
+  let hit = plan_smj ~small_gb planner in
   Alcotest.(check bool) "hit returns the cached plan at the same cost" true (first = hit);
   Alcotest.(check int) "one hit" 1 (Counters.cache_hits counters);
-  Alcotest.(check bool) "hit cost equals the scalar model" true
-    (snd hit = cost (fst hit))
+  Alcotest.(check bool) "hit cost equals the kernel's" true
+    (snd hit = Kernel.predict_resources (kernel_of Join_impl.Smj ~small_gb) (fst hit))
 
 let test_planner_cache_capacity_plumbed () =
   let counters = Counters.create () in
@@ -770,12 +814,7 @@ let test_planner_cache_capacity_plumbed () =
     Resource_planner.create ~strategy:Resource_planner.Hill_climb ~cache:true
       ~cache_capacity:2 ~counters Conditions.default
   in
-  List.iter
-    (fun gb ->
-      ignore
-        (Resource_planner.plan planner ~key:"SMJ/join" ~data_gb:gb
-           ~cost:(op_cost Join_impl.Smj ~small_gb:gb)))
-    [ 1.0; 2.0; 3.0; 4.0 ];
+  List.iter (fun small_gb -> ignore (plan_smj ~small_gb planner)) [ 1.0; 2.0; 3.0; 4.0 ];
   Alcotest.(check int) "cache stays bounded" 2 (Resource_planner.cache_size planner);
   Alcotest.(check int) "evictions recorded" 2 (Counters.cache_evictions counters)
 
@@ -784,21 +823,17 @@ let test_planner_cache_capacity_plumbed () =
 module Shared_plan_cache = Raqo_resource.Shared_plan_cache
 
 let test_shared_cache_basics () =
-  let c = Shared_plan_cache.create ~shards:4 ~capacity:10 () in
-  Alcotest.(check int) "shards" 4 (Shared_plan_cache.shard_count c);
-  (* ceil (10 / 4) = 3 per shard *)
-  Alcotest.(check (option int)) "per-shard bound" (Some 3)
-    (Shared_plan_cache.per_shard_capacity c);
-  Shared_plan_cache.insert c ~key:"SMJ/a" ~data_gb:1.0 (res 4 2.0);
-  Shared_plan_cache.insert c ~key:"SMJ/a" ~data_gb:2.0 (res 8 2.0);
+  let c = Shared_plan_cache.create ~capacity:10 () in
+  Shared_plan_cache.insert c ~key:smj ~data_gb:1.0 (res 4 2.0);
+  Shared_plan_cache.insert c ~key:smj ~data_gb:2.0 (res 8 2.0);
   Alcotest.(check (option (module Resources))) "exact hit" (Some (res 4 2.0))
-    (Shared_plan_cache.find c ~key:"SMJ/a" ~data_gb:1.0 Plan_cache.Exact);
+    (Shared_plan_cache.find c ~key:smj ~data_gb:1.0 Plan_cache.Exact);
   Alcotest.(check (option (module Resources))) "range lookups see the whole key"
     (Some (res 8 2.0))
-    (Shared_plan_cache.find c ~key:"SMJ/a" ~data_gb:2.2
+    (Shared_plan_cache.find c ~key:smj ~data_gb:2.2
        (Plan_cache.Nearest_neighbor 1.0));
   Alcotest.(check (option (module Resources))) "miss" None
-    (Shared_plan_cache.find c ~key:"SMJ/b" ~data_gb:1.0 Plan_cache.Exact);
+    (Shared_plan_cache.find c ~key:bhj ~data_gb:1.0 Plan_cache.Exact);
   Alcotest.(check int) "hits" 2 (Shared_plan_cache.hits c);
   Alcotest.(check int) "misses" 1 (Shared_plan_cache.misses c);
   Alcotest.(check int) "inserts" 2 (Shared_plan_cache.inserts c);
@@ -807,13 +842,33 @@ let test_shared_cache_basics () =
   Alcotest.(check int) "clear empties" 0 (Shared_plan_cache.size c);
   Alcotest.(check int) "counters survive clear" 2 (Shared_plan_cache.inserts c)
 
+let test_shared_cache_holds_capacity () =
+  (* The capacity is the total bound: more distinct inserts than it, spread
+     over both implementations, leave exactly [capacity] entries. *)
+  let cap = 24 in
+  let c = Shared_plan_cache.create ~capacity:cap () in
+  for i = 1 to 3 * cap do
+    let key = if i mod 2 = 0 then smj else bhj in
+    Shared_plan_cache.insert c ~key ~data_gb:(float_of_int i) (res 1 1.0)
+  done;
+  Alcotest.(check int) "exactly the capacity" cap (Shared_plan_cache.size c);
+  Alcotest.(check int) "evictions make up the rest" (2 * cap) (Shared_plan_cache.evictions c);
+  Alcotest.(check int) "both implementations kept" 2 (List.length (Shared_plan_cache.keys c))
+
+(* Seven keys per domain, each a distinct conditions value. *)
+let domain_keys =
+  Array.init 4 (fun _ ->
+      Array.init 7 (fun j ->
+          key_of ~conditions:(Conditions.make ())
+            (if j mod 2 = 0 then Join_impl.Smj else Join_impl.Bhj)))
+
 (* One domain's deterministic workload over its own key space: find-then-
    insert-on-miss, re-probing a sliding window so hits and misses both
    occur. Returns (finds, hits) so the caller can check counter sums. *)
 let shared_cache_workload cache d ops =
   let finds = ref 0 and hits = ref 0 in
   for i = 0 to ops - 1 do
-    let key = Printf.sprintf "d%d/k%d" d (i mod 7) in
+    let key = domain_keys.(d).(i mod 7) in
     let data_gb = float_of_int (i mod 23) in
     incr finds;
     (match Shared_plan_cache.find cache ~key ~data_gb Plan_cache.Exact with
@@ -835,7 +890,7 @@ let test_shared_cache_concurrent_no_lost_entries () =
      survive, and hit/miss totals must equal a sequential replay's (the
      domains cannot interact without evictions). *)
   let domains = 4 and ops = 400 in
-  let cache = Shared_plan_cache.create ~shards:4 () in
+  let cache = Shared_plan_cache.create () in
   let results = run_shared_cache_domains cache ~domains ~ops in
   let total_finds = List.fold_left (fun a (f, _) -> a + f) 0 results in
   let total_hits = List.fold_left (fun a (_, h) -> a + h) 0 results in
@@ -846,7 +901,7 @@ let test_shared_cache_concurrent_no_lost_entries () =
     (Shared_plan_cache.size cache);
   Alcotest.(check int) "no evictions unbounded" 0 (Shared_plan_cache.evictions cache);
   (* Sequential replay on a fresh cache: identical totals. *)
-  let seq = Shared_plan_cache.create ~shards:4 () in
+  let seq = Shared_plan_cache.create () in
   let seq_results = List.init domains (fun d -> shared_cache_workload seq d ops) in
   Alcotest.(check bool) "per-domain (finds,hits) match sequential" true
     (List.sort compare results = List.sort compare seq_results);
@@ -856,36 +911,33 @@ let test_shared_cache_concurrent_no_lost_entries () =
     (Shared_plan_cache.misses cache);
   Alcotest.(check int) "inserts match sequential" (Shared_plan_cache.inserts seq)
     (Shared_plan_cache.inserts cache);
-  Alcotest.(check (list string)) "same keys as sequential" (Shared_plan_cache.keys seq)
-    (Shared_plan_cache.keys cache)
+  let keys = Shared_plan_cache.keys cache in
+  Alcotest.(check bool) "same keys as sequential" true
+    (List.length keys = List.length (Shared_plan_cache.keys seq)
+    && List.for_all (fun k -> List.memq k keys) (Shared_plan_cache.keys seq))
 
 let test_shared_cache_concurrent_lru_bound () =
-  (* Bounded cache under cross-domain contention: the per-shard LRU bound
-     must hold at every moment (checked after the storm and from a
-     concurrent observer), and the entry count must reconcile with the
-     insert and eviction counters exactly. *)
-  let domains = 4 and ops = 600 in
-  let cache = Shared_plan_cache.create ~shards:4 ~capacity:16 () in
-  let bound = Option.get (Shared_plan_cache.per_shard_capacity cache) in
+  (* Bounded cache under cross-domain contention: the total LRU bound must
+     hold at every moment (checked after the storm and from a concurrent
+     observer), and the entry count must reconcile with the insert and
+     eviction counters exactly. *)
+  let domains = 4 and ops = 600 and bound = 16 in
+  let cache = Shared_plan_cache.create ~capacity:bound () in
   let stop = Atomic.make false in
   let violations = Atomic.make 0 in
   let observer =
     Domain.spawn (fun () ->
         while not (Atomic.get stop) do
-          Array.iter
-            (fun s -> if s > bound then Atomic.incr violations)
-            (Shared_plan_cache.shard_sizes cache)
+          if Shared_plan_cache.size cache > bound then Atomic.incr violations
         done)
   in
   ignore (run_shared_cache_domains cache ~domains ~ops);
   Atomic.set stop true;
   Domain.join observer;
   Alcotest.(check int) "bound never observed exceeded" 0 (Atomic.get violations);
-  Array.iter
-    (fun s -> Alcotest.(check bool) "final shard size within bound" true (s <= bound))
-    (Shared_plan_cache.shard_sizes cache);
+  Alcotest.(check bool) "final size within bound" true (Shared_plan_cache.size cache <= bound);
   (* Disjoint (key, data_gb) spaces mean no overwrites, so every insert
-     grew a shard by one and every eviction shrank one: exact accounting. *)
+     grew the cache by one and every eviction shrank it: exact accounting. *)
   Alcotest.(check int) "size = inserts - evictions"
     (Shared_plan_cache.inserts cache - Shared_plan_cache.evictions cache)
     (Shared_plan_cache.size cache);
@@ -898,7 +950,7 @@ let test_shared_cache_registry_mirrors () =
   (* With observability on, the cache's registry carries equal totals under
      the raqo_shared_plan_cache_* names. *)
   let registry = Raqo_obs.Metrics.create_registry () in
-  let cache = Shared_plan_cache.create ~shards:2 ~capacity:4 ~registry () in
+  let cache = Shared_plan_cache.create ~capacity:4 ~registry () in
   Raqo_obs.Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Raqo_obs.Obs.set_enabled false)
@@ -965,6 +1017,7 @@ let () =
             test_cache_insert_random_order_stays_sorted;
           Alcotest.test_case "clear" `Quick test_cache_clear;
           Alcotest.test_case "hit/miss counters" `Quick test_cache_counters;
+          Alcotest.test_case "keys match by identity" `Quick test_cache_key_identity;
         ]
         @ qsuite [ prop_cache_nn_within_threshold; prop_cache_wa_within_neighbor_hull ] );
       ( "ordered_index",
@@ -977,6 +1030,7 @@ let () =
           Alcotest.test_case "nearest: empty/single/radius" `Quick test_index_nearest_basic;
           Alcotest.test_case "nearest: ties go to the lower key" `Quick
             test_index_nearest_tie_goes_to_lower_key;
+          Alcotest.test_case "stamps follow their slots" `Quick test_index_stamps;
         ]
         @ qsuite [ prop_nearest_matches_linear_scan ] );
       ( "resource_planner",
@@ -986,8 +1040,10 @@ let () =
           Alcotest.test_case "NN lookup reuses neighbors" `Quick
             test_planner_nn_lookup_reuses_neighbor;
           Alcotest.test_case "brute-force strategy" `Quick test_planner_brute_force_strategy;
-          Alcotest.test_case "condition change clamps cached plans" `Quick
-            test_planner_with_conditions_shares_cache;
+          Alcotest.test_case "condition change never reuses plans" `Quick
+            test_planner_with_conditions_never_reuses;
+          Alcotest.test_case "infeasible BHJ searches nothing" `Quick
+            test_planner_infeasible_searches_nothing;
           Alcotest.test_case "reset" `Quick test_planner_reset;
           Alcotest.test_case "counter accumulation" `Quick test_counters_add;
         ] );
@@ -1019,13 +1075,15 @@ let () =
         @ qsuite [ prop_cache_capacity_never_exceeded ] );
       ( "shared_plan_cache",
         [
-          Alcotest.test_case "striping & counters (sequential)" `Quick
+          Alcotest.test_case "lookups and counters (sequential)" `Quick
             test_shared_cache_basics;
           Alcotest.test_case "4 domains, no lost entries, sequential totals" `Quick
             test_shared_cache_concurrent_no_lost_entries;
-          Alcotest.test_case "4 domains, per-shard LRU bound holds" `Quick
+          Alcotest.test_case "4 domains, total LRU bound holds" `Quick
             test_shared_cache_concurrent_lru_bound;
           Alcotest.test_case "registry mirrors" `Quick test_shared_cache_registry_mirrors;
+          Alcotest.test_case "holds exactly its capacity" `Quick
+            test_shared_cache_holds_capacity;
         ] );
       ( "ordered_index_remove",
         [
@@ -1043,9 +1101,9 @@ let () =
         [
           Alcotest.test_case "scratch reuse across plans" `Quick
             test_planner_kernel_scratch_reuse;
-          Alcotest.test_case "kernel:false ignores supplied kernels" `Quick
+          Alcotest.test_case "kernel:false ignores kernels, searches scalar" `Quick
             test_planner_kernel_disabled_ignores_kernel;
-          Alcotest.test_case "cache hits re-cost through the kernel" `Quick
+          Alcotest.test_case "cache hits re-cost to the kernel's float" `Quick
             test_planner_kernel_cache_hit_recosting;
           Alcotest.test_case "cache capacity plumbed through" `Quick
             test_planner_cache_capacity_plumbed;

@@ -175,6 +175,24 @@ let test_engine_served_equals_oneshot () =
       Alcotest.(check bool) "warm engine actually hit its cache" true
         (Raqo_resource.Shared_plan_cache.hits (Engine.cache t) > 0))
 
+let test_engine_mixed_models_equal_oneshot () =
+  (* One shared cache serves both trained models: a spark request after a
+     hive request over the same relations must plan with spark's own
+     resource searches, exactly as a fresh engine does. *)
+  let line id engine =
+    Printf.sprintf
+      "{\"id\":%S,\"relations\":[\"customer\",\"orders\",\"lineitem\"],\"engine\":%S}"
+      id engine
+  in
+  with_engine (fun t ->
+      List.iter
+        (fun (id, engine) ->
+          let req = parse_ok (line id engine) in
+          let served = Protocol.response_to_json (Engine.plan_request t req) in
+          let alone = Protocol.response_to_json (Engine.oneshot req) in
+          Alcotest.(check string) (Printf.sprintf "%s request" engine) alone served)
+        [ ("h", "hive"); ("s", "spark") ])
+
 let test_engine_error_responses () =
   with_engine (fun t ->
       (match Engine.plan_request t (parse_ok (req_line "select * from")) with
@@ -584,6 +602,8 @@ let () =
           Alcotest.test_case "served equals oneshot" `Quick
             test_engine_served_equals_oneshot;
           Alcotest.test_case "typed error responses" `Quick test_engine_error_responses;
+          Alcotest.test_case "mixed engines served equals oneshot" `Quick
+            test_engine_mixed_models_equal_oneshot;
           Alcotest.test_case "qo mode and adaptive summary" `Quick
             test_engine_qo_and_adaptive;
           Alcotest.test_case "bounded admission, typed shedding" `Quick

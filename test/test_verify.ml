@@ -18,6 +18,9 @@ module Plan_cache = Raqo_resource.Plan_cache
 module Cost_based = Raqo.Cost_based
 
 let res nc gb = Resources.make ~containers:nc ~container_gb:gb
+
+let key =
+  { Plan_cache.model = Oracle.model; conditions = Oracle.conditions; impl = Join_impl.Smj }
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 (* One deterministic instance shared by the hand-crafted-plan tests. *)
@@ -122,14 +125,14 @@ let test_checker_rejects_dominated_pareto () =
 
 let test_cache_lookup_checker_passes_on_real_cache () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 2 2.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 4 3.0);
+  Plan_cache.insert cache ~key ~data_gb:1.0 (res 2 2.0);
+  Plan_cache.insert cache ~key ~data_gb:2.0 (res 4 3.0);
   List.iter
     (fun data_gb ->
       List.iter
         (fun lookup ->
           check_clean "a well-behaved cache lookup"
-            (Invariant.check_cache_lookup cache ~key:"k" ~data_gb lookup))
+            (Invariant.check_cache_lookup cache ~key ~data_gb lookup))
         [ Plan_cache.Exact; Plan_cache.Nearest_neighbor 0.6; Plan_cache.Weighted_average 0.6 ])
     [ 0.5; 1.0; 1.5; 2.0; 3.0 ]
 
@@ -301,17 +304,17 @@ let prop_cache_lookups_pass_audit =
       let cache = Plan_cache.create () in
       List.iter
         (fun (data_gb, nc, gb) ->
-          Plan_cache.insert cache ~key:"k" ~data_gb (res nc gb);
+          Plan_cache.insert cache ~key ~data_gb (res nc gb);
           (* Near-duplicate keys a few ulps apart are exactly the regime the
              weighted-average epsilon guard exists for. *)
-          Plan_cache.insert cache ~key:"k" ~data_gb:(Float.succ data_gb) (res nc gb))
+          Plan_cache.insert cache ~key ~data_gb:(Float.succ data_gb) (res nc gb))
         entries;
       let probes = probes @ List.map (fun (d, _, _) -> d) entries in
       let diags =
         List.concat_map
           (fun data_gb ->
             List.concat_map
-              (fun lookup -> Invariant.check_cache_lookup cache ~key:"k" ~data_gb lookup)
+              (fun lookup -> Invariant.check_cache_lookup cache ~key ~data_gb lookup)
               [ Plan_cache.Exact; Plan_cache.Nearest_neighbor 0.5; Plan_cache.Weighted_average 0.5 ])
           probes
       in
