@@ -886,41 +886,6 @@ let ablation_workload () =
 
 (* -------------------------------------------------------------------- par *)
 
-(* Timings recorded for --json output: figure wall times plus the par
-   section's labeled samples. *)
-let json_samples : (string * float) list ref = ref []
-let sample name seconds = json_samples := (name, seconds) :: !json_samples
-
-(* Bump when the JSON shape changes; cross-PR comparison scripts key on it. *)
-let json_schema_version = 2
-
-(* Identify the benchmarked tree so a BENCH_PRn.json artifact is traceable
-   to a commit. Best-effort: "unknown" outside a git checkout. *)
-let git_describe () =
-  match
-    let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
-    let line = In_channel.input_line ic in
-    match (Unix.close_process_in ic, line) with
-    | Unix.WEXITED 0, Some line when String.trim line <> "" -> Some (String.trim line)
-    | _ -> None
-  with
-  | Some describe -> describe
-  | None | (exception _) -> "unknown"
-
-let write_json path =
-  let oc = open_out path in
-  let entries =
-    List.rev_map
-      (fun (name, seconds) ->
-        Printf.sprintf "    {\"name\": %S, \"seconds\": %.6f}" name seconds)
-      !json_samples
-  in
-  Printf.fprintf oc "{\n  \"schema_version\": %d,\n  \"commit\": %S,\n  \"figures\": [\n%s\n  ]\n}\n"
-    json_schema_version (git_describe ())
-    (String.concat ",\n" entries);
-  close_out oc;
-  Printf.printf "wrote %d timing samples to %s\n" (List.length entries) path
-
 (* Sequential vs pooled planning. On a single-CPU host the pooled runs show
    domain overhead rather than speedup; the point of the table is the
    identical plan costs (determinism) and the trend as cores appear. *)
@@ -939,7 +904,6 @@ let par_bench () =
   let _, seq_ms =
     Timer.avg_ms ~runs:3 (fun () -> seq_result := Raqo.Cost_based.optimize (mk ()) rels)
   in
-  sample "par:randomized:seq" (seq_ms /. 1000.0);
   let rand_rows =
     [ "randomized"; "seq"; f seq_ms; "1.00"; cost_of !seq_result ]
     :: List.map
@@ -950,7 +914,6 @@ let par_bench () =
                  Timer.avg_ms ~runs:3 (fun () ->
                      result := Raqo.Cost_based.optimize_par (mk ()) pool rels)
                in
-               sample (Printf.sprintf "par:randomized:jobs=%d" jobs) (ms /. 1000.0);
                [
                  "randomized";
                  Printf.sprintf "%d domains" jobs;
@@ -969,356 +932,6 @@ let par_bench () =
     ~headers:[ "task"; "pool"; "ms"; "speedup"; "best cost" ]
     rand_rows;
   note "restart fan-out returns bit-identical plans at any pool size"
-
-(* ---------------------------------------------------------------- scaling *)
-
-(* Planner scaling on the interned mask core: string-keyed reference DP vs
-   mask-based DP on synthetic 8/10/12-relation chains and stars. The masked
-   timings include interning the context, as production admission does. *)
-let scaling () =
-  let m = Lazy.force model in
-  let synthetic ~shape n =
-    let name i = Printf.sprintf "r%02d" i in
-    let rels =
-      List.init n (fun i ->
-          Relation.make ~name:(name i)
-            ~rows:(1e6 /. float_of_int (i + 1))
-            ~row_bytes:100.0)
-    in
-    let edge a b =
-      { Raqo_catalog.Join_graph.left = name a; right = name b; selectivity = 0.001 }
-    in
-    let edges =
-      match shape with
-      | `Chain -> List.init (n - 1) (fun i -> edge i (i + 1))
-      | `Star -> List.init (n - 1) (fun i -> edge 0 (i + 1))
-    in
-    (Schema.make rels (Raqo_catalog.Join_graph.make edges), List.init n name)
-  in
-  let shape_name = function `Chain -> "chain" | `Star -> "star" in
-  let cost_of = function Some (_, c) -> f c | None -> "-" in
-  let runs = 20 in
-  let rows =
-    List.concat_map
-      (fun (planner, reference, masked) ->
-        List.concat_map
-          (fun shape ->
-            List.map
-              (fun n ->
-                let schema, rels = synthetic ~shape n in
-                (* Warm statistics caches on both sides: the timed region
-                   is repeated re-planning (the adaptive re-optimization
-                   loop), where the string side pays name-list key
-                   construction and string hashing per join size and the
-                   mask side an int-keyed probe. *)
-                let sc = Raqo_planner.Coster.fixed m schema (res 10 5.0) in
-                let ctx = Raqo_catalog.Interned.make schema rels in
-                let mc = Raqo_planner.Coster.fixed_masked m ctx (res 10 5.0) in
-                let ref_result = ref (reference sc schema rels) in
-                let _, ref_ms =
-                  Timer.avg_ms ~runs (fun () -> ref_result := reference sc schema rels)
-                in
-                let masked_result = ref (masked mc ctx) in
-                let _, masked_ms =
-                  Timer.avg_ms ~runs (fun () -> masked_result := masked mc ctx)
-                in
-                let tag suffix ms =
-                  sample
-                    (Printf.sprintf "scaling:%s:%s:n=%d:%s" planner (shape_name shape)
-                       n suffix)
-                    (ms /. 1000.0)
-                in
-                tag "string" ref_ms;
-                tag "masked" masked_ms;
-                let same =
-                  match (!ref_result, !masked_result) with
-                  | Some (_, a), Some (_, b) -> Float.equal a b
-                  | None, None -> true
-                  | _ -> false
-                in
-                [
-                  planner;
-                  shape_name shape;
-                  string_of_int n;
-                  f ref_ms;
-                  f masked_ms;
-                  f (ref_ms /. masked_ms);
-                  (if same then cost_of !ref_result else "DIFFERENT");
-                ])
-              [ 8; 10; 12 ])
-          [ `Chain; `Star ])
-      [
-        ("selinger", Raqo_planner.Selinger.optimize_reference,
-         Raqo_planner.Selinger.optimize_masked);
-        ("dpsub", Raqo_planner.Dpsub.optimize_reference,
-         Raqo_planner.Dpsub.optimize_masked);
-      ]
-  in
-  Table.print
-    ~title:
-      "Planner scaling: string-keyed reference vs interned mask core (masked time \
-       includes interning)"
-    ~headers:[ "planner"; "shape"; "n"; "string ms"; "masked ms"; "speedup"; "cost" ]
-    rows;
-  note "masked speedup was the interned core's acceptance metric (>=3x)"
-
-(* ----------------------------------------------------------------- kernel *)
-
-(* Compiled cost kernels vs the scalar model: full-grid evaluation on 20x20
-   and 60x60 resource grids (the searches are bit-identical, so the speedup
-   column is pure evaluation mechanics), a steady-state allocation probe, and
-   per-planner end-to-end planning times with kernels on vs --no-kernel. The
-   paper-space model is used throughout — the extended feature space refuses
-   to compile and would measure the scalar path twice. *)
-let kernel_bench () =
-  let pm = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
-  let module Kernel = Raqo_cost.Kernel in
-  let module Brute_force = Raqo_resource.Brute_force in
-  let scratch = Kernel.create_scratch () in
-  let grids =
-    [
-      ("20x20", Conditions.make ~max_containers:20 ~max_gb:20.0 ());
-      ("60x60", Conditions.make ~max_containers:60 ~max_gb:60.0 ());
-    ]
-  in
-  let small_gb = 2.0 in
-  let sweep_runs = 100 in
-  let speed60 = ref [] in
-  let sweep_rows =
-    List.concat_map
-      (fun (gname, c) ->
-        List.map
-          (fun impl ->
-            let cost r = Raqo_cost.Op_cost.predict_exn pm impl ~small_gb ~resources:r in
-            let kernel = Kernel.make pm impl ~small_gb in
-            let iname = Join_impl.to_string impl in
-            (* Warm both paths (and the scratch buffer) before timing. *)
-            let scalar_result = ref (Brute_force.search c cost) in
-            let kernel_result = ref (Brute_force.search_kernel c ~kernel ~scratch) in
-            let _, scalar_ms =
-              Timer.avg_ms ~runs:sweep_runs (fun () ->
-                  scalar_result := Brute_force.search c cost)
-            in
-            let _, kernel_ms =
-              Timer.avg_ms ~runs:sweep_runs (fun () ->
-                  kernel_result := Brute_force.search_kernel c ~kernel ~scratch)
-            in
-            (* Steady-state allocation probe: minor words per warm grid sweep
-               (the search wrappers box one result tuple on top of this). *)
-            Kernel.ensure scratch (Conditions.n_configs c);
-            let buf = Kernel.buffer scratch in
-            let before = Gc.minor_words () in
-            for _ = 1 to sweep_runs do
-              Kernel.sweep kernel c buf
-            done;
-            let words_per_sweep =
-              (Gc.minor_words () -. before) /. float_of_int sweep_runs
-            in
-            let tag suffix v =
-              sample (Printf.sprintf "kernel:sweep:%s:%s:%s" gname iname suffix) v
-            in
-            tag "scalar" (scalar_ms /. 1000.0);
-            tag "kernel" (kernel_ms /. 1000.0);
-            tag "minor-words-per-sweep" words_per_sweep;
-            if gname = "60x60" then speed60 := (scalar_ms /. kernel_ms) :: !speed60;
-            [
-              gname;
-              iname;
-              f scalar_ms;
-              f kernel_ms;
-              f (scalar_ms /. kernel_ms);
-              f words_per_sweep;
-              (if !scalar_result = !kernel_result then "yes" else "DIFFERENT");
-            ])
-          Join_impl.all)
-      grids
-  in
-  Table.print
-    ~title:
-      "Grid evaluation: scalar predict per config vs compiled kernel sweep \
-       (identical search results)"
-    ~headers:
-      [ "grid"; "impl"; "scalar ms"; "kernel ms"; "speedup"; "alloc w/sweep"; "same" ]
-    sweep_rows;
-  (* End-to-end: joint optimization of a TPC-H query, kernels on vs off, per
-     resource-search strategy. Same plans and costs either way (the oracle
-     and tests enforce bit-identity); only the planning time moves. *)
-  let e2e_runs = 10 in
-  let e2e_rows =
-    List.map
-      (fun (sname, strategy) ->
-        let time kernel =
-          let opt =
-            Raqo.Cost_based.create ~resource_strategy:strategy ~cache:false ~kernel
-              ~model:pm ~conditions:Conditions.default tpch
-          in
-          let result = ref (Raqo.Cost_based.optimize opt Tpch.q5) in
-          let _, ms =
-            Timer.avg_ms ~runs:e2e_runs (fun () ->
-                result := Raqo.Cost_based.optimize opt Tpch.q5)
-          in
-          (ms, Option.map snd !result)
-        in
-        let on_ms, on_cost = time true in
-        let off_ms, off_cost = time false in
-        sample (Printf.sprintf "kernel:e2e:%s:on" sname) (on_ms /. 1000.0);
-        sample (Printf.sprintf "kernel:e2e:%s:off" sname) (off_ms /. 1000.0);
-        [
-          sname;
-          f off_ms;
-          f on_ms;
-          f (off_ms /. on_ms);
-          (if on_cost = off_cost then "yes" else "DIFFERENT");
-        ])
-      [
-        ("hill-climb", Raqo_resource.Resource_planner.Hill_climb);
-        ("brute-force", Raqo_resource.Resource_planner.Brute_force);
-      ]
-  in
-  Table.print
-    ~title:"End-to-end joint planning (TPC-H Q5): --no-kernel vs compiled kernels"
-    ~headers:[ "strategy"; "scalar ms"; "kernel ms"; "speedup"; "same cost" ]
-    e2e_rows;
-  let worst60 = List.fold_left Float.min Float.infinity !speed60 in
-  sample "kernel:sweep:60x60:min-speedup" worst60;
-  note "acceptance: 60x60 grid evaluation >=3x (measured min %.1fx), 0 words/sweep"
-    worst60
-
-(* -------------------------------------------------------------------- obs *)
-
-(* Observability overhead: every instrumented hot site pays one Atomic.get
-   and a branch when the subsystem is off, so the disabled column should sit
-   within noise of the uninstrumented PR-4 numbers (the CI gate compares
-   kernel/scaling samples against BENCH_PR4.json). The enabled column bounds
-   the cost of live counters and span recording. *)
-let obs_bench () =
-  let pm = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
-  let module Kernel = Raqo_cost.Kernel in
-  let c = Conditions.make ~max_containers:60 ~max_gb:60.0 () in
-  let kernel = Kernel.make pm Join_impl.Bhj ~small_gb:2.0 in
-  let scratch = Kernel.create_scratch () in
-  Kernel.ensure scratch (Conditions.n_configs c);
-  let buf = Kernel.buffer scratch in
-  let sweep () = Kernel.sweep kernel c buf in
-  let coster = Raqo_planner.Coster.fixed pm tpch (res 10 5.0) in
-  let plan () = ignore (Raqo_planner.Selinger.optimize coster tpch Tpch.q5) in
-  let search () = ignore (Raqo_resource.Brute_force.search_kernel c ~kernel ~scratch) in
-  let saved = Raqo_obs.Obs.enabled () in
-  let measure name runs fn =
-    (* Warm inside each flag state (the first timed pass otherwise pays heap
-       growth and page-fault warm-up, dwarfing the instrumentation delta);
-       clear the rings afterwards so repeated sections never wrap
-       mid-measurement. *)
-    let time v =
-      Raqo_obs.Obs.with_enabled v (fun () ->
-          for _ = 1 to max 3 (runs / 10) do
-            fn ()
-          done;
-          let _, ms = Timer.avg_ms ~runs fn in
-          ms)
-    in
-    (* Alternate states and keep the per-state minimum: long-running drift
-       (heap growth, frequency scaling) otherwise flatters whichever state
-       is timed last. *)
-    let off_ms = ref infinity and on_ms = ref infinity in
-    for _ = 1 to 3 do
-      off_ms := Float.min !off_ms (time false);
-      on_ms := Float.min !on_ms (time true)
-    done;
-    let off_ms = !off_ms and on_ms = !on_ms in
-    Raqo_obs.Trace.clear ();
-    sample (Printf.sprintf "obs:%s:off" name) (off_ms /. 1000.0);
-    sample (Printf.sprintf "obs:%s:on" name) (on_ms /. 1000.0);
-    [ name; f off_ms; f on_ms; f (on_ms /. off_ms) ]
-  in
-  let rows =
-    [
-      measure "kernel-sweep-60x60" 200 sweep;
-      measure "brute-force-search-kernel" 200 search;
-      measure "selinger-q5" 100 plan;
-    ]
-  in
-  Raqo_obs.Obs.set_enabled saved;
-  Table.print
-    ~title:"Observability overhead: instrumented hot paths, subsystem off vs on"
-    ~headers:[ "workload"; "obs off ms"; "obs on ms"; "on/off" ] rows;
-  note "acceptance: obs-off kernel/scaling samples regress <5%% vs BENCH_PR4.json"
-
-(* --------------------------------------------------------------- adaptive *)
-
-(* Runtime adaptive re-optimization: a static plan optimized from an
-   error-perturbed estimate schema is executed against the ground truth,
-   re-planning the remaining join graph at every stage boundary whose
-   observed cardinality contradicts its estimate (lib/adaptive). Rows sweep
-   the lognormal error magnitude. Static latency, adaptive latency, and the
-   adaptive run's wall time (every re-plan included) are recorded as JSON
-   samples for cross-PR comparison. *)
-let adaptive_bench () =
-  let module Adaptive = Raqo_adaptive.Adaptive_exec in
-  let module Estimation_error = Raqo_execsim.Estimation_error in
-  let pm = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
-  let rng = Rng.create 77 in
-  let truth =
-    let schema = Raqo_catalog.Random_schema.generate rng ~tables:12 in
-    (* Scale the generator's 100K–2M-row tables into the multi-GB regime
-       where the BHJ/SMJ choice (what re-planning flips) matters. *)
-    List.fold_left
-      (fun s r -> Schema.with_relation s (Relation.scale r 100.0))
-      schema (Schema.relations schema)
-  in
-  let rels = Raqo_catalog.Random_schema.query rng truth ~joins:8 in
-  let conditions =
-    Conditions.make ~min_containers:2 ~max_containers:16 ~container_step:2
-      ~min_gb:1.0 ~max_gb:8.0 ~gb_step:1.0 ()
-  in
-  let rows =
-    List.map
-      (fun sigma ->
-        let error =
-          Estimation_error.make (Estimation_error.Lognormal sigma)
-            ~seed:(700 + int_of_float (sigma *. 100.0))
-        in
-        let estimates = Estimation_error.perturb error truth in
-        let opt =
-          Raqo.Cost_based.create ~kind:Raqo.Cost_based.Bushy_dp ~cache:false
-            ~model:pm ~conditions estimates
-        in
-        let result, ms =
-          Timer.time_ms (fun () ->
-              Raqo.Cost_based.optimize_adaptive ~engine:spark ~truth opt rels)
-        in
-        match result with
-        | None -> [ f sigma; "-"; "-"; "-"; "-"; "-"; f ms ]
-        | Some (r, _) ->
-            let static_s = Adaptive.latency r.Adaptive.static_outcome in
-            let adaptive_s = Adaptive.latency r.Adaptive.adaptive_outcome in
-            (* Sample names keep their historical jobs=1 suffix so artifacts
-               stay comparable across PRs. *)
-            let tag suffix v =
-              sample (Printf.sprintf "adaptive:sigma=%g:jobs=1:%s" sigma suffix) v
-            in
-            tag "static-latency" static_s;
-            tag "adaptive-latency" adaptive_s;
-            tag "wall" (ms /. 1000.0);
-            [
-              f sigma;
-              f static_s;
-              f adaptive_s;
-              Printf.sprintf "%.1f%%" (100.0 *. (1.0 -. (adaptive_s /. static_s)));
-              string_of_int r.Adaptive.replans;
-              string_of_int r.Adaptive.switches;
-              f ms;
-            ])
-      [ 0.25; 0.5; 1.0 ]
-  in
-  Table.print
-    ~title:
-      "Adaptive re-optimization: static vs adaptive latency under lognormal \
-       estimation error (12-table random schema, 9-relation query, Spark, bushy DP)"
-    ~headers:
-      [ "sigma"; "static s"; "adaptive s"; "saved"; "replans"; "switches"; "wall ms" ]
-    rows;
-  note "never-worse guard: the saved column is nonnegative on every row (oracle-enforced)"
 
 (* ------------------------------------------------------------------ micro *)
 
@@ -1389,449 +1002,6 @@ let micro () =
 
 (* ------------------------------------------------------------------ main *)
 
-(* ------------------------------------------------------------------ serve *)
-
-(* Sustained-throughput bench for the resident optimizer ("planner as a
-   service"). An open-loop heavy-tailed trace (Queue_sim arrivals) is played
-   against the server on a virtual clock: arrivals advance it to their trace
-   timestamps, each planning wave advances it by the wave's measured wall
-   time. Sojourn latency (completion - arrival on that clock) gives p50/p99;
-   plans/sec is requests over busy (planning) time. Every served response is
-   diffed against the one-shot path — the "identical" column is the
-   bit-identity contract. A second segment offers a burst far beyond the
-   admission bound and shows load shedding: typed rejections, bounded queue,
-   server still planning afterwards. *)
-let serve_bench () =
-  let module Sv = Raqo_server.Engine in
-  let module Pr = Raqo_server.Protocol in
-  let module Tg = Raqo_server.Trace_gen in
-  let requests = 240 in
-  (* Offered load well above the single-domain service rate (~2k plans/s):
-     the queue backlogs, waves fill to [batch], and extra domains turn into
-     throughput instead of idling on one-request waves. *)
-  let trace = Tg.generate ~seed:17 ~arrival_rate:8000.0 ~requests () in
-  let reference = Hashtbl.create requests in
-  let (), oneshot_s =
-    Timer.time (fun () ->
-        List.iter
-          (fun (_arrival, (req : Pr.request)) ->
-            Hashtbl.replace reference req.Pr.id
-              (Pr.response_to_json (Sv.oneshot req)))
-          trace)
-  in
-  sample "serve:oneshot" oneshot_s;
-  let arrival_of = Hashtbl.create requests in
-  List.iter
-    (fun (a, (req : Pr.request)) -> Hashtbl.replace arrival_of req.Pr.id a)
-    trace;
-  let run_jobs jobs =
-    let config =
-      { Sv.default_config with jobs; queue_capacity = 512; batch = max 8 (4 * jobs) }
-    in
-    let engine = Sv.create ~config () in
-    let clock = ref 0.0 and busy = ref 0.0 in
-    let latencies = ref [] and identical = ref true in
-    let pending = ref trace in
-    let rec admit_due () =
-      match !pending with
-      | (a, req) :: rest when a <= !clock ->
-          pending := rest;
-          (* capacity 512 >> trace size: nothing is shed in this segment *)
-          assert (Sv.submit engine req = None);
-          admit_due ()
-      | _ -> ()
-    in
-    let rec loop () =
-      admit_due ();
-      if Sv.queue_depth engine = 0 then (
-        match !pending with
-        | [] -> ()
-        | (a, _) :: _ ->
-            (* idle: jump the virtual clock to the next arrival *)
-            clock := Float.max !clock a;
-            loop ())
-      else begin
-        let wave, wall = Timer.time (fun () -> Sv.process_wave engine) in
-        busy := !busy +. wall;
-        clock := !clock +. wall;
-        List.iter
-          (fun ((req : Pr.request), response) ->
-            latencies := (!clock -. Hashtbl.find arrival_of req.Pr.id) :: !latencies;
-            if Pr.response_to_json response <> Hashtbl.find reference req.Pr.id then
-              identical := false)
-          wave;
-        loop ()
-      end
-    in
-    loop ();
-    Sv.shutdown engine;
-    let lat = Array.of_list !latencies in
-    let hits = Raqo_resource.Shared_plan_cache.hits (Sv.cache engine) in
-    sample (Printf.sprintf "serve:jobs=%d" jobs) !busy;
-    [
-      string_of_int jobs;
-      f (float_of_int requests /. !busy);
-      f (1000.0 *. Stats.percentile lat 50.0);
-      f (1000.0 *. Stats.percentile lat 99.0);
-      f !clock;
-      string_of_int hits;
-      (if !identical then "yes" else "NO");
-    ]
-  in
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "resident server: %d-request heavy-tailed trace (8k req/s offered, saturating), \
-          virtual clock — responses diffed against the one-shot path"
-         requests)
-    ~headers:
-      [ "domains"; "plans/s"; "p50 ms"; "p99 ms"; "makespan s"; "cache hits"; "identical" ]
-    (List.map run_jobs [ 1; 4; 8 ]);
-  (* Overload: a burst 4x the admission bound, offered in three slams with a
-     single wave between each — the queue must stay bounded, the overflow
-     must come back as typed 'overloaded' rejections, and the server must
-     keep planning afterwards. *)
-  let overload_rows, overload_s =
-    Timer.time (fun () ->
-        let config = { Sv.default_config with jobs = 2; queue_capacity = 16; batch = 8 } in
-        let engine = Sv.create ~config () in
-        let burst = List.map snd (Tg.generate ~seed:23 ~requests:96 ()) in
-        let offered = List.length burst in
-        let max_depth = ref 0 in
-        let rejections = ref 0 in
-        let planned = ref 0 in
-        List.iter
-          (fun slam ->
-            List.iter
-              (fun req ->
-                (match Sv.submit engine req with
-                | None -> ()
-                | Some (Pr.Rejected { reason = Pr.Overloaded; _ }) -> incr rejections
-                | Some _ -> failwith "unexpected rejection reason");
-                max_depth := max !max_depth (Sv.queue_depth engine))
-              slam;
-            planned := !planned + List.length (Sv.process_wave engine))
-          (Raqo_par.Pool.chunks 3 burst);
-        planned := !planned + List.length (Sv.drain engine);
-        (* still alive: a fresh request after the storm must still plan *)
-        let alive =
-          match
-            Sv.plan_request engine
-              (List.hd (List.map snd (Tg.generate ~seed:29 ~requests:1 ())))
-          with
-          | Pr.Planned _ -> true
-          | Pr.Rejected _ | Pr.Health_ok _ | Pr.Allocated _ -> false
-        in
-        Sv.shutdown engine;
-        [
-          [
-            string_of_int offered;
-            "16";
-            string_of_int !max_depth;
-            string_of_int !rejections;
-            string_of_int !planned;
-            (if !planned + !rejections = offered then "yes" else "NO");
-            (if alive then "yes" else "NO");
-          ];
-        ])
-  in
-  sample "serve:overload" overload_s;
-  Table.print
-    ~title:"overload shedding: burst of 96 against a 16-deep admission queue (2 domains)"
-    ~headers:
-      [ "offered"; "bound"; "max depth"; "rejected"; "planned"; "accounted"; "alive" ]
-    overload_rows
-
-(* --------------------------------------------------------------- rewrite *)
-
-(* Rewrite-driven search shrinking (lib/rewrite): the same count-star query
-   planned end-to-end with the logical rewrite pass off vs on. Schemas are
-   synthetic star / chain / clique shapes seeded with exactly-absorbable
-   relations (power-of-two rows so rows * selectivity folds to 1.0 bitwise):
-   the star's even dimensions and the chain's unreferenced tail are FK
-   leaves, the clique carries single-row constants. Absorption shrinks the
-   instance the enumerator sees, so the exact DP enumerates far fewer
-   connected subgraphs and the randomized planner walks a smaller move
-   space — while the never-worse guarantee keeps the plan cost <= the
-   unrewritten one. DPsub rows stay within its 20-relation cap; star and
-   clique at scale use the randomized planner (a 20-relation star already
-   has ~0.5M connected subsets). *)
-let rewrite_bench () =
-  let module Rewrite = Raqo_rewrite.Rewrite in
-  let module Join_graph = Raqo_catalog.Join_graph in
-  let m = Lazy.force model in
-  let min_ms fn =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to 3 do
-      let r, ms = Timer.time_ms fn in
-      result := Some r;
-      best := Float.min !best ms
-    done;
-    (Option.get !result, !best)
-  in
-  let rel name rows = Relation.make ~name ~rows ~row_bytes:128.0 in
-  let edge l r s = { Join_graph.left = l; right = r; selectivity = s } in
-  (* Star: big fact, n-1 dimensions; even-index dims are absorbable FK
-     leaves (65536 rows, sel 1/65536), odd ones survive and get narrowed. *)
-  let star n =
-    let dim i = Printf.sprintf "d%d" i in
-    let dims =
-      List.init (n - 1) (fun i ->
-          rel (dim i) (if i mod 2 = 0 then 65536.0 else 65537.0))
-    in
-    let edges = List.init (n - 1) (fun i -> edge "fact" (dim i) (1.0 /. 65536.0)) in
-    let schema =
-      Schema.make (rel "fact" 16_777_216.0 :: dims) (Join_graph.make edges)
-    in
-    (schema, { Rewrite.filters = []; referenced = Some [ "fact" ] })
-  in
-  (* Chain: the referenced front third is dense, the unreferenced tail is a
-     cascade of FK leaves — each absorption exposes the next. *)
-  let chain n =
-    let name i = Printf.sprintf "t%d" i in
-    let front = n / 3 in
-    let rels =
-      List.init n (fun i ->
-          rel (name i) (if i < front then 1_048_576.0 else 65536.0))
-    in
-    let edges =
-      List.init (n - 1) (fun i ->
-          edge (name i) (name (i + 1))
-            (if i + 1 >= front then 1.0 /. 65536.0 else 1e-4))
-    in
-    let schema = Schema.make rels (Join_graph.make edges) in
-    let referenced = List.init front name in
-    (schema, { Rewrite.filters = []; referenced = Some referenced })
-  in
-  (* Clique: every other relation is a single-row constant (absorbed by the
-     constant rule; a clique minus any vertex stays connected). *)
-  let clique n =
-    let name i = Printf.sprintf "c%d" i in
-    let is_const i = i mod 2 = 0 in
-    let rels =
-      List.init n (fun i -> rel (name i) (if is_const i then 1.0 else 1_048_576.0))
-    in
-    let edges =
-      List.concat_map
-        (fun i ->
-          List.filter_map
-            (fun j ->
-              if j <= i then None
-              else
-                let s =
-                  if is_const i || is_const j then 1.0 else 1.0 /. 1_048_576.0
-                in
-                Some (edge (name i) (name j) s))
-            (List.init n Fun.id))
-        (List.init n Fun.id)
-    in
-    let schema = Schema.make rels (Join_graph.make edges) in
-    let referenced =
-      List.filter_map
-        (fun i -> if is_const i then None else Some (name i))
-        (List.init n Fun.id)
-    in
-    (schema, { Rewrite.filters = []; referenced = Some referenced })
-  in
-  let planner_for shape n =
-    match shape with
-    | "chain" when n <= 20 -> (Raqo.Cost_based.Bushy_dp, "dpsub")
-    | "star" when n <= 16 -> (Raqo.Cost_based.Bushy_dp, "dpsub")
-    | _ -> (Raqo.Cost_based.Fast_randomized, "randomized")
-  in
-  let rows =
-    List.concat_map
-      (fun (shape, make) ->
-        List.map
-          (fun n ->
-            let schema, hints = make n in
-            let rels = Schema.relation_names schema in
-            let kind, pname = planner_for shape n in
-            let run rewrite =
-              let opt =
-                Raqo.Cost_based.create ~kind ~rewrite ~rewrite_hints:hints
-                  ~model:m ~conditions:Conditions.default schema
-              in
-              let result, ms =
-                min_ms (fun () ->
-                    Raqo.Cost_based.reset opt;
-                    Raqo.Cost_based.optimize opt rels)
-              in
-              ( result,
-                ms,
-                Counters.cost_evaluations (Raqo.Cost_based.counters opt),
-                Raqo.Cost_based.rewrite_report opt )
-            in
-            let off, off_ms, off_evals, _ = run false in
-            let on, on_ms, on_evals, report = run true in
-            sample (Printf.sprintf "rewrite:%s:n=%d:off" shape n) (off_ms /. 1000.0);
-            sample (Printf.sprintf "rewrite:%s:n=%d:on" shape n) (on_ms /. 1000.0);
-            let removed =
-              match report with Some r -> r.Rewrite.removed | None -> 0
-            in
-            let never_worse =
-              match (on, off) with
-              | Some (_, a), Some (_, b) -> if a <= b then "yes" else "NO"
-              | _ -> "-"
-            in
-            [
-              shape;
-              string_of_int n;
-              pname;
-              f off_ms;
-              f on_ms;
-              f (off_ms /. on_ms);
-              string_of_int removed;
-              string_of_int off_evals;
-              string_of_int on_evals;
-              never_worse;
-            ])
-          [ 16; 20; 24 ])
-      [ ("star", star); ("chain", chain); ("clique", clique) ]
-  in
-  Table.print
-    ~title:
-      "logical rewrite memo: end-to-end planning with the rewrite pass off vs on \
-       (count-star queries over absorbable star/chain/clique schemas)"
-    ~headers:
-      [
-        "shape"; "n"; "planner"; "off ms"; "on ms"; "speedup"; "removed";
-        "evals off"; "evals on"; "cost <="
-      ]
-    rows;
-  note "rewrite runs inside optimize: 'on ms' includes the rewrite pass itself";
-  note "'removed' counts relations absorbed before enumeration; 'cost <=' checks \
-        the never-worse guarantee on this row's plans";
-  note "acceptance: >=2x end-to-end speedup on >=20-relation schemas"
-
-(* ------------------------------------------------------------------ alloc *)
-
-(* The workload allocator: N concurrent queries (TPC-H evaluation set,
-   heavy-tailed arrivals), one global container budget of 3N, frontier
-   search exact vs randomized at 1/4/8 surface-building domains. Three
-   contracts per row: surfaces/frontiers are bit-identical at any domain
-   count, the randomized frontier's best makespan never beats the exact one
-   (exact dominates), and the global allocation beats independent per-query
-   planning (greedy caps, FIFO queueing) on total dollars or makespan. *)
-let alloc_bench () =
-  let module Allocator = Raqo_alloc.Allocator in
-  let module Workload = Raqo_alloc.Workload in
-  let m = Lazy.force model in
-  (* Compact grid: 16 container steps x 6 GB steps keeps N=128 surface
-     sweeps and the exact DP's (budget+1) layers tractable in CI. *)
-  let conditions = Conditions.make ~max_containers:16 ~max_gb:6.0 () in
-  let eval_queries = Array.of_list Tpch.evaluation_queries in
-  let specs n =
-    let rng = Rng.create (41 + n) in
-    let arrivals = Workload.arrivals rng ~n ~rate:0.02 ~capacity:(3 * n) in
-    List.init n (fun i ->
-        let qname, rels = eval_queries.(i mod Array.length eval_queries) in
-        {
-          Workload.name = Printf.sprintf "q%d:%s" (i + 1) qname;
-          relations = rels;
-          tenant = Printf.sprintf "t%d" (i mod 2);
-          weight = float_of_int (1 + (i mod 2));
-          arrival = arrivals.(i);
-          slo = None;
-        })
-  in
-  let plan rels =
-    let opt = Raqo.Cost_based.create ~model:m ~conditions tpch in
-    Option.map fst (Raqo.Cost_based.optimize opt rels)
-  in
-  let build ?pool n =
-    Workload.queries ?pool ~model:m ~conditions ~schema:tpch ~plan (specs n)
-  in
-  let rows = ref [] in
-  List.iter
-    (fun n ->
-      let budget = 3 * n in
-      let fairness = 0.5 in
-      let reference = build n in
-      let independent = Allocator.independent ~budget reference in
-      List.iter
-        (fun jobs ->
-          let queries, build_s =
-            Timer.time (fun () ->
-                if jobs > 1 then
-                  Raqo_par.Pool.with_pool ~jobs (fun pool -> build ~pool n)
-                else build n)
-          in
-          (* Contract 1: pooled surface building is bit-identical. *)
-          assert (Array.length queries = Array.length reference);
-          Array.iteri
-            (fun i (q : Allocator.query) ->
-              assert (
-                Raqo_alloc.Surface.latencies q.Allocator.surface
-                = Raqo_alloc.Surface.latencies reference.(i).Allocator.surface))
-            queries;
-          sample (Printf.sprintf "alloc:n%d:build:j%d" n jobs) build_s;
-          List.iter
-            (fun (want, want_name) ->
-              let outcome, search_s =
-                Timer.time (fun () ->
-                    Allocator.search ~want ~seed:23 ~budget ~fairness queries)
-              in
-              sample (Printf.sprintf "alloc:n%d:%s:j%d" n want_name jobs) search_s;
-              let frontier = outcome.Allocator.frontier in
-              let best f =
-                List.fold_left (fun acc p -> Float.min acc (f p)) infinity frontier
-              in
-              let best_makespan = best (fun (p : Allocator.point) -> p.Allocator.makespan) in
-              let best_dollars = best (fun (p : Allocator.point) -> p.Allocator.dollars) in
-              (* Contract 3: the global allocation beats independent
-                 per-query planning on dollars or makespan. *)
-              let beats =
-                best_dollars < independent.Allocator.dollars
-                || best_makespan < independent.Allocator.makespan
-              in
-              assert beats;
-              let worst f =
-                List.fold_left
-                  (fun acc p -> Float.max acc (f p))
-                  0.0
-                  (independent :: outcome.Allocator.equal_split :: frontier)
-              in
-              let ref_makespan = 1.01 *. worst (fun (p : Allocator.point) -> p.Allocator.makespan)
-              and ref_dollars = 1.01 *. worst (fun (p : Allocator.point) -> p.Allocator.dollars) in
-              let hv points = Allocator.hypervolume ~ref_makespan ~ref_dollars points in
-              let hv_frontier = hv frontier and hv_independent = hv [ independent ] in
-              rows :=
-                [
-                  string_of_int n;
-                  want_name;
-                  Allocator.mode_name outcome.Allocator.mode;
-                  string_of_int jobs;
-                  string_of_int (List.length frontier);
-                  f best_makespan;
-                  f independent.Allocator.makespan;
-                  f best_dollars;
-                  f independent.Allocator.dollars;
-                  (if hv_independent > 0.0 then f (hv_frontier /. hv_independent)
-                   else "inf");
-                  f (1000.0 *. (build_s +. search_s));
-                  (if beats then "yes" else "NO");
-                ]
-                :: !rows)
-            [ (Allocator.Want_exact, "exact"); (Allocator.Want_randomized, "rand") ])
-        [ 1; 4; 8 ])
-    [ 8; 32; 128 ];
-  Table.print
-    ~title:
-      "Workload allocator: global budget 3N across N concurrent queries \
-       (frontier search vs independent per-query planning)"
-    ~headers:
-      [
-        "N"; "want"; "ran"; "jobs"; "frontier"; "best mk s"; "indep mk s";
-        "best $"; "indep $"; "hv ratio"; "ms"; "beats";
-      ]
-    (List.rev !rows);
-  note "'ran' is the search that actually executed (exact falls back to the \
-        randomized search when a DP layer overflows its state bound)";
-  note "surfaces and frontiers are asserted bit-identical at 1/4/8 domains";
-  note "acceptance: every row beats independent per-query planning on total \
-        dollars or makespan ('beats' reads yes)"
-
 let figures =
   [
     ("fig1", "queue-time/run-time CDF", fig1);
@@ -1856,27 +1026,7 @@ let figures =
     ("workload", "workload-scale RAQO vs the two-step default", ablation_workload);
     ("tasksim", "ablation: task-level vs analytical stage model", ablation_tasksim);
     ("par", "parallel planning: randomized restarts across domain pools", par_bench);
-    ("scaling", "planner scaling: interned mask core vs the string reference", scaling);
-    ("kernel", "compiled cost kernels vs the scalar model", kernel_bench);
-    ("obs", "observability overhead: instrumented hot paths off vs on", obs_bench);
-    ("adaptive", "runtime adaptive re-optimization under estimation error", adaptive_bench);
-    ("serve", "resident server: sustained throughput, latency, and load shedding", serve_bench);
-    ("rewrite", "logical rewrite memo: search shrinking before enumeration", rewrite_bench);
-    ("alloc", "workload allocator: Pareto frontier vs independent planning", alloc_bench);
   ]
-
-(* Pull "--json FILE" out of the argument list, leaving figure names. *)
-let rec split_json_arg = function
-  | [] -> (None, [])
-  | "--json" :: path :: rest ->
-      let _, names = split_json_arg rest in
-      (Some path, names)
-  | [ "--json" ] ->
-      prerr_endline "bench: --json needs a file argument";
-      exit 2
-  | arg :: rest ->
-      let json, names = split_json_arg rest in
-      (json, arg :: names)
 
 (* The sections that exist only as argument names, not in [figures]. *)
 let special_sections =
@@ -1888,15 +1038,12 @@ let special_sections =
 
 let list_sections oc =
   List.iter (fun (n, d, _) -> Printf.fprintf oc "  %-12s %s\n" n d) figures;
-  List.iter (fun (n, d) -> Printf.fprintf oc "  %-12s %s\n" n d) special_sections;
-  Printf.fprintf oc "  %-12s %s\n" "--json FILE"
-    "write per-figure wall times (and labeled samples) as JSON"
+  List.iter (fun (n, d) -> Printf.fprintf oc "  %-12s %s\n" n d) special_sections
 
 let () =
-  let json_path, args = split_json_arg (List.tl (Array.to_list Sys.argv)) in
-  (* Refuse unknown section names outright: a typo that silently skipped a
-     section used to produce a truncated BENCH_PRn.json that the schema gate
-     accepted. *)
+  let args = List.tl (Array.to_list Sys.argv) in
+  (* Refuse unknown section names outright: a misspelt section would
+     otherwise be skipped silently and the run still exit 0. *)
   let known name =
     List.exists (fun (n, _, _) -> n = name) figures
     || List.mem_assoc name special_sections
@@ -1914,16 +1061,8 @@ let () =
     (fun (name, _desc, run) ->
       if run_all || List.mem name args then begin
         let _, s = Timer.time run in
-        sample name s;
         Printf.printf "  [%s completed in %.1f s]\n%!" name s
       end)
     figures;
-  if List.mem "fig15b-full" args then begin
-    let _, s = Timer.time (fig15b ~full:true) in
-    sample "fig15b-full" s
-  end;
-  if List.mem "micro" args then begin
-    let _, s = Timer.time micro in
-    sample "micro" s
-  end;
-  Option.iter write_json json_path
+  if List.mem "fig15b-full" args then fig15b ~full:true ();
+  if List.mem "micro" args then micro ()

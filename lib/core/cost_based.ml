@@ -25,7 +25,7 @@ type t = {
 let create ?(kind = Selinger) ?(seed = 42)
     ?(randomized_params = Raqo_planner.Randomized.default_params)
     ?(resource_strategy = Resource_planner.Hill_climb) ?(cache = true)
-    ?(lookup = Raqo_resource.Plan_cache.Exact) ?(kernel = true) ?cache_capacity ?shared_cache
+    ?(lookup = Raqo_resource.Plan_cache.Exact) ?(kernel = true) ?shared_cache
     ?(rewrite = true) ?(rewrite_hints = Rewrite.no_hints) ?(metrics = Raqo_obs.Metrics.default)
     ~model ~conditions schema =
   {
@@ -34,7 +34,7 @@ let create ?(kind = Selinger) ?(seed = 42)
     model;
     resource_planner =
       Resource_planner.create ~strategy:resource_strategy ~cache ~lookup ~kernel
-        ?cache_capacity ?shared_cache ~registry:metrics conditions;
+        ?shared_cache ~registry:metrics conditions;
     rng = Raqo_util.Rng.create seed;
     randomized_params;
     kernel;

@@ -13,7 +13,7 @@ type t
 
 (** [create ?kind ?seed ?randomized_params ~model ~conditions schema] builds
     an optimizer. Defaults: Selinger, hill-climbing resource planning with
-    an exact-match cache, seed 42. It takes 12 optional arguments.
+    an exact-match cache, seed 42. It takes 11 optional arguments.
 
     [kernel] (default [true]) compiles the cost model — the paper's or a
     trained extended-space one — into {!Raqo_cost.Kernel} form on each
@@ -21,9 +21,6 @@ type t
     allocation-free instead of building a feature vector per point —
     bit-identical plans, costs, and counters, just faster. [~kernel:false]
     (the CLI's [--no-kernel]) forces the scalar path.
-
-    [cache_capacity] bounds the resource-plan cache with LRU eviction
-    ({!Raqo_resource.Plan_cache.create}); omitted keeps it unbounded.
 
     [shared_cache] plugs the embedded resource planner into a thread-safe
     cross-query plan cache instead of a private one (see
@@ -58,7 +55,6 @@ val create :
   ?cache:bool ->
   ?lookup:Raqo_resource.Plan_cache.lookup ->
   ?kernel:bool ->
-  ?cache_capacity:int ->
   ?shared_cache:Raqo_resource.Shared_plan_cache.t ->
   ?rewrite:bool ->
   ?rewrite_hints:Raqo_rewrite.Rewrite.hints ->

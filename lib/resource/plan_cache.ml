@@ -26,8 +26,6 @@ let create ?capacity () =
   | Some _ | None -> ());
   { slots = [||]; capacity; clock = 0 }
 
-let capacity t = t.capacity
-
 let same_key a b = a.model == b.model && a.conditions == b.conditions && a.impl == b.impl
 
 (* The slot holding [key], or -1. *)

@@ -36,9 +36,6 @@ type lookup =
     @raise Invalid_argument if [capacity < 1]. *)
 val create : ?capacity:int -> unit -> t
 
-(** [capacity t] is the bound [t] was created with, if any. *)
-val capacity : t -> int option
-
 (** [find t ~key ~data_gb lookup] queries [key]'s index. Updates hit/miss
     counters in [counters] when given. *)
 val find :

@@ -21,17 +21,15 @@ type t = {
 }
 
 let create ?(strategy = Hill_climb) ?(cache = true)
-    ?(lookup = Plan_cache.Exact) ?counters ?(kernel = true) ?cache_capacity
-    ?shared_cache ?registry conditions =
+    ?(lookup = Plan_cache.Exact) ?counters ?(kernel = true) ?shared_cache ?registry
+    conditions =
   {
     conditions;
     strategy;
     cache =
       (match shared_cache with
       | Some shared -> Some (Shared shared)
-      | None ->
-          if cache then Some (Private (Plan_cache.create ?capacity:cache_capacity ()))
-          else None);
+      | None -> if cache then Some (Private (Plan_cache.create ())) else None);
     lookup;
     counters = (match counters with Some k -> k | None -> Counters.create ?registry ());
     use_kernel = kernel;
@@ -51,8 +49,7 @@ let fork t =
     t with
     cache =
       (match t.cache with
-      | Some (Private cache) ->
-          Some (Private (Plan_cache.create ?capacity:(Plan_cache.capacity cache) ()))
+      | Some (Private _) -> Some (Private (Plan_cache.create ()))
       | (Some (Shared _) | None) as cache -> cache);
     scratch = Kernel.create_scratch ();
   }

@@ -29,13 +29,12 @@ type t
     steady-state planning does zero grid allocation. [~kernel:false] forces
     the scalar path everywhere (the CLI's [--no-kernel] escape hatch).
 
-    [cache_capacity] bounds the plan cache with LRU eviction (see
-    {!Plan_cache.create}); omitted means unbounded, the paper's behaviour.
+    The private cache is unbounded, the paper's behaviour.
 
     [shared_cache] replaces the private per-planner cache with a handle to a
     thread-safe cross-query cache ({!Shared_plan_cache}) owned by a
     resident server: {!fork} then shares the handle instead of starting
-    empty, and [cache]/[cache_capacity] are ignored. [registry] directs the
+    empty, and [cache] is ignored. [registry] directs the
     planner's counter mirrors at a per-server metrics registry when
     [counters] is not supplied (see {!Counters.create}). *)
 val create :
@@ -44,7 +43,6 @@ val create :
   ?lookup:Plan_cache.lookup ->
   ?counters:Counters.t ->
   ?kernel:bool ->
-  ?cache_capacity:int ->
   ?shared_cache:Shared_plan_cache.t ->
   ?registry:Raqo_obs.Metrics.registry ->
   Raqo_cluster.Conditions.t ->
@@ -66,7 +64,7 @@ val with_conditions : t -> Raqo_cluster.Conditions.t -> t
 
 (** [fork t] is a private copy for another domain or restart: identical
     configuration (strategy, lookup, kernel setting, conditions) and shared
-    atomic counters, but a fresh, empty plan cache (same capacity bound) and
+    atomic counters, but a fresh, empty, unbounded plan cache and
     fresh kernel scratch — the two pieces of single-writer state. A planner
     created over a [shared_cache] keeps the same (synchronized) handle across
     forks — cross-query, cross-domain reuse is what the shared cache is for.

@@ -222,6 +222,63 @@ let test_hypervolume () =
 
 (* ------------------------------------------------------------- workloads *)
 
+let test_tpch_workload_beats_independent () =
+  (* Eight TPC-H members, two weighted tenants, heavy-tailed arrivals, a
+     budget of 3 containers per member on a compact 16 x 6 GB grid. Both
+     searches must beat independent per-query planning on dollars or
+     makespan, and a 2-domain pool must change neither the surfaces nor the
+     frontiers searched from them. *)
+  let n = 8 and budget = 24 and fairness = 0.5 in
+  let model = Raqo.Models.hive () in
+  let conditions = Raqo_cluster.Conditions.make ~max_containers:16 ~max_gb:6.0 () in
+  let schema = Raqo_catalog.Tpch.schema () in
+  let evaluation = Array.of_list Raqo_catalog.Tpch.evaluation_queries in
+  let arrivals = Workload.arrivals (Rng.create (41 + n)) ~n ~rate:0.02 ~capacity:budget in
+  let specs =
+    List.init n (fun i ->
+        let qname, relations = evaluation.(i mod Array.length evaluation) in
+        {
+          Workload.name = Printf.sprintf "q%d:%s" (i + 1) qname;
+          relations;
+          tenant = Printf.sprintf "t%d" (i mod 2);
+          weight = float_of_int (1 + (i mod 2));
+          arrival = arrivals.(i);
+          slo = None;
+        })
+  in
+  let plan rels =
+    let opt = Raqo.Cost_based.create ~model ~conditions schema in
+    Option.map fst (Raqo.Cost_based.optimize opt rels)
+  in
+  let build ?pool () = Workload.queries ?pool ~model ~conditions ~schema ~plan specs in
+  let sequential = build () in
+  let pooled = Raqo_par.Pool.with_pool ~jobs:2 (fun pool -> build ~pool ()) in
+  Alcotest.(check int) "every member planned" n (Array.length sequential);
+  Alcotest.(check bool) "pooled surfaces equal sequential" true
+    (Array.for_all2
+       (fun (a : Allocator.query) (b : Allocator.query) ->
+         Surface.latencies a.surface = Surface.latencies b.surface)
+       sequential pooled);
+  let independent = Allocator.independent ~budget sequential in
+  List.iter
+    (fun (want, mode, label) ->
+      let search queries = Allocator.search ~want ~seed:23 ~budget ~fairness queries in
+      let outcome = search sequential in
+      Alcotest.(check string) (label ^ " ran") (Allocator.mode_name mode)
+        (Allocator.mode_name outcome.mode);
+      Alcotest.(check bool) (label ^ " frontier from pooled surfaces") true
+        (outcome.frontier = (search pooled).frontier);
+      let best f = List.fold_left (fun acc p -> Float.min acc (f p)) infinity outcome.frontier in
+      let dollars = best (fun (p : Allocator.point) -> p.dollars)
+      and makespan = best (fun (p : Allocator.point) -> p.makespan) in
+      if not (dollars < independent.dollars || makespan < independent.makespan) then
+        Alcotest.failf "%s frontier (best $%g, %g s) does not beat independent ($%g, %g s)"
+          label dollars makespan independent.dollars independent.makespan)
+    [
+      (Allocator.Want_exact, Allocator.Exact, "exact");
+      (Allocator.Want_randomized, Allocator.Randomized, "randomized");
+    ]
+
 let test_workload_arrivals () =
   let draw seed = Workload.arrivals (Rng.create seed) ~n:6 ~rate:0.01 ~capacity:12 in
   let a = draw 3 in
@@ -265,6 +322,8 @@ let () =
       ( "workload",
         [
           Alcotest.test_case "heavy-tailed arrivals" `Quick test_workload_arrivals;
+          Alcotest.test_case "TPC-H members beat independent" `Quick
+            test_tpch_workload_beats_independent;
           Alcotest.test_case "differential oracle arm clean" `Quick
             test_oracle_alloc_arm_clean;
         ] );

@@ -623,7 +623,6 @@ let test_cache_capacity_validates () =
 
 let test_cache_unbounded_by_default () =
   let cache = Plan_cache.create () in
-  Alcotest.(check bool) "no capacity" true (Plan_cache.capacity cache = None);
   for i = 1 to 100 do
     Plan_cache.insert cache ~key:smj ~data_gb:(float_of_int i) (res i 1.0)
   done;
@@ -807,16 +806,6 @@ let test_planner_kernel_cache_hit_recosting () =
   Alcotest.(check int) "one hit" 1 (Counters.cache_hits counters);
   Alcotest.(check bool) "hit cost equals the kernel's" true
     (snd hit = Kernel.predict_resources (kernel_of Join_impl.Smj ~small_gb) (fst hit))
-
-let test_planner_cache_capacity_plumbed () =
-  let counters = Counters.create () in
-  let planner =
-    Resource_planner.create ~strategy:Resource_planner.Hill_climb ~cache:true
-      ~cache_capacity:2 ~counters Conditions.default
-  in
-  List.iter (fun small_gb -> ignore (plan_smj ~small_gb planner)) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check int) "cache stays bounded" 2 (Resource_planner.cache_size planner);
-  Alcotest.(check int) "evictions recorded" 2 (Counters.cache_evictions counters)
 
 (* ---------------------------------------------------- Shared plan cache *)
 
@@ -1105,7 +1094,5 @@ let () =
             test_planner_kernel_disabled_ignores_kernel;
           Alcotest.test_case "cache hits re-cost to the kernel's float" `Quick
             test_planner_kernel_cache_hit_recosting;
-          Alcotest.test_case "cache capacity plumbed through" `Quick
-            test_planner_cache_capacity_plumbed;
         ] );
     ]

@@ -264,7 +264,11 @@ let test_admission_bounded () =
         (fun ((req : Protocol.request), resp) ->
           Alcotest.(check (option string))
             "response id matches" (Some req.Protocol.id) (Protocol.response_id resp))
-        (wave @ rest))
+        (wave @ rest);
+      Alcotest.(check bool) "admits again after shedding" true (Engine.submit t (req 10) = None);
+      match Engine.drain t with
+      | [ (_, Protocol.Planned _) ] -> ()
+      | _ -> Alcotest.fail "a request after shedding must still plan")
 
 (* --------------------------------------------------------------- Tenants *)
 
