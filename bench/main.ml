@@ -886,52 +886,80 @@ let ablation_workload () =
 
 (* -------------------------------------------------------------------- par *)
 
-(* Sequential vs pooled planning. On a single-CPU host the pooled runs show
-   domain overhead rather than speedup; the point of the table is the
-   identical plan costs (determinism) and the trend as cores appear. *)
+(* Sequential vs 2-domain randomized restarts, timed in alternating pairs
+   (sequential, then pooled, [pairs] times) so host drift hits both sides
+   alike. "pairs won" counts the pairs where the pool was faster; a speedup
+   is claimed only where it wins nearly every pair. The plan costs must be
+   bit-identical: the restart fan-out is deterministic. The random-schema
+   rows run 16 restarts with the resource-plan cache off, so every restart
+   does its own resource searches; 40 and 70 relations are the sizes
+   `trace --random` and the randomized planner exist for. The TPC-H row
+   plans the largest query `raqo plan` takes with that command's settings
+   (10 restarts, cache on), where a pooled restart's forked resource
+   planner starts from a cold private cache. *)
 let par_bench () =
   let m = Lazy.force model in
-  let rng = Rng.create 7 in
-  let schema = Raqo_catalog.Random_schema.generate rng ~tables:24 in
-  let rels = Raqo_catalog.Random_schema.query rng schema ~joins:11 in
-  let params = { Raqo_planner.Randomized.iterations = 16; max_no_improve = 30 } in
-  let mk () =
-    Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized ~randomized_params:params
-      ~cache:false ~model:m ~conditions:Conditions.default schema
+  let pairs = 10 in
+  let randomized ?randomized_params ?cache schema () =
+    Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized ?randomized_params ?cache
+      ~model:m ~conditions:Conditions.default schema
   in
-  let cost_of = function Some (_, c) -> f c | None -> "-" in
-  let seq_result = ref None in
-  let _, seq_ms =
-    Timer.avg_ms ~runs:3 (fun () -> seq_result := Raqo.Cost_based.optimize (mk ()) rels)
+  let random ~seed ~tables ~relations =
+    let rng = Rng.create seed in
+    let schema = Raqo_catalog.Random_schema.generate rng ~tables in
+    let rels = Raqo_catalog.Random_schema.query rng schema ~joins:(relations - 1) in
+    let randomized_params = { Raqo_planner.Randomized.iterations = 16; max_no_improve = 30 } in
+    ( Printf.sprintf "%d of %d, 16 restarts, no cache" relations tables,
+      randomized ~randomized_params ~cache:false schema,
+      rels )
   in
-  let rand_rows =
-    [ "randomized"; "seq"; f seq_ms; "1.00"; cost_of !seq_result ]
-    :: List.map
-         (fun jobs ->
-           Raqo_par.Pool.with_pool ~jobs (fun pool ->
-               let result = ref None in
-               let _, ms =
-                 Timer.avg_ms ~runs:3 (fun () ->
-                     result := Raqo.Cost_based.optimize_par (mk ()) pool rels)
-               in
-               [
-                 "randomized";
-                 Printf.sprintf "%d domains" jobs;
-                 f ms;
-                 f (seq_ms /. ms);
-                 cost_of !result;
-               ]))
-         [ 1; 2; 4 ]
+  let queries =
+    [
+      ( "TPC-H All (8), as raqo plan",
+        randomized (Raqo_catalog.Tpch.schema ()),
+        Raqo_catalog.Tpch.all );
+      random ~seed:7 ~tables:24 ~relations:12;
+      random ~seed:8 ~tables:100 ~relations:40;
+      random ~seed:9 ~tables:100 ~relations:70;
+    ]
+  in
+  let rows =
+    Raqo_par.Pool.with_pool ~jobs:2 (fun pool ->
+        List.map
+          (fun (label, mk, rels) ->
+            let samples =
+              List.init pairs (fun _ ->
+                  let seq, seq_ms =
+                    Timer.time_ms (fun () -> Raqo.Cost_based.optimize (mk ()) rels)
+                  in
+                  let par, par_ms =
+                    Timer.time_ms (fun () -> Raqo.Cost_based.optimize_par (mk ()) pool rels)
+                  in
+                  (seq_ms, par_ms, Option.map snd seq = Option.map snd par))
+            in
+            let median g = Stats.median (Array.of_list (List.map g samples)) in
+            let seq_ms = median (fun (s, _, _) -> s) and par_ms = median (fun (_, p, _) -> p) in
+            [
+              label;
+              f seq_ms;
+              f par_ms;
+              f (seq_ms /. par_ms);
+              Printf.sprintf "%d/%d"
+                (List.length (List.filter (fun (s, p, _) -> p < s) samples))
+                pairs;
+              (if List.for_all (fun (_, _, same) -> same) samples then "yes" else "NO");
+            ])
+          queries)
   in
   Table.print
     ~title:
       (Printf.sprintf
-         "Parallel planning: randomized restarts (12-relation query, 16 restarts) across \
-          domain pools (host has %d cores)"
-         (Domain.recommended_domain_count ()))
-    ~headers:[ "task"; "pool"; "ms"; "speedup"; "best cost" ]
-    rand_rows;
-  note "restart fan-out returns bit-identical plans at any pool size"
+         "Parallel planning: randomized restarts, sequential vs 2 domains in %d alternating \
+          pairs (host has %d cores)"
+         pairs (Domain.recommended_domain_count ()))
+    ~headers:[ "query"; "seq ms"; "2 domains ms"; "speedup"; "pairs won"; "same cost" ]
+    rows;
+  note "medians over the pairs; the restart fan-out returns bit-identical plans"
 
 (* ------------------------------------------------------------------ micro *)
 

@@ -194,10 +194,10 @@ let plan_cmd =
                  e.g. \"select * from orders, lineitem where o_orderkey = l_orderkey and \
                  o_totalprice < 172000\".")
   in
-  let run relations planner mode max_containers max_gb nc gb sql jobs no_kernel no_rewrite
-      engine adaptive est_error trace =
+  let run relations planner mode max_containers max_gb nc gb sql no_kernel no_rewrite engine
+      adaptive est_error trace =
     with_trace trace @@ fun () ->
-    let schema = Raqo_catalog.Tpch.schema () in
+    let module F = Raqo.Sql_frontend in
     let model = Raqo.Models.hive () in
     let kind =
       match planner with
@@ -206,104 +206,62 @@ let plan_cmd =
       | `Dpsub -> Raqo.Cost_based.Bushy_dp
     in
     let conditions = conditions max_containers max_gb in
-    match sql with
-    | Some sql -> begin
-        let plan_sql pool =
-          Raqo.Sql_frontend.plan ~kind ~kernel:(not no_kernel) ~rewrite:(not no_rewrite)
-            ?pool
-            ?adaptive:(if adaptive then Some (engine, est_error) else None)
-            ~model ~conditions ~schema ~columns:(Raqo_catalog.Tpch.columns ()) sql
+    let mode =
+      match mode with
+      | `Raqo -> F.Raqo
+      | `Qo -> (
+          match Raqo_cluster.Resources.make ~containers:nc ~container_gb:gb with
+          | r -> F.Qo r
+          | exception Invalid_argument msg ->
+              Printf.eprintf "raqo: invalid --containers/--gb (%d, %g): %s\n" nc gb msg;
+              exit 2)
+    in
+    (match F.check_mode mode ~adaptive with
+    | Ok () -> ()
+    | Error msg ->
+        Printf.eprintf "raqo: %s\n" msg;
+        exit 2);
+    let query = match sql with Some sql -> F.Sql sql | None -> F.Relations relations in
+    match
+      F.plan ~kind ~kernel:(not no_kernel) ~rewrite:(not no_rewrite) ~mode
+        ?adaptive:(if adaptive then Some (engine, est_error) else None)
+        ~model ~conditions ~schema:(Raqo_catalog.Tpch.schema ())
+        ~columns:(Raqo_catalog.Tpch.columns ()) query
+    with
+    | Error (F.Invalid msg) ->
+        Printf.eprintf "error: %s\n" msg;
+        exit 1
+    | Error F.Infeasible ->
+        print_endline "no feasible plan";
+        exit 2
+    | Ok p -> (
+        List.iter
+          (fun (table, s) ->
+            if s < 1.0 then Printf.printf "filter selectivity on %s: %.4f\n" table s)
+          p.F.resolved.F.hints.Raqo_rewrite.Rewrite.filters;
+        (match p.F.rewrite with
+        | Some r when r.Raqo_rewrite.Rewrite.changed -> print_rewrite_report r
+        | _ -> ());
+        (* SQL plans are explained against the filter-scaled truth, relation
+           lists against the catalog the planner priced. *)
+        let explained =
+          match query with F.Sql _ -> p.F.resolved.F.truth | F.Relations _ -> p.F.estimates
         in
-        match
-          if jobs > 1 then
-            Raqo_par.Pool.with_pool ~jobs (fun pool -> plan_sql (Some pool))
-          else plan_sql None
-        with
-        | Ok planned ->
-            List.iter
-              (fun (table, s) ->
-                if s < 1.0 then
-                  Printf.printf "filter selectivity on %s: %.4f\n" table s)
-              planned.Raqo.Sql_frontend.analyzed.Raqo_sql.Resolver.table_selectivity;
-            (match planned.Raqo.Sql_frontend.rewrite with
-            | Some r when r.Raqo_rewrite.Rewrite.changed -> print_rewrite_report r
-            | _ -> ());
-            print_string
-              (Raqo.Explain.joint model
-                 planned.Raqo.Sql_frontend.analyzed.Raqo_sql.Resolver.schema
-                 planned.Raqo.Sql_frontend.plan);
-            (match planned.Raqo.Sql_frontend.adaptive with
-            | Some report ->
-                print_newline ();
-                print_adaptive_report report
-            | None -> ())
-        | Error msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit 1
-      end
-    | None -> begin
-        match Raqo_catalog.Query.make ~name:"cli" schema relations with
-        | exception Invalid_argument msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit 1
-        | _ when adaptive -> begin
-            (* The TPC-H catalog is the ground truth; the planner sees it
-               only through the requested estimation error. *)
-            let estimates = Raqo_execsim.Estimation_error.perturb est_error schema in
-            let opt =
-              Raqo.Cost_based.create ~kind ~kernel:(not no_kernel)
-                ~rewrite:(not no_rewrite) ~model ~conditions estimates
-            in
-            let result =
-              if jobs > 1 then
-                Raqo_par.Pool.with_pool ~jobs (fun pool ->
-                    Raqo.Cost_based.optimize_adaptive ~pool ~engine ~truth:schema opt
-                      relations)
-              else Raqo.Cost_based.optimize_adaptive ~engine ~truth:schema opt relations
-            in
-            match result with
-            | Some (report, _est_cost) ->
-                print_string
-                  (Raqo.Explain.joint model estimates
-                     report.Raqo_adaptive.Adaptive_exec.static_plan);
-                print_newline ();
-                print_adaptive_report report
-            | None ->
-                print_endline "no feasible plan";
-                exit 2
-          end
-        | _ ->
-            let opt =
-              Raqo.Cost_based.create ~kind ~kernel:(not no_kernel)
-                ~rewrite:(not no_rewrite) ~model ~conditions schema
-            in
-            let result =
-              match mode with
-              | `Raqo when jobs > 1 ->
-                  Raqo_par.Pool.with_pool ~jobs (fun pool ->
-                      Raqo.Cost_based.optimize_par opt pool relations)
-              | `Raqo -> Raqo.Cost_based.optimize opt relations
-              | `Qo ->
-                  Raqo.Cost_based.optimize_qo opt
-                    ~resources:(Raqo_cluster.Resources.make ~containers:nc ~container_gb:gb)
-                    relations
-            in
-            (match result with
-            | Some (plan, _) ->
-                print_string (Raqo.Explain.joint model schema plan);
-                let k = Raqo.Cost_based.counters opt in
-                Printf.printf "resource configurations explored: %d (cache hits %d)\n"
-                  (Raqo_resource.Counters.cost_evaluations k)
-                  (Raqo_resource.Counters.cache_hits k)
-            | None ->
-                print_endline "no feasible plan";
-                exit 2)
-      end
+        print_string (Raqo.Explain.joint model explained p.F.plan);
+        match (p.F.adaptive, query) with
+        | Some report, _ ->
+            print_newline ();
+            print_adaptive_report report
+        | None, F.Relations _ ->
+            Printf.printf "resource configurations explored: %d (cache hits %d)\n"
+              (Raqo_resource.Counters.cost_evaluations p.F.counters)
+              (Raqo_resource.Counters.cache_hits p.F.counters)
+        | None, F.Sql _ -> ())
   in
   let term =
     Term.(const run $ relations_arg $ planner_arg $ mode_arg $ containers_arg $ memory_arg
-          $ fixed_containers $ fixed_gb $ sql_arg $ jobs_opt_arg $ no_kernel_arg
-          $ no_rewrite_arg $ engine_arg $ adaptive_arg $ est_error_arg $ trace_arg)
+          $ fixed_containers $ fixed_gb $ sql_arg $ no_kernel_arg $ no_rewrite_arg
+          $ engine_arg $ adaptive_arg $ est_error_arg $ trace_arg)
   in
   Cmd.v (Cmd.info "plan" ~doc:"Jointly optimize a TPC-H query's plan and resources") term
 
@@ -848,8 +806,14 @@ let allocate_cmd =
   in
   let objective_arg =
     Arg.(value
-         & opt (enum [ ("makespan", `Makespan); ("cost", `Cost); ("balanced", `Balanced) ])
-             `Balanced
+         & opt
+             (enum
+                [
+                  ("makespan", Allocator.Makespan);
+                  ("cost", Allocator.Dollars);
+                  ("balanced", Allocator.Balanced);
+                ])
+             Allocator.Balanced
          & info [ "objective" ] ~docv:"OBJ"
              ~doc:"Which frontier point to recommend: makespan, cost, or balanced. The \
                    whole frontier is always printed.")
@@ -968,28 +932,9 @@ let allocate_cmd =
           (Array.length queries);
         exit 2);
     let outcome = Allocator.search ~want ~pricing ~seed ~budget ~fairness queries in
-    let chosen =
-      let best score =
-        match outcome.Allocator.frontier with
-        | [] -> outcome.Allocator.equal_split
-        | p :: rest ->
-            List.fold_left (fun acc q -> if score q < score acc then q else acc) p rest
-      in
-      match objective with
-      | `Makespan -> best (fun (p : Allocator.point) -> p.Allocator.makespan)
-      | `Cost -> best (fun (p : Allocator.point) -> p.Allocator.dollars)
-      | `Balanced ->
-          best (fun (p : Allocator.point) ->
-              p.Allocator.makespan +. (1000.0 *. p.Allocator.dollars)
-              +. (1000.0 *. float_of_int p.Allocator.violations))
-    in
+    let chosen = Allocator.choose objective outcome in
     let independent = Allocator.independent ~pricing ~budget queries in
-    let objective_name =
-      match objective with
-      | `Makespan -> "makespan"
-      | `Cost -> "cost"
-      | `Balanced -> "balanced"
-    in
+    let objective_name = Raqo_server.Protocol.objective_name objective in
     let alloc_string (p : Allocator.point) =
       "["
       ^ String.concat " " (Array.to_list (Array.map string_of_int p.Allocator.alloc))

@@ -53,5 +53,5 @@ let () =
       | Ok planned ->
           Format.printf "  -> %a (est cost %.1f)\n" Raqo_plan.Join_tree.pp_joint
             planned.Raqo.Sql_frontend.plan planned.Raqo.Sql_frontend.est_cost
-      | Error e -> Printf.printf "  SQL error: %s\n" e)
+      | Error e -> Printf.printf "  SQL error: %s\n" (Raqo.Sql_frontend.error_message e))
   | None -> print_endline "No feasible plan."

@@ -357,6 +357,26 @@ let search ?(want = Auto) ?max_states ?restarts ?moves ?pricing ~seed ~budget ~f
         | None -> fallback ()
       else fallback ()
 
+(* ---------- picking one frontier point ---------- *)
+
+type objective = Makespan | Dollars | Balanced
+
+(* Strict [<] keeps the earlier point on ties, so equal outcomes choose
+   equal points. *)
+let choose objective outcome =
+  let best score =
+    match outcome.frontier with
+    | [] -> outcome.equal_split
+    | p :: rest ->
+        List.fold_left (fun acc q -> if score q < score acc then q else acc) p rest
+  in
+  match objective with
+  | Makespan -> best (fun p -> p.makespan)
+  | Dollars -> best (fun p -> p.dollars)
+  | Balanced ->
+      best (fun p ->
+          p.makespan +. (1000.0 *. p.dollars) +. (1000.0 *. float_of_int p.violations))
+
 (* ---------- independent (per-query) baseline ---------- *)
 
 (* What today's one-query-at-a-time pipeline would do: every query asks for

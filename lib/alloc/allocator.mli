@@ -121,6 +121,17 @@ val search :
   query array ->
   outcome
 
+(** What a caller minimizes when it picks one point off the frontier. *)
+type objective = Makespan | Dollars | Balanced
+
+(** [choose objective outcome] is the deterministic pick off
+    [outcome.frontier]: [Makespan] its head (the frontier is
+    makespan-ascending), [Dollars] the cheapest point, [Balanced] the least
+    [makespan + 1000 dollars + 1000 violations]. Ties go to the earlier
+    point, so equal outcomes choose equal points; an empty frontier gives
+    the equal split. The result is a frontier element itself. *)
+val choose : objective -> outcome -> point
+
 (** [independent ?pricing ~budget queries] is the no-allocator baseline:
     every query demands its standalone {!Surface.preferred_cap} and the
     cluster runs them FIFO through {!Raqo_cluster.Queue_sim} — later

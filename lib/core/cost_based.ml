@@ -184,12 +184,7 @@ let optimize_par t pool relations =
    Plan statically from the estimates, then execute with boundary
    re-optimization against the truth. The static plan, its estimated cost,
    and both simulated outcomes travel in the report. *)
-let optimize_adaptive ?pool ?replan_cost_s ~engine ~truth t relations =
-  let static =
-    match pool with
-    | Some pool -> optimize_par t pool relations
-    | None -> optimize t relations
-  in
+let optimize_adaptive ?replan_cost_s ~engine ~truth t relations =
   Option.map
     (fun (plan, est_cost) ->
       let report =
@@ -197,7 +192,7 @@ let optimize_adaptive ?pool ?replan_cost_s ~engine ~truth t relations =
           ~model:t.model ~conditions:(conditions t) ~truth ~estimates:t.schema plan
       in
       (report, est_cost))
-    static
+    (optimize t relations)
 
 let optimize_qo t ~resources relations =
   instrumented t (fun () ->

@@ -29,7 +29,7 @@ type t
 
     [rewrite] (default [true]) runs the {!Raqo_rewrite.Rewrite} logical
     memo over every query before enumeration in {!optimize},
-    {!optimize_par} and (through them) {!optimize_adaptive}: predicate
+    {!optimize_par} and {!optimize_adaptive}: predicate
     pushdown, constant/FK absorption and projection narrowing, driven by
     [rewrite_hints]. With the default hints (no filters, everything
     referenced) no rule can fire and planning is bit-identical to
@@ -90,20 +90,18 @@ val optimize :
 val optimize_par :
   t -> Raqo_par.Pool.t -> string list -> (Raqo_plan.Join_tree.joint * float) option
 
-(** [optimize_adaptive ?pool ?replan_cost_s ~engine ~truth t relations]
+(** [optimize_adaptive ?replan_cost_s ~engine ~truth t relations]
     plans statically from [t]'s schema (the estimates — build [t] over an
     {!Raqo_execsim.Estimation_error}-perturbed schema to model misestimation)
     and then simulates the plan against [truth] twice: as-is, and with
     {!Raqo_adaptive.Adaptive_exec} re-optimizing the remaining join graph at
     every stage boundary whose observed cardinality contradicts its
     estimate. Returns the adaptive report with the static plan's estimated
-    cost; [None] when no feasible static plan exists. [pool] fans out the
-    static optimization ({!optimize_par}); re-plans run sequentially. The
-    report guarantees [adaptive.seconds <= static.seconds] (bitwise,
-    re-planning cost included) and bit-identity under zero estimation
-    error. *)
+    cost; [None] when no feasible static plan exists. The static
+    optimization is {!optimize}. The report guarantees [adaptive.seconds <=
+    static.seconds] (bitwise, re-planning cost included) and bit-identity
+    under zero estimation error. *)
 val optimize_adaptive :
-  ?pool:Raqo_par.Pool.t ->
   ?replan_cost_s:float ->
   engine:Raqo_execsim.Engine.t ->
   truth:Raqo_catalog.Schema.t ->

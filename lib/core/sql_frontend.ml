@@ -1,103 +1,142 @@
-type planned = {
-  analyzed : Raqo_sql.Resolver.analyzed;
-  plan : Raqo_plan.Join_tree.joint;
-  est_cost : float;
-  adaptive : Raqo_adaptive.Adaptive_exec.report option;
-  rewrite : Raqo_rewrite.Rewrite.report option;
+module Schema = Raqo_catalog.Schema
+module Rewrite = Raqo_rewrite.Rewrite
+
+type query = Sql of string | Relations of string list
+type mode = Raqo | Qo of Raqo_cluster.Resources.t
+
+type resolved = {
+  relations : string list;
+  catalog : Schema.t;
+  truth : Schema.t;
+  hints : Rewrite.hints;
 }
 
-let plan ?kind ?seed ?kernel ?pool ?adaptive ?shared_cache ?(rewrite = true)
-    ?(metrics = Raqo_obs.Metrics.default) ~model ~conditions ~schema ~columns sql =
-  (* Registry lookup per query, not per cost evaluation: cheap enough here,
-     and it keeps the counter in the caller's registry (a resident server
-     threads its own). *)
-  if Raqo_obs.Obs.enabled () then
-    Raqo_obs.Metrics.Counter.inc (Raqo_obs.Metrics.counter_in metrics "raqo_sql_queries_total");
-  match
-    Raqo_obs.Trace.with_ ~name:"sql/analyze" (fun () ->
-        Raqo_sql.Resolver.analyze schema columns sql)
-  with
-  | Error e -> Error e
-  | Ok analyzed -> begin
-      match adaptive with
-      | None -> begin
-          (* With the rewriter on, plan against the *unscaled* catalog and
-             hand the resolver's filter selectivities and projected tables
-             to the rewrite pass: its pushdown rule replays the resolver's
-             scan-scaling fold bitwise, so a filter-only query plans
-             identically to the historical resolver-scaled path, while
-             projections additionally enable absorption and narrowing. *)
-          let opt =
-            if rewrite then
-              Cost_based.create ?kind ?seed ?kernel ?shared_cache
-                ~rewrite_hints:
-                  {
-                    Raqo_rewrite.Rewrite.filters =
-                      analyzed.Raqo_sql.Resolver.table_selectivity;
-                    referenced = analyzed.Raqo_sql.Resolver.projected_tables;
-                  }
-                ~metrics ~model ~conditions schema
-            else
-              Cost_based.create ?kind ?seed ?kernel ?shared_cache
-                ~rewrite:false ~metrics ~model ~conditions
-                analyzed.Raqo_sql.Resolver.schema
-          in
-          match
-            Raqo_obs.Trace.with_ ~name:"sql/optimize" (fun () ->
-                match pool with
-                | Some pool ->
-                    Cost_based.optimize_par opt pool analyzed.Raqo_sql.Resolver.relations
-                | None -> Cost_based.optimize opt analyzed.Raqo_sql.Resolver.relations)
-          with
-          | Some (plan, est_cost) ->
-              Ok
+type error = Invalid of string | Infeasible
+
+let error_message = function
+  | Invalid message -> message
+  | Infeasible -> "no feasible joint plan under the current cluster conditions"
+
+type planned = {
+  resolved : resolved;
+  plan : Raqo_plan.Join_tree.joint;
+  est_cost : float;
+  estimates : Schema.t;
+  adaptive : Raqo_adaptive.Adaptive_exec.report option;
+  rewrite : Rewrite.report option;
+  counters : Raqo_resource.Counters.t;
+}
+
+let rec has_dup = function [] -> false | x :: rest -> List.mem x rest || has_dup rest
+
+let resolve ?(metrics = Raqo_obs.Metrics.default) ~schema ~columns = function
+  | Sql sql -> begin
+      (* Registry lookup per query, not per cost evaluation: cheap enough
+         here, and it keeps the counter in the caller's registry. *)
+      if Raqo_obs.Obs.enabled () then
+        Raqo_obs.Metrics.Counter.inc
+          (Raqo_obs.Metrics.counter_in metrics "raqo_sql_queries_total");
+      match
+        Raqo_obs.Trace.with_ ~name:"sql/analyze" (fun () ->
+            Raqo_sql.Resolver.analyze schema columns sql)
+      with
+      | Error e -> Error e
+      | Ok a ->
+          Ok
+            {
+              relations = a.Raqo_sql.Resolver.relations;
+              catalog = schema;
+              truth = a.Raqo_sql.Resolver.schema;
+              hints =
                 {
-                  analyzed;
-                  plan;
-                  est_cost;
-                  adaptive = None;
-                  rewrite = Cost_based.rewrite_report opt;
-                }
-          | None -> Error "no feasible joint plan under the current cluster conditions"
-        end
-      | Some (engine, error) -> begin
-          (* Adaptive mode: the resolver's filter-scaled schema is the ground
-             truth; the planner only sees it through the seeded estimation
-             error. Plan statically from the estimates, then execute with
-             boundary re-optimization against the truth. Filters are already
-             folded into the truth here, so the rewrite pass only gets the
-             projection hints. *)
-          let truth = analyzed.Raqo_sql.Resolver.schema in
-          let estimates = Raqo_execsim.Estimation_error.perturb error truth in
-          let opt =
-            Cost_based.create ?kind ?seed ?kernel ?shared_cache ~rewrite
-              ~rewrite_hints:
-                {
-                  Raqo_rewrite.Rewrite.filters = [];
-                  referenced = analyzed.Raqo_sql.Resolver.projected_tables;
-                }
-              ~metrics ~model ~conditions estimates
-          in
-          match
-            Raqo_obs.Trace.with_ ~name:"sql/optimize" (fun () ->
-                Cost_based.optimize_adaptive ?pool ~engine ~truth opt
-                  analyzed.Raqo_sql.Resolver.relations)
-          with
-          | Some (report, est_cost) ->
-              Ok
-                {
-                  analyzed;
-                  plan = report.Raqo_adaptive.Adaptive_exec.static_plan;
-                  est_cost;
-                  adaptive = Some report;
-                  rewrite = Cost_based.rewrite_report opt;
-                }
-          | None -> Error "no feasible joint plan under the current cluster conditions"
-        end
+                  Rewrite.filters = a.Raqo_sql.Resolver.table_selectivity;
+                  referenced = a.Raqo_sql.Resolver.projected_tables;
+                };
+            }
     end
+  | Relations rels -> (
+      if List.length rels < 2 then Error "need at least two relations to join"
+      else if has_dup rels then Error "duplicate relation in \"relations\""
+      else
+        match List.find_opt (fun r -> not (Schema.mem schema r)) rels with
+        | Some r -> Error (Printf.sprintf "unknown relation %S" r)
+        | None when not (Schema.joinable schema rels) ->
+            Error "relations do not form a connected join graph"
+        | None ->
+            Ok
+              {
+                relations = rels;
+                catalog = schema;
+                truth = schema;
+                hints = Rewrite.no_hints;
+              })
+
+let check_mode mode ~adaptive =
+  match mode with
+  | Qo _ when adaptive -> Error "\"adaptive\" does not apply to mode \"qo\""
+  | Qo _ | Raqo -> Ok ()
+
+let optimize ?kind ?seed ?kernel ?shared_cache ?(rewrite = true)
+    ?(metrics = Raqo_obs.Metrics.default) ?(mode = Raqo) ?adaptive ~model ~conditions
+    (r : resolved) =
+  let optimizer ~rewrite ~hints schema =
+    Cost_based.create ?kind ?seed ?kernel ?shared_cache ~rewrite ~rewrite_hints:hints
+      ~metrics ~model ~conditions schema
+  in
+  let planned opt ~estimates ?adaptive (plan, est_cost) =
+    let rewrite = match mode with Raqo -> Cost_based.rewrite_report opt | Qo _ -> None in
+    let counters = Cost_based.counters opt in
+    { resolved = r; plan; est_cost; estimates; adaptive; rewrite; counters }
+  in
+  let traced f = Raqo_obs.Trace.with_ ~name:"sql/optimize" f in
+  match (check_mode mode ~adaptive:(Option.is_some adaptive), mode, adaptive) with
+  | Error message, _, _ -> Error (Invalid message)
+  | Ok (), Qo resources, _ -> (
+      (* The two-step baseline does not rewrite: it plans the filter-scaled
+         truth at the given resources. *)
+      let opt = optimizer ~rewrite ~hints:Rewrite.no_hints r.truth in
+      match traced (fun () -> Cost_based.optimize_qo opt ~resources r.relations) with
+      | Some p -> Ok (planned opt ~estimates:r.truth p)
+      | None -> Error Infeasible)
+  | Ok (), Raqo, None -> (
+      (* With the rewriter on, plan against the unscaled catalog and hand the
+         resolver's filter selectivities to the pushdown rule, which replays
+         the resolver's scan-scaling fold bitwise; the projection list
+         additionally enables absorption and narrowing. Off plans the
+         filter-scaled truth as it is. *)
+      let opt =
+        if rewrite then optimizer ~rewrite ~hints:r.hints r.catalog
+        else optimizer ~rewrite ~hints:Rewrite.no_hints r.truth
+      in
+      match traced (fun () -> Cost_based.optimize opt r.relations) with
+      | Some p -> Ok (planned opt ~estimates:r.truth p)
+      | None -> Error Infeasible)
+  | Ok (), Raqo, Some (engine, error) -> (
+      (* The filter-scaled truth is what execution meets; the planner sees it
+         only through the seeded estimation error. Filters are already folded
+         into the truth, so the rewrite pass gets the projection hints only. *)
+      let estimates = Raqo_execsim.Estimation_error.perturb error r.truth in
+      let opt = optimizer ~rewrite ~hints:{ r.hints with Rewrite.filters = [] } estimates in
+      match
+        traced (fun () ->
+            Cost_based.optimize_adaptive ~engine ~truth:r.truth opt r.relations)
+      with
+      | Some (report, est_cost) ->
+          Ok
+            (planned opt ~estimates ~adaptive:report
+               (report.Raqo_adaptive.Adaptive_exec.static_plan, est_cost))
+      | None -> Error Infeasible)
+
+let plan ?kind ?seed ?kernel ?shared_cache ?rewrite ?metrics ?mode ?adaptive ~model
+    ~conditions ~schema ~columns query =
+  match resolve ?metrics ~schema ~columns query with
+  | Error message -> Error (Invalid message)
+  | Ok r ->
+      optimize ?kind ?seed ?kernel ?shared_cache ?rewrite ?metrics ?mode ?adaptive ~model
+        ~conditions r
 
 let plan_tpch ?kind ?(scale_factor = 100.0) sql =
   plan ?kind ~model:(Models.hive ()) ~conditions:Raqo_cluster.Conditions.default
     ~schema:(Raqo_catalog.Tpch.schema ~scale_factor ())
     ~columns:(Raqo_catalog.Tpch.columns ~scale_factor ())
-    sql
+    (Sql sql)

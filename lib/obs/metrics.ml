@@ -1,6 +1,7 @@
 (* Shard count is a fixed power of two: domain ids are assigned densely from
    0, so [id land (shards - 1)] spreads the first 8 domains over distinct
-   cells (the pool caps at 8 workers; see Raqo_par.Pool.default_jobs). *)
+   cells. More domains share cells, which stays exact (the cells are
+   atomic) and only adds contention. *)
 let shards = 8
 
 let shard_index () = (Domain.self () :> int) land (shards - 1)

@@ -10,8 +10,6 @@ type t = {
   mutable closed : bool;
 }
 
-let default_jobs () = min 8 (Domain.recommended_domain_count ())
-
 let locked t f =
   Mutex.lock t.mutex;
   match f () with
@@ -145,30 +143,3 @@ let run_list t thunks =
            results)
 
 let parallel_map t f xs = run_list t (List.map (fun x () -> f x) xs)
-let parallel_mapi t f xs = run_list t (List.mapi (fun i x () -> f i x) xs)
-
-let chunks n xs =
-  if n < 1 then invalid_arg "Pool.chunks: n must be >= 1";
-  let len = List.length xs in
-  if len = 0 then []
-  else begin
-    let k = min n len in
-    let base = len / k and extra = len mod k in
-    (* First [extra] chunks get one more element; order is preserved. *)
-    let rec take i acc rest =
-      if i = 0 then (List.rev acc, rest)
-      else
-        match rest with
-        | x :: tl -> take (i - 1) (x :: acc) tl
-        | [] -> (List.rev acc, [])
-    in
-    let rec go ci rest =
-      if ci = k then []
-      else begin
-        let sz = base + if ci < extra then 1 else 0 in
-        let chunk, rest = take sz [] rest in
-        chunk :: go (ci + 1) rest
-      end
-    in
-    go 0 xs
-  end

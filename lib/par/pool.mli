@@ -36,10 +36,6 @@ type t
     @raise Invalid_argument when [jobs < 1]. *)
 val create : jobs:int -> unit -> t
 
-(** [default_jobs ()] is the runtime's recommended domain count (capped at 8
-    — beyond that the planner's task grain is too fine to win). *)
-val default_jobs : unit -> int
-
 (** [size t] is the pool's total parallelism (the [jobs] it was created
     with). *)
 val size : t -> int
@@ -60,11 +56,3 @@ val run_list : t -> (unit -> 'a) list -> 'a list
 (** [parallel_map t f xs] is [List.map f xs] with the applications spread
     over the pool, results in input order. *)
 val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [parallel_mapi t f xs] is {!parallel_map} with the element index. *)
-val parallel_mapi : t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-
-(** [chunks n xs] splits [xs] into at most [n] contiguous slices of
-    near-equal length, preserving order ([List.concat (chunks n xs) = xs]);
-    fewer slices when [xs] is short. @raise Invalid_argument when [n < 1]. *)
-val chunks : int -> 'a list -> 'a list list

@@ -54,7 +54,6 @@ type t = {
   g_responses : M.Counter.t;
   g_queue_depth : M.Gauge.t;
   g_latency : M.Histogram.t;
-  g_sql_queries : M.Counter.t;
 }
 
 let create ?(config = default_config) ?registry () =
@@ -87,7 +86,6 @@ let create ?(config = default_config) ?registry () =
     g_responses = M.counter_in registry "raqo_server_responses_total";
     g_queue_depth = M.gauge_in registry "raqo_server_queue_depth";
     g_latency = M.histogram_in registry "raqo_server_latency_seconds";
-    g_sql_queries = M.counter_in registry "raqo_sql_queries_total";
   }
 
 let config t = t.config
@@ -106,192 +104,68 @@ let model_and_engine = function
   | "spark" -> (Raqo.Models.spark (), Raqo_execsim.Engine.spark)
   | _ -> (Raqo.Models.hive (), Raqo_execsim.Engine.hive)
 
-let rec has_dup = function
-  | [] -> false
-  | x :: rest -> List.mem x rest || has_dup rest
-
-(* What [plan_request] needs from the payload: the schema the optimizer is
-   created over (pre-rewrite), the adaptive ground truth (filter-scaled),
-   the relations, and the rewrite hints. Exactly the front half of
-   {!Raqo.Sql_frontend.plan}; keeping the sequence identical is what makes
-   served responses bit-equal to the one-shot pipeline. *)
-type resolved = {
-  plan_schema : Raqo_catalog.Schema.t;
-  truth_schema : Raqo_catalog.Schema.t;
-  relations : string list;
-  referenced : string list option;
-  filters : (string * float) list;
-}
-
-let resolve t (payload : Protocol.payload) =
-  match payload with
-  | Protocol.Sql sql -> begin
-      if Raqo_obs.Obs.enabled () then M.Counter.inc t.g_sql_queries;
-      match
-        Raqo_obs.Trace.with_ ~name:"sql/analyze" (fun () ->
-            Raqo_sql.Resolver.analyze t.schema t.columns sql)
-      with
-      | Ok a ->
-          (* With the rewriter on the optimizer plans over the raw catalog
-             and replays the resolver's filter fold through the pushdown
-             rule (bitwise-identical stats); off keeps the historical
-             resolver-scaled schema. *)
-          if t.config.rewrite then
-            Ok
-              {
-                plan_schema = t.schema;
-                truth_schema = a.Raqo_sql.Resolver.schema;
-                relations = a.Raqo_sql.Resolver.relations;
-                referenced = a.Raqo_sql.Resolver.projected_tables;
-                filters = a.Raqo_sql.Resolver.table_selectivity;
-              }
-          else
-            Ok
-              {
-                plan_schema = a.Raqo_sql.Resolver.schema;
-                truth_schema = a.Raqo_sql.Resolver.schema;
-                relations = a.Raqo_sql.Resolver.relations;
-                referenced = None;
-                filters = [];
-              }
-      | Error e -> Error e
-    end
-  | Protocol.Relations rels -> (
-      if List.length rels < 2 then Error "need at least two relations to join"
-      else if has_dup rels then Error "duplicate relation in \"relations\""
-      else
-        match
-          List.find_opt (fun r -> not (Raqo_catalog.Schema.mem t.schema r)) rels
-        with
-        | Some r -> Error (Printf.sprintf "unknown relation %S" r)
-        | None ->
-            if not (Raqo_catalog.Schema.joinable t.schema rels) then
-              Error "relations do not form a connected join graph"
-            else
-              Ok
-                {
-                  plan_schema = t.schema;
-                  truth_schema = t.schema;
-                  relations = rels;
-                  referenced = None;
-                  filters = [];
-                })
-
-let planned (req : Protocol.request) plan cost adaptive rewrite =
+let planned (req : Protocol.request) (p : Raqo.Sql_frontend.planned) =
   let resources =
-    Raqo_plan.Join_tree.annotations plan
+    Raqo_plan.Join_tree.annotations p.plan
     |> List.map (fun (_impl, r) ->
            (r.Raqo_cluster.Resources.containers, r.Raqo_cluster.Resources.container_gb))
+  in
+  let summarize = function
+    | Raqo_adaptive.Adaptive_exec.Done { seconds; _ } -> Protocol.Finished seconds
+    | Raqo_adaptive.Adaptive_exec.Oom { stage; _ } -> Protocol.Oom stage
+  in
+  let adaptive =
+    Option.map
+      (fun (r : Raqo_adaptive.Adaptive_exec.report) ->
+        {
+          Protocol.static_outcome = summarize r.static_outcome;
+          adaptive_outcome = summarize r.adaptive_outcome;
+          replans = r.replans;
+          switches = r.switches;
+        })
+      p.adaptive
+  in
+  (* Present only when a rule fired, so zero-rewrite responses are
+     byte-identical to a [~rewrite:false] engine's. *)
+  let rewrite =
+    match p.rewrite with
+    | Some r when r.Raqo_rewrite.Rewrite.changed ->
+        Some
+          {
+            Protocol.fired = Raqo_rewrite.Rewrite.fired r;
+            removed = r.Raqo_rewrite.Rewrite.removed;
+          }
+    | Some _ | None -> None
   in
   Protocol.Planned
     {
       id = req.id;
-      plan = Format.asprintf "%a" Raqo_plan.Join_tree.pp_joint plan;
-      cost;
+      plan = Format.asprintf "%a" Raqo_plan.Join_tree.pp_joint p.plan;
+      cost = p.est_cost;
       resources;
       adaptive;
       rewrite;
     }
 
-(* Present only when a rule fired, so zero-rewrite responses are
-   byte-identical to a [~rewrite:false] engine's. *)
-let rewrite_summary opt =
-  match Raqo.Cost_based.rewrite_report opt with
-  | Some r when r.Raqo_rewrite.Rewrite.changed ->
-      Some
-        {
-          Protocol.fired = Raqo_rewrite.Rewrite.fired r;
-          removed = r.Raqo_rewrite.Rewrite.removed;
-        }
-  | Some _ | None -> None
-
-let summarize_outcome = function
-  | Raqo_adaptive.Adaptive_exec.Done { seconds; _ } -> Protocol.Finished seconds
-  | Raqo_adaptive.Adaptive_exec.Oom { stage; _ } -> Protocol.Oom stage
-
-let infeasible (req : Protocol.request) =
-  Protocol.Rejected
-    {
-      id = Some req.id;
-      reason = Protocol.Infeasible;
-      message = "no feasible joint plan under the current cluster conditions";
-    }
-
 let plan_request t (req : Protocol.request) : Protocol.response =
-  match resolve t req.payload with
-  | Error message ->
-      Protocol.Rejected { id = Some req.id; reason = Protocol.Bad_request; message }
-  | Ok r -> begin
-      let model, sim_engine = model_and_engine req.engine in
-      let optimizer ~hints schema =
-        Raqo.Cost_based.create ~kind:req.planner ~seed:req.seed ~kernel:t.config.kernel
-          ~shared_cache:t.cache ~rewrite:t.config.rewrite ~rewrite_hints:hints
-          ~metrics:t.registry ~model ~conditions:t.config.conditions schema
+  let reject reason message = Protocol.Rejected { id = Some req.id; reason; message } in
+  let model, sim_engine = model_and_engine req.engine in
+  match
+    Raqo.Sql_frontend.plan ~kind:req.planner ~seed:req.seed ~kernel:t.config.kernel
+      ~shared_cache:t.cache ~rewrite:t.config.rewrite ~metrics:t.registry ~mode:req.mode
+      ?adaptive:(if req.adaptive then Some (sim_engine, req.est_error) else None)
+      ~model ~conditions:t.config.conditions ~schema:t.schema ~columns:t.columns
+      req.payload
+  with
+  | Ok p -> planned req p
+  | Error e ->
+      let reason =
+        match e with
+        | Raqo.Sql_frontend.Invalid _ -> Protocol.Bad_request
+        | Raqo.Sql_frontend.Infeasible -> Protocol.Infeasible
       in
-      try
-        match req.mode with
-        | Protocol.Qo resources -> begin
-            (* The two-step baseline does not rewrite: it plans the
-               resolver-scaled schema exactly as before. *)
-            let opt =
-              optimizer ~hints:Raqo_rewrite.Rewrite.no_hints r.truth_schema
-            in
-            match Raqo.Cost_based.optimize_qo opt ~resources r.relations with
-            | Some (plan, cost) -> planned req plan cost None None
-            | None -> infeasible req
-          end
-        | Protocol.Raqo when not req.adaptive -> begin
-            let opt =
-              optimizer
-                ~hints:
-                  { Raqo_rewrite.Rewrite.filters = r.filters; referenced = r.referenced }
-                r.plan_schema
-            in
-            match
-              Raqo_obs.Trace.with_ ~name:"sql/optimize" (fun () ->
-                  Raqo.Cost_based.optimize opt r.relations)
-            with
-            | Some (plan, cost) -> planned req plan cost None (rewrite_summary opt)
-            | None -> infeasible req
-          end
-        | Protocol.Raqo -> begin
-            (* Adaptive: the (filter-scaled) catalog is ground truth; the
-               planner sees it through the request's seeded estimation
-               error, with the projection hints still enabling absorption. *)
-            let truth = r.truth_schema in
-            let estimates = Raqo_execsim.Estimation_error.perturb req.est_error truth in
-            let opt =
-              optimizer
-                ~hints:{ Raqo_rewrite.Rewrite.filters = []; referenced = r.referenced }
-                estimates
-            in
-            match
-              Raqo_obs.Trace.with_ ~name:"sql/optimize" (fun () ->
-                  Raqo.Cost_based.optimize_adaptive ~engine:sim_engine ~truth opt r.relations)
-            with
-            | Some (report, cost) ->
-                let summary =
-                  {
-                    Protocol.static_outcome =
-                      summarize_outcome report.Raqo_adaptive.Adaptive_exec.static_outcome;
-                    adaptive_outcome =
-                      summarize_outcome report.Raqo_adaptive.Adaptive_exec.adaptive_outcome;
-                    replans = report.Raqo_adaptive.Adaptive_exec.replans;
-                    switches = report.Raqo_adaptive.Adaptive_exec.switches;
-                  }
-                in
-                planned req report.Raqo_adaptive.Adaptive_exec.static_plan cost
-                  (Some summary) (rewrite_summary opt)
-            | None -> infeasible req
-          end
-      with exn ->
-        Protocol.Rejected
-          {
-            id = Some req.id;
-            reason = Protocol.Internal;
-            message = Printexc.to_string exn;
-          }
-    end
+      reject reason (Raqo.Sql_frontend.error_message e)
+  | exception exn -> reject Protocol.Internal (Printexc.to_string exn)
 
 let oneshot ?(config = { default_config with jobs = 1 }) req =
   let t = create ~config:{ config with jobs = 1 } () in
@@ -304,30 +178,15 @@ let oneshot ?(config = { default_config with jobs = 1 }) req =
 module Allocator = Raqo_alloc.Allocator
 module Surface = Raqo_alloc.Surface
 
-(* Deterministic pick off the frontier: [Makespan] takes its head (the
-   frontier is makespan-ascending), [Dollars] the cheapest point, [Balanced]
-   a fixed scalarization; strict [<] breaks ties toward the frontier order,
-   so equal engines choose equal points. *)
-let choose objective (outcome : Allocator.outcome) =
-  let best score =
-    match outcome.Allocator.frontier with
-    | [] -> outcome.Allocator.equal_split
-    | p :: rest ->
-        List.fold_left (fun acc q -> if score q < score acc then q else acc) p rest
-  in
-  match objective with
-  | Protocol.Makespan -> best (fun (p : Allocator.point) -> p.makespan)
-  | Protocol.Dollars -> best (fun (p : Allocator.point) -> p.dollars)
-  | Protocol.Balanced ->
-      best (fun (p : Allocator.point) ->
-          p.makespan +. (1000.0 *. p.dollars) +. (1000.0 *. float_of_int p.violations))
-
 let allocate t (areq : Protocol.alloc_request) : Protocol.response =
   let reject reason message = Protocol.Rejected { id = Some areq.id; reason; message } in
   let rec resolve_all acc = function
     | [] -> Ok (List.rev acc)
     | (q : Protocol.alloc_query) :: rest -> (
-        match resolve t q.payload with
+        match
+          Raqo.Sql_frontend.resolve ~metrics:t.registry ~schema:t.schema ~columns:t.columns
+            q.payload
+        with
         | Ok r -> resolve_all ((q, r) :: acc) rest
         | Error e -> Error (Printf.sprintf "query %S: %s" q.qid e))
   in
@@ -335,26 +194,21 @@ let allocate t (areq : Protocol.alloc_request) : Protocol.response =
   | Error message -> reject Protocol.Bad_request message
   | Ok resolved -> (
       let model, _sim_engine = model_and_engine areq.engine in
-      (* Member queries plan the resolver-scaled schema without the rewrite
+      (* Member queries plan the filter-scaled truth without the rewrite
          pass: the surface prices plans off the same stats the planner
          costed, and a rewrite would shift those stats under the surface. *)
-      let plan_one ((q : Protocol.alloc_query), (r : resolved)) =
-        let opt =
-          Raqo.Cost_based.create ~kind:areq.planner ~seed:areq.seed
-            ~kernel:t.config.kernel ~shared_cache:t.cache ~rewrite:false
-            ~metrics:t.registry ~model ~conditions:t.config.conditions
-            r.truth_schema
-        in
+      let plan_one ((q : Protocol.alloc_query), (r : Raqo.Sql_frontend.resolved)) =
         match
           Raqo_obs.Trace.with_ ~name:"alloc/plan" (fun () ->
-              Raqo.Cost_based.optimize opt r.relations)
+              Raqo.Sql_frontend.optimize ~kind:areq.planner ~seed:areq.seed
+                ~kernel:t.config.kernel ~shared_cache:t.cache ~rewrite:false
+                ~metrics:t.registry ~model ~conditions:t.config.conditions r)
         with
-        | None -> Error q.qid
-        | Some (plan, _cost) ->
+        | Error _ -> Error q.qid
+        | Ok { plan; _ } ->
             let surface =
               Surface.build ~use_kernel:t.config.kernel ~model
-                ~conditions:t.config.conditions ~schema:r.truth_schema ~name:q.qid
-                plan
+                ~conditions:t.config.conditions ~schema:r.truth ~name:q.qid plan
             in
             let tenant =
               match (q.tenant, areq.tenant) with
@@ -405,7 +259,7 @@ let allocate t (areq : Protocol.alloc_request) : Protocol.response =
                 violations = p.violations;
               }
             in
-            let chosen = choose areq.objective outcome in
+            let chosen = Allocator.choose areq.objective outcome in
             let per_query =
               List.mapi
                 (fun i plan ->

@@ -14,10 +14,11 @@
     per request, all warming the same shared cache), returning responses in
     submission order.
 
-    Bit-identity: {!plan_request} runs the same resolve/optimize sequence as
-    {!Raqo.Sql_frontend.plan}, and the shared cache's exact-match hits return
-    the same resource plans a fresh search would find — so a served response
-    equals {!oneshot} on the same request, byte for byte. *)
+    Bit-identity: {!plan_request} plans through {!Raqo.Sql_frontend.plan},
+    the one request pipeline [raqo plan] also takes, and the shared cache's
+    exact-match hits return the same resource plans a fresh search would
+    find — so a served response equals {!oneshot} on the same request, byte
+    for byte. *)
 
 type config = {
   jobs : int;  (** pool parallelism (1 = sequential, no domains spawned) *)
@@ -63,8 +64,10 @@ val shutdown : t -> unit
 
 (** [plan_request t req] plans one request synchronously on the calling
     domain, bypassing admission; the serve loop parallelizes {e across}
-    requests. Never raises: planner exceptions come back as
-    [Rejected {reason = Internal; _}]. *)
+    requests. It is {!Raqo.Sql_frontend.plan} with the engine's catalog,
+    cache, registry, kernel and rewrite settings: resolve and option errors
+    come back [Bad_request], no feasible plan [Infeasible]. Never raises:
+    planner exceptions come back as [Rejected {reason = Internal; _}]. *)
 val plan_request : t -> Protocol.request -> Protocol.response
 
 (** [oneshot req] plans on a fresh single-job engine (fresh cache, fresh
@@ -73,7 +76,8 @@ val plan_request : t -> Protocol.request -> Protocol.response
 val oneshot : ?config:config -> Protocol.request -> Protocol.response
 
 (** [allocate t areq] answers an [{"op":"allocate"}] request synchronously:
-    jointly plans every member query (across the pool when [jobs > 1] —
+    resolves every member with {!Raqo.Sql_frontend.resolve} and jointly
+    plans it (across the pool when [jobs > 1] —
     surfaces are independent, so any pool size is bit-identical), builds its
     latency/cost response surface, and searches joint allocations under the
     global container budget ({!Raqo_alloc.Allocator.search}). Member queries

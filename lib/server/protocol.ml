@@ -1,5 +1,5 @@
-type payload = Sql of string | Relations of string list
-type mode = Raqo | Qo of Raqo_cluster.Resources.t
+type payload = Raqo.Sql_frontend.query = Sql of string | Relations of string list
+type mode = Raqo.Sql_frontend.mode = Raqo | Qo of Raqo_cluster.Resources.t
 
 type request = {
   id : string;
@@ -27,7 +27,7 @@ type rewrite_summary = { fired : (string * int) list; removed : int }
 
 (* ---------- workload allocation ---------- *)
 
-type objective = Makespan | Dollars | Balanced
+type objective = Raqo_alloc.Allocator.objective = Makespan | Dollars | Balanced
 
 let objective_of_string = function
   | "makespan" -> Ok Makespan
@@ -207,11 +207,7 @@ let parse_request line =
     | ("hive" | "spark") as e -> Ok e
     | s -> Error (Printf.sprintf "unknown engine %S (want hive|spark)" s)
   in
-  let* () =
-    match (mode, adaptive) with
-    | Qo _, true -> Error "\"adaptive\" does not apply to mode \"qo\""
-    | _ -> Ok ()
-  in
+  let* () = Raqo.Sql_frontend.check_mode mode ~adaptive in
   let* tenant = parse_tenant json in
   Ok
     {

@@ -40,9 +40,11 @@
     "containers":[..]},...],"chosen":...,"equal_split":...,"queries":
     [{"id":..,"containers":..,"latency":..,"plan":..},...]}]. *)
 
-type payload = Sql of string | Relations of string list
+(** The query and mode a request carries are the planning pipeline's own
+    ({!Raqo.Sql_frontend}), so a parsed request plans without conversion. *)
+type payload = Raqo.Sql_frontend.query = Sql of string | Relations of string list
 
-type mode =
+type mode = Raqo.Sql_frontend.mode =
   | Raqo  (** joint query/resource optimization (the paper's planner) *)
   | Qo of Raqo_cluster.Resources.t  (** query-only baseline at fixed resources *)
 
@@ -80,7 +82,7 @@ type rewrite_summary = {
 
 (** What an allocate request minimizes when picking its [chosen] point off
     the frontier (the whole frontier is always returned). *)
-type objective = Makespan | Dollars | Balanced
+type objective = Raqo_alloc.Allocator.objective = Makespan | Dollars | Balanced
 
 val objective_of_string : string -> (objective, string) result
 val objective_name : objective -> string

@@ -10,7 +10,6 @@ module Estimation_error = Raqo_execsim.Estimation_error
 module Engine = Raqo_execsim.Engine
 module Simulate = Raqo_execsim.Simulate
 module Oracle = Raqo_verify.Oracle
-module Pool = Raqo_par.Pool
 module Schema = Raqo_catalog.Schema
 module Relation = Raqo_catalog.Relation
 module Join_graph = Raqo_catalog.Join_graph
@@ -236,32 +235,6 @@ let test_fault_falls_back () =
   Alcotest.(check bool) "outcome unchanged" true
     (r.Adaptive.adaptive_outcome = r.Adaptive.static_outcome)
 
-(* ------------------------------------------------------ pool bit-identity *)
-
-let test_pooled_report_bit_identical () =
-  (* Cost_based.optimize_adaptive fans the randomized planner's restarts out
-     over the pool; re-plans stay sequential. The report must not depend on
-     the pool size. *)
-  let t, estimates = faulted_instance () in
-  let adaptive ?pool () =
-    let opt =
-      Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized ~model ~conditions
-        estimates
-    in
-    Raqo.Cost_based.optimize_adaptive ?pool ~engine:Engine.hive ~truth:t.Oracle.schema opt
-      t.Oracle.relations
-  in
-  let seq = adaptive () in
-  Alcotest.(check bool) "a static plan exists" true (Option.is_some seq);
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          Alcotest.(check bool)
-            (Printf.sprintf "report identical at %d jobs" jobs)
-            true
-            (adaptive ~pool () = seq)))
-    [ 1; 2; 4 ]
-
 (* -------------------------------------------------------------- validation *)
 
 let test_run_rejects_invalid_plan () =
@@ -363,9 +336,6 @@ let () =
           Alcotest.test_case "raising re-plan falls back (sequential)" `Quick
             test_fault_falls_back;
         ] );
-      ( "determinism",
-        [ Alcotest.test_case "report bit-identical at every pool size" `Quick
-            test_pooled_report_bit_identical ] );
       ( "validation",
         [ Alcotest.test_case "invalid plans rejected" `Quick test_run_rejects_invalid_plan ] );
       ( "remaining",

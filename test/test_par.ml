@@ -25,12 +25,6 @@ let test_map_order () =
             (Pool.parallel_map pool (fun x -> x * x) xs)))
     pool_sizes
 
-let test_mapi () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check (list int))
-        "indices flow through" [ 10; 21; 32; 43 ]
-        (Pool.parallel_mapi pool (fun i x -> (10 * x) + i) [ 1; 2; 3; 4 ]))
-
 let test_empty_and_single () =
   Pool.with_pool ~jobs:2 (fun pool ->
       Alcotest.(check (list int)) "empty batch" [] (Pool.parallel_map pool succ []);
@@ -94,26 +88,6 @@ let test_use_after_shutdown () =
   Alcotest.check_raises "submit after shutdown"
     (Invalid_argument "Pool.run_list: pool is shut down") (fun () ->
       ignore (Pool.parallel_map pool succ [ 1; 2 ]))
-
-let test_chunks () =
-  let xs = List.init 23 (fun i -> i) in
-  List.iter
-    (fun n ->
-      let cs = Pool.chunks n xs in
-      Alcotest.(check (list int))
-        (Printf.sprintf "chunks %d concat back in order" n)
-        xs (List.concat cs);
-      Alcotest.(check bool)
-        (Printf.sprintf "at most %d chunks" n)
-        true
-        (List.length cs <= n);
-      let sizes = List.map List.length cs in
-      let mn = List.fold_left min max_int sizes and mx = List.fold_left max 0 sizes in
-      Alcotest.(check bool) "balanced within one element" true (mx - mn <= 1))
-    [ 1; 2; 3; 7; 23; 100 ];
-  Alcotest.(check (list (list int))) "empty input" [] (Pool.chunks 4 []);
-  Alcotest.check_raises "n must be positive" (Invalid_argument "Pool.chunks: n must be >= 1")
-    (fun () -> ignore (Pool.chunks 0 [ 1 ]))
 
 (* -------------------------------------------------------------- counters *)
 
@@ -259,14 +233,12 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map preserves order" `Quick test_map_order;
-          Alcotest.test_case "mapi" `Quick test_mapi;
           Alcotest.test_case "empty and single batches" `Quick test_empty_and_single;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "usable after a failed batch" `Quick
             test_pool_usable_after_exception;
           Alcotest.test_case "nested use" `Quick test_nested_use;
           Alcotest.test_case "use after shutdown" `Quick test_use_after_shutdown;
-          Alcotest.test_case "chunks" `Quick test_chunks;
         ] );
       ( "counters",
         [ Alcotest.test_case "atomic under contention" `Quick test_counters_concurrent ] );

@@ -335,10 +335,10 @@ let test_sql_frontend_bitwise_identity () =
   let plan rewrite =
     match
       Raqo.Sql_frontend.plan ~kernel:false ~rewrite ~model ~conditions
-        ~schema:(Tpch.schema ()) ~columns:(Tpch.columns ()) sql
+        ~schema:(Tpch.schema ()) ~columns:(Tpch.columns ()) (Raqo.Sql_frontend.Sql sql)
     with
     | Ok planned -> planned
-    | Error e -> Alcotest.failf "plan failed: %s" e
+    | Error e -> Alcotest.failf "plan failed: %s" (Raqo.Sql_frontend.error_message e)
   in
   let on = plan true and off = plan false in
   Alcotest.(check bool) "same joint plan" true
@@ -360,10 +360,10 @@ let test_sql_frontend_narrows_unprojected () =
   let plan rewrite =
     match
       Raqo.Sql_frontend.plan ~kernel:false ~rewrite ~model ~conditions
-        ~schema:(Tpch.schema ()) ~columns:(Tpch.columns ()) sql
+        ~schema:(Tpch.schema ()) ~columns:(Tpch.columns ()) (Raqo.Sql_frontend.Sql sql)
     with
     | Ok planned -> planned
-    | Error e -> Alcotest.failf "plan failed: %s" e
+    | Error e -> Alcotest.failf "plan failed: %s" (Raqo.Sql_frontend.error_message e)
   in
   let on = plan true in
   match on.Raqo.Sql_frontend.rewrite with

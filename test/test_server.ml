@@ -17,6 +17,10 @@ let sql3 =
   "select * from customer, orders, lineitem where c_custkey = o_custkey and \
    o_orderkey = l_orderkey"
 
+let projected_sql =
+  "select o_orderkey from customer, orders, lineitem where c_custkey = o_custkey and \
+   o_orderkey = l_orderkey"
+
 let small_config =
   { Engine.default_config with jobs = 2; queue_capacity = 16; batch = 4 }
 
@@ -132,29 +136,70 @@ let ok_response = function
   | Protocol.Allocated _ -> Alcotest.fail "unexpected allocate response"
 
 let test_engine_matches_sql_frontend () =
-  (* The tentpole contract: a served plan is bit-identical (plan string,
-     cost float, resources) to the one-shot Sql_frontend pipeline. *)
-  with_engine (fun t ->
-      let req = parse_ok (req_line sql3) in
-      let plan_s, cost, resources, _ = ok_response (Engine.plan_request t req) in
-      match
-        Raqo.Sql_frontend.plan ~kind:Raqo.Cost_based.Selinger ~seed:42
-          ~model:(Raqo.Models.hive ()) ~conditions:Raqo_cluster.Conditions.default
-          ~schema:(Raqo_catalog.Tpch.schema ())
-          ~columns:(Raqo_catalog.Tpch.columns ())
-          sql3
-      with
-      | Error e -> Alcotest.failf "frontend failed: %s" e
-      | Ok planned ->
-          let expected_plan =
-            Format.asprintf "%a" Raqo_plan.Join_tree.pp_joint planned.Raqo.Sql_frontend.plan
-          in
-          Alcotest.(check string) "plan" expected_plan plan_s;
-          Alcotest.(check bool) "cost bits" true
-            (Int64.equal
-               (Int64.bits_of_float planned.Raqo.Sql_frontend.est_cost)
-               (Int64.bits_of_float cost));
-          Alcotest.(check int) "one resource tuple per join" 2 (List.length resources))
+  (* The one pipeline: a one-shot engine answer is the Sql_frontend plan
+     (plan string, cost bits) for SQL and relation payloads, in raqo, qo and
+     adaptive mode, under every planner. *)
+  let module F = Raqo.Sql_frontend in
+  let queries =
+    [
+      ("sql3", F.Sql sql3);
+      ( "filtered",
+        F.Sql
+          "select * from orders, lineitem where o_orderkey = l_orderkey and \
+           o_totalprice < 172000" );
+      ("projected", F.Sql projected_sql);
+      ("q3", F.Relations [ "customer"; "orders"; "lineitem" ]);
+      ("q5", F.Relations Raqo_catalog.Tpch.q5);
+    ]
+  in
+  let qo = Raqo_cluster.Resources.make ~containers:10 ~container_gb:5.0 in
+  let error = Raqo_execsim.Estimation_error.of_string "lognormal:42" |> Result.get_ok in
+  let modes =
+    [ ("raqo", F.Raqo, None); ("qo", F.Qo qo, None); ("adaptive", F.Raqo, Some error) ]
+  in
+  List.iter
+    (fun (qname, query) ->
+      List.iter
+        (fun (mname, mode, est_error) ->
+          List.iter
+            (fun kind ->
+              let req =
+                {
+                  Protocol.id = "c";
+                  payload = query;
+                  planner = kind;
+                  mode;
+                  seed = 42;
+                  adaptive = Option.is_some est_error;
+                  est_error = Option.value est_error ~default:Raqo_execsim.Estimation_error.exact;
+                  engine = "hive";
+                  tenant = None;
+                }
+              in
+              let label = Printf.sprintf "%s/%s/%s" qname mname (Protocol.planner_name kind) in
+              let plan_s, cost, _, _ = ok_response (Engine.oneshot req) in
+              match
+                F.plan ~kind ~seed:42 ~mode
+                  ?adaptive:(Option.map (fun e -> (Raqo_execsim.Engine.hive, e)) est_error)
+                  ~model:(Raqo.Models.hive ()) ~conditions:Raqo_cluster.Conditions.default
+                  ~schema:(Raqo_catalog.Tpch.schema ())
+                  ~columns:(Raqo_catalog.Tpch.columns ())
+                  query
+              with
+              | Error e -> Alcotest.failf "%s: pipeline failed: %s" label (F.error_message e)
+              | Ok planned ->
+                  Alcotest.(check string)
+                    (label ^ " plan")
+                    (Format.asprintf "%a" Raqo_plan.Join_tree.pp_joint planned.F.plan)
+                    plan_s;
+                  Alcotest.(check bool)
+                    (label ^ " cost bits")
+                    true
+                    (Int64.equal (Int64.bits_of_float planned.F.est_cost)
+                       (Int64.bits_of_float cost)))
+            [ Raqo.Cost_based.Selinger; Raqo.Cost_based.Fast_randomized; Raqo.Cost_based.Bushy_dp ])
+        modes)
+    queries
 
 let test_engine_served_equals_oneshot () =
   (* Same requests through a warm shared-cache engine and through fresh
@@ -516,10 +561,6 @@ let test_oneshot_health_deterministic () =
   Alcotest.(check bool) "depth zero" true (contains a "\"queue_depth\":0")
 
 (* --------------------------------------------------------------- Rewrite *)
-
-let projected_sql =
-  "select o_orderkey from customer, orders, lineitem where c_custkey = o_custkey and \
-   o_orderkey = l_orderkey"
 
 let test_rewrite_summary_in_response () =
   with_engine (fun t ->

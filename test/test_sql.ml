@@ -344,13 +344,13 @@ let test_frontend_end_to_end () =
   | Ok p ->
       Alcotest.(check bool) "valid plan" true (Raqo_plan.Join_tree.valid p.Raqo.Sql_frontend.plan);
       Alcotest.(check bool) "finite cost" true (Float.is_finite p.Raqo.Sql_frontend.est_cost)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Raqo.Sql_frontend.error_message e)
 
 let test_frontend_filter_changes_plan_cost () =
   let cost sql =
     match Raqo.Sql_frontend.plan_tpch sql with
     | Ok p -> p.Raqo.Sql_frontend.est_cost
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Raqo.Sql_frontend.error_message e)
   in
   let unfiltered = cost "select * from orders, lineitem where o_orderkey = l_orderkey" in
   let filtered =
