@@ -242,10 +242,13 @@ let plan_cmd =
         (match p.F.rewrite with
         | Some r when r.Raqo_rewrite.Rewrite.changed -> print_rewrite_report r
         | _ -> ());
-        (* SQL plans are explained against the filter-scaled truth, relation
-           lists against the catalog the planner priced. *)
+        (* Static SQL plans are explained against the filter-scaled truth;
+           relation lists and adaptive runs against the schema the planner
+           priced. *)
         let explained =
-          match query with F.Sql _ -> p.F.resolved.F.truth | F.Relations _ -> p.F.estimates
+          match (query, p.F.adaptive) with
+          | F.Sql _, None -> p.F.resolved.F.truth
+          | F.Sql _, Some _ | F.Relations _, _ -> p.F.estimates
         in
         print_string (Raqo.Explain.joint model explained p.F.plan);
         match (p.F.adaptive, query) with

@@ -29,6 +29,9 @@ type planned = {
 
 let rec has_dup = function [] -> false | x :: rest -> List.mem x rest || has_dup rest
 
+(* Both query forms: a single relation has no join to plan. *)
+let too_few = "need at least two relations to join"
+
 let resolve ?(metrics = Raqo_obs.Metrics.default) ~schema ~columns = function
   | Sql sql -> begin
       (* Registry lookup per query, not per cost evaluation: cheap enough
@@ -41,6 +44,7 @@ let resolve ?(metrics = Raqo_obs.Metrics.default) ~schema ~columns = function
             Raqo_sql.Resolver.analyze schema columns sql)
       with
       | Error e -> Error e
+      | Ok a when List.length a.Raqo_sql.Resolver.relations < 2 -> Error too_few
       | Ok a ->
           Ok
             {
@@ -55,7 +59,7 @@ let resolve ?(metrics = Raqo_obs.Metrics.default) ~schema ~columns = function
             }
     end
   | Relations rels -> (
-      if List.length rels < 2 then Error "need at least two relations to join"
+      if List.length rels < 2 then Error too_few
       else if has_dup rels then Error "duplicate relation in \"relations\""
       else
         match List.find_opt (fun r -> not (Schema.mem schema r)) rels with

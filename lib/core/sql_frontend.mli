@@ -28,10 +28,10 @@ type resolved = {
 
 (** [resolve ?metrics ~schema ~columns query] checks [query] against the
     catalog. SQL goes through {!Raqo_sql.Resolver.analyze} (counted in
-    [metrics] as [raqo_sql_queries_total] when observability is on). A
-    relation list needs at least two relations, no duplicates, every name in
-    [schema] and a connected join graph. Errors are messages for the
-    caller's bad-request answer. *)
+    [metrics] as [raqo_sql_queries_total] when observability is on). Both
+    forms need at least two relations; a relation list also needs no
+    duplicates, every name in [schema] and a connected join graph. Errors
+    are messages for the caller's bad-request answer. *)
 val resolve :
   ?metrics:Raqo_obs.Metrics.registry ->
   schema:Raqo_catalog.Schema.t ->

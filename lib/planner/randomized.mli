@@ -13,17 +13,28 @@ type params = {
 (** The paper's defaults: 10 restarts. *)
 val default_params : params
 
-(** [random_shape rng schema relations] builds a uniform-ish random bushy
-    join tree without cartesian products, by randomly merging joinable
-    fragments. *)
-val random_shape :
-  Raqo_util.Rng.t -> Raqo_catalog.Schema.t -> string list -> Coster.shape
+(** The query's join graph over relation ids, from the schema's edges
+    between query relations. Immutable: pooled restarts share it. *)
+type graph
 
-(** [mutate rng schema shape] applies one random mutation (commutativity,
+val graph : Raqo_catalog.Schema.t -> string list -> graph
+
+(** [random_shape rng g] builds a uniform-ish random bushy join tree without
+    cartesian products, by randomly merging joinable fragments.
+    @raise Invalid_argument on an empty, duplicated or disconnected query. *)
+val random_shape : Raqo_util.Rng.t -> graph -> Coster.shape
+
+(** [checker g] allocates a restart's scratch and returns its check:
+    every leaf is a query relation, none appears twice, and every join is
+    crossed by a join edge, in O(n * degree * log n). One per restart:
+    never share a checker across domains. *)
+val checker : graph -> Coster.shape -> bool
+
+(** [mutate rng valid shape] applies one random mutation (commutativity,
     associativity rotation, or subtree exchange); returns [None] when the
-    drawn mutation would create a cartesian product or does not apply. *)
+    drawn mutation does not apply or fails [valid] (a {!checker}). *)
 val mutate :
-  Raqo_util.Rng.t -> Raqo_catalog.Schema.t -> Coster.shape -> Coster.shape option
+  Raqo_util.Rng.t -> (Coster.shape -> bool) -> Coster.shape -> Coster.shape option
 
 (** [optimize ?params rng coster schema relations] runs the randomized
     search and returns the cheapest joint plan found, or [None] when no

@@ -164,6 +164,24 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
       end)
     jobs;
 
+  (* The randomized planner's graph check must agree with the structural
+     invariants ([Invariant.check_shape]) on every mutation drawn along the
+     seed's 300-step chain. *)
+  if Raqo_obs.Obs.enabled () then Raqo_obs.Metrics.Counter.inc m_arms;
+  let chain_rng = Rng.create rand_seed and g = Randomized.graph schema rels in
+  let valid = Randomized.checker g and shape = ref (Randomized.random_shape chain_rng g) in
+  for step = 1 to 300 do
+    let agreed s =
+      let got = valid s and want = Invariant.check_shape ~schema ~expected:rels s = [] in
+      if got <> want then
+        add
+          [ D.v ~invariant:"oracle/randomized-validity"
+              "step %d: the graph check says %b, check_shape %b" step got want ];
+      got
+    in
+    Option.iter (fun s -> shape := s) (Randomized.mutate chain_rng agreed !shape)
+  done;
+
   (* ------------------------------------------ resource-planning mode arms *)
   let raqo_arm arm ~strategy ~cache () =
     let rp = Resource_planner.create ~strategy ~cache conditions in

@@ -15,6 +15,9 @@
     - DPsub <= randomized search; Selinger <= greedy left-deep;
     - parallel randomized restarts are bit-identical to their sequential
       counterparts for a fixed seed;
+    - the randomized planner's mutation check agrees with
+      {!Invariant.check_shape} on every mutation of a seeded 300-step
+      chain;
     - joint brute force <= joint hill climbing <= nothing (local optima),
       and joint brute force <= the fixed baseline at an in-grid config;
     - exact-lookup caching does not change the brute-force joint optimum;

@@ -26,6 +26,16 @@ cost=$(sed -n 's/.*"cost":\([-0-9.e+]*\).*/\1/p' <<<"$served")
 total=$(printf 'total: est cost %.1f,' "$cost")
 grep -qF "$total" <<<"$out" || fail "plan total is not the served cost $cost: $out"
 
+# --sql --adaptive explains the static plan against the estimates it was
+# planned on: the printed total is the served adaptive answer's cost.
+out=$("$raqo" plan --sql "$q" --adaptive --est-error lognormal:42)
+served=$(printf '{"id":"q","sql":"%s","adaptive":true,"est_error":"lognormal:42"}\n' "$q" \
+  | "$raqo" serve --oneshot)
+cost=$(sed -n 's/.*"cost":\([-0-9.e+]*\).*/\1/p' <<<"$served")
+[ -n "$cost" ] || fail "served adaptive answer carries no cost: $served"
+total=$(printf 'total: est cost %.1f,' "$cost")
+grep -qF "$total" <<<"$out" || fail "adaptive plan total is not the served cost $cost: $out"
+
 # Adaptive execution does not apply to qo: exit 2 with the server's message.
 want=$(printf '{"id":"a","relations":["orders","lineitem"],"mode":"qo","containers":10,"gb":5,"adaptive":true}\n' \
   | served_message)
@@ -44,3 +54,14 @@ for rels in '"orders"' '"orders","orders"' '"orders","bogus"' '"orders","region"
   [ "$rc" != 0 ] || fail "plan accepted relations [$rels]"
   grep -qF "$want" <<<"$err" || fail "plan [$rels] said: $err (server: $want)"
 done
+
+# A single-relation SQL query is refused on both surfaces, with the
+# relation-list form's message.
+want=$(printf '{"id":"r","relations":["orders"]}\n' | served_message)
+[ -n "$want" ] || fail "the server planned relations [orders]"
+got=$(printf '{"id":"s","sql":"select * from orders"}\n' | served_message)
+[ "$got" = "$want" ] || fail "served single-relation SQL said: ${got:-a plan} (relations: $want)"
+rc=0
+err=$("$raqo" plan --sql "select * from orders" 2>&1 >/dev/null) || rc=$?
+[ "$rc" != 0 ] || fail "plan accepted single-relation SQL"
+grep -qF "$want" <<<"$err" || fail "plan --sql single relation said: $err (server: $want)"

@@ -170,10 +170,12 @@ let test_selinger_with_simulator_coster () =
 
 (* ------------------------------------------------------------ Randomized *)
 
+let tpch_graph = Randomized.graph schema Tpch.all
+
 let test_random_shape_valid () =
   let rng = Rng.create 1 in
   for _ = 1 to 50 do
-    let shape = Randomized.random_shape rng schema Tpch.all in
+    let shape = Randomized.random_shape rng tpch_graph in
     Alcotest.(check bool) "valid" true (Join_tree.valid shape);
     Alcotest.(check int) "all relations" 8 (List.length (Join_tree.relations shape))
   done
@@ -181,7 +183,7 @@ let test_random_shape_valid () =
 let test_random_shape_no_cartesian () =
   let rng = Rng.create 2 in
   for _ = 1 to 50 do
-    let shape = Randomized.random_shape rng schema Tpch.all in
+    let shape = Randomized.random_shape rng tpch_graph in
     let ok =
       Join_tree.fold_joins
         (fun acc _ left right ->
@@ -193,10 +195,11 @@ let test_random_shape_no_cartesian () =
 
 let test_mutate_preserves_validity () =
   let rng = Rng.create 3 in
-  let shape = ref (Randomized.random_shape rng schema Tpch.all) in
+  let shape = ref (Randomized.random_shape rng tpch_graph) in
+  let valid = Randomized.checker tpch_graph in
   let mutated = ref 0 in
   for _ = 1 to 300 do
-    match Randomized.mutate rng schema !shape with
+    match Randomized.mutate rng valid !shape with
     | Some s ->
         incr mutated;
         Alcotest.(check bool) "valid" true (Join_tree.valid s);
@@ -245,6 +248,152 @@ let test_local_optima_count () =
 let test_randomized_rejects_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Randomized.local_optima: empty relation set")
     (fun () -> ignore (Randomized.optimize (Rng.create 1) (fixed_coster ()) schema []))
+
+(* The graph check ([Randomized.valid]) against the former string-list
+   check: same verdict on every shape. *)
+
+(* The randomized planner's check before the query-local graph, verbatim,
+   plus the membership rule the graph adds (a relation outside the query
+   has no id): every join crossed by a catalog edge between its sides'
+   relation lists, no leaf twice, every leaf a query relation. *)
+let reference_valid ~schema ~relations shape =
+  let rec valid_shape = function
+    | Join_tree.Scan _ -> true
+    | Join_tree.Join (_, l, r) ->
+        Raqo_catalog.Join_graph.edges_between (Schema.graph schema) (Join_tree.relations l)
+          (Join_tree.relations r)
+        <> []
+        && valid_shape l && valid_shape r
+  in
+  valid_shape shape && Join_tree.valid shape
+  && List.for_all (fun r -> List.mem r relations) (Join_tree.relations shape)
+
+let big_catalog = lazy (Raqo_catalog.Random_schema.generate (Rng.create 2018) ~tables:100)
+
+(* A bushy tree over [rels] that ignores the join graph: split the list at
+   random points, so cartesian joins are common. *)
+let rec graph_blind_tree rng = function
+  | [ r ] -> Join_tree.Scan r
+  | rels ->
+      let k = 1 + Rng.int rng (List.length rels - 1) in
+      Join_tree.Join
+        ( (),
+          graph_blind_tree rng (List.filteri (fun i _ -> i < k) rels),
+          graph_blind_tree rng (List.filteri (fun i _ -> i >= k) rels) )
+
+(* Compares both checks on a random shape, a [steps]-long chain of proposed
+   mutations (following the accepted ones) and 20 graph-blind trees;
+   returns the (accepted, rejected) counts. *)
+let checks_agree schema rels rng ~steps =
+  let g = Randomized.graph schema rels in
+  let valid = Randomized.checker g in
+  let accepted = ref 0 and rejected = ref 0 in
+  let verdict s =
+    let want = reference_valid ~schema ~relations:rels s in
+    if valid s <> want then
+      Alcotest.failf "%d relations: the graph check disagrees with the reference (%b) on %a"
+        (List.length rels) want
+        (Join_tree.pp (fun _ () -> ()))
+        s;
+    if want then incr accepted else incr rejected;
+    want
+  in
+  let shape = ref (Randomized.random_shape rng g) in
+  Alcotest.(check bool) "random shape accepted" true (verdict !shape);
+  for _ = 1 to steps do
+    Option.iter (fun s -> shape := s) (Randomized.mutate rng verdict !shape)
+  done;
+  for _ = 1 to 20 do
+    let shuffled = Array.of_list rels in
+    Rng.shuffle rng shuffled;
+    ignore (verdict (graph_blind_tree rng (Array.to_list shuffled)) : bool)
+  done;
+  (!accepted, !rejected)
+
+let test_validity_matches_reference_random () =
+  let catalog = Lazy.force big_catalog in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun seed ->
+          let rels =
+            Raqo_catalog.Random_schema.query (Rng.create ((31 * seed) + n)) catalog
+              ~joins:(n - 1)
+          in
+          let accepted, rejected = checks_agree catalog rels (Rng.create seed) ~steps:300 in
+          if n >= 3 then
+            Alcotest.(check bool)
+              (Printf.sprintf "%d relations, seed %d: both verdicts seen" n seed)
+              true
+              (accepted > 1 && rejected > 0))
+        (* The reference is quadratic: one chain per large size. *)
+        (if n <= 24 then [ 1; 2 ] else [ 1 ]))
+    [ 2; 3; 5; 10; 24; 40; 63; 70; 100 ]
+
+let test_validity_matches_reference_tpch () =
+  List.iter
+    (fun rels ->
+      List.iter
+        (fun seed -> ignore (checks_agree schema rels (Rng.create seed) ~steps:300))
+        [ 1; 2; 3; 4; 5 ])
+    [ Tpch.q12; Tpch.q3; Tpch.q2; Tpch.all ]
+
+let test_validity_rejects () =
+  let valid = Randomized.checker (Randomized.graph schema Tpch.q3) in
+  let scan r = Join_tree.Scan r and join l r = Join_tree.Join ((), l, r) in
+  List.iter
+    (fun (what, want, shape) ->
+      Alcotest.(check bool) (what ^ " (graph check)") want (valid shape);
+      Alcotest.(check bool)
+        (what ^ " (reference)")
+        want
+        (reference_valid ~schema ~relations:Tpch.q3 shape))
+    [
+      ("left-deep", true, join (join (scan "customer") (scan "orders")) (scan "lineitem"));
+      ("bushy, other side smaller", true, join (scan "customer") (join (scan "orders") (scan "lineitem")));
+      ("a subset of the query", true, join (scan "lineitem") (scan "orders"));
+      ("cartesian join", false, join (join (scan "customer") (scan "lineitem")) (scan "orders"));
+      ("duplicated leaf", false, join (join (scan "orders") (scan "lineitem")) (scan "orders"));
+      ("leaf outside the query", false, join (join (scan "customer") (scan "orders")) (scan "nation"));
+      ("leaf outside the catalog", false, join (scan "orders") (scan "bogus"));
+    ]
+
+(* Cost_based's randomized planner at join-large's settings (the 100-table
+   catalog, the Hive model, default conditions and restarts): plan digest,
+   cost and counters, pinned before the graph check replaced the
+   string-list one. 24 relations plan on the mask seam, 63 and 70 on the
+   string seam. *)
+let test_randomized_join_large_pinned () =
+  let catalog = Lazy.force big_catalog in
+  List.iter
+    (fun (n, seed, digest, cost, counts) ->
+      let rels =
+        Raqo_catalog.Random_schema.query (Rng.create seed) catalog ~joins:(n - 1)
+      in
+      let opt =
+        Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized
+          ~model:(Raqo.Models.hive ()) ~conditions:Conditions.default catalog
+      in
+      match Raqo.Cost_based.optimize opt rels with
+      | None -> Alcotest.failf "%d relations: no plan" n
+      | Some (plan, c) ->
+          let k = Raqo.Cost_based.counters opt in
+          let module K = Raqo_resource.Counters in
+          Alcotest.(check string)
+            (Printf.sprintf "%d relations: plan" n)
+            digest
+            (Digest.to_hex (Digest.string (Format.asprintf "%a" Join_tree.pp_joint plan)));
+          Alcotest.(check string) (Printf.sprintf "%d relations: cost" n) cost (Printf.sprintf "%h" c);
+          Alcotest.(check (list int))
+            (Printf.sprintf "%d relations: evaluations, hits, misses, evictions, invocations" n)
+            counts
+            [ K.cost_evaluations k; K.cache_hits k; K.cache_misses k; K.cache_evictions k;
+              K.planner_invocations k ])
+    [
+      (24, 1, "863c50fad72ec9c4fe1f0e07ec6a8a48", "0x1.d70a3d70a3d73p-3", [ 84850; 7418; 310; 0; 310 ]);
+      (63, 2, "c4fb49bc1b7b8412331fc22a99d00e94", "0x1.3d70a3d70a3dap-1", [ 235538; 16858; 874; 0; 874 ]);
+      (70, 3, "bdc11097ebe96d703d2290f808c17cf6", "0x1.6147ae147ae18p-1", [ 248091; 20746; 920; 0; 920 ]);
+    ]
 
 (* ------------------------------------------------------------ Exhaustive *)
 
@@ -700,6 +849,12 @@ let () =
           Alcotest.test_case "deterministic per seed" `Quick test_randomized_deterministic_for_seed;
           Alcotest.test_case "one local optimum per restart" `Quick test_local_optima_count;
           Alcotest.test_case "rejects empty input" `Quick test_randomized_rejects_empty;
+          Alcotest.test_case "graph check = reference, random 2-100 relations" `Quick
+            test_validity_matches_reference_random;
+          Alcotest.test_case "graph check = reference, TPC-H" `Quick
+            test_validity_matches_reference_tpch;
+          Alcotest.test_case "graph check rejects" `Quick test_validity_rejects;
+          Alcotest.test_case "join-large plans pinned" `Quick test_randomized_join_large_pinned;
         ]
         @ qsuite [ prop_randomized_plans_valid ] );
       ( "dpsub",
