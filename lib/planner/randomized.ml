@@ -47,11 +47,13 @@ let random_shape rng g =
   if n = 0 then invalid_arg "Randomized.random_shape: empty relation set";
   let edges = Array.copy g.edges in
   Rng.shuffle rng edges;
-  (* Union-find over ids (at most 100, so no path compression), each root
-     holding its fragment. *)
+  (* Union-find over ids, each root holding its fragment. *)
   let parent = Array.init n Fun.id in
   let fragment = Array.map (fun r -> (Join_tree.Scan r : Coster.shape)) g.names in
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
+  let rec find i =
+    if parent.(i) <> i then parent.(i) <- find parent.(i);
+    parent.(i)
+  in
   let merges = ref 0 in
   Array.iter
     (fun (l, r) ->

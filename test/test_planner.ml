@@ -249,13 +249,11 @@ let test_randomized_rejects_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Randomized.local_optima: empty relation set")
     (fun () -> ignore (Randomized.optimize (Rng.create 1) (fixed_coster ()) schema []))
 
-(* The graph check ([Randomized.valid]) against the former string-list
-   check: same verdict on every shape. *)
-
-(* The randomized planner's check before the query-local graph, verbatim,
-   plus the membership rule the graph adds (a relation outside the query
-   has no id): every join crossed by a catalog edge between its sides'
-   relation lists, no leaf twice, every leaf a query relation. *)
+(* The graph check ([Randomized.checker]) must give the verdict of the
+   randomized planner's former check, kept here verbatim plus the
+   membership rule the graph adds (a relation outside the query has no
+   id): every join crossed by a catalog edge between its sides' relation
+   lists, no leaf twice, every leaf a query relation. *)
 let reference_valid ~schema ~relations shape =
   let rec valid_shape = function
     | Join_tree.Scan _ -> true
@@ -281,9 +279,9 @@ let rec graph_blind_tree rng = function
           graph_blind_tree rng (List.filteri (fun i _ -> i < k) rels),
           graph_blind_tree rng (List.filteri (fun i _ -> i >= k) rels) )
 
-(* Compares both checks on a random shape, a [steps]-long chain of proposed
-   mutations (following the accepted ones) and 20 graph-blind trees;
-   returns the (accepted, rejected) counts. *)
+(* Compares both checks on a random shape, every mutation drawn along a
+   [steps]-long chain, and 20 graph-blind trees; returns the (accepted,
+   rejected) counts. *)
 let checks_agree schema rels rng ~steps =
   let g = Randomized.graph schema rels in
   let valid = Randomized.checker g in
