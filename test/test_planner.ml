@@ -178,7 +178,14 @@ let test_random_shape_valid () =
     let shape = Randomized.random_shape rng tpch_graph in
     Alcotest.(check bool) "valid" true (Join_tree.valid shape);
     Alcotest.(check int) "all relations" 8 (List.length (Join_tree.relations shape))
-  done
+  done;
+  let refuses why rels =
+    Alcotest.check_raises (String.concat " " rels) (Invalid_argument ("Randomized.random_shape: " ^ why))
+      (fun () -> ignore (Randomized.random_shape rng (Randomized.graph schema rels)))
+  in
+  refuses "empty relation set" [];
+  refuses "relations not joinable" [ "orders"; "orders"; "lineitem" ];
+  refuses "relations not joinable" [ "customer"; "part" ]
 
 let test_random_shape_no_cartesian () =
   let rng = Rng.create 2 in
