@@ -242,15 +242,9 @@ let plan_cmd =
         (match p.F.rewrite with
         | Some r when r.Raqo_rewrite.Rewrite.changed -> print_rewrite_report r
         | _ -> ());
-        (* Static SQL plans are explained against the filter-scaled truth;
-           relation lists and adaptive runs against the schema the planner
-           priced. *)
-        let explained =
-          match (query, p.F.adaptive) with
-          | F.Sql _, None -> p.F.resolved.F.truth
-          | F.Sql _, Some _ | F.Relations _, _ -> p.F.estimates
-        in
-        print_string (Raqo.Explain.joint model explained p.F.plan);
+        (* Explained against the schema the planner priced, after the
+           rewrite, so the printed total is the served cost. *)
+        print_string (Raqo.Explain.joint model p.F.estimates p.F.plan);
         match (p.F.adaptive, query) with
         | Some report, _ ->
             print_newline ();

@@ -1,16 +1,25 @@
 type edge = { left : string; right : string; selectivity : float }
 
+(* Unordered pair key, stored with the lower name first: comparing two keys
+   is at most two [String.compare]s and allocates nothing. *)
 module Pair = struct
   type t = string * string
 
-  (* Unordered pair key. *)
-  let normalize (a, b) = if String.compare a b <= 0 then (a, b) else (b, a)
-  let compare x y = compare (normalize x) (normalize y)
+  let normalize a b = if String.compare a b <= 0 then (a, b) else (b, a)
+
+  let compare (a, b) (c, d) =
+    let first = String.compare a c in
+    if first <> 0 then first else String.compare b d
 end
 
 module Pair_map = Map.Make (Pair)
+module String_map = Map.Make (String)
 
-type t = { edge_list : edge list; by_pair : float Pair_map.t }
+type t = {
+  edge_list : edge list;
+  by_pair : float Pair_map.t;
+  peers : (string * float) list String_map.t;  (** per relation, in edge-list order *)
+}
 
 let make edges =
   let by_pair =
@@ -19,21 +28,28 @@ let make edges =
         if e.left = e.right then invalid_arg "Join_graph.make: self-edge";
         if e.selectivity <= 0.0 || e.selectivity > 1.0 then
           invalid_arg "Join_graph.make: selectivity out of (0,1]";
-        let key = (e.left, e.right) in
+        let key = Pair.normalize e.left e.right in
         if Pair_map.mem key acc then invalid_arg "Join_graph.make: duplicate edge";
         Pair_map.add key e.selectivity acc)
       Pair_map.empty edges
   in
-  { edge_list = edges; by_pair }
+  let add name peer acc =
+    String_map.update name
+      (fun l -> Some (peer :: Option.value l ~default:[]))
+      acc
+  in
+  let peers =
+    List.fold_right
+      (fun e acc ->
+        add e.left (e.right, e.selectivity) (add e.right (e.left, e.selectivity) acc))
+      edges String_map.empty
+  in
+  { edge_list = edges; by_pair; peers }
 
 let edges t = t.edge_list
-let selectivity t a b = Pair_map.find_opt (a, b) t.by_pair
-
-let neighbors t a =
-  List.filter_map
-    (fun e ->
-      if e.left = a then Some e.right else if e.right = a then Some e.left else None)
-    t.edge_list
+let selectivity t a b = Pair_map.find_opt (Pair.normalize a b) t.by_pair
+let peers t a = Option.value (String_map.find_opt a t.peers) ~default:[]
+let neighbors t a = List.map fst (peers t a)
 
 let edges_between t xs ys =
   let in_list l name = List.mem name l in

@@ -22,7 +22,12 @@ val edges : t -> edge list
     or [None] if they are not directly joinable. Symmetric. *)
 val selectivity : t -> string -> string -> float option
 
-(** [neighbors t a] is the set of relations directly joinable with [a]. *)
+(** [peers t a] is every relation directly joinable with [a], with the
+    selectivity of its edge, in the order of {!edges}. Built at {!make}. *)
+val peers : t -> string -> (string * float) list
+
+(** [neighbors t a] is the set of relations directly joinable with [a], in
+    the order of {!edges}. *)
 val neighbors : t -> string -> string list
 
 (** [edges_between t xs ys] is every edge with one endpoint in [xs] and the

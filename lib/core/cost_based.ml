@@ -140,6 +140,9 @@ let rewrite_query t relations =
 
 let rewrite_report t = Option.map Rewrite.last t.rewrite
 
+let rewritten_schema t =
+  match t.rewrite with Some eng -> Rewrite.schema_out eng | None -> t.schema
+
 let optimize t relations =
   instrumented t (fun () ->
       let t, relations = rewrite_query t relations in

@@ -138,6 +138,12 @@ val coster_qo : t -> resources:Raqo_cluster.Resources.t -> Raqo_planner.Coster.t
     optimizer was built with [~rewrite:false]. *)
 val rewrite_report : t -> Raqo_rewrite.Rewrite.report option
 
+(** [rewritten_schema t] is the schema the most recent rewrite pass handed
+    the planner ({!Raqo_rewrite.Rewrite.schema_out}): the statistics the
+    plan was priced on. It is [t]'s own schema before any rewrite, after a
+    pass where no rule fired, and when built with [~rewrite:false]. *)
+val rewritten_schema : t -> Raqo_catalog.Schema.t
+
 (** [counters t] exposes resource-planning instrumentation (configurations
     explored, cache hits) accumulated across optimizations. *)
 val counters : t -> Raqo_resource.Counters.t

@@ -87,9 +87,10 @@ let optimize ?kind ?seed ?kernel ?shared_cache ?(rewrite = true)
     Cost_based.create ?kind ?seed ?kernel ?shared_cache ~rewrite ~rewrite_hints:hints
       ~metrics ~model ~conditions schema
   in
-  let planned opt ~estimates ?adaptive (plan, est_cost) =
+  let planned opt ?adaptive (plan, est_cost) =
     let rewrite = match mode with Raqo -> Cost_based.rewrite_report opt | Qo _ -> None in
     let counters = Cost_based.counters opt in
+    let estimates = Cost_based.rewritten_schema opt in
     { resolved = r; plan; est_cost; estimates; adaptive; rewrite; counters }
   in
   let traced f = Raqo_obs.Trace.with_ ~name:"sql/optimize" f in
@@ -100,7 +101,7 @@ let optimize ?kind ?seed ?kernel ?shared_cache ?(rewrite = true)
          truth at the given resources. *)
       let opt = optimizer ~rewrite ~hints:Rewrite.no_hints r.truth in
       match traced (fun () -> Cost_based.optimize_qo opt ~resources r.relations) with
-      | Some p -> Ok (planned opt ~estimates:r.truth p)
+      | Some p -> Ok (planned opt p)
       | None -> Error Infeasible)
   | Ok (), Raqo, None -> (
       (* With the rewriter on, plan against the unscaled catalog and hand the
@@ -113,7 +114,7 @@ let optimize ?kind ?seed ?kernel ?shared_cache ?(rewrite = true)
         else optimizer ~rewrite ~hints:Rewrite.no_hints r.truth
       in
       match traced (fun () -> Cost_based.optimize opt r.relations) with
-      | Some p -> Ok (planned opt ~estimates:r.truth p)
+      | Some p -> Ok (planned opt p)
       | None -> Error Infeasible)
   | Ok (), Raqo, Some (engine, error) -> (
       (* The filter-scaled truth is what execution meets; the planner sees it
@@ -127,7 +128,7 @@ let optimize ?kind ?seed ?kernel ?shared_cache ?(rewrite = true)
       with
       | Some (report, est_cost) ->
           Ok
-            (planned opt ~estimates ~adaptive:report
+            (planned opt ~adaptive:report
                (report.Raqo_adaptive.Adaptive_exec.static_plan, est_cost))
       | None -> Error Infeasible)
 

@@ -55,8 +55,11 @@ type planned = {
   plan : Raqo_plan.Join_tree.joint;  (** the static plan (from the estimates) *)
   est_cost : float;
   estimates : Raqo_catalog.Schema.t;
-      (** the catalog the planner priced, before any rewrite: [truth], or
-          its error-perturbed copy under [?adaptive] *)
+      (** the catalog the planner priced ({!Cost_based.rewritten_schema}):
+          the rewrite pass's output for the planned catalog, which is the
+          unscaled catalog with [resolved.hints], [truth] unrewritten, or
+          its error-perturbed copy under [?adaptive]; [plan] costs
+          [est_cost] on it *)
   adaptive : Raqo_adaptive.Adaptive_exec.report option;
       (** present iff [?adaptive] was requested: the static-vs-adaptive
           execution report against [truth] *)

@@ -43,7 +43,10 @@ let finite_choice impl resources cost =
 
 (* Randomized planners re-cost near-identical subtrees thousands of times;
    cache intermediate-result sizes per relation set (statistics caching,
-   as production optimizers do). *)
+   as production optimizers do). On join-large's randomized queries above
+   62 relations, the sort+concat key is now the larger cost: about 0.7-1 us
+   per call against 8 us per miss ([Schema.join_size_gb] is linear in the
+   set and its join edges), with about 37 calls per miss. *)
 let memoized_size schema =
   let sizes = Hashtbl.create 512 in
   fun names ->

@@ -1,18 +1,35 @@
-(* Contiguous parallel key/value arrays, binary search, shift on insert. A
-   stamped index keeps a third, float array of stamps (exact up to 2^53): a
-   float array shifts with one memory move, while shifting an int array in
-   the major heap pays a write barrier per slot, as the boxed [values] array
-   does. Unstamped indexes carry no stamp array at all. *)
+(* Sorted parallel float arrays (keys, pool slots, stamps), binary search,
+   shift on insert. Values never move: each is written once into an
+   append-only pool, and the sorted arrays hold its pool slot as a float
+   (exact up to 2^53). Shifting a float array is one memory move, while
+   shifting a boxed or int array in the major heap pays a write barrier per
+   moved slot. Removed entries' pool slots go on a free list and are reused
+   by later inserts, so the pool never outgrows the largest live size.
+   Unstamped indexes carry no stamp array at all. *)
 
 type 'a t = {
   stamped : bool;
   mutable keys : float array;
-  mutable values : 'a array;
+  mutable slots : float array;  (** pool slot of the value at each key *)
   mutable stamps : float array;  (** [[||]] unless [stamped] *)
   mutable n : int;
+  mutable pool : 'a array;
+  mutable pool_used : int;  (** pool slots ever handed out *)
+  mutable free : int list;  (** handed-out pool slots of removed entries *)
 }
 
-let create ?(stamped = false) () = { stamped; keys = [||]; values = [||]; stamps = [||]; n = 0 }
+let create ?(stamped = false) () =
+  {
+    stamped;
+    keys = [||];
+    slots = [||];
+    stamps = [||];
+    n = 0;
+    pool = [||];
+    pool_used = 0;
+    free = [];
+  }
+
 let size t = t.n
 
 (* Index of the first key >= [key], in [0, n]. *)
@@ -24,47 +41,64 @@ let lower_bound t key =
   done;
   !lo
 
+let value t pos = t.pool.(int_of_float t.slots.(pos))
 let set_stamp t pos stamp = if t.stamped then t.stamps.(pos) <- float_of_int stamp
+
+let grow_floats a n capacity =
+  let b = Array.make capacity 0.0 in
+  Array.blit a 0 b 0 n;
+  b
+
+(* A pool slot for a new value: a freed one, else the next fresh one. *)
+let store t value =
+  match t.free with
+  | slot :: rest ->
+      t.free <- rest;
+      t.pool.(slot) <- value;
+      slot
+  | [] ->
+      let slot = t.pool_used in
+      if slot = Array.length t.pool then begin
+        let pool = Array.make (max 16 (2 * slot)) value in
+        Array.blit t.pool 0 pool 0 slot;
+        t.pool <- pool
+      end;
+      t.pool.(slot) <- value;
+      t.pool_used <- slot + 1;
+      slot
 
 let insert ?(stamp = 0) t key value =
   let pos = lower_bound t key in
   if pos < t.n && t.keys.(pos) = key then begin
-    t.values.(pos) <- value;
+    t.pool.(int_of_float t.slots.(pos)) <- value;
     set_stamp t pos stamp
   end
   else begin
     if t.n = Array.length t.keys then begin
       let capacity = max 16 (2 * t.n) in
-      let keys = Array.make capacity 0.0 in
-      let values = Array.make capacity value in
-      Array.blit t.keys 0 keys 0 t.n;
-      Array.blit t.values 0 values 0 t.n;
-      t.keys <- keys;
-      t.values <- values;
-      if t.stamped then begin
-        let stamps = Array.make capacity 0.0 in
-        Array.blit t.stamps 0 stamps 0 t.n;
-        t.stamps <- stamps
-      end
+      t.keys <- grow_floats t.keys t.n capacity;
+      t.slots <- grow_floats t.slots t.n capacity;
+      if t.stamped then t.stamps <- grow_floats t.stamps t.n capacity
     end;
     Array.blit t.keys pos t.keys (pos + 1) (t.n - pos);
-    Array.blit t.values pos t.values (pos + 1) (t.n - pos);
+    Array.blit t.slots pos t.slots (pos + 1) (t.n - pos);
     if t.stamped then Array.blit t.stamps pos t.stamps (pos + 1) (t.n - pos);
     t.keys.(pos) <- key;
-    t.values.(pos) <- value;
+    t.slots.(pos) <- float_of_int (store t value);
     set_stamp t pos stamp;
     t.n <- t.n + 1
   end
 
 let find_exact t key =
   let pos = lower_bound t key in
-  if pos < t.n && t.keys.(pos) = key then Some t.values.(pos) else None
+  if pos < t.n && t.keys.(pos) = key then Some (value t pos) else None
 
 let remove t key =
   let pos = lower_bound t key in
   if pos < t.n && t.keys.(pos) = key then begin
+    t.free <- int_of_float t.slots.(pos) :: t.free;
     Array.blit t.keys (pos + 1) t.keys pos (t.n - pos - 1);
-    Array.blit t.values (pos + 1) t.values pos (t.n - pos - 1);
+    Array.blit t.slots (pos + 1) t.slots pos (t.n - pos - 1);
     if t.stamped then Array.blit t.stamps (pos + 1) t.stamps pos (t.n - pos - 1);
     t.n <- t.n - 1;
     true
@@ -75,7 +109,7 @@ let within t ~center ~radius =
   let pos = lower_bound t (center -. radius) in
   let rec collect i acc =
     if i >= t.n || t.keys.(i) > center +. radius then List.rev acc
-    else collect (i + 1) ((t.keys.(i), t.values.(i)) :: acc)
+    else collect (i + 1) ((t.keys.(i), value t i) :: acc)
   in
   collect pos []
 
@@ -92,8 +126,7 @@ let nearest t ~center ~radius =
       then pos - 1
       else pos
     in
-    if Float.abs (t.keys.(best) -. center) <= radius then
-      Some (t.keys.(best), t.values.(best))
+    if Float.abs (t.keys.(best) -. center) <= radius then Some (t.keys.(best), value t best)
     else None
   end
 
@@ -112,5 +145,5 @@ let oldest t =
     Some (t.keys.(!best), int_of_float t.stamps.(!best))
   end
 
-let to_list t = List.init t.n (fun i -> (t.keys.(i), t.values.(i)))
-
+let pool_size t = t.pool_used
+let to_list t = List.init t.n (fun i -> (t.keys.(i), value t i))

@@ -36,6 +36,21 @@ cost=$(sed -n 's/.*"cost":\([-0-9.e+]*\).*/\1/p' <<<"$served")
 total=$(printf 'total: est cost %.1f,' "$cost")
 grep -qF "$total" <<<"$out" || fail "adaptive plan total is not the served cost $cost: $out"
 
+# A rewritten query is explained against the schema the rewrite handed the
+# planner: here customer's filter is folded into orders, which absorbs it,
+# and the printed total is the served cost, with and without --adaptive.
+q="select o_orderkey from customer, orders, lineitem where c_custkey = o_custkey and l_orderkey = o_orderkey and c_acctbal < 0"
+for adaptive in "" "--adaptive"; do
+  out=$("$raqo" plan --sql "$q" ${adaptive:+$adaptive --est-error lognormal:42})
+  grep -qF "absorbed customer into orders" <<<"$out" || fail "no absorption: $out"
+  fields=${adaptive:+,\"adaptive\":true,\"est_error\":\"lognormal:42\"}
+  served=$(printf '{"id":"q","sql":"%s"%s}\n' "$q" "$fields" | "$raqo" serve --oneshot)
+  cost=$(sed -n 's/.*"cost":\([-0-9.e+]*\).*/\1/p' <<<"$served")
+  [ -n "$cost" ] || fail "served rewritten answer carries no cost: $served"
+  total=$(printf 'total: est cost %.1f,' "$cost")
+  grep -qF "$total" <<<"$out" || fail "rewritten plan total is not the served cost $cost: $out"
+done
+
 # Adaptive execution does not apply to qo: exit 2 with the server's message.
 want=$(printf '{"id":"a","relations":["orders","lineitem"],"mode":"qo","containers":10,"gb":5,"adaptive":true}\n' \
   | served_message)

@@ -252,6 +252,74 @@ let test_random_query_rejects_oversize () =
     (Invalid_argument "Random_schema.query: more joins than relations") (fun () ->
       ignore (Random_schema.query rng s ~joins:5))
 
+(* The quadratic fold [Schema.join_rows] used before it walked each
+   member's join peers: every pair of list positions looked up once, later
+   positions in list order, the per-member sums added from the right. Edge
+   selectivities come from a table built here from [Join_graph.edges], so
+   the reference shares no lookup code with the schema. *)
+let reference_join_size_gb schema names =
+  let sel = Hashtbl.create 256 in
+  List.iter
+    (fun (e : Join_graph.edge) ->
+      Hashtbl.replace sel (e.left, e.right) e.selectivity;
+      Hashtbl.replace sel (e.right, e.left) e.selectivity)
+    (Join_graph.edges (Schema.graph schema));
+  let rec pairs = function
+    | [] -> 0.0
+    | x :: rest ->
+        let here =
+          List.fold_left
+            (fun acc y ->
+              match Hashtbl.find_opt sel (x, y) with Some s -> acc +. log s | None -> acc)
+            0.0 rest
+        in
+        here +. pairs rest
+  in
+  let log_base =
+    List.fold_left (fun acc name -> acc +. log (Schema.find schema name).rows) 0.0 names
+  in
+  let log_rows = log_base +. pairs names in
+  let rows = if log_rows > 700.0 then 1e304 else Float.max 1.0 (exp log_rows) in
+  Raqo_util.Units.gb_of_bytes (rows *. Schema.join_row_bytes schema names)
+
+let test_join_size_matches_quadratic_fold () =
+  (* Connected walks of 2-100 relations in shuffled orders, the same lists
+     with one name repeated, and random (mostly disconnected) sets, on the
+     100-table catalog of the join-large benchmark; plus TPC-H's queries. *)
+  let catalog = Random_schema.generate (Rng.create 2018) ~tables:100 in
+  let rng = Rng.create 22 in
+  let check what names =
+    let expected = reference_join_size_gb catalog names
+    and actual = Schema.join_size_gb catalog names in
+    if Int64.bits_of_float expected <> Int64.bits_of_float actual then
+      Alcotest.failf "%s (%d relations): %h, reference %h" what (List.length names) actual
+        expected
+  in
+  let shuffled l =
+    let a = Array.of_list l in
+    Rng.shuffle rng a;
+    Array.to_list a
+  in
+  let all_names = Schema.relation_names catalog in
+  for n = 2 to 100 do
+    let walk = shuffled (Random_schema.query rng catalog ~joins:(n - 1)) in
+    check "walk" walk;
+    let at = Rng.int rng n in
+    let extra = List.nth walk (Rng.int rng n) in
+    let repeated = List.concat (List.mapi (fun i r -> if i = at then [ r; extra ] else [ r ]) walk) in
+    check "repeated name" repeated;
+    let sample = List.filteri (fun i _ -> i < n) (shuffled all_names) in
+    check (if Schema.joinable catalog sample then "sample" else "disconnected") sample
+  done;
+  let tpch = Tpch.schema () in
+  List.iter
+    (fun (what, names) ->
+      Alcotest.(check int64) what
+        (Int64.bits_of_float (reference_join_size_gb tpch names))
+        (Int64.bits_of_float (Schema.join_size_gb tpch names)))
+    [ ("Q3", Tpch.q3); ("Q12", Tpch.q12); ("Q2", Tpch.q2); ("All", Tpch.all);
+      ("All reversed", List.rev Tpch.all) ]
+
 let prop_random_schema_always_connected =
   QCheck.Test.make ~name:"random schemas are connected" ~count:30
     QCheck.(pair (int_range 1 50) (int_range 2 50))
@@ -322,6 +390,8 @@ let () =
           Alcotest.test_case "join row widths add" `Quick test_schema_join_row_bytes;
           Alcotest.test_case "with_relation replaces" `Quick test_schema_with_relation;
           Alcotest.test_case "joinable" `Quick test_schema_joinable;
+          Alcotest.test_case "join sizes = the quadratic fold, bitwise" `Quick
+            test_join_size_matches_quadratic_fold;
         ] );
       ( "tpch",
         [

@@ -363,42 +363,55 @@ let test_validity_rejects () =
       ("leaf outside the catalog", false, join (scan "orders") (scan "bogus"));
     ]
 
-(* Cost_based's randomized planner at join-large's settings (the 100-table
-   catalog, the Hive model, default conditions and restarts): plan digest,
-   cost and counters, pinned before the graph check replaced the
+(* Plans [n] relations of a random walk from [seed] over the 100-table
+   catalog at join-large's settings (the Hive model, default conditions and
+   restarts) and checks the plan digest, the cost bits and the counters. *)
+let check_join_large_pinned kind (n, seed, digest, cost, counts) =
+  let catalog = Lazy.force big_catalog in
+  let rels = Raqo_catalog.Random_schema.query (Rng.create seed) catalog ~joins:(n - 1) in
+  let opt =
+    Raqo.Cost_based.create ~kind ~model:(Raqo.Models.hive ()) ~conditions:Conditions.default
+      catalog
+  in
+  match Raqo.Cost_based.optimize opt rels with
+  | None -> Alcotest.failf "%d relations: no plan" n
+  | Some (plan, c) ->
+      let k = Raqo.Cost_based.counters opt in
+      let module K = Raqo_resource.Counters in
+      Alcotest.(check string)
+        (Printf.sprintf "%d relations: plan" n)
+        digest
+        (Digest.to_hex (Digest.string (Format.asprintf "%a" Join_tree.pp_joint plan)));
+      Alcotest.(check string) (Printf.sprintf "%d relations: cost" n) cost (Printf.sprintf "%h" c);
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d relations: evaluations, hits, misses, evictions, invocations" n)
+        counts
+        [ K.cost_evaluations k; K.cache_hits k; K.cache_misses k; K.cache_evictions k;
+          K.planner_invocations k ]
+
+(* The randomized side, pinned before the graph check replaced the
    string-list one. 24 relations plan on the mask seam, 63 and 70 on the
    string seam. *)
 let test_randomized_join_large_pinned () =
-  let catalog = Lazy.force big_catalog in
   List.iter
-    (fun (n, seed, digest, cost, counts) ->
-      let rels =
-        Raqo_catalog.Random_schema.query (Rng.create seed) catalog ~joins:(n - 1)
-      in
-      let opt =
-        Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized
-          ~model:(Raqo.Models.hive ()) ~conditions:Conditions.default catalog
-      in
-      match Raqo.Cost_based.optimize opt rels with
-      | None -> Alcotest.failf "%d relations: no plan" n
-      | Some (plan, c) ->
-          let k = Raqo.Cost_based.counters opt in
-          let module K = Raqo_resource.Counters in
-          Alcotest.(check string)
-            (Printf.sprintf "%d relations: plan" n)
-            digest
-            (Digest.to_hex (Digest.string (Format.asprintf "%a" Join_tree.pp_joint plan)));
-          Alcotest.(check string) (Printf.sprintf "%d relations: cost" n) cost (Printf.sprintf "%h" c);
-          Alcotest.(check (list int))
-            (Printf.sprintf "%d relations: evaluations, hits, misses, evictions, invocations" n)
-            counts
-            [ K.cost_evaluations k; K.cache_hits k; K.cache_misses k; K.cache_evictions k;
-              K.planner_invocations k ])
+    (check_join_large_pinned Raqo.Cost_based.Fast_randomized)
     [
       (24, 1, "863c50fad72ec9c4fe1f0e07ec6a8a48", "0x1.d70a3d70a3d73p-3", [ 84850; 7418; 310; 0; 310 ]);
       (63, 2, "c4fb49bc1b7b8412331fc22a99d00e94", "0x1.3d70a3d70a3dap-1", [ 235538; 16858; 874; 0; 874 ]);
       (70, 3, "bdc11097ebe96d703d2290f808c17cf6", "0x1.6147ae147ae18p-1", [ 248091; 20746; 920; 0; 920 ]);
     ]
+
+(* The DP side: one 17-relation walk planned by Selinger and by DPsub, where
+   the resource-plan cache takes its inserts. Pinned before the cache's
+   index stopped shifting boxed values and join sizes stopped folding over
+   every pair of members. *)
+let test_dp_join_large_pinned () =
+  check_join_large_pinned Raqo.Cost_based.Selinger
+    (17, 5, "7d1580548cce7531b82aeab559aa7617", "0x1.47ae147ae147bp-3",
+     [ 1245959; 19506; 5012; 0; 5012 ]);
+  check_join_large_pinned Raqo.Cost_based.Bushy_dp
+    (17, 5, "bf66483d2222db77d8dd1e4e77307868", "0x1.47ae147ae147ap-3",
+     [ 1294360; 39732; 5086; 0; 5086 ])
 
 (* ------------------------------------------------------------ Exhaustive *)
 
@@ -867,6 +880,7 @@ let () =
           Alcotest.test_case "equals the exhaustive oracle" `Quick test_dpsub_matches_exhaustive;
           Alcotest.test_case "never worse than Selinger" `Quick test_dpsub_not_worse_than_selinger;
           Alcotest.test_case "valid joint plans" `Quick test_dpsub_valid_plans;
+          Alcotest.test_case "join-large DP plans pinned" `Quick test_dp_join_large_pinned;
           Alcotest.test_case "single relation" `Quick test_dpsub_single_relation;
           Alcotest.test_case "disconnected query" `Quick test_dpsub_disconnected_is_none;
           Alcotest.test_case "rejects oversize inputs" `Quick test_dpsub_rejects_oversize;

@@ -427,6 +427,106 @@ let prop_nearest_matches_linear_scan =
       in
       Ordered_index.nearest idx ~center ~radius = expected)
 
+(* A sorted association list of (key, (value, stamp)) is the model: random
+   sequences of every operation must leave the index and the model agreeing
+   on each answer and on the full contents. Keys are half-steps in [0, 20]
+   (so inserts overwrite, removals hit and nearest probes tie) and stamps
+   are drawn from a small range (so oldest ties too). *)
+let prop_index_matches_model =
+  QCheck.Test.make ~name:"index equals a sorted association-list model" ~count:300
+    QCheck.(
+      pair bool
+        (list_of_size Gen.(int_range 0 200)
+           (quad (int_range 0 7) (int_range 0 40) (int_range 0 20) (int_range 0 6))))
+    (fun (stamped, ops) ->
+      let idx = Ordered_index.create ~stamped () in
+      let model = ref [] in
+      let stamp_of s = if stamped then s else 0 in
+      let rec put k v s = function
+        | [] -> [ (k, (v, s)) ]
+        | ((k', _) as e) :: rest ->
+            if k' < k then e :: put k v s rest
+            else if k' = k then (k, (v, s)) :: rest
+            else (k, (v, s)) :: e :: rest
+      in
+      let entries () = List.map (fun (k, (v, _)) -> (k, v)) !model in
+      let nearest center radius =
+        List.fold_left
+          (fun acc (k, v) ->
+            let d = Float.abs (k -. center) in
+            match acc with
+            | Some (bk, _) when d >= Float.abs (bk -. center) -> acc
+            | _ -> if d <= radius then Some (k, v) else acc)
+          None (entries ())
+      in
+      let oldest () =
+        List.fold_left
+          (fun acc (k, (_, s)) ->
+            match acc with Some (_, bs) when s >= bs -> acc | _ -> Some (k, s))
+          None !model
+      in
+      List.for_all
+        (fun (op, key, stamp, radius) ->
+          let k = float_of_int key /. 2.0 and r = float_of_int radius /. 2.0 in
+          let answer_ok =
+            match op with
+            | 0 | 1 ->
+                Ordered_index.insert ~stamp idx k (key, stamp);
+                model := put k (key, stamp) (stamp_of stamp) !model;
+                true
+            | 2 ->
+                let present = List.mem_assoc k !model in
+                model := List.remove_assoc k !model;
+                Ordered_index.remove idx k = present
+            | 3 -> Ordered_index.find_exact idx k = Option.map fst (List.assoc_opt k !model)
+            | 4 -> Ordered_index.nearest idx ~center:k ~radius:r = nearest k r
+            | 5 ->
+                Ordered_index.within idx ~center:k ~radius:r
+                = List.filter (fun (k', _) -> Float.abs (k' -. k) <= r) (entries ())
+            | 6 ->
+                Ordered_index.touch idx k stamp;
+                model :=
+                  List.map
+                    (fun ((k', (v, _)) as e) -> if k' = k then (k', (v, stamp_of stamp)) else e)
+                    !model;
+                true
+            | _ -> Ordered_index.oldest idx = oldest ()
+          in
+          answer_ok
+          && Ordered_index.size idx = List.length !model
+          && Ordered_index.to_list idx = entries ())
+        ops)
+
+let test_index_churn_reuses_pool () =
+  (* The shared cache's LRU path: insert a fresh key, evict the oldest, 10k
+     times over. Removed entries' pool slots must be reused, so the pool
+     never outgrows the live size, and the survivors keep their values. *)
+  let live = 64 in
+  let idx = Ordered_index.create ~stamped:true () in
+  let rng = Raqo_util.Rng.create 22 in
+  for i = 1 to 10_000 do
+    let key = Raqo_util.Rng.float rng 1000.0 in
+    Ordered_index.insert ~stamp:i idx key i;
+    if i mod 7 = 0 then Ordered_index.touch idx key (i + 1);
+    while Ordered_index.size idx > live do
+      match Ordered_index.oldest idx with
+      | Some (k, _) -> ignore (Ordered_index.remove idx k)
+      | None -> Alcotest.fail "oldest of a non-empty index"
+    done;
+    if Ordered_index.pool_size idx > live + 1 then
+      Alcotest.failf "cycle %d: pool %d above live size %d" i (Ordered_index.pool_size idx)
+        (live + 1)
+  done;
+  Alcotest.(check int) "live size" live (Ordered_index.size idx);
+  List.iter
+    (fun (k, v) ->
+      if Ordered_index.find_exact idx k <> Some v then Alcotest.failf "value at %h moved" k)
+    (Ordered_index.to_list idx);
+  let stamps_ok =
+    List.for_all (fun (_, v) -> v > 10_000 - (2 * live)) (Ordered_index.to_list idx)
+  in
+  Alcotest.(check bool) "survivors are the most recent" true stamps_ok
+
 (* ------------------------------------------------------ Resource_planner *)
 
 (* [plan] on the real operator model at one build-side size. *)
@@ -1020,8 +1120,10 @@ let () =
           Alcotest.test_case "nearest: ties go to the lower key" `Quick
             test_index_nearest_tie_goes_to_lower_key;
           Alcotest.test_case "stamps follow their slots" `Quick test_index_stamps;
+          Alcotest.test_case "10k insert/evict cycles reuse the pool" `Quick
+            test_index_churn_reuses_pool;
         ]
-        @ qsuite [ prop_nearest_matches_linear_scan ] );
+        @ qsuite [ prop_nearest_matches_linear_scan; prop_index_matches_model ] );
       ( "resource_planner",
         [
           Alcotest.test_case "cache hit short-circuits search" `Quick test_planner_cache_flow;
