@@ -999,6 +999,11 @@ let micro () =
     Test.make ~name:"Selinger DP on TPC-H All"
       (Staged.stage (fun () -> Raqo_planner.Selinger.optimize coster tpch Tpch.all))
   in
+  let dpsub name rels =
+    let coster = Raqo_planner.Coster.fixed (Lazy.force model) tpch (res 10 5.0) in
+    Test.make ~name:("DPsub on TPC-H " ^ name)
+      (Staged.stage (fun () -> Raqo_planner.Dpsub.optimize coster tpch rels))
+  in
   let simulate =
     Test.make ~name:"simulated join execution"
       (Staged.stage (fun () ->
@@ -1006,7 +1011,9 @@ let micro () =
              ~resources:(res 10 5.0)))
   in
   let tests =
-    Test.make_grouped ~name:"micro" [ cost_eval; hill_climb; cache; selinger; simulate ]
+    Test.make_grouped ~name:"micro"
+      [ cost_eval; hill_climb; cache; selinger; dpsub "Q3" Tpch.q3; dpsub "All" Tpch.all;
+        simulate ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in

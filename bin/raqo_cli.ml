@@ -490,11 +490,24 @@ let trace_cmd =
     let model = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
     let truth, relations =
       match random with
+      | Some n when n < 2 ->
+          Printf.eprintf "raqo: --random needs at least 2 relations, got %d\n" n;
+          exit 2
       | Some n ->
           let rng = Raqo_util.Rng.create (600 + n) in
           let s = Raqo_catalog.Random_schema.generate rng ~tables:n in
           (s, Raqo_catalog.Schema.relation_names s)
-      | None -> (Raqo_catalog.Tpch.schema (), relations)
+      | None -> (
+          (* The request pipeline's relation-list checks and messages. *)
+          let tpch = Raqo_catalog.Tpch.schema () in
+          match
+            Raqo.Sql_frontend.resolve ~schema:tpch ~columns:(Raqo_catalog.Tpch.columns ())
+              (Raqo.Sql_frontend.Relations relations)
+          with
+          | Ok _ -> (tpch, relations)
+          | Error msg ->
+              Printf.eprintf "error: %s\n" msg;
+              exit 1)
     in
     (* Under --adaptive the planner sees only the perturbed estimates; the
        adaptive executor's re-plan spans then join the summary table. *)
@@ -519,10 +532,28 @@ let trace_cmd =
         schema
     in
     let result =
-      if jobs > 1 then
-        Raqo_par.Pool.with_pool ~jobs (fun pool ->
-            Raqo.Cost_based.optimize_par opt pool relations)
-      else Raqo.Cost_based.optimize opt relations
+      match
+        if jobs > 1 then
+          Raqo_par.Pool.with_pool ~jobs (fun pool ->
+              Raqo.Cost_based.optimize_par opt pool relations)
+        else Raqo.Cost_based.optimize opt relations
+      with
+      | result -> result
+      | exception (Invalid_argument _ as e) ->
+          (* The DP planners refuse a query the rewrite left above their cap. *)
+          let removed =
+            match Raqo.Cost_based.rewrite_report opt with
+            | Some r -> r.Raqo_rewrite.Rewrite.removed
+            | None -> 0
+          in
+          let n = List.length relations - removed in
+          if kind = Raqo.Cost_based.Fast_randomized || n <= Raqo_planner.Dpsub.max_relations
+          then raise e;
+          Printf.eprintf "raqo: the %s planner takes at most %d relations; the query has %d%s\n"
+            (match kind with Raqo.Cost_based.Selinger -> "selinger" | _ -> "dpsub")
+            Raqo_planner.Dpsub.max_relations n
+            (if no_rewrite then "" else " after the rewrite");
+          exit 2
     in
     match result with
     | None ->

@@ -28,23 +28,25 @@ let make schema relations =
     rels;
   let index = Hashtbl.create (2 * n) in
   (* Duplicate names are tolerated (the string planners never rejected them):
-     each occurrence keeps its own id, lookups resolve to one of them. *)
-  Array.iteri (fun i r -> if not (Hashtbl.mem index r) then Hashtbl.add index r i) rels;
+     each occurrence keeps its own id and joins every peer of its name;
+     lookups resolve to the first, the binding added last. *)
+  for i = n - 1 downto 0 do
+    Hashtbl.add index rels.(i) i
+  done;
+  (* Edges from each relation's join peers: O(n * degree), where looking up
+     every pair of positions was O(n^2). *)
   let graph = Schema.graph schema in
-  let log_sel = Array.make (n * n) 0.0 in
-  let adj =
-    Array.init n (fun i ->
-        let mask = ref 0 in
-        for j = 0 to n - 1 do
-          if i <> j then
-            match Join_graph.selectivity graph rels.(i) rels.(j) with
-            | Some s ->
-                mask := !mask lor (1 lsl j);
-                log_sel.((i * n) + j) <- log s
-            | None -> ()
-        done;
-        !mask)
-  in
+  let adj = Array.make n 0 and log_sel = Array.make (n * n) 0.0 in
+  for i = 0 to n - 1 do
+    List.iter
+      (fun (peer, s) ->
+        List.iter
+          (fun j ->
+            adj.(i) <- adj.(i) lor (1 lsl j);
+            log_sel.((i * n) + j) <- log s)
+          (Hashtbl.find_all index peer))
+      (Join_graph.peers graph rels.(i))
+  done;
   let rel i = Schema.find schema rels.(i) in
   let log_rows = Array.init n (fun i -> log (rel i).Relation.rows) in
   let row_bytes = Array.init n (fun i -> (rel i).Relation.row_bytes) in
@@ -55,6 +57,7 @@ let n t = t.n
 let name t i = t.rels.(i)
 let relations t = Array.to_list t.rels
 let adj t = t.adj
+let log_selectivity t i j = t.log_sel.((i * t.n) + j)
 let full_mask t = (1 lsl t.n) - 1
 
 let id_of_name t r =
@@ -112,9 +115,8 @@ let join_size_gb t mask =
   Raqo_util.Units.gb_of_bytes (rows *. !bytes)
 
 (* ---- subset enumeration helpers -----------------------------------------
-   Pure bit manipulation shared by the mask-based enumerators (DPsub,
-   exhaustive shapes). It lives here rather than in the planners so split
-   order is defined once: descending for canonical splits. *)
+   Pure bit manipulation for exhaustive shape enumeration. Its descending
+   split order is also the order DPsub issues its connected splits in. *)
 
 let fold_splits mask ~init ~f =
   (* Canonical proper splits of [mask]: [sub] keeps the lowest set bit (so
@@ -131,8 +133,6 @@ let fold_splits mask ~init ~f =
     sub := (!sub - 1) land mask
   done;
   !acc
-
-let iter_splits mask f = fold_splits mask ~init:() ~f:(fun () ~sub ~rest -> f ~sub ~rest)
 
 let connected t mask =
   if mask = 0 then false

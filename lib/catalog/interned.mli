@@ -36,6 +36,10 @@ val relations : t -> string list
     read-only. *)
 val adj : t -> int array
 
+(** [log_selectivity t i j] is the log selectivity of the join edge between
+    ids [i] and [j], [0.0] when they share none. *)
+val log_selectivity : t -> int -> int -> float
+
 (** [full_mask t] is the mask containing every interned relation. *)
 val full_mask : t -> int
 
@@ -62,10 +66,10 @@ val connected : t -> int -> bool
 
 (** {2 Subset enumeration}
 
-    A pure bitmask helper shared by the mask-based enumerators (DPsub,
-    exhaustive shape generation). It is independent of any context; its
-    enumeration order is part of the contract because the planners'
-    first-wins tie-breaks depend on it. *)
+    A pure bitmask helper for exhaustive shape generation. It is
+    independent of any context; its enumeration order is part of the
+    contract because the planners' first-wins tie-breaks depend on it, and
+    DPsub issues its connected splits in the same order. *)
 
 (** [fold_splits mask ~init ~f] folds over the canonical proper splits of
     [mask]: each unordered partition into non-empty [sub] and [rest] appears
@@ -74,6 +78,3 @@ val connected : t -> int -> bool
     historical inline loops used.
     @raise Invalid_argument on an empty mask. *)
 val fold_splits : int -> init:'a -> f:('a -> sub:int -> rest:int -> 'a) -> 'a
-
-(** [iter_splits mask f] is {!fold_splits} for effects. *)
-val iter_splits : int -> (sub:int -> rest:int -> unit) -> unit

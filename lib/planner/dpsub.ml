@@ -2,7 +2,8 @@ module Join_tree = Raqo_plan.Join_tree
 module Schema = Raqo_catalog.Schema
 module Interned = Raqo_catalog.Interned
 
-(* Connectivity tables are 2^n bytes and the DP is O(3^n): 20 relations
+(* The connectivity table is 2^n bytes and the DP visits every connected
+   subset of every connected mask (O(3^n) on a clique): 20 relations
    (Selinger's cap) is where both stay interactive on sparse join graphs. *)
 let max_relations = 20
 
@@ -115,14 +116,14 @@ let optimize_reference (coster : Coster.t) schema relations =
    that smaller set is numerically below it, so one ascending sweep marks
    every superset before visiting it. Identical table to the reference's
    BFS. *)
+let bit_index bit =
+  let rec go b i = if b = 1 then i else go (b lsr 1) (i + 1) in
+  go bit 0
+
 let connectivity ctx =
   let n = Interned.n ctx in
   let adj = Interned.adj ctx in
   let size = 1 lsl n in
-  let bit_index bit =
-    let rec go b i = if b = 1 then i else go (b lsr 1) (i + 1) in
-    go bit 0
-  in
   let nb = Array.make size 0 in
   for mask = 1 to size - 1 do
     let low = mask land -mask in
@@ -144,16 +145,15 @@ let connectivity ctx =
   done;
   fun mask -> Bytes.unsafe_get connected mask <> '\000'
 
-let crossing_edge n adj a b =
-  let rec any i =
-    i < n && ((a land (1 lsl i) <> 0 && adj.(i) land b <> 0) || any (i + 1))
-  in
-  any 0
-
 (* Mask-based bushy DP: adjacency comes precomputed from the interned
-   context and the coster is the mask-keyed seam, so the O(3^n) submask
-   sweep touches no strings. Enumeration order and tie-breaks mirror
-   [optimize_reference] exactly. *)
+   context and the coster is the mask-keyed seam, so enumeration touches no
+   strings. For each connected mask, DPccp's neighbour expansion
+   (Moerkotte & Neumann, VLDB 2006) lists the connected subsets holding the
+   mask's lowest bit, and the ones with a connected complement are its
+   candidate splits (a crossing edge follows: the mask is connected). They
+   are issued in descending numeric order, the order the reference's
+   submask loop reaches them, so the coster sees the same call sequence and
+   the first-wins tie-breaks pick the same plans. *)
 let optimize_masked (m : Coster.masked) ctx =
   let n = Interned.n ctx in
   if n > max_relations then invalid_arg "Dpsub.optimize: too many relations for bushy DP";
@@ -162,31 +162,63 @@ let optimize_masked (m : Coster.masked) ctx =
   let size = 1 lsl n in
   let connected = connectivity ctx in
   let is_none o = match o with None -> true | Some _ -> false in
-  let crossing_edge a b = crossing_edge n adj a b in
   let best : (Join_tree.joint * float) option array = Array.make size None in
   for i = 0 to n - 1 do
     best.(1 lsl i) <- Some (Join_tree.Scan (Interned.name ctx i), 0.0)
   done;
+  let splits = ref [] in
+  (* EnumerateCsgRec within [mask]: every connected [s] is extended by each
+     non-empty subset of its neighbours outside [x], and the extension's
+     neighbourhood is the union of [s]'s and the added relations'. Each
+     connected subset holding the start relation is reached once. [extend]
+     decides the bits of [rem] from id [i] up, into [t] with neighbourhood
+     [nb_t]. *)
+  let rec expand mask s nb x =
+    let ext = nb land mask land lnot x in
+    if ext <> 0 then extend mask s nb (x lor ext) ext 0 0 0
+  and extend mask s nb x rem i t nb_t =
+    if rem = 0 then begin
+      if t <> 0 then begin
+        let s = s lor t in
+        if s <> mask && connected (mask lxor s) then splits := s :: !splits;
+        expand mask s (nb lor nb_t) x
+      end
+    end
+    else
+      let bit = 1 lsl i in
+      if rem land bit = 0 then extend mask s nb x rem (i + 1) t nb_t
+      else begin
+        let rem = rem lxor bit in
+        extend mask s nb x rem (i + 1) t nb_t;
+        extend mask s nb x rem (i + 1) (t lor bit) (nb_t lor adj.(i))
+      end
+  in
   for mask = 1 to size - 1 do
-    if connected mask && is_none best.(mask) then
-      Interned.iter_splits mask (fun ~sub ~rest ->
-          if connected sub && connected rest && crossing_edge sub rest then
-            match (best.(sub), best.(rest)) with
-            | Some (lt, lc), Some (rt, rc) -> begin
-                if Raqo_obs.Obs.enabled () then Raqo_obs.Metrics.Counter.inc m_expansions;
-                match m.Coster.best_join_masked ~left:sub ~right:rest with
-                | Some { impl; resources; cost } ->
-                    let total = lc +. rc +. cost in
-                    let better =
-                      match best.(mask) with
-                      | Some (_, c) -> total < c
-                      | None -> true
-                    in
-                    if better then
-                      best.(mask) <- Some (Join_tree.Join ((impl, resources), lt, rt), total)
-                | None -> ()
-              end
-            | None, _ | _, None -> ())
+    if connected mask && is_none best.(mask) then begin
+      let low = mask land -mask in
+      splits := if connected (mask lxor low) then [ low ] else [];
+      expand mask low adj.(bit_index low) low;
+      List.iter
+        (fun sub ->
+          let rest = mask lxor sub in
+          match (best.(sub), best.(rest)) with
+          | Some (lt, lc), Some (rt, rc) -> begin
+              if Raqo_obs.Obs.enabled () then Raqo_obs.Metrics.Counter.inc m_expansions;
+              match m.Coster.best_join_masked ~left:sub ~right:rest with
+              | Some { impl; resources; cost } ->
+                  let total = lc +. rc +. cost in
+                  let better =
+                    match best.(mask) with
+                    | Some (_, c) -> total < c
+                    | None -> true
+                  in
+                  if better then
+                    best.(mask) <- Some (Join_tree.Join ((impl, resources), lt, rt), total)
+              | None -> ()
+            end
+          | None, _ | _, None -> ())
+        (List.sort (fun a b -> Int.compare b a) !splits)
+    end
   done;
   Raqo_obs.Trace.finish span;
   best.(size - 1)

@@ -5,10 +5,14 @@
     the exact baseline for the "explore the query/resource search space"
     agenda item (Section VIII).
 
-    O(3^n) over subsets; refuses more than {!max_relations} relations. *)
+    Each connected subset is split only into connected pairs: DPccp's
+    neighbour expansion lists its connected subsets that hold its lowest
+    relation, far fewer than its submasks on a sparse join graph ([O(3^n)]
+    in all on a clique). Refuses more than {!max_relations} relations. *)
 
 (** Hard cap on query size (20, matching {!Selinger}): the connectivity
-    table is [2^n] bytes and the submask sweep [O(3^n)]. *)
+    table is [2^n] bytes, and a dense join graph has up to [O(3^n)]
+    connected pairs. *)
 val max_relations : int
 
 (** [optimize coster schema relations] is the cheapest bushy,
@@ -24,7 +28,9 @@ val optimize :
 
 (** [optimize_masked m ctx] is the mask-based core {!optimize} runs on:
     adjacency from the interned context, the coster keyed on subset masks.
-    Bit-identical results to the string reference.
+    Each mask's connected pairs reach the coster in the reference's split
+    order (descending [left] mask), so results and the coster-call sequence
+    are bit-identical to the string reference.
     @raise Invalid_argument beyond {!max_relations} relations. *)
 val optimize_masked :
   Coster.masked ->

@@ -80,3 +80,28 @@ rc=0
 err=$("$raqo" plan --sql "select * from orders" 2>&1 >/dev/null) || rc=$?
 [ "$rc" != 0 ] || fail "plan accepted single-relation SQL"
 grep -qF "$want" <<<"$err" || fail "plan --sql single relation said: $err (server: $want)"
+
+# `raqo trace` refuses the same relation lists with the same message and
+# exit 1, as `raqo plan` does.
+for rels in '"orders","foo"' '"orders"' '"orders","orders"' '"nation","orders"'; do
+  want=$(printf '{"id":"r","relations":[%s]}\n' "$rels" | served_message)
+  [ -n "$want" ] || fail "the server planned relations [$rels]"
+  rc=0
+  err=$("$raqo" trace $(tr ',"' '  ' <<<"$rels") 2>&1 >/dev/null) || rc=$?
+  [ "$rc" = 1 ] || fail "trace [$rels] exited $rc, want 1"
+  grep -qF "$want" <<<"$err" || fail "trace [$rels] said: $err (server: $want)"
+done
+
+# `raqo trace --random N` needs N >= 2, and Selinger and DPsub refuse a
+# query over their 20-relation cap after the rewrite: exit 2 with a message.
+for args in "--random 0" "--random 1" "--random 40 --planner dpsub" \
+  "--random 40 --planner selinger" "--random 21 --no-rewrite --planner dpsub" \
+  "--random 21 --no-rewrite --planner selinger"; do
+  rc=0
+  err=$("$raqo" trace $args 2>&1 >/dev/null) || rc=$?
+  [ "$rc" = 2 ] || fail "trace $args exited $rc, want 2"
+  grep -q "^raqo: " <<<"$err" || fail "trace $args said: $err"
+done
+# The rewrite absorbs 21 random relations down to 13, which DPsub plans.
+out=$("$raqo" trace --random 21 --planner dpsub) || fail "trace --random 21 --planner dpsub failed"
+grep -q "^joint plan for" <<<"$out" || fail "trace --random 21 --planner dpsub printed: $out"

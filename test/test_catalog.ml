@@ -7,6 +7,7 @@ module Schema = Raqo_catalog.Schema
 module Tpch = Raqo_catalog.Tpch
 module Random_schema = Raqo_catalog.Random_schema
 module Query = Raqo_catalog.Query
+module Interned = Raqo_catalog.Interned
 module Rng = Raqo_util.Rng
 
 let check_float ?(eps = 1e-9) msg expected actual =
@@ -320,6 +321,64 @@ let test_join_size_matches_quadratic_fold () =
     [ ("Q3", Tpch.q3); ("Q12", Tpch.q12); ("Q2", Tpch.q2); ("All", Tpch.all);
       ("All reversed", List.rev Tpch.all) ]
 
+(* [Interned.make]'s edge tables as they were built before it walked each
+   relation's join peers: one selectivity lookup per pair of positions. *)
+let reference_interned_edges schema names =
+  let rels = Array.of_list names in
+  let n = Array.length rels in
+  let graph = Schema.graph schema in
+  let adj = Array.make n 0 and log_sel = Array.make (n * n) 0.0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j then
+        match Join_graph.selectivity graph rels.(i) rels.(j) with
+        | Some s ->
+            adj.(i) <- adj.(i) lor (1 lsl j);
+            log_sel.((i * n) + j) <- log s
+        | None -> ()
+    done
+  done;
+  (adj, log_sel)
+
+let test_interned_edges_match_pairwise_build () =
+  (* Walks of 2-62 relations in shuffled orders and the same lists with one
+     name repeated, on the join-large benchmark's 100-table catalog; plus
+     TPC-H's queries. *)
+  let catalog = Random_schema.generate (Rng.create 2018) ~tables:100 in
+  let rng = Rng.create 23 in
+  let check what schema names =
+    let ctx = Interned.make schema names in
+    let adj, log_sel = reference_interned_edges schema names in
+    let n = List.length names in
+    for i = 0 to n - 1 do
+      if (Interned.adj ctx).(i) <> adj.(i) then
+        Alcotest.failf "%s (%d relations): adjacency of %d is %#x, reference %#x" what n i
+          (Interned.adj ctx).(i) adj.(i);
+      for j = 0 to n - 1 do
+        let got = Interned.log_selectivity ctx i j and want = log_sel.((i * n) + j) in
+        if Int64.bits_of_float got <> Int64.bits_of_float want then
+          Alcotest.failf "%s (%d relations): log selectivity (%d, %d) is %h, reference %h" what
+            n i j got want
+      done
+    done
+  in
+  for n = 2 to Interned.max_relations do
+    let walk = Array.of_list (Random_schema.query rng catalog ~joins:(n - 1)) in
+    Rng.shuffle rng walk;
+    let walk = Array.to_list walk in
+    check "walk" catalog walk;
+    if n < Interned.max_relations then begin
+      let at = Rng.int rng n and extra = List.nth walk (Rng.int rng n) in
+      check "repeated name" catalog
+        (List.concat (List.mapi (fun i r -> if i = at then [ r; extra ] else [ r ]) walk))
+    end
+  done;
+  let tpch = Tpch.schema () in
+  List.iter
+    (fun (what, names) -> check what tpch names)
+    [ ("Q3", Tpch.q3); ("Q12", Tpch.q12); ("Q2", Tpch.q2); ("All", Tpch.all);
+      ("All reversed", List.rev Tpch.all); ("orders twice", [ "orders"; "lineitem"; "orders" ]) ]
+
 let prop_random_schema_always_connected =
   QCheck.Test.make ~name:"random schemas are connected" ~count:30
     QCheck.(pair (int_range 1 50) (int_range 2 50))
@@ -392,6 +451,8 @@ let () =
           Alcotest.test_case "joinable" `Quick test_schema_joinable;
           Alcotest.test_case "join sizes = the quadratic fold, bitwise" `Quick
             test_join_size_matches_quadratic_fold;
+          Alcotest.test_case "interned edges = the pairwise build, bitwise" `Quick
+            test_interned_edges_match_pairwise_build;
         ] );
       ( "tpch",
         [

@@ -500,6 +500,108 @@ let test_dpsub_rejects_oversize () =
       ignore
         (Raqo_planner.Dpsub.optimize (fixed_coster ()) big (Schema.relation_names big)))
 
+(* DPsub's mask core as it was before it enumerated connected pairs: every
+   submask of each connected mask that holds the mask's lowest bit, in
+   descending order, kept when both halves are connected and an edge
+   crosses them. *)
+let submask_dpsub (m : Coster.masked) ctx =
+  let module I = Raqo_catalog.Interned in
+  let n = I.n ctx and adj = I.adj ctx in
+  let size = 1 lsl n in
+  let connected = Array.init size (I.connected ctx) in
+  let crossing a b =
+    let rec any i = i < n && ((a land (1 lsl i) <> 0 && adj.(i) land b <> 0) || any (i + 1)) in
+    any 0
+  in
+  let best = Array.make size None in
+  for i = 0 to n - 1 do
+    best.(1 lsl i) <- Some (Join_tree.Scan (I.name ctx i), 0.0)
+  done;
+  for mask = 1 to size - 1 do
+    if connected.(mask) && Option.is_none best.(mask) then begin
+      let low = mask land -mask in
+      let sub = ref ((mask - 1) land mask) in
+      while !sub <> 0 do
+        let rest = mask lxor !sub in
+        (if !sub land low <> 0 && connected.(!sub) && connected.(rest) && crossing !sub rest
+         then
+           match (best.(!sub), best.(rest)) with
+           | Some (lt, lc), Some (rt, rc) -> (
+               match m.Coster.best_join_masked ~left:!sub ~right:rest with
+               | Some { impl; resources; cost } ->
+                   let total = lc +. rc +. cost in
+                   if match best.(mask) with Some (_, c) -> total < c | None -> true then
+                     best.(mask) <- Some (Join_tree.Join ((impl, resources), lt, rt), total)
+               | None -> ())
+           | _ -> ());
+        sub := (!sub - 1) land mask
+      done
+    end
+  done;
+  best.(size - 1)
+
+(* A relation per name and the given edges, sizes and selectivities varied
+   so that costs differ between splits. *)
+let graph_schema names edges =
+  let rels =
+    List.mapi
+      (fun i name ->
+        Raqo_catalog.Relation.make ~name ~rows:(1e5 *. float_of_int (1 + (i * 7 mod 11)))
+          ~row_bytes:(50.0 +. float_of_int (i * 13 mod 17)))
+      names
+  in
+  let edge i (a, b) =
+    { Raqo_catalog.Join_graph.left = a; right = b; selectivity = 1e-5 *. float_of_int (1 + (i mod 4)) }
+  in
+  Schema.make rels (Raqo_catalog.Join_graph.make (List.mapi edge edges))
+
+let test_dpsub_call_sequence () =
+  (* One recording coster drives both cores; [refuse] makes some joins
+     infeasible, so subsets without a plan are skipped alike. *)
+  let check what schema rels =
+    let ctx = Raqo_catalog.Interned.make schema rels in
+    let base = Coster.fixed_masked model ctx fixed_res in
+    List.iter
+      (fun (variant, refuse) ->
+        let calls = ref [] in
+        let m =
+          { base with
+            Coster.best_join_masked =
+              (fun ~left ~right ->
+                calls := (left, right) :: !calls;
+                if refuse left right then None else base.Coster.best_join_masked ~left ~right) }
+        in
+        let want = submask_dpsub m ctx in
+        let want_calls = List.rev !calls in
+        calls := [];
+        let got = Raqo_planner.Dpsub.optimize_masked m ctx in
+        let label = Printf.sprintf "%s (%d relations, %s)" what (List.length rels) variant in
+        Alcotest.(check (list (pair int int))) (label ^ ": coster calls") want_calls
+          (List.rev !calls);
+        Alcotest.(check bool) (label ^ ": same plan and cost") true (got = want))
+      [ ("every join feasible", fun _ _ -> false);
+        ("some joins infeasible", fun l r -> ((l * 31) + r) mod 5 = 0) ]
+  in
+  let catalog = Lazy.force big_catalog in
+  for n = 2 to 18 do
+    check "walk" catalog
+      (Raqo_catalog.Random_schema.query (Rng.create (400 + n)) catalog ~joins:(n - 1))
+  done;
+  let names k = List.init k (Printf.sprintf "r%d") in
+  let chain = List.init 17 (fun i -> (Printf.sprintf "r%d" i, Printf.sprintf "r%d" (i + 1))) in
+  check "chain" (graph_schema (names 18) chain) (names 18);
+  let star = List.init 13 (fun i -> ("r0", Printf.sprintf "r%d" (i + 1))) in
+  check "star" (graph_schema (names 14) star) (names 14);
+  let clique =
+    List.concat
+      (List.init 10 (fun i ->
+           List.init (9 - i) (fun j -> (Printf.sprintf "r%d" i, Printf.sprintf "r%d" (i + j + 1)))))
+  in
+  check "clique" (graph_schema (names 10) clique) (names 10);
+  List.iter
+    (fun (what, rels) -> check what schema rels)
+    [ ("Q3", Tpch.q3); ("Q12", Tpch.q12); ("Q2", Tpch.q2); ("All", Tpch.all) ]
+
 let prop_dpsub_below_randomized =
   (* Exact bushy DP lower-bounds the randomized bushy search. *)
   QCheck.Test.make ~name:"DPsub <= randomized on random schemas" ~count:15
@@ -731,14 +833,10 @@ let test_interned_fold_splits () =
             (sub lor rest = mask && sub land rest = 0 && sub <> 0 && rest <> 0);
           Alcotest.(check bool) "sub holds the lowest bit" true
             (sub land (mask land -mask) <> 0))
-        got;
-      (* iter_splits is the same walk, for effects. *)
-      let via_iter = ref [] in
-      Interned.iter_splits mask (fun ~sub ~rest -> via_iter := (sub, rest) :: !via_iter);
-      Alcotest.(check (list (pair int int))) "iter_splits agrees" want (List.rev !via_iter))
+        got)
     masks;
   Alcotest.check_raises "empty mask" (Invalid_argument "Interned.fold_splits: empty mask")
-    (fun () -> Interned.iter_splits 0 (fun ~sub:_ ~rest:_ -> ()))
+    (fun () -> Interned.fold_splits 0 ~init:() ~f:(fun () ~sub:_ ~rest:_ -> ()))
 
 (* Both arms share one underlying coster, so these tests check the interning
    machinery itself: identical plans, costs, and invocation counts. *)
@@ -877,6 +975,8 @@ let () =
         @ qsuite [ prop_randomized_plans_valid ] );
       ( "dpsub",
         [
+          Alcotest.test_case "DPsub call sequence = the submask loop" `Quick
+            test_dpsub_call_sequence;
           Alcotest.test_case "equals the exhaustive oracle" `Quick test_dpsub_matches_exhaustive;
           Alcotest.test_case "never worse than Selinger" `Quick test_dpsub_not_worse_than_selinger;
           Alcotest.test_case "valid joint plans" `Quick test_dpsub_valid_plans;
