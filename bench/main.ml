@@ -373,9 +373,12 @@ let fig11 () =
 
 let model = lazy (Raqo.Models.hive ())
 
-let make_opt ?kind ?cache ?lookup ?resource_strategy ?(conditions = Conditions.default) () =
-  Raqo.Cost_based.create ?kind ?cache ?lookup ?resource_strategy ~model:(Lazy.force model)
-    ~conditions tpch
+(* The paper's figures plan resources by hill climbing unless a figure says
+   otherwise; the optimizer's own default is the exact grid minimum. *)
+let make_opt ?kind ?cache ?lookup ?(resource_strategy = Raqo_resource.Resource_planner.Hill_climb)
+    ?kernel ?(conditions = Conditions.default) () =
+  Raqo.Cost_based.create ?kind ?cache ?lookup ~resource_strategy ?kernel
+    ~model:(Lazy.force model) ~conditions tpch
 
 let time_planner ?(runs = 3) opt query =
   let ms_total = ref 0.0 in
@@ -425,10 +428,18 @@ let fig13 () =
   let rows =
     List.map
       (fun (qname, rels) ->
-        let bf = make_opt ~resource_strategy:Raqo_resource.Resource_planner.Brute_force ~cache:false () in
+        (* Brute force is the paper's exhaustive scan (the scalar path costs
+           every grid cell); the closed form returns the same minimum
+           through the kernel from a few cells per memory row. *)
+        let brute ~kernel =
+          make_opt ~resource_strategy:Raqo_resource.Resource_planner.Brute_force ~kernel
+            ~cache:false ()
+        in
+        let bf = brute ~kernel:false and cf = brute ~kernel:true in
         let hc = make_opt ~cache:false () in
         let bf_ms, bf_evals = time_planner bf rels in
         let hc_ms, hc_evals = time_planner hc rels in
+        let cf_ms, cf_evals = time_planner cf rels in
         (* Plan quality: does the local search pay anything in plan cost? *)
         let cost_of opt =
           Raqo.Cost_based.reset opt;
@@ -436,7 +447,7 @@ let fig13 () =
           | Some (_, c) -> c
           | None -> Float.nan
         in
-        let bf_cost = cost_of bf and hc_cost = cost_of hc in
+        let bf_cost = cost_of bf and hc_cost = cost_of hc and cf_cost = cost_of cf in
         [
           qname;
           string_of_int bf_evals;
@@ -445,15 +456,23 @@ let fig13 () =
           f bf_ms;
           f hc_ms;
           f (hc_cost /. bf_cost);
+          string_of_int cf_evals;
+          f cf_ms;
+          f (cf_cost /. bf_cost);
         ])
       Tpch.evaluation_queries
   in
   Table.print
     ~title:"Figure 13: hill climbing vs brute-force resource planning (Selinger, TPC-H)"
-    ~headers:[ "query"; "BF configs"; "HC configs"; "BF/HC"; "BF ms"; "HC ms"; "HC/BF plan cost" ]
+    ~headers:
+      [
+        "query"; "BF configs"; "HC configs"; "BF/HC"; "BF ms"; "HC ms"; "HC/BF plan cost";
+        "CF configs"; "CF ms"; "CF/BF plan cost";
+      ]
     rows;
   note "paper: hill climbing explores ~4x fewer resource configurations";
-  note "plan-quality column: 1.00 means the local optimum is the global one"
+  note "BF is the exhaustive scalar scan; CF is the same grid minimum in closed form (the default)";
+  note "plan-quality columns: 1.00 means the search found the global optimum"
 
 (* ----------------------------------------------------------------- Fig 14 *)
 
@@ -502,7 +521,8 @@ let fig15a () =
   let params = { Raqo_planner.Randomized.iterations = 10; max_no_improve = 15 } in
   let mk ?cache ?lookup () =
     Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized ~randomized_params:params
-      ?cache ?lookup ~model:(Lazy.force model) ~conditions:Conditions.default schema
+      ~resource_strategy:Raqo_resource.Resource_planner.Hill_climb ?cache ?lookup
+      ~model:(Lazy.force model) ~conditions:Conditions.default schema
   in
   let sizes = [ 2; 5; 10; 20; 40; 60; 80; 100 ] in
   let queries =
@@ -574,7 +594,8 @@ let fig15b ~full () =
                here for fidelity. *)
             let mk () =
               Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized
-                ~randomized_params:params ~cache:true
+                ~randomized_params:params ~resource_strategy:Raqo_resource.Resource_planner.Hill_climb
+                ~cache:true
                 ~lookup:(Raqo_resource.Plan_cache.Nearest_neighbor 0.05)
                 ~model:Raqo_cost.Op_cost.paper ~conditions schema
             in
@@ -963,6 +984,24 @@ let par_bench () =
 
 (* ------------------------------------------------------------------ micro *)
 
+(* Every feasible (implementation, size) pair of the Hive model over 400
+   log-spaced build sizes from 1 MB to 100 GB on the default grid. *)
+let grid_searches () =
+  let m = Lazy.force model in
+  let probe = Raqo_resource.Resource_planner.create ~cache:false Conditions.default in
+  let sizes =
+    List.init 400 (fun i -> Float.pow 10.0 (-3.0103 +. (5.0103 *. float_of_int i /. 399.0)))
+  in
+  List.concat_map
+    (fun small_gb ->
+      List.filter_map
+        (fun impl ->
+          Option.map
+            (fun _ -> (impl, small_gb))
+            (Raqo_resource.Resource_planner.plan probe ~model:m ~impl ~small_gb))
+        Join_impl.all)
+    sizes
+
 let micro () =
   let open Bechamel in
   let cost_eval =
@@ -987,7 +1026,7 @@ let micro () =
         conditions = Conditions.default; impl = Join_impl.Smj }
     in
     for i = 1 to 256 do
-      Raqo_resource.Plan_cache.insert c ~key ~data_gb:(float_of_int i) (res i 1.0)
+      Raqo_resource.Plan_cache.insert ~cost:0.0 c ~key ~data_gb:(float_of_int i) (res i 1.0)
     done;
     Test.make ~name:"cache lookup (NN, 256 entries)"
       (Staged.stage (fun () ->
@@ -1010,10 +1049,32 @@ let micro () =
            Operators.join_time hive Join_impl.Smj ~small_gb:5.1 ~big_gb:77.0
              ~resources:(res 10 5.0)))
   in
+  (* One uncached resource-planner search per pair, kernel compiled per
+     search as on a cache miss; the sweep row compiles and sweeps. *)
+  let m = Lazy.force model in
+  let searches = grid_searches () in
+  let planner strategy =
+    Raqo_resource.Resource_planner.create ~strategy ~cache:false Conditions.default
+  in
+  let closed = planner Raqo_resource.Resource_planner.Brute_force in
+  let climbing = planner Raqo_resource.Resource_planner.Hill_climb in
+  let search_all name search =
+    Test.make ~name:(Printf.sprintf "%d grid searches: %s" (List.length searches) name)
+      (Staged.stage (fun () ->
+           List.iter (fun s -> ignore (Sys.opaque_identity (search s))) searches))
+  in
+  let plan p (impl, small_gb) = Raqo_resource.Resource_planner.plan p ~model:m ~impl ~small_gb in
+  let closed_form = search_all "closed form" (plan closed) in
+  let climb = search_all "hill climb" (plan climbing) in
+  let buf = Array.make (Conditions.n_configs Conditions.default) 0.0 in
+  let sweep =
+    search_all "kernel sweep" (fun (impl, small_gb) ->
+        Raqo_cost.Kernel.sweep (Raqo_cost.Kernel.make m impl ~small_gb) Conditions.default buf)
+  in
   let tests =
     Test.make_grouped ~name:"micro"
       [ cost_eval; hill_climb; cache; selinger; dpsub "Q3" Tpch.q3; dpsub "All" Tpch.all;
-        simulate ]
+        simulate; closed_form; climb; sweep ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
@@ -1033,7 +1094,26 @@ let micro () =
       rows := [ name; ns ] :: !rows)
     results;
   Table.print ~title:"Micro-benchmarks (Bechamel OLS)" ~headers:[ "operation"; "ns/run" ]
-    (List.sort compare !rows)
+    (List.sort compare !rows);
+  let n = List.length searches in
+  let per_search p =
+    Counters.reset (Raqo_resource.Resource_planner.counters p);
+    let costs = List.map (fun s -> Option.map snd (plan p s)) searches in
+    let evals = Counters.cost_evaluations (Raqo_resource.Resource_planner.counters p) in
+    (costs, float_of_int evals /. float_of_int n)
+  in
+  let closed_costs, closed_evals = per_search closed in
+  let climb_costs, climb_evals = per_search climbing in
+  let differ = List.length (List.filter Fun.id (List.map2 ( <> ) closed_costs climb_costs)) in
+  note
+    "grid searches: the %d feasible (impl, size) pairs of the Hive model over 400 log-spaced \
+     sizes from 1 MB to 100 GB on the 100 x 10 grid, one uncached search each; divide ns/run \
+     by %d for one search"
+    n n;
+  note
+    "evaluations per search: closed form %.1f, climb %.1f, sweep %d; the climb's cost differs \
+     from the grid minimum on %d of %d"
+    closed_evals climb_evals (Conditions.n_configs Conditions.default) differ n
 
 (* ------------------------------------------------------------------ main *)
 

@@ -483,10 +483,10 @@ let trace_cmd =
       | `Randomized -> Raqo.Cost_based.Fast_randomized
       | `Dpsub -> Raqo.Cost_based.Bushy_dp
     in
-    (* Brute-force resource search so the trace shows the full nesting:
-       planner span -> resource-search spans -> kernel sweeps. The model is
-       the paper's published one; the trained extended-space models compile
-       to kernels as well (see kernel.mli). *)
+    (* The trace shows the nesting planner span -> one span per resource
+       search (the exact grid minimum). The model is the paper's published
+       one; the trained extended-space models compile to kernels as well
+       (see kernel.mli). *)
     let model = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
     let truth, relations =
       match random with
@@ -525,9 +525,8 @@ let trace_cmd =
       | None -> Raqo_rewrite.Rewrite.no_hints
     in
     let opt =
-      Raqo.Cost_based.create ~kind
-        ~resource_strategy:Raqo_resource.Resource_planner.Brute_force
-        ~kernel:(not no_kernel) ~rewrite:(not no_rewrite) ~rewrite_hints ~model
+      Raqo.Cost_based.create ~kind ~kernel:(not no_kernel) ~rewrite:(not no_rewrite)
+        ~rewrite_hints ~model
         ~conditions:(conditions max_containers max_gb)
         schema
     in
@@ -601,12 +600,10 @@ let metrics_cmd =
     Raqo_obs.Obs.set_enabled true;
     (* Drive every instrumented layer once: plan each TPC-H evaluation query
        jointly with the paper's published model, sharing one optimizer so
-       the plan cache sees reuse and the kernel counters move. *)
+       the plan cache sees reuse and the kernel search counter moves. *)
     let model = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
     let opt =
-      Raqo.Cost_based.create
-        ~resource_strategy:Raqo_resource.Resource_planner.Brute_force
-        ~kernel:(not no_kernel) ~model
+      Raqo.Cost_based.create ~kernel:(not no_kernel) ~model
         ~conditions:(conditions max_containers max_gb)
         (Raqo_catalog.Tpch.schema ())
     in

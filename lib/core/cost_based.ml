@@ -24,7 +24,7 @@ type t = {
 
 let create ?(kind = Selinger) ?(seed = 42)
     ?(randomized_params = Raqo_planner.Randomized.default_params)
-    ?(resource_strategy = Resource_planner.Hill_climb) ?(cache = true)
+    ?(resource_strategy = Resource_planner.Brute_force) ?(cache = true)
     ?(lookup = Raqo_resource.Plan_cache.Exact) ?(kernel = true) ?shared_cache
     ?(rewrite = true) ?(rewrite_hints = Rewrite.no_hints) ?(metrics = Raqo_obs.Metrics.default)
     ~model ~conditions schema =

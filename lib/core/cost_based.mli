@@ -1,8 +1,9 @@
 (** Cost-based RAQO (paper Section VI): a query planner whose
     [get_plan_cost] performs resource planning per sub-plan, emitting a
     joint query/resource plan. Works with both the Selinger DP and the fast
-    randomized planner, with hill-climbing and resource-plan caching
-    controlled through the embedded {!Raqo_resource.Resource_planner}. *)
+    randomized planner, with the resource search (the exact grid minimum or
+    the paper's hill climb) and resource-plan caching controlled through the
+    embedded {!Raqo_resource.Resource_planner}. *)
 
 type planner_kind =
   | Selinger  (** System R bottom-up DP over left-deep trees *)
@@ -12,15 +13,20 @@ type planner_kind =
 type t
 
 (** [create ?kind ?seed ?randomized_params ~model ~conditions schema] builds
-    an optimizer. Defaults: Selinger, hill-climbing resource planning with
-    an exact-match cache, seed 42. It takes 11 optional arguments.
+    an optimizer. Defaults: Selinger, [Brute_force] resource planning (the
+    exact grid minimum per sub-plan) with an exact-match cache, seed 42.
+    [resource_strategy:Hill_climb] is the paper's Algorithm 1, kept for its
+    ablations. It takes 11 optional arguments.
 
     [kernel] (default [true]) compiles the cost model — the paper's or a
     trained extended-space one — into {!Raqo_cost.Kernel} form on each
-    resource-plan cache miss, so resource search sweeps the grid
-    allocation-free instead of building a feature vector per point —
-    bit-identical plans, costs, and counters, just faster. [~kernel:false]
-    (the CLI's [--no-kernel]) forces the scalar path.
+    resource-plan cache miss, so resource search runs allocation-free
+    instead of building a feature vector per point: the grid minimum in
+    closed form ({!Raqo_cost.Kernel.minimum}), the climb through the
+    kernel — bit-identical plans and costs, just faster (the climb's
+    counters too; the closed form counts the few cells it costs).
+    [~kernel:false] (the CLI's [--no-kernel]) forces the scalar path, where
+    [Brute_force] is the paper's exhaustive scan.
 
     [shared_cache] plugs the embedded resource planner into a thread-safe
     cross-query plan cache instead of a private one (see

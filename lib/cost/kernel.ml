@@ -247,24 +247,335 @@ let sweep t (c : Conditions.t) buf =
   done;
   Raqo_obs.Trace.finish span
 
-(* Scratch: amortised-growth grid buffer, instrumented so callers can prove
-   the steady state allocates nothing. *)
+(* Exact grid minimum in closed form.
 
-type scratch = {
-  mutable buf : float array;
-  mutable allocs : int;
-  mutable reuses : int;
+   Fix a memory row (cs). In real arithmetic the kernel's unclamped cost is
+     h(nc) = a + b*nc + c*nc^2 + d/nc
+   with a = intercept + acc0 + b_cs*cs + b_cs2*cs^2 + b_ss_cs*ss/cs,
+        b = b_nc + b_csnc*cs + b_ss_x_nc*ss,  c = b_nc2,  d = b_inv_nc + b_ss_nc*ss,
+   and the stored cost is F = max(floor, h). Its slope is h' = p/nc^2 with
+   p(x) = 2c*x^3 + b*x^2 - d, a cubic with at most two positive roots, so h
+   has at most one interior local minimum on the row. Take as candidates the
+   row's two ends and the grid cells on either side of that minimum: between
+   two neighbouring candidates F has no interior local minimum (it is
+   monotone or single-peaked), so on every cell between two cells of that
+   stretch it is at least the smaller of their two values.
+
+   The float cost g of a cell differs from F by less than err, a bound on the
+   rounding of the row's terms (about 13 unit roundoffs of their absolute
+   sum). A cell with g > best + band (band >= 2 err) has F > best + err. So
+   the search evaluates the candidates, then walks outward from every
+   candidate inside the band until a cell leaves it. Every cell it leaves
+   out lies, on one stretch, between two cells with F > best + err (walk
+   exits, or candidates outside the band), so it computes strictly above
+   the minimum; what it evaluates it compares exactly, earliest cell first
+   on ties. Rounding in the root brackets can lengthen a walk but not move
+   the answer.
+
+   Floor plateaus. g >= floor always, so the first row whose minimum is the
+   floor ends the search, at that row's first floor cell. Walking left
+   through a plateau would visit every cell on it; instead the plateau's
+   left edge is located on q(x) = x*(h(x) - floor) = c*x^3 + b*x^2 +
+   (a - floor)*x + d by bisection over the stretch's cells, and the walk
+   starts from the first floor cell found there.
+
+   A kernel whose terms could overflow (or are NaN) anywhere on the grid is
+   not solved: every row is swept in order with the sweep's exact argmin
+   scan, NaN behaviour included, and those rows are counted. *)
+
+type minimum = {
+  best : Resources.t;
+  cost : float;
+  evaluations : int;
+  swept_rows : int;
 }
 
-let create_scratch () = { buf = [||]; allocs = 0; reuses = 0 }
+let m_swept_rows = Raqo_obs.Metrics.counter "raqo_kernel_swept_rows_total"
 
-let ensure s n =
-  if Array.length s.buf >= n then s.reuses <- s.reuses + 1
-  else begin
-    s.allocs <- s.allocs + 1;
-    s.buf <- Array.make n 0.0
+(* [x] in the extended space, else 0. *)
+let[@inline] ext_on t x = if t.extended then x else 0.0
+
+let[@inline] grid_nc (c : Conditions.t) i =
+  float_of_int (c.Conditions.min_containers + (i * c.Conditions.container_step))
+
+(* x^2 * h'(x). *)
+let[@inline] slope_poly ~b ~c ~d x = ((((2.0 *. c) *. x) +. b) *. x *. x) -. d
+
+(* The first cell k of a bracket (k, k+1) on which [slope_poly] turns
+   positive, by bisection over cells [lo, hi]; the caller has seen it <= 0 at
+   [lo] and > 0 at [hi]. *)
+let[@inline] rising_crossing cond ~b ~c ~d lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if slope_poly ~b ~c ~d (grid_nc cond mid) > 0.0 then hi := mid else lo := mid
+  done;
+  !lo
+
+(* Candidate slot [q] of a row: its two ends and the two brackets. -1 when
+   the slot is empty. *)
+let[@inline] candidate ~kb ~sb ~n q =
+  match q with
+  | 0 -> 0
+  | 1 -> kb
+  | 2 -> if kb < 0 then -1 else kb + 1
+  | 3 -> sb
+  | 4 -> if sb < 0 then -1 else sb + 1
+  | _ -> n - 1
+
+let[@inline] is_candidate ~kb ~sb ~n i =
+  i = 0 || i = n - 1 || (kb >= 0 && (i = kb || i = kb + 1)) || (sb >= 0 && (i = sb || i = sb + 1))
+
+(* Slot [q] holds a cell no earlier slot holds. *)
+let[@inline] fresh_slot ~kb ~sb ~n q =
+  let c = candidate ~kb ~sb ~n q in
+  let fresh = ref (c >= 0) in
+  for r = 0 to q - 1 do
+    if candidate ~kb ~sb ~n r = c then fresh := false
+  done;
+  !fresh
+
+(* [g] may still compute at or below [best]: inside the rounding band, the
+   band's own rounding included. *)
+let[@inline] within_band ~band best g = g <= best +. (band +. (Float.abs best *. Float.epsilon))
+
+let minimum t (cond : Conditions.t) =
+  let n = Conditions.steps_containers cond and ngb = Conditions.steps_gb cond in
+  let k = t.k in
+  let ss = k.small_gb and floor = k.floor in
+  let floored = floor > 0.0 in
+  let x0 = grid_nc cond 0 and xn = grid_nc cond (n - 1) in
+  let cs0 = cond.Conditions.min_gb in
+  let csn = cs0 +. (float_of_int (ngb - 1) *. cond.Conditions.gb_step) in
+  let ass = Float.abs ss in
+  (* Every term's magnitude over the whole grid, and the raw products the
+     kernel forms: below 1e300 nothing overflows, so no cell is NaN or
+     infinite (the BHJ cut aside). NaN anywhere fails the test. *)
+  let guard =
+    Float.abs k.intercept +. Float.abs k.acc0
+    +. (Float.abs k.b_cs *. csn)
+    +. (Float.abs k.b_cs2 *. csn *. csn)
+    +. ((Float.abs k.b_nc +. (Float.abs k.b_csnc *. csn)) *. xn)
+    +. (Float.abs k.b_nc2 *. xn *. xn)
+    +. ext_on t
+         ((Float.abs k.b_inv_nc /. x0)
+         +. (Float.abs k.b_ss_nc *. ass /. x0)
+         +. (Float.abs k.b_ss_x_nc *. ass *. xn)
+         +. (Float.abs k.b_ss_cs *. ass /. cs0))
+    +. (csn *. xn) +. (csn *. csn) +. (ass *. xn) +. (ass *. ass) +. (ass /. cs0)
+  in
+  let evaluations = ref 0 and swept_rows = ref 0 in
+  let best = ref Float.infinity and best_idx = ref 0 in
+  if not (guard < 1e300) then begin
+    (* The sweep's argmin scan, cell by cell in sweep order. *)
+    for j = 0 to ngb - 1 do
+      let cs = cs0 +. (float_of_int j *. cond.Conditions.gb_step) in
+      for i = 0 to n - 1 do
+        let g = cost_at t ~nc:(grid_nc cond i) ~cs in
+        if (i = 0 && j = 0) || not (!best <= g) then begin
+          best := g;
+          best_idx := (j * n) + i
+        end
+      done
+    done;
+    evaluations := n * ngb;
+    swept_rows := ngb
   end
-
-let buffer s = s.buf
-let allocs s = s.allocs
-let reuses s = s.reuses
+  else begin
+    (* No term depends on nc: every cell of a row computes the same bits. *)
+    let flat =
+      k.b_nc = 0.0 && k.b_nc2 = 0.0 && k.b_csnc = 0.0
+      && ((not t.extended) || (k.b_inv_nc = 0.0 && k.b_ss_nc = 0.0 && k.b_ss_x_nc = 0.0))
+    in
+    let j = ref 0 in
+    while !j < ngb do
+      let cs = cs0 +. (float_of_int !j *. cond.Conditions.gb_step) in
+      let base = !j * n in
+      if t.bhj && not (k.small_gb <= k.oom_headroom *. cs) then () (* below the OOM cut *)
+      else if flat then begin
+        let g = cost_at t ~nc:x0 ~cs in
+        incr evaluations;
+        if g < !best then begin
+          best := g;
+          best_idx := base
+        end
+      end
+      else begin
+        let row_ss_cs = ext_on t (k.b_ss_cs *. (ss /. cs)) in
+        let a =
+          k.intercept +. (k.acc0 +. (k.b_cs *. cs) +. (k.b_cs2 *. (cs *. cs)) +. row_ss_cs)
+        in
+        let b = k.b_nc +. (k.b_csnc *. cs) +. ext_on t (k.b_ss_x_nc *. ss) in
+        let c = k.b_nc2 in
+        let d = ext_on t (k.b_inv_nc +. (k.b_ss_nc *. ss)) in
+        let band =
+          (32.0 *. Float.epsilon
+          *. (Float.abs k.intercept +. Float.abs k.acc0
+             +. Float.abs (k.b_cs *. cs)
+             +. Float.abs (k.b_cs2 *. (cs *. cs))
+             +. ((Float.abs k.b_nc +. Float.abs (k.b_csnc *. cs)) *. xn)
+             +. (Float.abs c *. xn *. xn)
+             +. ext_on t
+                  ((Float.abs k.b_inv_nc /. x0)
+                  +. (Float.abs k.b_ss_nc *. ass /. x0)
+                  +. (Float.abs k.b_ss_x_nc *. ass *. xn)
+                  +. Float.abs row_ss_cs)))
+          +. 1e-300
+        in
+        (* Brackets of h's interior minimum: [kb] from a rising crossing of
+           p on the piece where p increases, [sb] around p's own turning
+           point xc when p may cross upward, or nearly touch zero, between
+           the two cells around xc. *)
+        let kb = ref (-1) and sb = ref (-1) in
+        if n >= 3 then begin
+          let xc = if c <> 0.0 then -.b /. (3.0 *. c) else Float.nan in
+          let inside = xc > x0 && xc < xn in
+          let ic = ref (-1) in
+          if inside then begin
+            ic :=
+              max 0
+                (min (n - 2)
+                   (int_of_float ((xc -. x0) /. float_of_int cond.Conditions.container_step)));
+            while !ic > 0 && grid_nc cond !ic > xc do
+              decr ic
+            done;
+            while !ic < n - 2 && grid_nc cond (!ic + 1) <= xc do
+              incr ic
+            done;
+            let pa = slope_poly ~b ~c ~d (grid_nc cond !ic)
+            and pc = slope_poly ~b ~c ~d xc
+            and pb = slope_poly ~b ~c ~d (grid_nc cond (!ic + 1)) in
+            let tol =
+              32.0 *. Float.epsilon
+              *. ((Float.abs (2.0 *. c) *. xc *. xc *. xc) +. (Float.abs b *. xc *. xc)
+                 +. Float.abs d)
+            in
+            if (pa <= tol && pc >= -.tol) || (pc <= tol && pb >= -.tol) then sb := !ic
+          end;
+          (* The cells where p increases: after xc when c > 0, before it
+             when c < 0, everywhere when p is a rising parabola. *)
+          let rising_everywhere =
+            if c > 0.0 then xc <= x0 else if c < 0.0 then xc >= xn else b > 0.0
+          in
+          let lo = if inside && c > 0.0 then !ic + 1 else 0 in
+          let hi =
+            if inside && c < 0.0 then !ic
+            else if (inside && c > 0.0) || rising_everywhere then n - 1
+            else -1
+          in
+          if hi > lo
+             && slope_poly ~b ~c ~d (grid_nc cond lo) <= 0.0
+             && slope_poly ~b ~c ~d (grid_nc cond hi) > 0.0
+          then kb := rising_crossing cond ~b ~c ~d lo hi
+        end;
+        let kb = !kb and sb = !sb in
+        (* Pass 1: every distinct candidate, unless the row's first cell is
+           already on the floor. *)
+        let g0 = ref 0.0 and g1 = ref 0.0 and g2 = ref 0.0 in
+        let g3 = ref 0.0 and g4 = ref 0.0 and g5 = ref 0.0 in
+        for q = 0 to 5 do
+          if fresh_slot ~kb ~sb ~n q && not (floored && !best = floor && !best_idx = base)
+          then begin
+            let i = candidate ~kb ~sb ~n q in
+            let g = cost_at t ~nc:(grid_nc cond i) ~cs in
+            incr evaluations;
+            if g < !best || (g = !best && base + i < !best_idx) then begin
+              best := g;
+              best_idx := base + i
+            end;
+            match q with
+            | 0 -> g0 := g
+            | 1 -> g1 := g
+            | 2 -> g2 := g
+            | 3 -> g3 := g
+            | 4 -> g4 := g
+            | _ -> g5 := g
+          end
+        done;
+        (* On the floor: only cells before the first floor candidate can
+           still win, and that candidate's plateau is entered from its edge
+           below. *)
+        let on_floor = floored && !best = floor in
+        let first_floor = if on_floor then !best_idx - base else n in
+        (* Pass 2: walk out from every candidate inside the band. *)
+        for q = 0 to 5 do
+          let c = candidate ~kb ~sb ~n q in
+          let gq =
+            match q with 0 -> !g0 | 1 -> !g1 | 2 -> !g2 | 3 -> !g3 | 4 -> !g4 | _ -> !g5
+          in
+          if c < first_floor && fresh_slot ~kb ~sb ~n q && within_band ~band !best gq then
+            for side = 0 to 1 do
+              let dir = if side = 0 then -1 else 1 in
+              let i = ref (c + dir) and walking = ref true in
+              while !walking do
+                let ii = !i in
+                if ii < 0 || ii >= first_floor || ii >= n || is_candidate ~kb ~sb ~n ii then
+                  walking := false
+                else begin
+                  let g = cost_at t ~nc:(grid_nc cond ii) ~cs in
+                  incr evaluations;
+                  if g < !best || (g = !best && base + ii < !best_idx) then begin
+                    best := g;
+                    best_idx := base + ii
+                  end;
+                  (* Right of a floor cell nothing can win a tie. *)
+                  if (not (within_band ~band !best g)) || (dir > 0 && floored && g = floor)
+                  then walking := false
+                  else i := ii + dir
+                end
+              done
+            done
+        done;
+        if on_floor && first_floor > 0 then begin
+          (* The candidate just before the first floor candidate. *)
+          let prev = ref 0 in
+          for q = 0 to 5 do
+            let c = candidate ~kb ~sb ~n q in
+            if c < first_floor && c > !prev then prev := c
+          done;
+          let prev = !prev in
+          if first_floor - prev > 1 then begin
+            let am = a -. floor in
+            let lo = ref prev and hi = ref first_floor in
+            while !hi - !lo > 1 do
+              let mid = (!lo + !hi) / 2 in
+              let x = grid_nc cond mid in
+              if ((((c *. x) +. b) *. x) +. am) *. x +. d > 0.0 then lo := mid else hi := mid
+            done;
+            (* Forward from the predicted edge to the first floor cell ... *)
+            let i = ref !hi and found = ref false in
+            while (not !found) && !i < first_floor do
+              let g = cost_at t ~nc:(grid_nc cond !i) ~cs in
+              incr evaluations;
+              if g = floor then found := true else incr i
+            done;
+            if !i < !best_idx - base then best_idx := base + !i;
+            (* ... then back through the band for any earlier one. *)
+            let i = ref (!i - 1) and walking = ref true in
+            while !walking do
+              if !i <= prev then walking := false
+              else begin
+                let g = cost_at t ~nc:(grid_nc cond !i) ~cs in
+                incr evaluations;
+                if g = floor && base + !i < !best_idx then best_idx := base + !i;
+                if within_band ~band floor g then decr i else walking := false
+              end
+            done
+          end
+        end
+      end;
+      if floored && !best = floor then j := ngb else incr j
+    done
+  end;
+  if !swept_rows > 0 && Raqo_obs.Obs.enabled () then
+    Raqo_obs.Metrics.Counter.add m_swept_rows !swept_rows;
+  let i = !best_idx mod n and j = !best_idx / n in
+  {
+    best =
+      Resources.make
+        ~containers:(cond.Conditions.min_containers + (i * cond.Conditions.container_step))
+        ~container_gb:(cs0 +. (float_of_int j *. cond.Conditions.gb_step));
+    cost = !best;
+    evaluations = !evaluations;
+    swept_rows = !swept_rows;
+  }

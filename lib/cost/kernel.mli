@@ -1,8 +1,9 @@
 (** Compiled cost kernels: the per-operator regression models specialised to
     a fixed (join implementation, [small_gb]) pair, so the
-    (containers x container_gb) resource grid can be swept — or hill-climbed
-    — in one allocation-free loop instead of one {!Feature.vector_of} array
-    plus one {!Linreg.predict} closure dispatch per grid point.
+    (containers x container_gb) resource grid can be swept, hill-climbed or
+    minimized in closed form in one allocation-free loop instead of one
+    {!Feature.vector_of} array plus one {!Linreg.predict} closure dispatch
+    per grid point.
 
     The polynomial splits into a data-only prefix and per-axis resource
     terms:
@@ -71,26 +72,33 @@ val climb : t -> Raqo_cluster.Conditions.t -> start:Raqo_cluster.Resources.t -> 
     @raise Invalid_argument if [buf] is too small. *)
 val sweep : t -> Raqo_cluster.Conditions.t -> float array -> unit
 
-(** {1 Scratch buffers}
+(** The outcome of one {!minimum}: the grid's cheapest cell, its cost, how
+    many cells were costed, and how many memory rows were swept cell by cell
+    because the closed form could not settle them. *)
+type minimum = {
+  best : Raqo_cluster.Resources.t;
+  cost : float;
+  evaluations : int;
+  swept_rows : int;
+}
 
-    Per-planner scratch so steady-state planning does zero grid allocation: the
-    grid buffer is grown once to the largest grid ever swept and reused across
-    every subsequent subplan of a Selinger/DPsub run. Reuse is instrumented —
-    [allocs] counts buffer (re)allocations, [reuses] counts sweeps served by
-    an already-large-enough buffer — so tests and benches can assert the
-    steady state allocates nothing. Scratch is single-domain state; parallel
-    searches keep their own. *)
+(** [minimum t conditions] is the exact grid minimum: the same cell
+    (earliest in {!sweep} order on ties), the same cost bits and the same
+    NaN behaviour as an argmin scan over a full {!sweep}, from a few
+    evaluations per memory row.
 
-type scratch
+    For a fixed memory row every model's cost is [a + b*nc + c*nc^2 + d/nc]
+    (clamped at the floor), so its interior minimum is next to a real root
+    of [2c*nc^3 + b*nc^2 - d]. The search costs only the row's two ends and
+    the cells around that root, then walks outward from each of them while
+    a neighbour's cost is within the rows' rounding bound of the best, so
+    rounding in the roots or the costs cannot move the answer. Rows below
+    the BHJ OOM cut are skipped. The first row whose minimum is the model's
+    floor ends the search at its first floor cell, located from a root of
+    [c*nc^3 + b*nc^2 + (a - floor)*nc + d]. A kernel whose terms could
+    overflow (or are NaN) is swept row by row instead, and those rows are
+    counted in [swept_rows] (and in [raqo_kernel_swept_rows_total] when
+    observability is on).
 
-val create_scratch : unit -> scratch
-
-(** [ensure scratch n] grows the buffer to at least [n] cells, bumping
-    [allocs] on growth and [reuses] when already large enough. *)
-val ensure : scratch -> int -> unit
-
-(** [buffer scratch] is the current grid buffer (valid after {!ensure}). *)
-val buffer : scratch -> float array
-
-val allocs : scratch -> int
-val reuses : scratch -> int
+    A warm search allocates its result only. *)
+val minimum : t -> Raqo_cluster.Conditions.t -> minimum

@@ -1,8 +1,9 @@
-(** Exhaustive resource planning: evaluate the cost model on every discrete
-    resource configuration the cluster offers, keep the cheapest. The
-    baseline hill climbing is measured against (Figure 13) and the
-    differential oracle's reference. Both forms — a scalar cost closure and
-    a compiled kernel — visit every grid cell. *)
+(** Exact resource planning: the cheapest discrete resource configuration
+    the cluster offers. The scalar form evaluates the cost model on every
+    grid cell: the paper's exhaustive baseline, which hill climbing is
+    measured against (Figure 13), and the differential oracle's reference.
+    The kernel form returns the same configuration and cost in closed form,
+    and is the resource planner's default search. *)
 
 (** [search ?counters conditions cost] returns the cheapest configuration and
     its cost. Ties break toward the earlier-enumerated (smaller) config.
@@ -14,17 +15,15 @@ val search :
   (Raqo_cluster.Resources.t -> float) ->
   Raqo_cluster.Resources.t * float
 
-(** [search_kernel ?counters conditions ~kernel ~scratch] is {!search} on a
-    compiled cost kernel: one allocation-free {!Raqo_cost.Kernel.sweep} into
-    [scratch], then an argmin scan with {!search}'s exact tie-break.
-    Bit-identical to [search conditions (predict kernel)] — same winning
-    cell, same cost, same recorded evaluation count — while never building a
-    feature vector or a configuration until the final result. [scratch]
-    grows once to the largest grid and is reused across calls (zero
-    steady-state allocation); it must not be shared across domains. *)
+(** [search_kernel ?counters conditions ~kernel] is {!search} on a compiled
+    cost kernel, answered by {!Raqo_cost.Kernel.minimum}: the same winning
+    cell (earlier config on ties) and the same cost float as
+    [search conditions (predict kernel)], NaN included, but it records only
+    the evaluations the closed form made (a few per memory row instead of
+    the whole grid). It builds no feature vector, configuration or grid
+    buffer until the final result. *)
 val search_kernel :
   ?counters:Counters.t ->
   Raqo_cluster.Conditions.t ->
   kernel:Raqo_cost.Kernel.t ->
-  scratch:Raqo_cost.Kernel.scratch ->
   Raqo_cluster.Resources.t * float

@@ -5,7 +5,9 @@
    shifting a boxed or int array in the major heap pays a write barrier per
    moved slot. Removed entries' pool slots go on a free list and are reused
    by later inserts, so the pool never outgrows the largest live size.
-   Unstamped indexes carry no stamp array at all. *)
+   Unstamped indexes carry no stamp array at all. Each pool slot also holds
+   a float beside its value, unboxed in a parallel array (the plan cache
+   stores a configuration's cost there). *)
 
 type 'a t = {
   stamped : bool;
@@ -14,6 +16,7 @@ type 'a t = {
   mutable stamps : float array;  (** [[||]] unless [stamped] *)
   mutable n : int;
   mutable pool : 'a array;
+  mutable costs : float array;  (** the float stored with each pool slot *)
   mutable pool_used : int;  (** pool slots ever handed out *)
   mutable free : int list;  (** handed-out pool slots of removed entries *)
 }
@@ -26,6 +29,7 @@ let create ?(stamped = false) () =
     stamps = [||];
     n = 0;
     pool = [||];
+    costs = [||];
     pool_used = 0;
     free = [];
   }
@@ -49,28 +53,33 @@ let grow_floats a n capacity =
   Array.blit a 0 b 0 n;
   b
 
+let set_slot t slot value cost =
+  t.pool.(slot) <- value;
+  t.costs.(slot) <- cost
+
 (* A pool slot for a new value: a freed one, else the next fresh one. *)
-let store t value =
+let store t value cost =
   match t.free with
   | slot :: rest ->
       t.free <- rest;
-      t.pool.(slot) <- value;
+      set_slot t slot value cost;
       slot
   | [] ->
       let slot = t.pool_used in
       if slot = Array.length t.pool then begin
         let pool = Array.make (max 16 (2 * slot)) value in
         Array.blit t.pool 0 pool 0 slot;
-        t.pool <- pool
+        t.pool <- pool;
+        t.costs <- grow_floats t.costs slot (Array.length pool)
       end;
-      t.pool.(slot) <- value;
+      set_slot t slot value cost;
       t.pool_used <- slot + 1;
       slot
 
-let insert ?(stamp = 0) t key value =
+let insert ?(stamp = 0) ~cost t key value =
   let pos = lower_bound t key in
   if pos < t.n && t.keys.(pos) = key then begin
-    t.pool.(int_of_float t.slots.(pos)) <- value;
+    set_slot t (int_of_float t.slots.(pos)) value cost;
     set_stamp t pos stamp
   end
   else begin
@@ -84,7 +93,7 @@ let insert ?(stamp = 0) t key value =
     Array.blit t.slots pos t.slots (pos + 1) (t.n - pos);
     if t.stamped then Array.blit t.stamps pos t.stamps (pos + 1) (t.n - pos);
     t.keys.(pos) <- key;
-    t.slots.(pos) <- float_of_int (store t value);
+    t.slots.(pos) <- float_of_int (store t value cost);
     set_stamp t pos stamp;
     t.n <- t.n + 1
   end
@@ -92,6 +101,14 @@ let insert ?(stamp = 0) t key value =
 let find_exact t key =
   let pos = lower_bound t key in
   if pos < t.n && t.keys.(pos) = key then Some (value t pos) else None
+
+let find_costed t key =
+  let pos = lower_bound t key in
+  if pos < t.n && t.keys.(pos) = key then begin
+    let slot = int_of_float t.slots.(pos) in
+    Some (t.pool.(slot), t.costs.(slot))
+  end
+  else None
 
 let remove t key =
   let pos = lower_bound t key in

@@ -12,7 +12,10 @@
     unique; inserting an existing key overwrites.
 
     A stamped index also holds an integer stamp beside each value, unboxed,
-    for callers that track recency ({!Plan_cache}'s LRU bound). *)
+    for callers that track recency ({!Plan_cache}'s LRU bound). Every entry
+    also carries a float beside its value, unboxed in the value pool: the
+    plan cache keeps each configuration's cost there, so an exact hit
+    returns it without a boxed pair in the index. *)
 
 type 'a t
 
@@ -23,11 +26,15 @@ val create : ?stamped:bool -> unit -> 'a t
 val size : 'a t -> int
 
 (** [insert t key value] adds or overwrites, stamping the slot with [stamp]
-    (default 0). *)
-val insert : ?stamp:int -> 'a t -> float -> 'a -> unit
+    (default 0) and storing [cost] beside the value. *)
+val insert : ?stamp:int -> cost:float -> 'a t -> float -> 'a -> unit
 
 (** [find_exact t key] is the value at exactly [key]. *)
 val find_exact : 'a t -> float -> 'a option
+
+(** [find_costed t key] is the value at exactly [key] and the cost stored
+    with it; the pair is the only allocation. *)
+val find_costed : 'a t -> float -> ('a * float) option
 
 (** [remove t key] deletes the entry at exactly [key], reporting whether one
     existed, by shifting the sorted arrays' tails; a later insert reuses the

@@ -26,16 +26,18 @@ let create ?capacity () =
   | Some _ | None -> ());
   { slots = [||]; capacity; clock = 0 }
 
-let same_key a b = a.model == b.model && a.conditions == b.conditions && a.impl == b.impl
+(* The slot holding the key with these fields, or -1. A loop, not a local
+   closure: an exact hit allocates only its answer. *)
+let slot_of t ~model ~conditions ~impl =
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < Array.length t.slots do
+    let k = fst t.slots.(!i) in
+    if k.model == model && k.conditions == conditions && k.impl == impl then found := !i;
+    incr i
+  done;
+  !found
 
-(* The slot holding [key], or -1. *)
-let slot t key =
-  let rec go i =
-    if i = Array.length t.slots then -1
-    else if same_key (fst t.slots.(i)) key then i
-    else go (i + 1)
-  in
-  go 0
+let slot t key = slot_of t ~model:key.model ~conditions:key.conditions ~impl:key.impl
 
 let touch t idx data_gb =
   match t.capacity with
@@ -99,20 +101,28 @@ let find_in_index t idx ~data_gb lookup =
                    ~container_gb:(!gb /. !wsum)))
     end
 
+let record_lookup counters found =
+  match counters with
+  | Some k -> if found then Counters.record_hit k else Counters.record_miss k
+  | None -> ()
+
 let find ?counters t ~key ~data_gb lookup =
   let result =
     match slot t key with
     | -1 -> None
     | i -> find_in_index t (snd t.slots.(i)) ~data_gb lookup
   in
-  (match counters with
-  | Some k -> begin
-      match result with
-      | Some _ -> Counters.record_hit k
-      | None -> Counters.record_miss k
-    end
-  | None -> ());
+  record_lookup counters (Option.is_some result);
   result
+
+let find_exact t ~model ~conditions ~impl ~data_gb =
+  match slot_of t ~model ~conditions ~impl with
+  | -1 -> None
+  | i ->
+      let idx = snd t.slots.(i) in
+      let found = Ordered_index.find_costed idx data_gb in
+      if Option.is_some found then touch t idx data_gb;
+      found
 
 let size t = Array.fold_left (fun acc (_, idx) -> acc + Ordered_index.size idx) 0 t.slots
 
@@ -135,7 +145,7 @@ let evict_lru ?counters t =
         t.slots <- Array.of_list (List.filter (fun (_, i) -> i != idx) (Array.to_list t.slots));
       (match counters with Some k -> Counters.record_eviction k | None -> ())
 
-let insert ?counters t ~key ~data_gb resources =
+let insert ?counters ~cost t ~key ~data_gb resources =
   let idx =
     match slot t key with
     | -1 ->
@@ -145,10 +155,10 @@ let insert ?counters t ~key ~data_gb resources =
     | i -> snd t.slots.(i)
   in
   match t.capacity with
-  | None -> Ordered_index.insert idx data_gb resources
+  | None -> Ordered_index.insert ~cost idx data_gb resources
   | Some cap ->
       t.clock <- t.clock + 1;
-      Ordered_index.insert ~stamp:t.clock idx data_gb resources;
+      Ordered_index.insert ~stamp:t.clock ~cost idx data_gb resources;
       while size t > cap do
         evict_lru ?counters t
       done

@@ -46,12 +46,33 @@ val find :
   lookup ->
   Raqo_cluster.Resources.t option
 
+(** [find_exact t ~model ~conditions ~impl ~data_gb] is the [Exact] lookup
+    of the key with these fields, answering with the stored configuration
+    and the cost stored with it ({!insert}'s [cost]). It builds no key, and
+    the answer is its only allocation; the caller records the hit or miss.
+    Refreshes the entry's recency like {!find}. *)
+val find_exact :
+  t ->
+  model:Raqo_cost.Op_cost.t ->
+  conditions:Raqo_cluster.Conditions.t ->
+  impl:Raqo_plan.Join_impl.t ->
+  data_gb:float ->
+  (Raqo_cluster.Resources.t * float) option
+
 (** [insert t ~key ~data_gb resources] records a freshly planned
-    configuration. Re-inserting an existing data characteristic overwrites.
+    configuration, with its model cost [cost] stored unboxed beside it for
+    {!find_exact}. Re-inserting an existing data
+    characteristic overwrites both.
     On a capacity-bounded cache, inserting a new entry past the bound evicts
     the least-recently-used entries (recorded in [counters] when given). *)
 val insert :
-  ?counters:Counters.t -> t -> key:key -> data_gb:float -> Raqo_cluster.Resources.t -> unit
+  ?counters:Counters.t ->
+  cost:float ->
+  t ->
+  key:key ->
+  data_gb:float ->
+  Raqo_cluster.Resources.t ->
+  unit
 
 (** [clear t] empties the cache (the evaluation clears it between queries
     unless measuring across-query caching). *)

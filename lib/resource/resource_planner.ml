@@ -17,10 +17,9 @@ type t = {
   lookup : Plan_cache.lookup;
   counters : Counters.t;
   use_kernel : bool;
-  scratch : Kernel.scratch;
 }
 
-let create ?(strategy = Hill_climb) ?(cache = true)
+let create ?(strategy = Brute_force) ?(cache = true)
     ?(lookup = Plan_cache.Exact) ?counters ?(kernel = true) ?shared_cache ?registry
     conditions =
   {
@@ -33,17 +32,16 @@ let create ?(strategy = Hill_climb) ?(cache = true)
     lookup;
     counters = (match counters with Some k -> k | None -> Counters.create ?registry ());
     use_kernel = kernel;
-    scratch = Kernel.create_scratch ();
   }
 
 let conditions t = t.conditions
 let with_conditions t conditions = { t with conditions }
 
 (* A private copy for another domain (or another restart): same
-   configuration and shared counters, but fresh single-writer state — a new
-   private cache and, critically, fresh kernel scratch. A shared cache is
-   synchronized and cross-query by design, so forks keep the same
-   handle: that sharing is the point of a resident server. *)
+   configuration and shared counters, but a new private cache, the one
+   piece of single-writer state. A shared cache is synchronized and
+   cross-query by design, so forks keep the same handle: that sharing is
+   the point of a resident server. *)
 let fork t =
   {
     t with
@@ -51,9 +49,7 @@ let fork t =
       (match t.cache with
       | Some (Private _) -> Some (Private (Plan_cache.create ()))
       | (Some (Shared _) | None) as cache -> cache);
-    scratch = Kernel.create_scratch ();
   }
-let scratch t = t.scratch
 
 (* Which implementation a search took, split kernel vs scalar so `raqo
    metrics` shows how often the compiled path actually runs. *)
@@ -65,28 +61,35 @@ let span_name strategy ~kernel =
   match (strategy, kernel) with
   | Hill_climb, true -> "resource/hill-climb-kernel"
   | Hill_climb, false -> "resource/hill-climb"
-  | Brute_force, true -> "resource/sweep-kernel"
+  | Brute_force, true -> "resource/closed-form"
   | Brute_force, false -> "resource/brute-force"
 
-(* The smallest grid configuration where [impl] is feasible: BHJ must start
-   its hill climb above the OOM cliff, or the climb never leaves the
-   infinite-cost plateau. [None] when no configuration is feasible. *)
-let feasible_start (model : Op_cost.t) impl ~small_gb (conditions : Conditions.t) =
+(* The grid's largest memory row, which [max_gb] need not be. *)
+let last_gb (conditions : Conditions.t) =
+  conditions.min_gb +. (float_of_int (Conditions.steps_gb conditions - 1) *. conditions.gb_step)
+
+(* BHJ needs a container of at least small_gb / headroom: some grid row must
+   hold the build side. *)
+let feasible (model : Op_cost.t) impl ~small_gb conditions =
   match impl with
-  | Join_impl.Smj -> Some (Conditions.min_config conditions)
+  | Join_impl.Smj -> true
+  | Join_impl.Bhj -> not (small_gb /. model.oom_headroom > last_gb conditions)
+
+(* The hill climb's start, the smallest feasible grid configuration: BHJ
+   must start its climb above the OOM cliff, or the climb never leaves the
+   infinite-cost plateau. Only called when [feasible]. *)
+let climb_start (model : Op_cost.t) impl ~small_gb (conditions : Conditions.t) =
+  match impl with
+  | Join_impl.Smj -> Conditions.min_config conditions
   | Join_impl.Bhj ->
       let needed = small_gb /. model.oom_headroom in
-      if needed > conditions.max_gb then None
-      else begin
-        let steps = Float.max 0.0 (ceil ((needed -. conditions.min_gb) /. conditions.gb_step)) in
-        let gb = conditions.min_gb +. (steps *. conditions.gb_step) in
-        Some
-          (Raqo_cluster.Resources.make ~containers:conditions.min_containers
-             ~container_gb:(Float.min conditions.max_gb gb))
-      end
+      let steps = Float.max 0.0 (ceil ((needed -. conditions.min_gb) /. conditions.gb_step)) in
+      let gb = conditions.min_gb +. (steps *. conditions.gb_step) in
+      Raqo_cluster.Resources.make ~containers:conditions.min_containers
+        ~container_gb:(Float.min (last_gb conditions) gb)
 
 (* The kernel is compiled here, on a miss only: a hit never searches. *)
-let search t ~start model impl ~small_gb =
+let search t model impl ~small_gb =
   let span =
     if not (Raqo_obs.Obs.enabled ()) then Raqo_obs.Trace.none
     else begin
@@ -98,56 +101,83 @@ let search t ~start model impl ~small_gb =
     if t.use_kernel then begin
       let kernel = Kernel.make model impl ~small_gb in
       match t.strategy with
-      | Hill_climb -> Hill_climb.plan_kernel ~counters:t.counters ~start t.conditions kernel
-      | Brute_force ->
-          Brute_force.search_kernel ~counters:t.counters t.conditions ~kernel ~scratch:t.scratch
+      | Hill_climb ->
+          let start = climb_start model impl ~small_gb t.conditions in
+          Hill_climb.plan_kernel ~counters:t.counters ~start t.conditions kernel
+      | Brute_force -> Brute_force.search_kernel ~counters:t.counters t.conditions ~kernel
     end
     else begin
       let cost resources = Op_cost.predict_exn model impl ~small_gb ~resources in
       match t.strategy with
-      | Hill_climb -> Hill_climb.plan ~counters:t.counters ~start t.conditions cost
+      | Hill_climb ->
+          let start = climb_start model impl ~small_gb t.conditions in
+          Hill_climb.plan ~counters:t.counters ~start t.conditions cost
       | Brute_force -> Brute_force.search ~counters:t.counters t.conditions cost
     end
   in
   Raqo_obs.Trace.finish span;
   result
 
+(* A cache probe. An exact hit answers with the cost stored beside the
+   configuration: the search that stored it returned the kernel's cost,
+   which is bit-equal to the scalar model's, so nothing is re-costed or
+   counted and the answer is the only allocation. Nearest-neighbour and
+   weighted-average answers are other sizes' configurations, re-costed here
+   for this size (one evaluation). The shared handle records hits and
+   misses in the planner's own counters too (its internal counters are the
+   cross-planner aggregate), so per-request instrumentation reads the same
+   either way. *)
+let lookup_cached t handle model impl ~small_gb =
+  let conditions = t.conditions in
+  match t.lookup with
+  | Plan_cache.Exact ->
+      let r =
+        match handle with
+        | Private cache -> Plan_cache.find_exact cache ~model ~conditions ~impl ~data_gb:small_gb
+        | Shared shared ->
+            Shared_plan_cache.find_exact shared ~model ~conditions ~impl ~data_gb:small_gb
+      in
+      (match r with
+      | Some _ -> Counters.record_hit t.counters
+      | None -> Counters.record_miss t.counters);
+      r
+  | Plan_cache.Nearest_neighbor _ | Plan_cache.Weighted_average _ -> (
+      let key = { Plan_cache.model; conditions; impl } in
+      let found =
+        match handle with
+        | Private cache ->
+            Plan_cache.find ~counters:t.counters cache ~key ~data_gb:small_gb t.lookup
+        | Shared shared ->
+            let r = Shared_plan_cache.find shared ~key ~data_gb:small_gb t.lookup in
+            (match r with
+            | Some _ -> Counters.record_hit t.counters
+            | None -> Counters.record_miss t.counters);
+            r
+      in
+      match found with
+      | Some cached ->
+          Counters.record_evaluation t.counters;
+          Some (cached, Op_cost.predict_exn model impl ~small_gb ~resources:cached)
+      | None -> None)
+
 let plan t ~model ~impl ~small_gb =
-  match feasible_start model impl ~small_gb t.conditions with
-  | None -> None
-  | Some start -> begin
-      match t.cache with
-      | None -> Some (search t ~start model impl ~small_gb)
-      | Some handle -> begin
-          let key = { Plan_cache.model; conditions = t.conditions; impl } in
-          (* The shared handle records hits/misses in the planner's own
-             counters too (the shared cache's internal counters are the
-             cross-planner aggregate), so per-request instrumentation reads
-             the same either way. *)
-          let found =
-            match handle with
+  if not (feasible model impl ~small_gb t.conditions) then None
+  else
+    match t.cache with
+    | None -> Some (search t model impl ~small_gb)
+    | Some handle -> (
+        match lookup_cached t handle model impl ~small_gb with
+        | Some _ as hit -> hit
+        | None ->
+            let ((resources, cost) as found) = search t model impl ~small_gb in
+            let key = { Plan_cache.model; conditions = t.conditions; impl } in
+            (match handle with
             | Private cache ->
-                Plan_cache.find ~counters:t.counters cache ~key ~data_gb:small_gb t.lookup
+                Plan_cache.insert ~counters:t.counters ~cost cache ~key ~data_gb:small_gb
+                  resources
             | Shared shared ->
-                let r = Shared_plan_cache.find shared ~key ~data_gb:small_gb t.lookup in
-                (match r with
-                | Some _ -> Counters.record_hit t.counters
-                | None -> Counters.record_miss t.counters);
-                r
-          in
-          match found with
-          | Some cached ->
-              Counters.record_evaluation t.counters;
-              Some (cached, Op_cost.predict_exn model impl ~small_gb ~resources:cached)
-          | None ->
-              let resources, cost = search t ~start model impl ~small_gb in
-              (match handle with
-              | Private cache ->
-                  Plan_cache.insert ~counters:t.counters cache ~key ~data_gb:small_gb resources
-              | Shared shared -> Shared_plan_cache.insert shared ~key ~data_gb:small_gb resources);
-              Some (resources, cost)
-        end
-    end
+                Shared_plan_cache.insert ~cost shared ~key ~data_gb:small_gb resources);
+            Some found)
 
 let counters t = t.counters
 let reset_counters t = Counters.reset t.counters

@@ -1,7 +1,7 @@
 (** The resource planner cost-based RAQO invokes per costed sub-plan: for
-    one join implementation at one data size, a search strategy (brute
-    force or hill climbing) behind an optional resource-plan cache, with
-    instrumentation. It owns both the search and the cache entry the search
+    one join implementation at one data size, a search strategy (the exact
+    grid minimum, or the paper's hill climb) behind an optional
+    resource-plan cache, with instrumentation. It owns both the search and the cache entry the search
     reads and writes, so the cache key ({!Plan_cache.key}) is exactly what
     the search reads: the cost model, the conditions and the
     implementation. *)
@@ -11,8 +11,10 @@ type strategy = Brute_force | Hill_climb
 type t
 
 (** [create ?strategy ?cache ?lookup ?counters conditions] builds a
-    planner. Defaults: hill climbing, caching enabled, exact-match lookup,
-    private counters.
+    planner. Defaults: [Brute_force] (the exact grid minimum, in closed
+    form through the kernel), caching enabled, exact-match lookup, private
+    counters. [Hill_climb] is the paper's Algorithm 1, kept for its
+    ablations (Figures 12-15).
 
     [counters] shares an existing (atomic)
     instrument — parallel randomized restarts give each restart its own
@@ -23,11 +25,12 @@ type t
     and single-domain.
 
     [kernel] (default [true]) makes {!plan} compile the cost model into a
-    {!Raqo_cost.Kernel.t} on every cache miss: grid sweeps and hill-climb
-    probes run through it — bit-identical costs, same plans, no per-point
-    feature vectors — reusing one per-planner scratch buffer across calls so
-    steady-state planning does zero grid allocation. [~kernel:false] forces
-    the scalar path everywhere (the CLI's [--no-kernel] escape hatch).
+    {!Raqo_cost.Kernel.t} on every cache miss: [Brute_force] then runs
+    {!Raqo_cost.Kernel.minimum} and [Hill_climb] probes through the kernel —
+    bit-identical costs, same plans, no per-point feature vectors and no
+    grid buffer. [~kernel:false] forces the scalar path everywhere (the
+    CLI's [--no-kernel] escape hatch): [Brute_force] then evaluates every
+    grid cell, the paper's exhaustive search, with the same answers.
 
     The private cache is unbounded, the paper's behaviour.
 
@@ -48,12 +51,6 @@ val create :
   Raqo_cluster.Conditions.t ->
   t
 
-(** [scratch t] is the planner's private kernel scratch buffer — exposed so
-    tests and benches can audit its allocation/reuse counters
-    ({!Raqo_cost.Kernel.allocs}, {!Raqo_cost.Kernel.reuses}) and prove the
-    steady state sweeps without allocating. *)
-val scratch : t -> Raqo_cost.Kernel.scratch
-
 val conditions : t -> Raqo_cluster.Conditions.t
 
 (** [with_conditions t conditions] shares the cache and counters but plans
@@ -64,8 +61,8 @@ val with_conditions : t -> Raqo_cluster.Conditions.t -> t
 
 (** [fork t] is a private copy for another domain or restart: identical
     configuration (strategy, lookup, kernel setting, conditions) and shared
-    atomic counters, but a fresh, empty, unbounded plan cache and
-    fresh kernel scratch — the two pieces of single-writer state. A planner
+    atomic counters, but a fresh, empty, unbounded plan cache — the one
+    piece of single-writer state. A planner
     created over a [shared_cache] keeps the same (synchronized) handle across
     forks — cross-query, cross-domain reuse is what the shared cache is for.
     With the default exact-match cache lookup a fork returns the same
@@ -76,15 +73,18 @@ val fork : t -> t
 (** [plan t ~model ~impl ~small_gb] returns the configuration chosen for
     running [impl] on a build side of [small_gb] GB under [model], and its
     cost; [None] when no configuration is feasible (a BHJ build side larger
-    than the biggest container allows), in which case nothing is searched
-    or counted.
+    than the grid's largest memory row allows — that row, not [max_gb],
+    when [max_gb] is off the memory grid), in which case nothing is
+    searched or counted.
 
     The climb starts from the smallest feasible configuration: BHJ is
     infeasible below a memory threshold, and a climb started below it never
-    leaves the infinite-cost plateau. On a cache hit the cached
-    configuration is re-costed with the scalar model (one evaluation,
-    bit-equal to the kernel's cost); on a miss the search runs and its
-    result is inserted. *)
+    leaves the infinite-cost plateau. An exact cache hit returns the
+    configuration and the cost stored with it — the kernel's cost, bit-equal
+    to the scalar model's — without re-costing or counting an evaluation,
+    and allocates only its answer. A nearest-neighbour or weighted-average
+    hit is re-costed with the scalar model (one evaluation). On a miss the
+    search runs and its result is inserted with its cost. *)
 val plan :
   t ->
   model:Raqo_cost.Op_cost.t ->

@@ -47,18 +47,38 @@ let locked t f =
       Mutex.unlock t.mutex;
       raise e
 
+let record_lookup t found =
+  if found then begin
+    M.Counter.inc t.hits;
+    if Raqo_obs.Obs.enabled () then M.Counter.inc t.g_hits
+  end
+  else begin
+    M.Counter.inc t.misses;
+    if Raqo_obs.Obs.enabled () then M.Counter.inc t.g_misses
+  end
+
 let find t ~key ~data_gb lookup =
   let result = locked t (fun c -> Plan_cache.find c ~key ~data_gb lookup) in
-  (match result with
-  | Some _ ->
-      M.Counter.inc t.hits;
-      if Raqo_obs.Obs.enabled () then M.Counter.inc t.g_hits
-  | None ->
-      M.Counter.inc t.misses;
-      if Raqo_obs.Obs.enabled () then M.Counter.inc t.g_misses);
+  record_lookup t (Option.is_some result);
   result
 
-let insert t ~key ~data_gb resources =
+(* The lock is taken inline rather than through [locked]: no closure, so a
+   hit allocates only its answer. *)
+let find_exact t ~model ~conditions ~impl ~data_gb =
+  Mutex.lock t.mutex;
+  let result =
+    match Plan_cache.find_exact t.cache ~model ~conditions ~impl ~data_gb with
+    | r ->
+        Mutex.unlock t.mutex;
+        r
+    | exception e ->
+        Mutex.unlock t.mutex;
+        raise e
+  in
+  record_lookup t (Option.is_some result);
+  result
+
+let insert ~cost t ~key ~data_gb resources =
   let evicted, entries =
     locked t (fun c ->
         (* An exact probe under the same lock tells overwrite from growth, so
@@ -66,7 +86,7 @@ let insert t ~key ~data_gb resources =
            neither grows the cache nor evicts). *)
         let existed = Plan_cache.find c ~key ~data_gb Plan_cache.Exact <> None in
         let before = Plan_cache.size c in
-        Plan_cache.insert c ~key ~data_gb resources;
+        Plan_cache.insert ~cost c ~key ~data_gb resources;
         let after = Plan_cache.size c in
         let grown = if existed then 0 else 1 in
         (before + grown - after, after))

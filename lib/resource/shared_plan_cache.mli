@@ -32,9 +32,23 @@ val find :
   Plan_cache.lookup ->
   Raqo_cluster.Resources.t option
 
+(** [find_exact t ~model ~conditions ~impl ~data_gb] is
+    {!Plan_cache.find_exact} under the lock: the stored configuration and
+    its stored cost, with the answer as its only allocation. Records a hit
+    or miss like {!find}. *)
+val find_exact :
+  t ->
+  model:Raqo_cost.Op_cost.t ->
+  conditions:Raqo_cluster.Conditions.t ->
+  impl:Raqo_plan.Join_impl.t ->
+  data_gb:float ->
+  (Raqo_cluster.Resources.t * float) option
+
 (** [insert t ~key ~data_gb resources] is {!Plan_cache.insert} under the
-    lock; evictions forced by the bound are counted against [t]. *)
-val insert : t -> key:Plan_cache.key -> data_gb:float -> Raqo_cluster.Resources.t -> unit
+    lock, [cost] included; evictions forced by the bound are counted
+    against [t]. *)
+val insert :
+  cost:float -> t -> key:Plan_cache.key -> data_gb:float -> Raqo_cluster.Resources.t -> unit
 
 (** [size t] is the total entry count (a consistent value only once
     concurrent writers have joined). *)

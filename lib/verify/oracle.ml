@@ -81,6 +81,82 @@ let leq a b = a <= b +. tol a b
    big instances), surfaced by the `raqo fuzz` metrics summary. *)
 let m_arms = Raqo_obs.Metrics.counter "raqo_fuzz_oracle_arms_total"
 
+(* Same configuration and the same cost bits (NaN payloads included). *)
+let same_search ((ra : Resources.t), ca) ((rb : Resources.t), cb) =
+  Resources.equal ra rb && Int64.equal (Int64.bits_of_float ca) (Int64.bits_of_float cb)
+
+(* A random coefficient vector for one join implementation, in [space],
+   with magnitudes spread over several decades and random signs. *)
+let random_linreg rng space =
+  let draw () =
+    if Rng.int rng 5 = 0 then 0.0
+    else
+      let m = Float.pow 10.0 (Rng.float_in_range rng ~lo:(-3.0) ~hi:3.0) in
+      if Rng.bool rng then m else -.m
+  in
+  Raqo_cost.Linreg.of_coefficients ~intercept:(draw ())
+    (Array.init (Raqo_cost.Feature.dims space) (fun _ -> draw ()))
+
+let random_model rng =
+  let space = if Rng.bool rng then Raqo_cost.Feature.Paper else Raqo_cost.Feature.Extended in
+  let m =
+    {
+      Op_cost.paper with
+      space;
+      smj = random_linreg rng space;
+      bhj = random_linreg rng space;
+      scan = random_linreg rng space;
+    }
+  in
+  if Rng.bool rng then Op_cost.with_floor (Rng.float_in_range rng ~lo:0.001 ~hi:50.0) m else m
+
+(* The closed-form grid minimum against the exhaustive scalar scan, on grids
+   the fixed arms never see: quarter-, half- and 4-GB memory steps (the last
+   one ragged against [max_gb]), container steps 1-7 from a minimum above 1,
+   and the paper (bare and floored), Hive, Spark and random models. *)
+let closed_form_arm seed =
+  let rng = Rng.create ((seed * 7_919) + 3) in
+  let diags = ref [] in
+  for _ = 1 to 6 do
+    let gb_step = Rng.pick rng [| 0.25; 0.5; 1.0; 4.0 |] in
+    let min_gb = Rng.pick rng [| 0.5; 1.0; 2.0 |] in
+    let min_containers = 1 + Rng.int rng 4 in
+    let c =
+      Conditions.make ~min_containers
+        ~max_containers:(min_containers + Rng.int rng 80)
+        ~container_step:(1 + Rng.int rng 7) ~min_gb
+        ~max_gb:(min_gb +. Rng.float_in_range rng ~lo:0.0 ~hi:12.0)
+        ~gb_step ()
+    in
+    let name, m =
+      match Rng.int rng 5 with
+      | 0 -> ("paper", Op_cost.paper)
+      | 1 -> ("floored", model)
+      | 2 -> ("hive", Raqo.Models.hive ())
+      | 3 -> ("spark", Raqo.Models.spark ())
+      | _ -> ("random", random_model rng)
+    in
+    let small_gb = Float.pow 10.0 (Rng.float_in_range rng ~lo:(-3.0) ~hi:2.0) in
+    List.iter
+      (fun impl ->
+        let kernel = Raqo_cost.Kernel.make m impl ~small_gb in
+        let closed = Brute_force.search_kernel c ~kernel in
+        let scanned =
+          Brute_force.search c (fun r -> Op_cost.predict_exn m impl ~small_gb ~resources:r)
+        in
+        if not (same_search closed scanned) then
+          diags :=
+            D.v ~invariant:"oracle/kernel-minimum-random"
+              "closed-form minimum diverged: %s model, %s at %h GB on %s: %s at %h vs %s at %h"
+              name (Join_impl.to_string impl) small_gb
+              (Format.asprintf "%a" Conditions.pp c)
+              (Resources.to_string (fst closed)) (snd closed)
+              (Resources.to_string (fst scanned)) (snd scanned)
+            :: !diags)
+      Join_impl.all
+  done;
+  List.rev !diags
+
 let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
   let diags = ref [] in
   let add ds = diags := !diags @ ds in
@@ -251,11 +327,11 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
   (* ------------------------------------------------ compiled cost kernels *)
   (* The kernel path must be bit-identical to the scalar oracle baseline —
      same floats at every grid point, same winners and tie-breaks from every
-     search, same evaluation counts — across both join implementations, a
-     spread of build-side sizes (feasible everywhere, partially feasible, and
-     all-infeasible for BHJ), and both feature spaces: the paper-space oracle
-     model and the trained extended-space model the server plans with. *)
-  let scratch = Raqo_cost.Kernel.create_scratch () in
+     search, the climb's evaluation counts — across both join
+     implementations, a spread of build-side sizes (feasible everywhere,
+     partially feasible, and all-infeasible for BHJ), and both feature
+     spaces: the paper-space oracle model and the trained extended-space
+     model the server plans with. *)
   let kernel_arms (space, model) =
     List.iter
       (fun impl ->
@@ -276,20 +352,21 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
                         space (Join_impl.to_string impl) small_gb r.Resources.containers
                         r.Resources.container_gb k s ])
               (Conditions.all_configs conditions);
-            (* Exhaustive sweep vs scalar scan: identical tuple and counts. *)
-            let kc = Counters.create () and sc = Counters.create () in
-            let swept = Brute_force.search_kernel ~counters:kc conditions ~kernel ~scratch in
-            let scanned = Brute_force.search ~counters:sc conditions cost in
-            if swept <> scanned then
+            (* Closed-form minimum vs the exhaustive scalar scan: the same
+               cell and cost bits, from no more evaluations than the grid. *)
+            let kc = Counters.create () in
+            let closed = Brute_force.search_kernel ~counters:kc conditions ~kernel in
+            let scanned = Brute_force.search conditions cost in
+            if not (same_search closed scanned) then
               add
-                [ D.v ~invariant:"oracle/kernel-sweep-vs-scalar"
-                    "%s-space kernel grid sweep diverged for %s at %.2f GB (%.6f vs %.6f)"
-                    space (Join_impl.to_string impl) small_gb (snd swept) (snd scanned) ];
-            if Counters.cost_evaluations kc <> Counters.cost_evaluations sc then
+                [ D.v ~invariant:"oracle/kernel-minimum-vs-scalar"
+                    "%s-space closed-form minimum diverged for %s at %.2f GB (%h vs %h)"
+                    space (Join_impl.to_string impl) small_gb (snd closed) (snd scanned) ];
+            if Counters.cost_evaluations kc > Conditions.n_configs conditions then
               add
-                [ D.v ~invariant:"oracle/kernel-sweep-evals"
-                    "%s-space kernel sweep counted %d evaluations, scalar %d, for %s at %.2f GB"
-                    space (Counters.cost_evaluations kc) (Counters.cost_evaluations sc)
+                [ D.v ~invariant:"oracle/kernel-minimum-evals"
+                    "%s-space closed form counted %d evaluations on a %d-cell grid, for %s at %.2f GB"
+                    space (Counters.cost_evaluations kc) (Conditions.n_configs conditions)
                     (Join_impl.to_string impl) small_gb ];
             (* Hill climbing probes through the kernel must trace the same
                trajectory: same optimum, same cost, same evaluations. *)
@@ -315,7 +392,9 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
           [ 0.1; 1.0; 3.0; 8.0; 25.0 ])
       Join_impl.all;
     (* Joint planning with kernels on must be bit-identical to kernels off —
-       plans, costs, and instrumentation — under both search strategies. *)
+       plans and costs under both search strategies, and the climb's
+       instrumentation too (the closed form makes fewer evaluations than the
+       exhaustive scalar scan by design). *)
     List.iter
       (fun (label, strategy) ->
         let run kernel =
@@ -326,7 +405,14 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
           (result, Counters.cost_evaluations counters, Counters.planner_invocations counters)
         in
         let on = run true and off = run false in
-        if on <> off then
+        let same =
+          match strategy with
+          | Resource_planner.Hill_climb -> on = off
+          | Resource_planner.Brute_force ->
+              let (r_on, _, i_on) = on and (r_off, _, i_off) = off in
+              r_on = r_off && i_on = i_off
+        in
+        if not same then
           add
             [ D.v ~invariant:"oracle/kernel-joint-vs-scalar"
                 "kernelised joint planning (%s, %s space) diverged from the scalar path" label
@@ -334,6 +420,7 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
       [ ("bf", Resource_planner.Brute_force); ("hc", Resource_planner.Hill_climb) ]
   in
   List.iter kernel_arms [ ("paper", model); ("extended", extended_model ()) ];
+  add (closed_form_arm t.seed);
 
   (* Resource-plan cache answers must stay within their lookup radius and
      reproduce the stored entries (exercises every lookup policy against the

@@ -391,18 +391,6 @@ let test_kernel_sweep_rejects_small_buffer () =
     (Invalid_argument "Kernel.sweep: scratch buffer too small") (fun () ->
       Kernel.sweep k c (Array.make (Conditions.n_configs c - 1) 0.0))
 
-let test_kernel_scratch_reuse_accounting () =
-  let s = Kernel.create_scratch () in
-  Alcotest.(check int) "fresh scratch never allocated" 0 (Kernel.allocs s);
-  Kernel.ensure s 100;
-  Kernel.ensure s 60;
-  Kernel.ensure s 100;
-  Alcotest.(check int) "one growth" 1 (Kernel.allocs s);
-  Alcotest.(check int) "two reuses" 2 (Kernel.reuses s);
-  Kernel.ensure s 101;
-  Alcotest.(check int) "regrowth counted" 2 (Kernel.allocs s);
-  Alcotest.(check bool) "buffer large enough" true (Array.length (Kernel.buffer s) >= 101)
-
 let test_kernel_sweep_allocation_free () =
   (* The acceptance criterion's allocation probe: a warm sweep over a 60x60
      grid must allocate nothing (the scalar path allocates a feature vector
@@ -412,9 +400,7 @@ let test_kernel_sweep_allocation_free () =
       ~max_gb:60.0 ~gb_step:1.0 ()
   in
   let k = Kernel.make floored Join_impl.Bhj ~small_gb:12.5 in
-  let s = Kernel.create_scratch () in
-  Kernel.ensure s (Conditions.n_configs c);
-  let buf = Kernel.buffer s in
+  let buf = Array.make (Conditions.n_configs c) 0.0 in
   Kernel.sweep k c buf;
   let w0 = Gc.minor_words () in
   Kernel.sweep k c buf;
@@ -532,8 +518,6 @@ let () =
             test_kernel_predict_bhj_cliff;
           Alcotest.test_case "rejects undersized buffers" `Quick
             test_kernel_sweep_rejects_small_buffer;
-          Alcotest.test_case "scratch reuse accounting" `Quick
-            test_kernel_scratch_reuse_accounting;
           Alcotest.test_case "warm sweep allocates nothing" `Quick
             test_kernel_sweep_allocation_free;
           Alcotest.test_case "climb allocation is flat in its length" `Quick

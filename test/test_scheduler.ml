@@ -376,9 +376,7 @@ let test_kernel_sweep_allocation_free_in_pool () =
     let k =
       Raqo_cost.Kernel.make floored Raqo_plan.Join_impl.Bhj ~small_gb:12.5
     in
-    let s = Raqo_cost.Kernel.create_scratch () in
-    Raqo_cost.Kernel.ensure s (Conditions.n_configs c);
-    let buf = Raqo_cost.Kernel.buffer s in
+    let buf = Array.make (Conditions.n_configs c) 0.0 in
     Raqo_cost.Kernel.sweep k c buf;
     let w0 = Gc.minor_words () in
     Raqo_cost.Kernel.sweep k c buf;
