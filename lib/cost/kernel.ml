@@ -113,6 +113,26 @@ let[@inline] cost_at t ~nc ~cs =
     if k.floor > 0.0 && c <= k.floor then k.floor else c
   end
 
+(* [cost_at] on a feasible row whose prefix [row_acc] (the first four
+   additions of the chain) and [ss/cs] term are hoisted, as in [sweep]: the
+   same operations on the same operands, so the same bits. *)
+let[@inline] row_cost t ~row_acc ~row_ss_cs ~cs ~nc =
+  let k = t.k in
+  let acc = row_acc +. (k.b_nc *. nc) +. (k.b_nc2 *. (nc *. nc)) +. (k.b_csnc *. (cs *. nc)) in
+  let acc =
+    if t.extended then begin
+      let ss = k.small_gb in
+      acc
+      +. (k.b_inv_nc *. (1.0 /. nc))
+      +. (k.b_ss_nc *. (ss /. nc))
+      +. (k.b_ss_x_nc *. (ss *. nc))
+      +. row_ss_cs
+    end
+    else acc
+  in
+  let c = k.intercept +. acc in
+  if k.floor > 0.0 && c <= k.floor then k.floor else c
+
 let predict t ~containers ~container_gb =
   cost_at t ~nc:(float_of_int containers) ~cs:container_gb
 
@@ -312,28 +332,13 @@ let[@inline] rising_crossing cond ~b ~c ~d lo hi =
   done;
   !lo
 
-(* Candidate slot [q] of a row: its two ends and the two brackets. -1 when
-   the slot is empty. *)
-let[@inline] candidate ~kb ~sb ~n q =
-  match q with
-  | 0 -> 0
-  | 1 -> kb
-  | 2 -> if kb < 0 then -1 else kb + 1
-  | 3 -> sb
-  | 4 -> if sb < 0 then -1 else sb + 1
-  | _ -> n - 1
+(* Candidate slot [q] of a row: its start, the two cells of each bracket,
+   and its end; -1 when the slot is empty or repeats an earlier one. *)
+let[@inline] slot ~s1 ~s2 ~s3 ~s4 ~s5 q =
+  match q with 0 -> 0 | 1 -> s1 | 2 -> s2 | 3 -> s3 | 4 -> s4 | _ -> s5
 
-let[@inline] is_candidate ~kb ~sb ~n i =
-  i = 0 || i = n - 1 || (kb >= 0 && (i = kb || i = kb + 1)) || (sb >= 0 && (i = sb || i = sb + 1))
-
-(* Slot [q] holds a cell no earlier slot holds. *)
-let[@inline] fresh_slot ~kb ~sb ~n q =
-  let c = candidate ~kb ~sb ~n q in
-  let fresh = ref (c >= 0) in
-  for r = 0 to q - 1 do
-    if candidate ~kb ~sb ~n r = c then fresh := false
-  done;
-  !fresh
+let[@inline] is_candidate ~s1 ~s2 ~s3 ~s4 ~s5 i =
+  i = 0 || i = s1 || i = s2 || i = s3 || i = s4 || i = s5
 
 (* [g] may still compute at or below [best]: inside the rounding band, the
    band's own rounding included. *)
@@ -402,6 +407,7 @@ let minimum t (cond : Conditions.t) =
       end
       else begin
         let row_ss_cs = ext_on t (k.b_ss_cs *. (ss /. cs)) in
+        let row_acc = k.acc0 +. (k.b_cs *. cs) +. (k.b_cs2 *. (cs *. cs)) in
         let a =
           k.intercept +. (k.acc0 +. (k.b_cs *. cs) +. (k.b_cs2 *. (cs *. cs)) +. row_ss_cs)
         in
@@ -468,16 +474,24 @@ let minimum t (cond : Conditions.t) =
              && slope_poly ~b ~c ~d (grid_nc cond hi) > 0.0
           then kb := rising_crossing cond ~b ~c ~d lo hi
         end;
+        (* The distinct candidate cells, in slot order. *)
         let kb = !kb and sb = !sb in
+        let s1 = if kb > 0 then kb else -1 in
+        let s2 = if kb >= 0 then kb + 1 else -1 in
+        let s3 = if sb > 0 && sb <> s1 && sb <> s2 then sb else -1 in
+        let s4 = if sb >= 0 && sb + 1 <> s1 && sb + 1 <> s2 then sb + 1 else -1 in
+        let last = n - 1 in
+        let s5 =
+          if last > 0 && last <> s1 && last <> s2 && last <> s3 && last <> s4 then last else -1
+        in
         (* Pass 1: every distinct candidate, unless the row's first cell is
            already on the floor. *)
         let g0 = ref 0.0 and g1 = ref 0.0 and g2 = ref 0.0 in
         let g3 = ref 0.0 and g4 = ref 0.0 and g5 = ref 0.0 in
         for q = 0 to 5 do
-          if fresh_slot ~kb ~sb ~n q && not (floored && !best = floor && !best_idx = base)
-          then begin
-            let i = candidate ~kb ~sb ~n q in
-            let g = cost_at t ~nc:(grid_nc cond i) ~cs in
+          let i = slot ~s1 ~s2 ~s3 ~s4 ~s5 q in
+          if i >= 0 && not (floored && !best = floor && !best_idx = base) then begin
+            let g = row_cost t ~row_acc ~row_ss_cs ~cs ~nc:(grid_nc cond i) in
             incr evaluations;
             if g < !best || (g = !best && base + i < !best_idx) then begin
               best := g;
@@ -499,20 +513,21 @@ let minimum t (cond : Conditions.t) =
         let first_floor = if on_floor then !best_idx - base else n in
         (* Pass 2: walk out from every candidate inside the band. *)
         for q = 0 to 5 do
-          let c = candidate ~kb ~sb ~n q in
+          let c = slot ~s1 ~s2 ~s3 ~s4 ~s5 q in
           let gq =
             match q with 0 -> !g0 | 1 -> !g1 | 2 -> !g2 | 3 -> !g3 | 4 -> !g4 | _ -> !g5
           in
-          if c < first_floor && fresh_slot ~kb ~sb ~n q && within_band ~band !best gq then
+          if c >= 0 && c < first_floor && within_band ~band !best gq then
             for side = 0 to 1 do
               let dir = if side = 0 then -1 else 1 in
               let i = ref (c + dir) and walking = ref true in
               while !walking do
                 let ii = !i in
-                if ii < 0 || ii >= first_floor || ii >= n || is_candidate ~kb ~sb ~n ii then
+                if ii < 0 || ii >= first_floor || ii >= n || is_candidate ~s1 ~s2 ~s3 ~s4 ~s5 ii
+                then
                   walking := false
                 else begin
-                  let g = cost_at t ~nc:(grid_nc cond ii) ~cs in
+                  let g = row_cost t ~row_acc ~row_ss_cs ~cs ~nc:(grid_nc cond ii) in
                   incr evaluations;
                   if g < !best || (g = !best && base + ii < !best_idx) then begin
                     best := g;
@@ -530,7 +545,7 @@ let minimum t (cond : Conditions.t) =
           (* The candidate just before the first floor candidate. *)
           let prev = ref 0 in
           for q = 0 to 5 do
-            let c = candidate ~kb ~sb ~n q in
+            let c = slot ~s1 ~s2 ~s3 ~s4 ~s5 q in
             if c < first_floor && c > !prev then prev := c
           done;
           let prev = !prev in
@@ -545,7 +560,7 @@ let minimum t (cond : Conditions.t) =
             (* Forward from the predicted edge to the first floor cell ... *)
             let i = ref !hi and found = ref false in
             while (not !found) && !i < first_floor do
-              let g = cost_at t ~nc:(grid_nc cond !i) ~cs in
+              let g = row_cost t ~row_acc ~row_ss_cs ~cs ~nc:(grid_nc cond !i) in
               incr evaluations;
               if g = floor then found := true else incr i
             done;
@@ -555,7 +570,7 @@ let minimum t (cond : Conditions.t) =
             while !walking do
               if !i <= prev then walking := false
               else begin
-                let g = cost_at t ~nc:(grid_nc cond !i) ~cs in
+                let g = row_cost t ~row_acc ~row_ss_cs ~cs ~nc:(grid_nc cond !i) in
                 incr evaluations;
                 if g = floor && base + !i < !best_idx then best_idx := base + !i;
                 if within_band ~band floor g then decr i else walking := false
