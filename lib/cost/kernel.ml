@@ -11,9 +11,9 @@ module Conditions = Raqo_cluster.Conditions
    [| 1./.nc; ss/.nc; ss*.nc; ss/.cs |] in the extended space (Linalg.dot is
    a left-to-right fold seeded at 0.). Float addition is not associative, but
    hoisting a *prefix* of a left-to-right chain preserves the parse tree:
-   acc0 below is the first two additions, row_acc the next two, and the inner
-   loop finishes the chain — the grouping is unchanged, so every intermediate
-   is the same IEEE double the scalar path produces. The extended terms come
+   acc0 below is the first two additions, [row_prefix] the next two, and
+   [row_cost] finishes the chain — the grouping is unchanged, so every
+   intermediate is the same IEEE double the scalar path produces. The extended terms come
    last in the chain, so they are added after [cs*nc] even when (like
    [ss/cs]) their value depends on the row only; each quotient is computed
    as written, never as a reciprocal multiply. *)
@@ -82,40 +82,18 @@ let make (model : Op_cost.t) impl ~small_gb =
 let impl t = t.impl
 let small_gb t = t.k.small_gb
 
-(* One grid point, call-free so that [climb] below keeps every intermediate
-   unboxed once this is inlined into it. The manual floor clamp returns the
-   same double as [Float.max floor c] for floor > 0. (finite, nonzero), NaN
-   included. *)
-let[@inline] cost_at t ~nc ~cs =
-  let k = t.k in
-  if t.bhj && not (k.small_gb <= k.oom_headroom *. cs) then Float.infinity
-  else begin
-    let acc =
-      k.acc0
-      +. (k.b_cs *. cs)
-      +. (k.b_cs2 *. (cs *. cs))
-      +. (k.b_nc *. nc)
-      +. (k.b_nc2 *. (nc *. nc))
-      +. (k.b_csnc *. (cs *. nc))
-    in
-    let acc =
-      if t.extended then begin
-        let ss = k.small_gb in
-        acc
-        +. (k.b_inv_nc *. (1.0 /. nc))
-        +. (k.b_ss_nc *. (ss /. nc))
-        +. (k.b_ss_x_nc *. (ss *. nc))
-        +. (k.b_ss_cs *. (ss /. cs))
-      end
-      else acc
-    in
-    let c = k.intercept +. acc in
-    if k.floor > 0.0 && c <= k.floor then k.floor else c
-  end
+(* The chain, written once. A memory row hoists its prefix (the first four
+   additions) and its [ss/cs] term, whose addition stays last in the chain;
+   [row_cost] finishes the chain for one cell of a feasible row, so a
+   hoisting caller performs the same operations on the same operands as
+   [cost_at] and gets the same bits. Everything here is inlined, so [climb],
+   [sweep] and [minimum] keep every intermediate unboxed. The manual floor
+   clamp returns the same double as [Float.max floor c] for floor > 0.
+   (finite, nonzero), NaN included. *)
+let[@inline] below_cut t ~cs = t.bhj && not (t.k.small_gb <= t.k.oom_headroom *. cs)
+let[@inline] row_prefix t ~cs = t.k.acc0 +. (t.k.b_cs *. cs) +. (t.k.b_cs2 *. (cs *. cs))
+let[@inline] row_ss_cs t ~cs = if t.extended then t.k.b_ss_cs *. (t.k.small_gb /. cs) else 0.0
 
-(* [cost_at] on a feasible row whose prefix [row_acc] (the first four
-   additions of the chain) and [ss/cs] term are hoisted, as in [sweep]: the
-   same operations on the same operands, so the same bits. *)
 let[@inline] row_cost t ~row_acc ~row_ss_cs ~cs ~nc =
   let k = t.k in
   let acc = row_acc +. (k.b_nc *. nc) +. (k.b_nc2 *. (nc *. nc)) +. (k.b_csnc *. (cs *. nc)) in
@@ -132,6 +110,11 @@ let[@inline] row_cost t ~row_acc ~row_ss_cs ~cs ~nc =
   in
   let c = k.intercept +. acc in
   if k.floor > 0.0 && c <= k.floor then k.floor else c
+
+(* One grid point. *)
+let[@inline] cost_at t ~nc ~cs =
+  if below_cut t ~cs then Float.infinity
+  else row_cost t ~row_acc:(row_prefix t ~cs) ~row_ss_cs:(row_ss_cs t ~cs) ~cs ~nc
 
 let predict t ~containers ~container_gb =
   cost_at t ~nc:(float_of_int containers) ~cs:container_gb
@@ -226,42 +209,18 @@ let sweep t (c : Conditions.t) buf =
       Raqo_obs.Trace.start "kernel/sweep"
     end
   in
-  (* Local unboxed copies: the inner loop is pure float arithmetic into a
-     float array, no allocation. *)
-  let k = t.k in
-  let acc0 = k.acc0 in
-  let b_cs = k.b_cs and b_cs2 = k.b_cs2 in
-  let b_nc = k.b_nc and b_nc2 = k.b_nc2 and b_csnc = k.b_csnc in
-  let b_inv_nc = k.b_inv_nc and b_ss_nc = k.b_ss_nc and b_ss_x_nc = k.b_ss_x_nc in
-  let intercept = k.intercept and floor = k.floor in
-  let is_bhj = t.bhj and extended = t.extended in
-  let headroom = k.oom_headroom and small = k.small_gb in
+  (* The inner loop is inlined float arithmetic into a float array: no
+     allocation. *)
   let min_containers = c.Conditions.min_containers and cstep = c.Conditions.container_step in
   for j = 0 to ngb - 1 do
     let cs = c.Conditions.min_gb +. (float_of_int j *. c.Conditions.gb_step) in
     let base = j * nc_steps in
-    if is_bhj && not (small <= headroom *. cs) then
-      Array.fill buf base nc_steps Float.infinity
+    if below_cut t ~cs then Array.fill buf base nc_steps Float.infinity
     else begin
-      let row_acc = acc0 +. (b_cs *. cs) +. (b_cs2 *. (cs *. cs)) in
-      (* The ss/cs term's value is per row; its addition stays last. *)
-      let row_ss_cs = k.b_ss_cs *. (small /. cs) in
+      let row_acc = row_prefix t ~cs and row_ss_cs = row_ss_cs t ~cs in
       for i = 0 to nc_steps - 1 do
         let nc = float_of_int (min_containers + (i * cstep)) in
-        let acc = row_acc +. (b_nc *. nc) +. (b_nc2 *. (nc *. nc)) +. (b_csnc *. (cs *. nc)) in
-        let acc =
-          if extended then
-            acc
-            +. (b_inv_nc *. (1.0 /. nc))
-            +. (b_ss_nc *. (small /. nc))
-            +. (b_ss_x_nc *. (small *. nc))
-            +. row_ss_cs
-          else acc
-        in
-        let cost = intercept +. acc in
-        (* Manual Float.max keeps the loop call-free; for floor > 0. (finite,
-           nonzero) the branch returns the same double, NaN included. *)
-        buf.(base + i) <- (if floor > 0.0 && cost <= floor then floor else cost)
+        buf.(base + i) <- row_cost t ~row_acc ~row_ss_cs ~cs ~nc
       done
     end
   done;
@@ -301,13 +260,13 @@ let sweep t (c : Conditions.t) buf =
 
    A kernel whose terms could overflow (or are NaN) anywhere on the grid is
    not solved: every row is swept in order with the sweep's exact argmin
-   scan, NaN behaviour included, and those rows are counted. *)
+   scan, NaN behaviour included, and the result says so. *)
 
 type minimum = {
   best : Resources.t;
   cost : float;
   evaluations : int;
-  swept_rows : int;
+  swept : bool;
 }
 
 let m_swept_rows = Raqo_obs.Metrics.counter "raqo_kernel_swept_rows_total"
@@ -369,9 +328,9 @@ let minimum t (cond : Conditions.t) =
          +. (Float.abs k.b_ss_cs *. ass /. cs0))
     +. (csn *. xn) +. (csn *. csn) +. (ass *. xn) +. (ass *. ass) +. (ass /. cs0)
   in
-  let evaluations = ref 0 and swept_rows = ref 0 in
+  let evaluations = ref 0 and swept = not (guard < 1e300) in
   let best = ref Float.infinity and best_idx = ref 0 in
-  if not (guard < 1e300) then begin
+  if swept then begin
     (* The sweep's argmin scan, cell by cell in sweep order. *)
     for j = 0 to ngb - 1 do
       let cs = cs0 +. (float_of_int j *. cond.Conditions.gb_step) in
@@ -383,8 +342,7 @@ let minimum t (cond : Conditions.t) =
         end
       done
     done;
-    evaluations := n * ngb;
-    swept_rows := ngb
+    evaluations := n * ngb
   end
   else begin
     (* No term depends on nc: every cell of a row computes the same bits. *)
@@ -396,7 +354,7 @@ let minimum t (cond : Conditions.t) =
     while !j < ngb do
       let cs = cs0 +. (float_of_int !j *. cond.Conditions.gb_step) in
       let base = !j * n in
-      if t.bhj && not (k.small_gb <= k.oom_headroom *. cs) then () (* below the OOM cut *)
+      if below_cut t ~cs then () (* below the OOM cut *)
       else if flat then begin
         let g = cost_at t ~nc:x0 ~cs in
         incr evaluations;
@@ -406,11 +364,8 @@ let minimum t (cond : Conditions.t) =
         end
       end
       else begin
-        let row_ss_cs = ext_on t (k.b_ss_cs *. (ss /. cs)) in
-        let row_acc = k.acc0 +. (k.b_cs *. cs) +. (k.b_cs2 *. (cs *. cs)) in
-        let a =
-          k.intercept +. (k.acc0 +. (k.b_cs *. cs) +. (k.b_cs2 *. (cs *. cs)) +. row_ss_cs)
-        in
+        let row_acc = row_prefix t ~cs and row_ss_cs = row_ss_cs t ~cs in
+        let a = k.intercept +. (row_acc +. row_ss_cs) in
         let b = k.b_nc +. (k.b_csnc *. cs) +. ext_on t (k.b_ss_x_nc *. ss) in
         let c = k.b_nc2 in
         let d = ext_on t (k.b_inv_nc +. (k.b_ss_nc *. ss)) in
@@ -582,8 +537,7 @@ let minimum t (cond : Conditions.t) =
       if floored && !best = floor then j := ngb else incr j
     done
   end;
-  if !swept_rows > 0 && Raqo_obs.Obs.enabled () then
-    Raqo_obs.Metrics.Counter.add m_swept_rows !swept_rows;
+  if swept && Raqo_obs.Obs.enabled () then Raqo_obs.Metrics.Counter.add m_swept_rows ngb;
   let i = !best_idx mod n and j = !best_idx / n in
   {
     best =
@@ -592,5 +546,5 @@ let minimum t (cond : Conditions.t) =
         ~container_gb:(cs0 +. (float_of_int j *. cond.Conditions.gb_step));
     cost = !best;
     evaluations = !evaluations;
-    swept_rows = !swept_rows;
+    swept;
   }

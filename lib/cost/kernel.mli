@@ -73,13 +73,13 @@ val climb : t -> Raqo_cluster.Conditions.t -> start:Raqo_cluster.Resources.t -> 
 val sweep : t -> Raqo_cluster.Conditions.t -> float array -> unit
 
 (** The outcome of one {!minimum}: the grid's cheapest cell, its cost, how
-    many cells were costed, and how many memory rows were swept cell by cell
-    because the closed form could not settle them. *)
+    many cells were costed, and whether the grid was swept cell by cell
+    because the closed form could not settle it. *)
 type minimum = {
   best : Raqo_cluster.Resources.t;
   cost : float;
   evaluations : int;
-  swept_rows : int;
+  swept : bool;
 }
 
 (** [minimum t conditions] is the exact grid minimum: the same cell
@@ -96,9 +96,9 @@ type minimum = {
     the BHJ OOM cut are skipped. The first row whose minimum is the model's
     floor ends the search at its first floor cell, located from a root of
     [c*nc^3 + b*nc^2 + (a - floor)*nc + d]. A kernel whose terms could
-    overflow (or are NaN) is swept row by row instead, and those rows are
-    counted in [swept_rows] (and in [raqo_kernel_swept_rows_total] when
-    observability is on).
+    overflow (or are NaN) is swept row by row instead: [swept] is set, and
+    its rows are counted in [raqo_kernel_swept_rows_total] when
+    observability is on.
 
     A warm search allocates its result only. *)
 val minimum : t -> Raqo_cluster.Conditions.t -> minimum

@@ -41,93 +41,40 @@ let pick_cheaper a b =
 let finite_choice impl resources cost =
   if Float.is_finite cost then Some { impl; resources; cost } else None
 
-(* A relation name's hash over its characters, without a C call. *)
-let hash_name h name =
-  let h = ref h in
-  for i = 0 to String.length name - 1 do
-    h := (!h * 31) + Char.code (String.unsafe_get name i)
-  done;
-  !h
-
-module Name_index = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash name = hash_name 0 name land max_int
-end)
-
-(* A set of relations as two bitmask words: bit [i mod 62] of word [i / 62]
-   for the relation numbered [i]. *)
-module Mask = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (a : t) b = a.(0) = b.(0) && a.(1) = b.(1)
-  let hash (a : t) = ((a.(0) * 65599) + a.(1)) land max_int
-end)
-
-(* Sorted name lists: the key of sets with a repeated name or a relation
-   numbered past the two words. *)
-module Name_list = Hashtbl.Make (struct
+(* Sorted name lists, hashed over every character of every name: the
+   polymorphic hash would look at only the first few names of a long list. *)
+module Names = Hashtbl.Make (struct
   type t = string list
 
   let equal = List.equal String.equal
-  let hash names = List.fold_left (fun h name -> (hash_name h name * 31) + 1) 0 names land max_int
-end)
 
-(* Sets the bit of every name in [mask], numbering names as first seen;
-   false at a repeated name or one numbered 124 or above. *)
-let rec fill_mask index mask = function
-  | [] -> true
-  | name :: rest ->
-      let i =
-        match Name_index.find_opt index name with
-        | Some i -> i
-        | None ->
-            let i = Name_index.length index in
-            Name_index.add index name i;
-            i
-      in
-      i < 124
-      &&
-      let w = i / 62 and bit = 1 lsl (i mod 62) in
-      let word = mask.(w) in
-      word land bit = 0
-      && begin
-           mask.(w) <- word lor bit;
-           fill_mask index mask rest
-         end
+  let rec hash_from h = function
+    | [] -> h land max_int
+    | name :: rest ->
+        let h = ref ((h * 31) + 1) in
+        for i = 0 to String.length name - 1 do
+          h := (!h * 31) + Char.code (String.unsafe_get name i)
+        done;
+        hash_from !h rest
+
+  let hash names = hash_from 0 names
+end)
 
 (* Randomized planners re-cost near-identical subtrees thousands of times;
    cache intermediate-result sizes per relation set (statistics caching,
-   as production optimizers do). A set of distinct relations is keyed by its
-   bitmask (the string seam plans up to 100 relations): one table probe per
-   name, no sort, and a key of two words. Anything else is keyed by its name
-   list sorted with [String.compare]. Either key is exact. A miss sizes the
-   names in the order given, as it always has, so every size is the same
-   float. *)
+   as production optimizers do), keyed by the set's names sorted with
+   [String.compare]: exact, and no string is built. A miss sizes the names
+   in the order given, as it always has, so every size is the same float. *)
 let memoized_size schema =
-  let index = Name_index.create 16 in
-  let by_mask = Mask.create 512 and by_names = Name_list.create 16 in
-  let size_of names = Schema.join_size_gb schema names in
+  let sizes = Names.create 512 in
   fun names ->
-    let mask = [| 0; 0 |] in
-    if fill_mask index mask names then begin
-      match Mask.find_opt by_mask mask with
-      | Some s -> s
-      | None ->
-          let s = size_of names in
-          Mask.add by_mask mask s;
-          s
-    end
-    else begin
-      let key = List.sort String.compare names in
-      match Name_list.find_opt by_names key with
-      | Some s -> s
-      | None ->
-          let s = size_of names in
-          Name_list.add by_names key s;
-          s
-    end
+    let key = List.sort String.compare names in
+    match Names.find_opt sizes key with
+    | Some s -> s
+    | None ->
+        let s = Schema.join_size_gb schema names in
+        Names.add sizes key s;
+        s
 
 let fixed model schema resources =
   let size = memoized_size schema in

@@ -14,17 +14,30 @@ type lookup = Exact | Nearest_neighbor of float | Weighted_average of float
    index slot, beside its configuration. Eviction scans the indexes for the
    oldest stamp — O(size), which the batch and server bounds keep small —
    and unbounded caches (the paper's behaviour) never stamp. *)
+module Configs = Hashtbl.Make (struct
+  type t = Resources.t
+
+  let equal = Resources.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Entries far outnumber the configurations they hold (a grid has at most
+   a few thousand cells, and most searches end on a handful of them), so
+   [configs] keeps one copy of each configuration stored, shared by every
+   entry that holds it. Evicted configurations stay: at most one per grid
+   cell seen. *)
 type t = {
   mutable slots : (key * Resources.t Ordered_index.t) array;
   capacity : int option;
   mutable clock : int;
+  configs : Resources.t Configs.t;
 }
 
 let create ?capacity () =
   (match capacity with
   | Some c when c < 1 -> invalid_arg "Plan_cache.create: capacity must be >= 1"
   | Some _ | None -> ());
-  { slots = [||]; capacity; clock = 0 }
+  { slots = [||]; capacity; clock = 0; configs = Configs.create 64 }
 
 (* The slot holding the key with these fields, or -1. A loop, not a local
    closure: an exact hit allocates only its answer. *)
@@ -51,18 +64,18 @@ let touch t idx data_gb =
    that should be equal often differ in the last few ulps. *)
 let exact_epsilon ~data_gb = 1e-9 *. Float.max 1.0 (Float.abs data_gb)
 
+(* The entry at exactly [data_gb] and its stored cost. *)
+let find_costed t idx ~data_gb =
+  let found = Ordered_index.find_costed idx data_gb in
+  if Option.is_some found then touch t idx data_gb;
+  found
+
 (* Lookups touch every entry they consult, so an entry that keeps answering
    nearest-neighbor or weighted-average probes stays warm even if its exact
    key is never queried. *)
 let find_in_index t idx ~data_gb lookup =
   match lookup with
-  | Exact -> begin
-      match Ordered_index.find_exact idx data_gb with
-      | Some plan ->
-          touch t idx data_gb;
-          Some plan
-      | None -> None
-    end
+  | Exact -> Option.map fst (find_costed t idx ~data_gb)
   | Nearest_neighbor threshold -> begin
       (* Predecessor/successor probes, not a linear fold over the whole
          radius band; same answer, ties to the lower key either way. *)
@@ -118,11 +131,7 @@ let find ?counters t ~key ~data_gb lookup =
 let find_exact t ~model ~conditions ~impl ~data_gb =
   match slot_of t ~model ~conditions ~impl with
   | -1 -> None
-  | i ->
-      let idx = snd t.slots.(i) in
-      let found = Ordered_index.find_costed idx data_gb in
-      if Option.is_some found then touch t idx data_gb;
-      found
+  | i -> find_costed t (snd t.slots.(i)) ~data_gb
 
 let size t = Array.fold_left (fun acc (_, idx) -> acc + Ordered_index.size idx) 0 t.slots
 
@@ -154,6 +163,13 @@ let insert ?counters ~cost t ~key ~data_gb resources =
         idx
     | i -> snd t.slots.(i)
   in
+  let resources =
+    match Configs.find_opt t.configs resources with
+    | Some shared -> shared
+    | None ->
+        Configs.add t.configs resources resources;
+        resources
+  in
   match t.capacity with
   | None -> Ordered_index.insert ~cost idx data_gb resources
   | Some cap ->
@@ -165,6 +181,7 @@ let insert ?counters ~cost t ~key ~data_gb resources =
 
 let clear t =
   t.slots <- [||];
+  Configs.reset t.configs;
   t.clock <- 0
 
 let keys t = Array.to_list (Array.map fst t.slots)

@@ -62,7 +62,9 @@ val find_exact :
 (** [insert t ~key ~data_gb resources] records a freshly planned
     configuration, with its model cost [cost] stored unboxed beside it for
     {!find_exact}. Re-inserting an existing data
-    characteristic overwrites both.
+    characteristic overwrites both. Entries holding equal configurations
+    share one stored copy, so a lookup may answer with a value physically
+    equal to another entry's.
     On a capacity-bounded cache, inserting a new entry past the bound evicts
     the least-recently-used entries (recorded in [counters] when given). *)
 val insert :

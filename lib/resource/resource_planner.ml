@@ -68,12 +68,12 @@ let span_name strategy ~kernel =
 let last_gb (conditions : Conditions.t) =
   conditions.min_gb +. (float_of_int (Conditions.steps_gb conditions - 1) *. conditions.gb_step)
 
-(* BHJ needs a container of at least small_gb / headroom: some grid row must
-   hold the build side. *)
+(* BHJ needs a container of at least small_gb / headroom: the grid's last
+   row must hold the build side, by the cost model's own comparison. *)
 let feasible (model : Op_cost.t) impl ~small_gb conditions =
   match impl with
   | Join_impl.Smj -> true
-  | Join_impl.Bhj -> not (small_gb /. model.oom_headroom > last_gb conditions)
+  | Join_impl.Bhj -> small_gb <= model.oom_headroom *. last_gb conditions
 
 (* The hill climb's start, the smallest feasible grid configuration: BHJ
    must start its climb above the OOM cliff, or the climb never leaves the

@@ -616,7 +616,37 @@ let test_planner_off_grid_max_gb_is_infeasible () =
               Alcotest.(check bool) (name ^ ": finite") true (Float.is_finite cost)
           | None -> Alcotest.failf "%s: the 9 GB row holds an 8.5 GB build" name)
         [ true; false ])
-    [ ("brute force", Resource_planner.Brute_force); ("hill climb", Resource_planner.Hill_climb) ]
+    [ ("brute force", Resource_planner.Brute_force); ("hill climb", Resource_planner.Hill_climb) ];
+  (* At the last row's boundary feasibility is the cost model's own
+     comparison, small_gb <= headroom * cs. Dividing by the headroom
+     instead disagrees by one rounding: it admitted succ (1.15 * 45) on a
+     last row of 45 GB (brute force then answered 1 x 1 GB at an infinite
+     cost) and refused 1.15 * 15 on a last row of 15 GB, which that row
+     holds. *)
+  let headroom = model.Op_cost.oom_headroom in
+  List.iter
+    (fun (gb_step, max_gb, last) ->
+      let c = Conditions.make ~gb_step ~max_gb () in
+      let edge = headroom *. last in
+      List.iter
+        (fun small_gb ->
+          let fits = small_gb <= headroom *. last in
+          List.iter
+            (fun strategy ->
+              List.iter
+                (fun kernel ->
+                  let planner = Resource_planner.create ~strategy ~kernel c in
+                  let label = Printf.sprintf "last row %g GB, build %h, kernel %b" last small_gb kernel in
+                  match Resource_planner.plan planner ~model ~impl:Join_impl.Bhj ~small_gb with
+                  | None -> Alcotest.(check bool) (label ^ ": refused only if no row fits") false fits
+                  | Some (r, cost) ->
+                      Alcotest.(check bool) (label ^ ": answered only if a row fits") true fits;
+                      Alcotest.(check bool) (label ^ ": on the grid") true (Conditions.contains c r);
+                      Alcotest.(check bool) (label ^ ": finite") true (Float.is_finite cost))
+                [ true; false ])
+            [ Resource_planner.Brute_force; Resource_planner.Hill_climb ])
+        [ Float.pred edge; edge; Float.succ edge ])
+    [ (4.0, 46.0, 45.0); (2.0, 16.0, 15.0) ]
 
 let test_planner_exact_hits_return_stored_cost () =
   (* An exact hit answers with the cost stored at insert, bit-equal to the
@@ -932,7 +962,7 @@ let test_closed_form_evaluations () =
               if r.Kernel.evaluations > 80 then
                 Alcotest.failf "%s %s @ %g GB: %d evaluations" name (Join_impl.to_string impl)
                   small_gb r.Kernel.evaluations;
-              Alcotest.(check int) "nothing swept" 0 r.Kernel.swept_rows)
+              Alcotest.(check bool) "nothing swept" false r.Kernel.swept)
             [ 0.01; 0.3; 2.0; 9.0 ])
         Join_impl.all)
     [ ("paper", Op_cost.paper); ("hive", Raqo.Models.hive ()); ("spark", Raqo.Models.spark ()) ];
@@ -943,7 +973,7 @@ let test_closed_form_evaluations () =
 let test_closed_form_sweeps_overflowing_kernels () =
   (* Terms that overflow make NaN and infinite cells: the closed form does
      not solve such a kernel, it scans every cell with the sweep's argmin,
-     NaN included, and counts the rows. *)
+     NaN included, and says so. *)
   let c = Conditions.make ~max_containers:6 ~max_gb:3.0 () in
   List.iter
     (fun coefs ->
@@ -956,7 +986,7 @@ let test_closed_form_sweeps_overflowing_kernels () =
       in
       Alcotest.(check bool) "same answer as the scan" true
         (same_answer (r.Kernel.best, r.Kernel.cost) scanned);
-      Alcotest.(check int) "every row swept" (Conditions.steps_gb c) r.Kernel.swept_rows;
+      Alcotest.(check bool) "swept" true r.Kernel.swept;
       Alcotest.(check int) "every cell costed" (Conditions.n_configs c) r.Kernel.evaluations)
     [
       [| 0.0; 0.0; 0.0; 0.0; 1e308; -1e308; 0.0 |];
