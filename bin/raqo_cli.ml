@@ -65,8 +65,8 @@ let conditions max_containers max_gb =
         max_containers max_gb msg;
       exit 2
 
-(* Every --jobs takes an integer >= 1: a domain-pool size on the planning
-   subcommands, a simulated job count on [queue]. The same check runs before
+(* Every --jobs takes an integer >= 1: a domain-pool size on [trace] and
+   [fuzz], a simulated job count on [queue]. The same check runs before
    cmdliner in [main], so a bad value exits 2 on every subcommand. *)
 let jobs_of_string s =
   match int_of_string_opt s with
@@ -75,14 +75,6 @@ let jobs_of_string s =
       Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= 1" s))
 
 let jobs_conv = Arg.conv (jobs_of_string, Format.pp_print_int)
-
-let jobs_opt_arg =
-  Arg.(value & opt jobs_conv 1 & info [ "jobs" ] ~docv:"N"
-         ~doc:"Planning domains. With the randomized planner, restarts run on a pool of \
-               $(docv) domains (results are identical to --jobs 1 for a fixed seed); the \
-               selinger and dpsub planners run sequentially at any $(docv); with workload \
-               batches, server waves and allocator surfaces, independent queries are \
-               planned concurrently.")
 
 let no_kernel_arg =
   Arg.(value & flag & info [ "no-kernel" ]
@@ -198,7 +190,7 @@ let plan_cmd =
       adaptive est_error trace =
     with_trace trace @@ fun () ->
     let module F = Raqo.Sql_frontend in
-    let model = Raqo.Models.hive () in
+    let model, engine = Raqo.Models.for_engine engine.Raqo_execsim.Engine.name in
     let kind =
       match planner with
       | `Selinger -> Raqo.Cost_based.Selinger
@@ -467,6 +459,12 @@ let trace_cmd =
              `Selinger
          & info [ "planner" ] ~docv:"PLANNER" ~doc:"Join-order planner.")
   in
+  let jobs_arg =
+    Arg.(value & opt jobs_conv 1 & info [ "jobs" ] ~docv:"N"
+           ~doc:"Planning domains. With the randomized planner, restarts run on a pool of \
+                 $(docv) domains (results are identical to --jobs 1 for a fixed seed); the \
+                 selinger and dpsub planners run sequentially at any $(docv).")
+  in
   let random_arg =
     Arg.(value & opt (some int) None & info [ "random" ] ~docv:"N"
            ~doc:"Ignore the RELATION arguments and plan a seeded random $(docv)-relation \
@@ -586,7 +584,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run one traced joint planning and print a per-span summary table")
     Term.(const run $ relations_pos $ planner_arg $ random_arg $ containers_arg
-          $ memory_arg $ jobs_opt_arg $ no_kernel_arg $ no_rewrite_arg $ engine_arg
+          $ memory_arg $ jobs_arg $ no_kernel_arg $ no_rewrite_arg $ engine_arg
           $ adaptive_arg $ est_error_arg $ out_arg)
 
 (* --------------------------------------------------------------- metrics *)
@@ -617,7 +615,6 @@ let metrics_cmd =
     let server_config =
       {
         Raqo_server.Engine.default_config with
-        jobs = 1;
         queue_capacity = 8;
         kernel = not no_kernel;
         conditions = conditions max_containers max_gb;
@@ -630,7 +627,6 @@ let metrics_cmd =
     let requests = List.map snd (Raqo_server.Trace_gen.generate ~requests:12 ()) in
     List.iter (fun req -> ignore (Raqo_server.Engine.submit server req)) requests;
     ignore (Raqo_server.Engine.drain server);
-    Raqo_server.Engine.shutdown server;
     if prometheus then print_string (Raqo_obs.Export.prometheus ())
     else begin
       Printf.printf
@@ -661,7 +657,7 @@ let serve_cmd =
   in
   let batch_arg =
     Arg.(value & opt int 8 & info [ "batch" ] ~docv:"N"
-           ~doc:"Requests planned concurrently per wave on the domain pool.")
+           ~doc:"Maximum requests planned per wave before the loop reads input again.")
   in
   let cache_capacity_arg =
     Arg.(value & opt int 4096 & info [ "cache-capacity" ] ~docv:"N"
@@ -691,11 +687,11 @@ let serve_cmd =
   in
   let oneshot_arg =
     Arg.(value & flag & info [ "oneshot" ]
-           ~doc:"Plan each stdin request on a fresh single-job engine (cold cache, fresh \
-                 registry) — the reference the smoke test diffs served responses against; \
+           ~doc:"Plan each stdin request on a fresh engine (cold cache, fresh registry) — \
+                 the reference the smoke test diffs served responses against; \
                  byte-identical answers are the contract.")
   in
-  let run port jobs queue_capacity tenant_quota batch cache_capacity no_kernel
+  let run port queue_capacity tenant_quota batch cache_capacity no_kernel
       no_rewrite max_containers max_gb max_connections gen_trace arrival_rate seed
       oneshot trace =
     match gen_trace with
@@ -707,8 +703,7 @@ let serve_cmd =
     | None ->
         let config =
           {
-            Raqo_server.Engine.jobs;
-            queue_capacity;
+            Raqo_server.Engine.queue_capacity;
             tenant_quota;
             batch;
             cache_capacity = (if cache_capacity <= 0 then None else Some cache_capacity);
@@ -730,7 +725,7 @@ let serve_cmd =
                       Raqo_server.Protocol.Rejected
                         { id = None; reason = Raqo_server.Protocol.Bad_request; message }
                   | Ok (Raqo_server.Protocol.Health { id }) ->
-                      Raqo_server.Engine.oneshot_health ~config ~id ()
+                      Raqo_server.Engine.oneshot_health ~id ()
                   | Ok (Raqo_server.Protocol.Allocate areq) ->
                       Raqo_server.Engine.oneshot_allocate ~config areq
                   | Ok (Raqo_server.Protocol.Request req) ->
@@ -744,19 +739,16 @@ let serve_cmd =
         else
           with_trace trace @@ fun () ->
           let engine = Raqo_server.Engine.create ~config () in
-          Fun.protect
-            ~finally:(fun () -> Raqo_server.Engine.shutdown engine)
-            (fun () ->
-              match port with
-              | Some port -> Raqo_server.Serve.serve_tcp ?max_connections engine ~port
-              | None -> Raqo_server.Serve.serve_stdio engine)
+          match port with
+          | Some port -> Raqo_server.Serve.serve_tcp ?max_connections engine ~port
+          | None -> Raqo_server.Serve.serve_stdio engine
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Resident optimizer: plan line-delimited JSON requests over stdio or TCP, \
              with a cross-query plan cache keyed by cost model, cluster conditions and \
              operator, and bounded-queue admission control")
-    Term.(const run $ port_arg $ jobs_opt_arg $ queue_arg $ tenant_quota_arg $ batch_arg
+    Term.(const run $ port_arg $ queue_arg $ tenant_quota_arg $ batch_arg
           $ cache_capacity_arg $ no_kernel_arg $ no_rewrite_arg
           $ containers_arg $ memory_arg $ max_connections_arg $ gen_trace_arg
           $ arrival_rate_arg $ seed_arg $ oneshot_arg $ trace_arg)
@@ -766,7 +758,7 @@ let serve_cmd =
 let workload_cmd =
   let n_arg = Arg.(value & opt int 100 & info [ "queries" ] ~docv:"N" ~doc:"Queries to simulate.") in
   let seed_arg = Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
-  let run n seed max_containers max_gb jobs trace =
+  let run n seed max_containers max_gb trace =
     with_trace trace @@ fun () ->
     let schema = Raqo_catalog.Tpch.schema () in
     let engine = Raqo_execsim.Engine.hive in
@@ -795,20 +787,11 @@ let workload_cmd =
     show "default two-step (10 x 3 GB)"
       (Raqo_scheduler.Workload_runner.default_planner engine
          ~resources:(Raqo_cluster.Resources.make ~containers:10 ~container_gb:3.0));
-    show "RAQO"
-      (Raqo_scheduler.Workload_runner.raqo_planner ~model ~conditions ());
-    if jobs > 1 then
-      Raqo_par.Pool.with_pool ~jobs (fun pool ->
-          let s, _ =
-            Raqo_scheduler.Workload_runner.run_batch ~pool engine ~model ~conditions schema
-              submissions
-          in
-          print_summary (Printf.sprintf "RAQO (batch, %d domains)" jobs) s)
+    show "RAQO" (Raqo_scheduler.Workload_runner.raqo_planner ~model ~conditions ())
   in
   Cmd.v
     (Cmd.info "workload" ~doc:"Compare RAQO vs the two-step default on a query workload")
-    Term.(const run $ n_arg $ seed_arg $ containers_arg $ memory_arg $ jobs_opt_arg
-          $ trace_arg)
+    Term.(const run $ n_arg $ seed_arg $ containers_arg $ memory_arg $ trace_arg)
 
 (* -------------------------------------------------------------- allocate *)
 
@@ -883,7 +866,7 @@ let allocate_cmd =
            ~doc:"Also write the frontier and baselines as JSON to $(docv).")
   in
   let run n budget seed objective fairness search slo tenants arrival_rate spot json_path
-      max_containers max_gb jobs no_kernel trace =
+      max_containers max_gb no_kernel trace =
     with_trace trace @@ fun () ->
     (* The argv prescan already rejected out-of-range literals; this backstop
        covers values smuggled past it (e.g. via a response file). *)
@@ -916,18 +899,12 @@ let allocate_cmd =
           })
     in
     let plan rels =
-      (* Fresh optimizer per query: private scratch, so pooled planning is
-         race-free and bit-identical to sequential. *)
       let opt = Raqo.Cost_based.create ~kernel:(not no_kernel) ~model ~conditions schema in
       Option.map fst (Raqo.Cost_based.optimize opt rels)
     in
     let queries =
-      let build pool =
-        Raqo_alloc.Workload.queries ?pool ~use_kernel:(not no_kernel) ~model ~conditions
-          ~schema ~plan specs
-      in
-      if jobs > 1 then Raqo_par.Pool.with_pool ~jobs (fun pool -> build (Some pool))
-      else build None
+      Raqo_alloc.Workload.queries ~use_kernel:(not no_kernel) ~model ~conditions ~schema
+        ~plan specs
     in
     if Array.length queries = 0 then begin
       print_endline "no feasible queries under the given cluster conditions";
@@ -1056,7 +1033,7 @@ let allocate_cmd =
              Pareto frontier of makespan, dollars, and SLO violations")
     Term.(const run $ n_arg $ budget_arg $ seed_arg $ objective_arg $ fairness_arg
           $ search_arg $ slo_arg $ tenants_arg $ arrival_rate_arg $ spot_arg $ json_arg
-          $ containers_arg $ memory_arg $ jobs_opt_arg $ no_kernel_arg $ trace_arg)
+          $ containers_arg $ memory_arg $ no_kernel_arg $ trace_arg)
 
 let commands =
   [

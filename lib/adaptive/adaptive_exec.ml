@@ -159,34 +159,37 @@ let m_replans = Raqo_obs.Metrics.counter "raqo_adaptive_replans_total"
 let m_switches = Raqo_obs.Metrics.counter "raqo_adaptive_switches_total"
 let m_failed = Raqo_obs.Metrics.counter "raqo_adaptive_failed_replans_total"
 
-(* Re-optimize the remaining join graph: collapse the in-flight tree's
-   leaves into a remaining schema (true statistics on materialized
-   intermediates, estimates elsewhere) and run the kernel-backed bushy DP
-   over its interned masks. *)
+let replan_remaining ?(kernel = true) ?(fault = Fun.id) ~model ~conditions schema names =
+  let n = List.length names in
+  if n < 2 || n > max_replan_relations then None
+  else
+    match Interned.make schema names with
+    | exception Invalid_argument _ -> None
+    | ctx ->
+        let rp = Resource_planner.create ~kernel conditions in
+        Dpsub.optimize_masked (fault (Coster.raqo_masked model ctx rp)) ctx
+
+(* Re-optimize the in-flight tree's remainder: collapse its leaves into a
+   remaining schema (true statistics on materialized intermediates,
+   estimates elsewhere), re-plan it, and map the plan's leaves back to the
+   materialized subtrees they stand for. *)
 let replan ~kernel ~fault ~model ~conditions ~truth ~estimates tree =
   let leaves = leaves_of tree in
-  let n = List.length leaves in
-  if n < 2 || n > max_replan_relations then None
-  else begin
-    let recs = List.map (fun m -> m.leaf) leaves in
-    let names = List.map (fun (l : Remaining.leaf) -> l.Remaining.name) recs in
-    match Interned.make (Remaining.of_leaves ~truth ~estimates recs) names with
-    | exception Invalid_argument _ -> None
-    | ctx -> begin
-        let rp = Resource_planner.create ~kernel conditions in
-        match Dpsub.optimize_masked (fault (Coster.raqo_masked model ctx rp)) ctx with
-        | None -> None
-        | Some (joint, _est_cost) ->
-            let table = Hashtbl.create (2 * n) in
-            List.iter (fun m -> Hashtbl.replace table m.leaf.Remaining.name m) leaves;
-            let rec to_node = function
-              | Join_tree.Scan name -> Leaf (Hashtbl.find table name)
-              | Join_tree.Join (annot, l, r) ->
-                  Node { annot; left = to_node l; right = to_node r }
-            in
-            Some (to_node joint)
-      end
-  end
+  let recs = List.map (fun m -> m.leaf) leaves in
+  match Remaining.of_leaves ~truth ~estimates recs with
+  | exception Invalid_argument _ -> None
+  | schema -> (
+      let names = List.map (fun (l : Remaining.leaf) -> l.Remaining.name) recs in
+      match replan_remaining ~kernel ~fault ~model ~conditions schema names with
+      | None -> None
+      | Some (joint, _est_cost) ->
+          let table = Hashtbl.create (2 * List.length leaves) in
+          List.iter (fun m -> Hashtbl.replace table m.leaf.Remaining.name m) leaves;
+          let rec to_node = function
+            | Join_tree.Scan name -> Leaf (Hashtbl.find table name)
+            | Join_tree.Join (annot, l, r) -> Node { annot; left = to_node l; right = to_node r }
+          in
+          Some (to_node joint))
 
 let oom_reason impl ~small_gb ~resources =
   Printf.sprintf "%s out of memory: %.2f GB build side in %.1f GB containers"

@@ -100,6 +100,24 @@ val run :
   Raqo_plan.Join_tree.joint ->
   report
 
+(** [replan_remaining ?kernel ?fault ~model ~conditions schema names] is
+    the re-plan both this executor and {!Raqo_scheduler.Executor}'s
+    [Replan_remaining] policy run on a remaining join graph: it interns
+    [names] over [schema] (a {!Remaining} collapsed schema), builds a fresh
+    resource planner ([kernel], default true) and runs masked DPsub over
+    the joint coster, wrapped by [fault] (default the identity). [None]
+    when fewer than two or more than DPsub's cap of relations remain, when
+    [names] do not intern over [schema], or when no feasible joint plan
+    exists. *)
+val replan_remaining :
+  ?kernel:bool ->
+  ?fault:(Raqo_planner.Coster.masked -> Raqo_planner.Coster.masked) ->
+  model:Raqo_cost.Op_cost.t ->
+  conditions:Raqo_cluster.Conditions.t ->
+  Raqo_catalog.Schema.t ->
+  string list ->
+  (Raqo_plan.Join_tree.joint * float) option
+
 (** [latency outcome] is the outcome's seconds, [infinity] for a failure —
     the ordering the never-worse guarantee is stated in. *)
 val latency : outcome -> float

@@ -1,4 +1,3 @@
-module Pool = Raqo_par.Pool
 module Queue_sim = Raqo_cluster.Queue_sim
 
 type spec = {
@@ -18,13 +17,8 @@ let query ?use_kernel ~model ~conditions ~schema ~plan spec =
         (Surface.build ?use_kernel ~model ~conditions ~schema ~name:spec.name joint))
     (plan spec.relations)
 
-let queries ?pool ?use_kernel ~model ~conditions ~schema ~plan specs =
-  let build spec = query ?use_kernel ~model ~conditions ~schema ~plan spec in
-  (match pool with
-  | Some pool when Pool.size pool > 1 -> Pool.parallel_map pool build specs
-  | _ -> List.map build specs)
-  |> List.filter_map Fun.id
-  |> Array.of_list
+let queries ?use_kernel ~model ~conditions ~schema ~plan specs =
+  Array.of_list (List.filter_map (query ?use_kernel ~model ~conditions ~schema ~plan) specs)
 
 (* Heavy-tailed arrival process reused verbatim from the queue simulation:
    only the arrival instants matter here (runtimes come from the response

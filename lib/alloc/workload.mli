@@ -3,9 +3,7 @@
     The allocator itself is planner-agnostic: it consumes {!Surface}s. This
     module bridges from relation lists to surfaces through a caller-supplied
     [plan] closure (typically [Raqo.Cost_based.optimize] on a fresh
-    optimizer), optionally fanning per-query planning across a domain
-    pool — surfaces are independent, so any pool size is bit-identical to
-    sequential. *)
+    optimizer). *)
 
 type spec = {
   name : string;
@@ -27,10 +25,8 @@ val query :
   spec ->
   Allocator.query option
 
-(** [queries ?pool ...] plans every spec (in parallel across [pool] when
-    given), dropping infeasible ones. *)
+(** [queries ...] plans every spec in order, dropping infeasible ones. *)
 val queries :
-  ?pool:Raqo_par.Pool.t ->
   ?use_kernel:bool ->
   model:Raqo_cost.Op_cost.t ->
   conditions:Raqo_cluster.Conditions.t ->

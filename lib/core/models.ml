@@ -23,3 +23,7 @@ let memoized name engine =
 
 let hive () = memoized "hive" Raqo_execsim.Engine.hive
 let spark () = memoized "spark" Raqo_execsim.Engine.spark
+
+let for_engine = function
+  | "spark" -> (spark (), Raqo_execsim.Engine.spark)
+  | _ -> (hive (), Raqo_execsim.Engine.hive)

@@ -16,3 +16,10 @@ val train : ?seed:int -> Raqo_execsim.Engine.t -> Raqo_cost.Op_cost.t
 val hive : unit -> Raqo_cost.Op_cost.t
 
 val spark : unit -> Raqo_cost.Op_cost.t
+
+(** [for_engine name] is the trained model and the simulator profile a
+    request naming engine [name] plans and executes with: {!spark} and
+    {!Raqo_execsim.Engine.spark} for ["spark"], {!hive} and
+    {!Raqo_execsim.Engine.hive} for any other name (callers validate the
+    name first). The server and [raqo plan] both pick their model here. *)
+val for_engine : string -> Raqo_cost.Op_cost.t * Raqo_execsim.Engine.t

@@ -61,8 +61,6 @@ let create ~jobs () =
   t.workers <- Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let size t = t.jobs
-
 let shutdown t =
   let workers =
     locked t (fun () ->

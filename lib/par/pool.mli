@@ -1,7 +1,11 @@
-(** A fixed-size pool of worker domains behind a mutex/condition work queue —
-    the substrate for every embarrassingly parallel hot path in the planner
-    (randomized restarts, server waves, allocator member planning and
-    surface builds, workload batches, fuzz seeds).
+(** A fixed-size pool of worker domains behind a mutex/condition work queue.
+    Two callers use it: the randomized planner's restarts
+    ([Cost_based.optimize_par], [raqo trace --jobs], [bench par]), the
+    one path where a speedup shows in every recorded run (70 relations), and
+    the fuzz harness's parallel-vs-sequential oracle arms. Server waves,
+    allocator member planning and workload batches run on the calling
+    domain: on the committed measurements their pooled forms were slower
+    than sequential.
 
     Design notes, load-bearing for callers:
 
@@ -35,10 +39,6 @@ type t
     worker domains plus the helping submitter).
     @raise Invalid_argument when [jobs < 1]. *)
 val create : jobs:int -> unit -> t
-
-(** [size t] is the pool's total parallelism (the [jobs] it was created
-    with). *)
-val size : t -> int
 
 (** [shutdown t] signals the workers to exit once the queue drains and joins
     them. Idempotent. Submitting to a shut-down pool raises. *)

@@ -4,8 +4,8 @@
 
     Counters are {!Raqo_obs.Metrics.Counter} shards underneath (lock-free
     per-domain cells merged on read): one instrument can be shared by tasks
-    running on different domains (pooled brute force, parallel randomized
-    restarts) without losing increments. Reads ({!cost_evaluations} etc.)
+    running on different domains (parallel randomized restarts) without
+    losing increments. Reads ({!cost_evaluations} etc.)
     are merged snapshots — exact once the parallel section has joined,
     approximate while it is in flight.
 

@@ -52,10 +52,10 @@ let reoptimize_stage model conditions stage =
 
 (* Re-plan the entire remaining join graph under the current conditions:
    collapse executed subtrees into measured pseudo-relations
-   ({!Raqo_adaptive.Remaining}) and run the joint bushy DP over what is
-   left. [None] when nothing remains, only one leaf remains, the remainder
-   outgrows the DP, or no feasible joint plan exists — callers fall back to
-   the per-stage [Reoptimize] repair. *)
+   ({!Raqo_adaptive.Remaining}) and run the adaptive executor's joint bushy
+   DP over what is left. [None] when nothing remains, only one leaf
+   remains, the remainder outgrows the DP, or no feasible joint plan exists
+   — callers fall back to the per-stage [Reoptimize] repair. *)
 let replan_remaining model conditions schema plan ~executed =
   match Remaining.collapse ~truth:schema ~estimates:schema plan ~executed with
   | None -> None
@@ -63,17 +63,10 @@ let replan_remaining model conditions schema plan ~executed =
       let names =
         List.map (fun (l : Remaining.leaf) -> l.Remaining.name) rem.Remaining.leaves
       in
-      if List.length names < 2 then None
-      else begin
-        let opt =
-          Raqo.Cost_based.create ~kind:Raqo.Cost_based.Bushy_dp ~model ~conditions
-            rem.Remaining.schema
-        in
-        match Raqo.Cost_based.optimize opt names with
-        | Some (plan', _) -> Some (rem.Remaining.schema, plan')
-        | None -> None
-        | exception _ -> None
-      end
+      Option.map
+        (fun (plan', _) -> (rem.Remaining.schema, plan'))
+        (Raqo_adaptive.Adaptive_exec.replan_remaining ~model ~conditions
+           rem.Remaining.schema names)
 
 let m_stages = Raqo_obs.Metrics.counter "raqo_executor_stages_total"
 let m_adaptations = Raqo_obs.Metrics.counter "raqo_executor_adaptations_total"

@@ -176,21 +176,3 @@ let default_planner engine ~resources =
   fun schema relations ->
     let plain = Raqo_planner.Heuristics.default_plan engine schema relations in
     Some (Join_tree.map_annot (fun impl -> (impl, resources)) plain)
-
-(* Batch planning: queries are independent once each gets a private
-   resource planner (cache sharing stays opt-in and single-domain via
-   [raqo_planner ~cache_across_queries]), so the planning phase fans out
-   across the pool while the FIFO execution phase stays sequential. *)
-let optimize_batch ?pool ~model ~conditions schema submissions =
-  let plan_query submission =
-    let planner schema relations =
-      plan_masked ~model (Raqo_resource.Resource_planner.create conditions) schema relations
-    in
-    plan_one ~planner schema submission
-  in
-  match pool with
-  | None -> List.map plan_query submissions
-  | Some pool -> Raqo_par.Pool.parallel_map pool plan_query submissions
-
-let run_batch ?pool engine ~model ~conditions schema submissions =
-  execute engine schema (optimize_batch ?pool ~model ~conditions schema submissions)

@@ -48,14 +48,6 @@ val generate :
   Raqo_catalog.Schema.t ->
   submission list
 
-(** A submission whose planning phase has run: the chosen joint plan (or
-    [None] on failure) and the wall-clock planning time. *)
-type planned = {
-  planned_submission : submission;
-  plan : Raqo_plan.Join_tree.joint option;
-  planning_ms : float;
-}
-
 (** [run engine schema submissions ~planner] executes the workload FIFO.
     Each query's schema has its largest relation scaled by [data_scale]
     before planning (the varying-filter model). Failed plans count as
@@ -65,41 +57,6 @@ val run :
   Raqo_catalog.Schema.t ->
   submission list ->
   planner:planner ->
-  summary * query_outcome list
-
-(** [execute engine schema planned] is the FIFO execution phase of {!run}
-    alone: simulate the already-planned queries in submission order. *)
-val execute :
-  Raqo_execsim.Engine.t ->
-  Raqo_catalog.Schema.t ->
-  planned list ->
-  summary * query_outcome list
-
-(** [optimize_batch ?pool ~model ~conditions schema submissions] plans every
-    submission with cost-based RAQO (Selinger over a per-query resource
-    planner), concurrently across [pool]'s domains when given. Each query gets
-    a private resource planner and cache, so queries are independent and the
-    output order matches the input order regardless of pool size; sharing a
-    cache across queries remains the opt-in, single-domain [raqo_planner
-    ~cache_across_queries] path. *)
-val optimize_batch :
-  ?pool:Raqo_par.Pool.t ->
-  model:Raqo_cost.Op_cost.t ->
-  conditions:Raqo_cluster.Conditions.t ->
-  Raqo_catalog.Schema.t ->
-  submission list ->
-  planned list
-
-(** [run_batch ?pool engine ~model ~conditions schema submissions]
-    is {!optimize_batch} followed by {!execute}: parallel planning, FIFO
-    simulation. *)
-val run_batch :
-  ?pool:Raqo_par.Pool.t ->
-  Raqo_execsim.Engine.t ->
-  model:Raqo_cost.Op_cost.t ->
-  conditions:Raqo_cluster.Conditions.t ->
-  Raqo_catalog.Schema.t ->
-  submission list ->
   summary * query_outcome list
 
 (** Ready-made planners for the comparison: *)

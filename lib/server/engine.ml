@@ -1,7 +1,6 @@
 module M = Raqo_obs.Metrics
 
 type config = {
-  jobs : int;
   queue_capacity : int;
   tenant_quota : int option;
   batch : int;
@@ -14,7 +13,6 @@ type config = {
 
 let default_config =
   {
-    jobs = 1;
     queue_capacity = 64;
     tenant_quota = None;
     batch = 8;
@@ -39,7 +37,6 @@ type t = {
   columns : Raqo_catalog.Column.catalog;
   registry : M.registry;
   cache : Raqo_resource.Shared_plan_cache.t;
-  pool : Raqo_par.Pool.t;
   queue : Protocol.request Queue.t;
   queue_mutex : Mutex.t;
   tenants : (string, tstats) Hashtbl.t;
@@ -57,7 +54,6 @@ type t = {
 }
 
 let create ?(config = default_config) ?registry () =
-  if config.jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
   if config.queue_capacity < 1 then invalid_arg "Engine.create: queue_capacity must be >= 1";
   if config.batch < 1 then invalid_arg "Engine.create: batch must be >= 1";
   (match config.tenant_quota with
@@ -73,7 +69,6 @@ let create ?(config = default_config) ?registry () =
     columns = Raqo_catalog.Tpch.columns ~scale_factor:config.scale_factor ();
     registry;
     cache;
-    pool = Raqo_par.Pool.create ~jobs:config.jobs ();
     queue = Queue.create ();
     queue_mutex = Mutex.create ();
     tenants = Hashtbl.create 8;
@@ -91,18 +86,12 @@ let create ?(config = default_config) ?registry () =
 let config t = t.config
 let registry t = t.registry
 let cache t = t.cache
-let pool t = t.pool
 let admitted t = M.Counter.value t.admitted
 let rejected t = M.Counter.value t.rejected
 let responses t = M.Counter.value t.responses
 let latency_histogram t = t.latency
-let shutdown t = Raqo_par.Pool.shutdown t.pool
 
 (* ---------- planning one request ---------- *)
-
-let model_and_engine = function
-  | "spark" -> (Raqo.Models.spark (), Raqo_execsim.Engine.spark)
-  | _ -> (Raqo.Models.hive (), Raqo_execsim.Engine.hive)
 
 let planned (req : Protocol.request) (p : Raqo.Sql_frontend.planned) =
   let resources =
@@ -149,7 +138,7 @@ let planned (req : Protocol.request) (p : Raqo.Sql_frontend.planned) =
 
 let plan_request t (req : Protocol.request) : Protocol.response =
   let reject reason message = Protocol.Rejected { id = Some req.id; reason; message } in
-  let model, sim_engine = model_and_engine req.engine in
+  let model, sim_engine = Raqo.Models.for_engine req.engine in
   match
     Raqo.Sql_frontend.plan ~kind:req.planner ~seed:req.seed ~kernel:t.config.kernel
       ~shared_cache:t.cache ~rewrite:t.config.rewrite ~metrics:t.registry ~mode:req.mode
@@ -167,11 +156,7 @@ let plan_request t (req : Protocol.request) : Protocol.response =
       reject reason (Raqo.Sql_frontend.error_message e)
   | exception exn -> reject Protocol.Internal (Printexc.to_string exn)
 
-let oneshot ?(config = { default_config with jobs = 1 }) req =
-  let t = create ~config:{ config with jobs = 1 } () in
-  let response = plan_request t req in
-  shutdown t;
-  response
+let oneshot ?config req = plan_request (create ?config ()) req
 
 (* ---------- workload allocation ---------- *)
 
@@ -193,7 +178,7 @@ let allocate t (areq : Protocol.alloc_request) : Protocol.response =
   match resolve_all [] areq.queries with
   | Error message -> reject Protocol.Bad_request message
   | Ok resolved -> (
-      let model, _sim_engine = model_and_engine areq.engine in
+      let model, _sim_engine = Raqo.Models.for_engine areq.engine in
       (* Member queries plan the filter-scaled truth without the rewrite
          pass: the surface prices plans off the same stats the planner
          costed, and a rewrite would shift those stats under the surface. *)
@@ -222,10 +207,7 @@ let allocate t (areq : Protocol.alloc_request) : Protocol.response =
       in
       try
         let results =
-          Raqo_obs.Trace.with_ ~name:"alloc/planning" (fun () ->
-              if Raqo_par.Pool.size t.pool > 1 then
-                Raqo_par.Pool.parallel_map t.pool plan_one resolved
-              else List.map plan_one resolved)
+          Raqo_obs.Trace.with_ ~name:"alloc/planning" (fun () -> List.map plan_one resolved)
         in
         match
           List.find_map (function Error qid -> Some qid | Ok _ -> None) results
@@ -285,11 +267,7 @@ let allocate t (areq : Protocol.alloc_request) : Protocol.response =
       | Invalid_argument m -> reject Protocol.Bad_request m
       | exn -> reject Protocol.Internal (Printexc.to_string exn))
 
-let oneshot_allocate ?(config = { default_config with jobs = 1 }) areq =
-  let t = create ~config:{ config with jobs = 1 } () in
-  let response = allocate t areq in
-  shutdown t;
-  response
+let oneshot_allocate ?config areq = allocate (create ?config ()) areq
 
 (* ---------- admission control ---------- *)
 
@@ -334,23 +312,8 @@ let queue_depth t =
 
 (* Readiness probe: answered at admission time, never queued, and carries no
    wall-clock field so probe responses are deterministic. *)
-let health t ~id =
-  Protocol.Health_ok
-    {
-      id;
-      queue_depth = queue_depth t;
-      jobs = t.config.jobs;
-      ready = true;
-    }
-
-let oneshot_health ?(config = { default_config with jobs = 1 }) ~id () =
-  Protocol.Health_ok
-    {
-      id;
-      queue_depth = 0;
-      jobs = config.jobs;
-      ready = true;
-    }
+let health t ~id = Protocol.Health_ok { id; queue_depth = queue_depth t; ready = true }
+let oneshot_health ~id () = Protocol.Health_ok { id; queue_depth = 0; ready = true }
 
 let submit t (req : Protocol.request) : Protocol.response option =
   let tenant = tenant_label req.tenant in
@@ -424,14 +387,9 @@ let process_wave t =
         end;
         (req, response)
       in
-      (* One pool task per request: requests inside a wave plan concurrently,
-         each on its own optimizer (private scratch, shared cache),
-         results back in submission order. *)
-      let wave =
-        Raqo_par.Pool.run_list t.pool (List.map (fun req () -> respond req) batch)
-      in
-      (* Per-tenant outcome accounting happens back on the driver thread, so
-         the stats table stays under the one lock discipline. *)
+      (* Requests plan in submission order on the calling domain, each on
+         its own optimizer over the shared cache. *)
+      let wave = List.map respond batch in
       Mutex.lock t.queue_mutex;
       List.iter
         (fun ((req : Protocol.request), response) ->

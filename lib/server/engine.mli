@@ -1,18 +1,17 @@
 (** The resident optimizer: one value of {!t} owns everything a planner
     process would otherwise re-build per query — the interned TPC-H catalog,
     the trained cost model (warm compiled kernels), a cross-query
-    {!Raqo_resource.Shared_plan_cache}, a private metrics
-    {!Raqo_obs.Metrics.registry}, and a {!Raqo_par.Pool} of planning domains.
-    Nothing is ambient: two engines (two servers, or a server and the CLI)
-    share no mutable state.
+    {!Raqo_resource.Shared_plan_cache} and a private metrics
+    {!Raqo_obs.Metrics.registry}. Nothing is ambient: two engines (two
+    servers, or a server and the CLI) share no mutable state.
 
     Admission control: {!submit} either enqueues a request into a bounded
     FIFO or immediately returns a typed [Overloaded] rejection — the queue
     never grows past [queue_capacity], so an overloaded server sheds load
     instead of accumulating unbounded latency. {!process_wave} drains up to
-    [batch] requests and plans them concurrently on the pool (one optimizer
-    per request, all warming the same shared cache), returning responses in
-    submission order.
+    [batch] requests and plans them one after another on the calling domain
+    (one optimizer per request, all warming the same shared cache),
+    returning responses in submission order.
 
     Bit-identity: {!plan_request} plans through {!Raqo.Sql_frontend.plan},
     the one request pipeline [raqo plan] also takes, and the shared cache's
@@ -21,7 +20,6 @@
     for byte. *)
 
 type config = {
-  jobs : int;  (** pool parallelism (1 = sequential, no domains spawned) *)
   queue_capacity : int;  (** admission bound; beyond it requests are rejected *)
   tenant_quota : int option;
       (** per-tenant queue-depth bound: a tenant with this many requests
@@ -42,7 +40,7 @@ type config = {
   conditions : Raqo_cluster.Conditions.t;
 }
 
-(** jobs 1, queue 64, batch 8, cache 4096 entries, kernel on, rewrite
+(** Queue 64, batch 8, cache 4096 entries, kernel on, rewrite
     on, SF 100, default conditions. *)
 val default_config : config
 
@@ -56,30 +54,22 @@ val create : ?config:config -> ?registry:Raqo_obs.Metrics.registry -> unit -> t
 val config : t -> config
 val registry : t -> Raqo_obs.Metrics.registry
 val cache : t -> Raqo_resource.Shared_plan_cache.t
-val pool : t -> Raqo_par.Pool.t
-
-(** Joins the pool's domains. The engine stays usable for {!plan_request}
-    (sequentially); {!process_wave} on a shut-down engine raises. *)
-val shutdown : t -> unit
 
 (** [plan_request t req] plans one request synchronously on the calling
-    domain, bypassing admission; the serve loop parallelizes {e across}
-    requests. It is {!Raqo.Sql_frontend.plan} with the engine's catalog,
-    cache, registry, kernel and rewrite settings: resolve and option errors
-    come back [Bad_request], no feasible plan [Infeasible]. Never raises:
+    domain, bypassing admission. It is {!Raqo.Sql_frontend.plan} with the
+    engine's catalog, cache, registry, kernel and rewrite settings and the
+    request engine's {!Raqo.Models.for_engine} model: resolve and option
+    errors come back [Bad_request], no feasible plan [Infeasible]. Never raises:
     planner exceptions come back as [Rejected {reason = Internal; _}]. *)
 val plan_request : t -> Protocol.request -> Protocol.response
 
-(** [oneshot req] plans on a fresh single-job engine (fresh cache, fresh
-    registry) and tears it down — the reference answer the smoke test diffs
-    served responses against. [config]'s [jobs] is forced to 1. *)
+(** [oneshot req] plans on a fresh engine (fresh cache, fresh registry) —
+    the reference answer the smoke test diffs served responses against. *)
 val oneshot : ?config:config -> Protocol.request -> Protocol.response
 
 (** [allocate t areq] answers an [{"op":"allocate"}] request synchronously:
-    resolves every member with {!Raqo.Sql_frontend.resolve} and jointly
-    plans it (across the pool when [jobs > 1] —
-    surfaces are independent, so any pool size is bit-identical), builds its
-    latency/cost response surface, and searches joint allocations under the
+    resolves every member with {!Raqo.Sql_frontend.resolve}, jointly plans
+    it and builds its latency/cost response surface, member by member, and searches joint allocations under the
     global container budget ({!Raqo_alloc.Allocator.search}). Member queries
     plan without the rewrite pass so surface stats match planner stats. Never
     raises: unresolvable queries come back [Bad_request], infeasible ones
@@ -88,7 +78,7 @@ val oneshot : ?config:config -> Protocol.request -> Protocol.response
     byte. *)
 val allocate : t -> Protocol.alloc_request -> Protocol.response
 
-(** [oneshot_allocate areq] is {!allocate} on a fresh single-job engine. *)
+(** [oneshot_allocate areq] is {!allocate} on a fresh engine. *)
 val oneshot_allocate : ?config:config -> Protocol.alloc_request -> Protocol.response
 
 (** [submit t req] admits [req] into the bounded queue ([None]) or rejects it
@@ -98,18 +88,18 @@ val submit : t -> Protocol.request -> Protocol.response option
 val queue_depth : t -> int
 
 (** [health t ~id] is the immediate [Health_ok] answer to an
-    [{"op":"health"}] probe: current queue depth, pool jobs,
-    [ready = true]. Never queued — it must answer even under overload — and
-    carries no wall-clock field, so probe responses are deterministic. *)
+    [{"op":"health"}] probe: current queue depth and [ready = true]. Never
+    queued — it must answer even under overload — and carries no wall-clock
+    field, so probe responses are deterministic. *)
 val health : t -> id:string option -> Protocol.response
 
 (** [oneshot_health ~id ()] is {!health} for the engine-less
-    [raqo serve --oneshot] path: depth 0 and [config]'s jobs. *)
-val oneshot_health : ?config:config -> id:string option -> unit -> Protocol.response
+    [raqo serve --oneshot] path: depth 0. *)
+val oneshot_health : id:string option -> unit -> Protocol.response
 
 (** [process_wave t] drains up to [config.batch] queued requests and plans
-    them concurrently on the pool; [(request, response)] pairs come back in
-    submission order. Empty list when the queue is empty. *)
+    them in submission order on the calling domain; [(request, response)]
+    pairs come back in that order. Empty list when the queue is empty. *)
 val process_wave : t -> (Protocol.request * Protocol.response) list
 
 (** [drain t] runs {!process_wave} until the queue is empty. *)

@@ -81,7 +81,6 @@ type response =
   | Health_ok of {
       id : string option;
       queue_depth : int;
-      jobs : int;
       ready : bool;
     }
   | Allocated of {
@@ -482,7 +481,7 @@ let response_to_json = function
               ("resources", resources_json);
             ]
            @ adaptive_fields @ rewrite_fields))
-  | Health_ok { id; queue_depth; jobs; ready } ->
+  | Health_ok { id; queue_depth; ready } ->
       let id_field = match id with None -> [] | Some id -> [ ("id", Json.Str id) ] in
       Json.to_string
         (Json.Obj
@@ -491,7 +490,6 @@ let response_to_json = function
                ("status", Json.Str "ok");
                ("op", Json.Str "health");
                ("queue_depth", Json.Num (float_of_int queue_depth));
-               ("jobs", Json.Num (float_of_int jobs));
                ("ready", Json.Bool ready);
              ]))
   | Rejected { id; reason; message } ->

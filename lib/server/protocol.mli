@@ -24,8 +24,8 @@
 
     Health probes: [{"op":"health"}] (optional ["id"]) answers immediately —
     without queueing — with [{"status":"ok","op":"health","queue_depth":N,
-    "jobs":N,"ready":true}]: readiness with no wall-clock field,
-    so probe responses are deterministic. Parse request-or-probe lines with
+    "ready":true}]: readiness with no wall-clock field, so probe responses
+    are deterministic. Parse request-or-probe lines with
     {!parse_line}.
 
     Workload allocation: [{"op":"allocate","id":...,"budget":N,"queries":
@@ -133,7 +133,6 @@ type response =
   | Health_ok of {
       id : string option;
       queue_depth : int;
-      jobs : int;  (** pool parallelism *)
       ready : bool;
     }
   | Allocated of {

@@ -3,7 +3,7 @@
    The driver alternates between slurping whatever request lines are already
    readable (admitting each into the engine's bounded queue, answering
    malformed or overflowing ones immediately with a typed rejection) and
-   planning one wave on the domain pool. Reading is greedy: under overload
+   planning one wave of queued requests. Reading is greedy: under overload
    the queue fills and excess requests get [overloaded] responses right
    away — bounded memory and a signal the client can back off on, never
    unbounded queueing. *)

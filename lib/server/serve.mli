@@ -5,8 +5,8 @@
     lines and admission-queue overflows are answered immediately with typed
     [bad_request] / [overloaded] rejections (they may therefore appear ahead
     of earlier admitted requests — correlate by [id]). Blank lines are
-    ignored. The loop plans a wave on the engine's pool whenever no new
-    input is immediately readable, and exits once input reaches EOF and the
+    ignored. The loop plans a wave of queued requests whenever no new input
+    is immediately readable, and exits once input reaches EOF and the
     queue is drained. *)
 
 (** [run engine ~in_fd ~out_fd] serves until EOF on [in_fd]. *)

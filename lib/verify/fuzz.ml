@@ -38,7 +38,7 @@ let shrink_with check (t : Oracle.instance) =
    instance's schema, not its relation list, so it shrinks trivially — but
    running it here keeps any allocator diagnostic reproducible from the
    minimized report. *)
-let check_full ?jobs ?fault t = Oracle.check ?jobs ?fault t @ Oracle.check_alloc ?jobs t
+let check_full ?jobs ?fault t = Oracle.check ?jobs ?fault t @ Oracle.check_alloc t
 
 let shrink ?jobs ?fault (t : Oracle.instance) =
   shrink_with (fun t -> check_full ?jobs ?fault t) t

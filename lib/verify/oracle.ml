@@ -748,7 +748,7 @@ let alloc_workload t =
                  } ))
   |> List.filter_map Fun.id
 
-let check_alloc ?(jobs = [ 2; 4 ]) t =
+let check_alloc t =
   let diags = ref [] in
   let add ds = diags := !diags @ ds in
   let arm () = if Raqo_obs.Obs.enabled () then Raqo_obs.Metrics.Counter.inc m_arms in
@@ -879,35 +879,6 @@ let check_alloc ?(jobs = [ 2; 4 ]) t =
                 [ D.v ~invariant:"alloc/exact-dominates-randomized"
                     "randomized frontier point (m=%h $=%h v=%d) not covered by the exact DP"
                     r.Allocator.makespan r.Allocator.dollars r.Allocator.violations ])
-          rand.Allocator.frontier);
-    (* Pool bit-identity: surfaces are per-query independent, so building
-       them across a domain pool must reproduce the sequential curves
-       bit-for-bit at every pool size. *)
-    List.iter
-      (fun j ->
-        if j > 1 then begin
-          arm ();
-          Pool.with_pool ~jobs:j (fun pool ->
-              let par =
-                Pool.parallel_map pool
-                  (fun (joint, _, (q : Allocator.query)) ->
-                    Surface.build ~model ~conditions ~schema:t.schema
-                      ~name:q.Allocator.name joint)
-                  planned
-              in
-              List.iter2
-                (fun (_, _, (q : Allocator.query)) surface ->
-                  if
-                    Surface.latencies surface <> Surface.latencies q.Allocator.surface
-                    || Surface.gb_seconds_curve surface
-                       <> Surface.gb_seconds_curve q.Allocator.surface
-                  then
-                    add
-                      [ D.v ~invariant:"alloc/par-vs-seq"
-                          "%s: surface built on a %d-domain pool diverged from sequential"
-                          q.Allocator.name j ])
-                planned par)
-        end)
-      jobs
+          rand.Allocator.frontier)
   end;
   !diags

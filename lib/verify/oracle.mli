@@ -113,14 +113,12 @@ val alloc_queries : int
 val alloc_budget : int
 val alloc_fairness : float
 
-(** [check_alloc ?jobs t] runs the workload-allocator differential arm:
+(** [check_alloc t] runs the workload-allocator differential arm:
     response surfaces must be finite, monotone nonincreasing, and re-derive
     the brute-force joint plan cost at full cap; every reported frontier
     point must be within budget, above its fairness floor, re-priceable to
     the identical objective vector, and non-dominated; the best makespan
     must never exceed the naive equal split's (both modes); equal-seed
-    randomized searches must be bit-identical; the exact DP frontier must
-    cover every randomized frontier point; and surfaces built across a
-    domain pool must be bit-identical to sequential for every pool size in
-    [jobs]. *)
-val check_alloc : ?jobs:int list -> instance -> Diagnostic.t list
+    randomized searches must be bit-identical; and the exact DP frontier
+    must cover every randomized frontier point. *)
+val check_alloc : instance -> Diagnostic.t list

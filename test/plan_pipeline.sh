@@ -51,6 +51,19 @@ for adaptive in "" "--adaptive"; do
   grep -qF "$total" <<<"$out" || fail "rewritten plan total is not the served cost $cost: $out"
 done
 
+# --engine spark prices with the Spark model, as a served "engine":"spark"
+# request does: the same plan, at the served cost.
+out=$("$raqo" plan customer orders lineitem nation --engine spark)
+served=$(printf '{"id":"s","relations":["customer","orders","lineitem","nation"],"engine":"spark"}\n' \
+  | "$raqo" serve --oneshot)
+plan=$(sed -n 's/.*"plan":"\([^"]*\)".*/\1/p' <<<"$served")
+[ -n "$plan" ] || fail "served spark answer carries no plan: $served"
+grep -qxF "Joint query/resource plan: $plan" <<<"$out" \
+  || fail "plan --engine spark is not the served plan $plan: $out"
+cost=$(sed -n 's/.*"cost":\([-0-9.e+]*\).*/\1/p' <<<"$served")
+total=$(printf 'total: est cost %.1f,' "$cost")
+grep -qF "$total" <<<"$out" || fail "plan --engine spark total is not the served cost $cost: $out"
+
 # Adaptive execution does not apply to qo: exit 2 with the server's message.
 want=$(printf '{"id":"a","relations":["orders","lineitem"],"mode":"qo","containers":10,"gb":5,"adaptive":true}\n' \
   | served_message)

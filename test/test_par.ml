@@ -187,46 +187,6 @@ let test_randomized_vs_exhaustive () =
       Alcotest.check joint_opt "pooled matches sequential" seq
         (Raqo_planner.Randomized.optimize_par pool (Rng.create 3) ~coster tpch rels))
 
-(* --------------------------------------------------- oracle: workloads *)
-
-let test_batch_matches_fifo () =
-  (* optimize_batch at any pool size must reproduce the sequential per-query
-     planner: same plans, same simulated workload summary. *)
-  let rng = Rng.create 11 in
-  let submissions =
-    Raqo_scheduler.Workload_runner.generate rng ~n:12 ~arrival_rate:0.002 tpch
-  in
-  let engine = Raqo_execsim.Engine.hive in
-  let seq_summary, seq_outcomes =
-    Raqo_scheduler.Workload_runner.run engine tpch submissions
-      ~planner:
-        (Raqo_scheduler.Workload_runner.raqo_planner ~cache_across_queries:false ~model
-           ~conditions:Conditions.default ())
-  in
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let summary, outcomes =
-            Raqo_scheduler.Workload_runner.run_batch ~pool engine ~model
-              ~conditions:Conditions.default tpch submissions
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "completed at %d jobs" jobs)
-            seq_summary.Raqo_scheduler.Workload_runner.completed
-            summary.Raqo_scheduler.Workload_runner.completed;
-          Alcotest.(check (float 1e-9))
-            (Printf.sprintf "makespan at %d jobs" jobs)
-            seq_summary.Raqo_scheduler.Workload_runner.makespan
-            summary.Raqo_scheduler.Workload_runner.makespan;
-          List.iter2
-            (fun (a : Raqo_scheduler.Workload_runner.query_outcome)
-                 (b : Raqo_scheduler.Workload_runner.query_outcome) ->
-              Alcotest.(check bool) "same per-query outcome" true
-                (a.finished = b.finished && a.gb_seconds = b.gb_seconds
-               && a.failed = b.failed))
-            seq_outcomes outcomes))
-    pool_sizes
-
 let () =
   Alcotest.run "raqo_par"
     [
@@ -247,6 +207,5 @@ let () =
           Alcotest.test_case "randomized par == seq" `Quick test_randomized_par_matches_seq;
           Alcotest.test_case "cost-based par == seq" `Quick test_cost_based_par_matches_seq;
           Alcotest.test_case "randomized vs exhaustive" `Quick test_randomized_vs_exhaustive;
-          Alcotest.test_case "workload batch == FIFO" `Quick test_batch_matches_fifo;
         ] );
     ]

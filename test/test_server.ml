@@ -21,12 +21,8 @@ let projected_sql =
   "select o_orderkey from customer, orders, lineitem where c_custkey = o_custkey and \
    o_orderkey = l_orderkey"
 
-let small_config =
-  { Engine.default_config with jobs = 2; queue_capacity = 16; batch = 4 }
-
-let with_engine ?(config = small_config) f =
-  let t = Engine.create ~config () in
-  Fun.protect ~finally:(fun () -> Engine.shutdown t) (fun () -> f t)
+let small_config = { Engine.default_config with queue_capacity = 16; batch = 4 }
+let with_engine ?(config = small_config) f = f (Engine.create ~config ())
 
 let req_line ?(id = "r1") ?(extra = "") sql =
   Printf.sprintf "{\"id\":%S,\"sql\":%S%s}" id sql extra
@@ -205,7 +201,7 @@ let test_engine_served_equals_oneshot () =
   (* Same requests through a warm shared-cache engine and through fresh
      one-shot engines: identical response lines, including repeats (which
      hit the cache on the served side). *)
-  with_engine (fun t ->
+  with_engine ~config:Engine.default_config (fun t ->
       let trace = Trace_gen.generate ~seed:3 ~requests:12 () in
       List.iter
         (fun (_arrival, req) ->
@@ -284,7 +280,7 @@ let test_engine_qo_and_adaptive () =
           | Protocol.Oom _, _ -> ()))
 
 let test_admission_bounded () =
-  let config = { Engine.default_config with jobs = 2; queue_capacity = 4; batch = 3 } in
+  let config = { Engine.default_config with queue_capacity = 4; batch = 3 } in
   with_engine ~config (fun t ->
       let req i = parse_ok (req_line sql3 ~id:(Printf.sprintf "q%d" i)) in
       let rejections =
@@ -331,7 +327,7 @@ let test_tenant_roundtrip () =
 
 let test_tenant_quota () =
   let config =
-    { Engine.default_config with jobs = 1; queue_capacity = 16; batch = 16;
+    { Engine.default_config with queue_capacity = 16; batch = 16;
       tenant_quota = Some 2 }
   in
   with_engine ~config (fun t ->
@@ -407,7 +403,7 @@ let test_allocate_served_equals_oneshot () =
   let alone = Protocol.response_to_json (Engine.oneshot_allocate areq) in
   Alcotest.(check bool) "allocate response is ok" true
     (contains alone "\"status\":\"ok\"" && contains alone "\"op\":\"allocate\"");
-  with_engine (fun t ->
+  with_engine ~config:Engine.default_config (fun t ->
       match Serve.serve_lines t [ alloc_line ] with
       | [ served ] ->
           Alcotest.(check string) "served equals oneshot, byte for byte" alone served
@@ -531,7 +527,7 @@ let test_parse_health_line () =
 let test_health_bypasses_admission () =
   (* Fill the queue past capacity, then probe: the health answer must come
      back ready even though every further request is shed. *)
-  let config = { Engine.default_config with jobs = 1; queue_capacity = 2 } in
+  let config = { Engine.default_config with queue_capacity = 2 } in
   with_engine ~config (fun t ->
       List.iter
         (fun i -> ignore (Engine.submit t (parse_ok (req_line sql3 ~id:(Printf.sprintf "q%d" i)))))
@@ -596,14 +592,11 @@ let test_rewrite_served_equals_oneshot () =
       (* And rewrite off on both sides is equally self-consistent. *)
       let config = { small_config with Engine.rewrite = false } in
       let off = Engine.create ~config () in
-      Fun.protect
-        ~finally:(fun () -> Engine.shutdown off)
-        (fun () ->
-          let served_off = Protocol.response_to_json (Engine.plan_request off req) in
-          let alone_off = Protocol.response_to_json (Engine.oneshot ~config req) in
-          Alcotest.(check string) "rewrite-off byte-identical" alone_off served_off;
-          Alcotest.(check bool) "rewrite-off carries no summary" false
-            (contains served_off "\"rewrite\":{")))
+      let served_off = Protocol.response_to_json (Engine.plan_request off req) in
+      let alone_off = Protocol.response_to_json (Engine.oneshot ~config req) in
+      Alcotest.(check string) "rewrite-off byte-identical" alone_off served_off;
+      Alcotest.(check bool) "rewrite-off carries no summary" false
+        (contains served_off "\"rewrite\":{"))
 
 (* ------------------------------------------------------------- Trace_gen *)
 
