@@ -1026,7 +1026,7 @@ let micro () =
         conditions = Conditions.default; impl = Join_impl.Smj }
     in
     for i = 1 to 256 do
-      Raqo_resource.Plan_cache.insert ~cost:0.0 c ~key ~data_gb:(float_of_int i) (res i 1.0)
+      ignore (Raqo_resource.Plan_cache.insert ~cost:0.0 c ~key ~data_gb:(float_of_int i) (res i 1.0))
     done;
     Test.make ~name:"cache lookup (NN, 256 entries)"
       (Staged.stage (fun () ->

@@ -17,14 +17,12 @@ type t = {
   cost_evaluations : M.Counter.t;
   cache_hits : M.Counter.t;
   cache_misses : M.Counter.t;
-  cache_evictions : M.Counter.t;
   planner_invocations : M.Counter.t;
   (* Registry mirrors: aggregate over every instrument bound to the same
      registry. *)
   g_evaluations : M.Counter.t;
   g_hits : M.Counter.t;
   g_misses : M.Counter.t;
-  g_evictions : M.Counter.t;
   g_invocations : M.Counter.t;
 }
 
@@ -33,12 +31,10 @@ let create ?(registry = M.default) () =
     cost_evaluations = M.Counter.create ();
     cache_hits = M.Counter.create ();
     cache_misses = M.Counter.create ();
-    cache_evictions = M.Counter.create ();
     planner_invocations = M.Counter.create ();
     g_evaluations = M.counter_in registry "raqo_cost_evaluations_total";
     g_hits = M.counter_in registry "raqo_plan_cache_hits_total";
     g_misses = M.counter_in registry "raqo_plan_cache_misses_total";
-    g_evictions = M.counter_in registry "raqo_plan_cache_evictions_total";
     g_invocations = M.counter_in registry "raqo_planner_invocations_total";
   }
 
@@ -46,13 +42,11 @@ let reset t =
   M.Counter.reset t.cost_evaluations;
   M.Counter.reset t.cache_hits;
   M.Counter.reset t.cache_misses;
-  M.Counter.reset t.cache_evictions;
   M.Counter.reset t.planner_invocations
 
 let cost_evaluations t = M.Counter.value t.cost_evaluations
 let cache_hits t = M.Counter.value t.cache_hits
 let cache_misses t = M.Counter.value t.cache_misses
-let cache_evictions t = M.Counter.value t.cache_evictions
 let planner_invocations t = M.Counter.value t.planner_invocations
 
 let record_evaluations t n =
@@ -69,24 +63,6 @@ let record_miss t =
   M.Counter.inc t.cache_misses;
   if Raqo_obs.Obs.enabled () then M.Counter.inc t.g_misses
 
-let record_eviction t =
-  M.Counter.inc t.cache_evictions;
-  if Raqo_obs.Obs.enabled () then M.Counter.inc t.g_evictions
-
 let record_invocation t =
   M.Counter.inc t.planner_invocations;
   if Raqo_obs.Obs.enabled () then M.Counter.inc t.g_invocations
-
-(* Accumulation is a bookkeeping move between instruments, not new work: it
-   goes straight to the private cells, never to the registry mirrors. *)
-let add ~into t =
-  M.Counter.add into.cost_evaluations (cost_evaluations t);
-  M.Counter.add into.cache_hits (cache_hits t);
-  M.Counter.add into.cache_misses (cache_misses t);
-  M.Counter.add into.cache_evictions (cache_evictions t);
-  M.Counter.add into.planner_invocations (planner_invocations t)
-
-let pp fmt t =
-  Format.fprintf fmt "evals=%d hits=%d misses=%d evictions=%d invocations=%d"
-    (cost_evaluations t) (cache_hits t) (cache_misses t) (cache_evictions t)
-    (planner_invocations t)

@@ -11,11 +11,16 @@
 
     When {!Raqo_obs.Obs.enabled} is on, every record also feeds a metrics
     registry ([raqo_cost_evaluations_total],
-    [raqo_plan_cache_{hits,misses,evictions}_total],
+    [raqo_plan_cache_{hits,misses}_total],
     [raqo_planner_invocations_total]), so per-instrument views and the
     registry stay one source of truth. The mirror handles are resolved once
     at {!create} from [?registry] — the process-wide default unless a
-    resident server threads its own. *)
+    resident server threads its own.
+
+    This is the one record that keeps a count twice, a private cell plus an
+    obs-gated registry mirror: many short-lived planners (one per request,
+    one per restart) each read their own figures while feeding one process
+    total. *)
 
 type t
 
@@ -30,9 +35,6 @@ val cost_evaluations : t -> int
 val cache_hits : t -> int
 val cache_misses : t -> int
 
-val cache_evictions : t -> int
-    (** entries dropped by a capacity-bounded plan cache (LRU) *)
-
 val planner_invocations : t -> int
     (** resource-planning calls (one per costed sub-plan) *)
 
@@ -42,10 +44,4 @@ val record_evaluation : t -> unit
 val record_evaluations : t -> int -> unit
 val record_hit : t -> unit
 val record_miss : t -> unit
-val record_eviction : t -> unit
 val record_invocation : t -> unit
-
-(** [add ~into t] accumulates [t] into [into]. *)
-val add : into:t -> t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -114,19 +114,10 @@ let find_in_index t idx ~data_gb lookup =
                    ~container_gb:(!gb /. !wsum)))
     end
 
-let record_lookup counters found =
-  match counters with
-  | Some k -> if found then Counters.record_hit k else Counters.record_miss k
-  | None -> ()
-
-let find ?counters t ~key ~data_gb lookup =
-  let result =
-    match slot t key with
-    | -1 -> None
-    | i -> find_in_index t (snd t.slots.(i)) ~data_gb lookup
-  in
-  record_lookup counters (Option.is_some result);
-  result
+let find t ~key ~data_gb lookup =
+  match slot t key with
+  | -1 -> None
+  | i -> find_in_index t (snd t.slots.(i)) ~data_gb lookup
 
 let find_exact t ~model ~conditions ~impl ~data_gb =
   match slot_of t ~model ~conditions ~impl with
@@ -136,7 +127,7 @@ let find_exact t ~model ~conditions ~impl ~data_gb =
 let size t = Array.fold_left (fun acc (_, idx) -> acc + Ordered_index.size idx) 0 t.slots
 
 (* Drop the least-recently-touched entry, and its key once emptied. *)
-let evict_lru ?counters t =
+let evict_lru t =
   let victim =
     Array.fold_left
       (fun best (_, idx) ->
@@ -151,10 +142,9 @@ let evict_lru ?counters t =
   | Some (idx, data_gb, _) ->
       ignore (Ordered_index.remove idx data_gb);
       if Ordered_index.size idx = 0 then
-        t.slots <- Array.of_list (List.filter (fun (_, i) -> i != idx) (Array.to_list t.slots));
-      (match counters with Some k -> Counters.record_eviction k | None -> ())
+        t.slots <- Array.of_list (List.filter (fun (_, i) -> i != idx) (Array.to_list t.slots))
 
-let insert ?counters ~cost t ~key ~data_gb resources =
+let insert ~cost t ~key ~data_gb resources =
   let idx =
     match slot t key with
     | -1 ->
@@ -171,13 +161,18 @@ let insert ?counters ~cost t ~key ~data_gb resources =
         resources
   in
   match t.capacity with
-  | None -> Ordered_index.insert ~cost idx data_gb resources
+  | None ->
+      Ordered_index.insert ~cost idx data_gb resources;
+      0
   | Some cap ->
       t.clock <- t.clock + 1;
       Ordered_index.insert ~stamp:t.clock ~cost idx data_gb resources;
+      let evicted = ref 0 in
       while size t > cap do
-        evict_lru ?counters t
-      done
+        evict_lru t;
+        incr evicted
+      done;
+      !evicted
 
 let clear t =
   t.slots <- [||];

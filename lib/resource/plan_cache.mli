@@ -36,10 +36,9 @@ type lookup =
     @raise Invalid_argument if [capacity < 1]. *)
 val create : ?capacity:int -> unit -> t
 
-(** [find t ~key ~data_gb lookup] queries [key]'s index. Updates hit/miss
-    counters in [counters] when given. *)
+(** [find t ~key ~data_gb lookup] queries [key]'s index. It counts
+    nothing: the caller records the hit or miss. *)
 val find :
-  ?counters:Counters.t ->
   t ->
   key:key ->
   data_gb:float ->
@@ -66,15 +65,15 @@ val find_exact :
     share one stored copy, so a lookup may answer with a value physically
     equal to another entry's.
     On a capacity-bounded cache, inserting a new entry past the bound evicts
-    the least-recently-used entries (recorded in [counters] when given). *)
+    the least-recently-used entries. The result is the number of entries
+    this insert evicted: 0 on an unbounded cache and on an overwrite. *)
 val insert :
-  ?counters:Counters.t ->
   cost:float ->
   t ->
   key:key ->
   data_gb:float ->
   Raqo_cluster.Resources.t ->
-  unit
+  int
 
 (** [clear t] empties the cache (the evaluation clears it between queries
     unless measuring across-query caching). *)

@@ -118,47 +118,40 @@ let search t model impl ~small_gb =
   Raqo_obs.Trace.finish span;
   result
 
-(* A cache probe. An exact hit answers with the cost stored beside the
-   configuration: the search that stored it returned the kernel's cost,
-   which is bit-equal to the scalar model's, so nothing is re-costed or
-   counted and the answer is the only allocation. Nearest-neighbour and
-   weighted-average answers are other sizes' configurations, re-costed here
-   for this size (one evaluation). The shared handle records hits and
-   misses in the planner's own counters too (its internal counters are the
-   cross-planner aggregate), so per-request instrumentation reads the same
-   either way. *)
+(* A cache probe, counted here and only here: one hit or one miss in the
+   planner's counters per probe, whichever cache and lookup answer it (a
+   shared handle also counts the probe in its own registry). An exact hit
+   answers with the cost stored beside the configuration: the search that
+   stored it returned the kernel's cost, which is bit-equal to the scalar
+   model's, so nothing is re-costed or counted and the answer is the only
+   allocation. Nearest-neighbour and weighted-average answers are other
+   sizes' configurations, re-costed here for this size (one evaluation). *)
 let lookup_cached t handle model impl ~small_gb =
   let conditions = t.conditions in
-  match t.lookup with
-  | Plan_cache.Exact ->
-      let r =
+  let found =
+    match t.lookup with
+    | Plan_cache.Exact -> (
         match handle with
         | Private cache -> Plan_cache.find_exact cache ~model ~conditions ~impl ~data_gb:small_gb
         | Shared shared ->
-            Shared_plan_cache.find_exact shared ~model ~conditions ~impl ~data_gb:small_gb
-      in
-      (match r with
-      | Some _ -> Counters.record_hit t.counters
-      | None -> Counters.record_miss t.counters);
-      r
-  | Plan_cache.Nearest_neighbor _ | Plan_cache.Weighted_average _ -> (
-      let key = { Plan_cache.model; conditions; impl } in
-      let found =
-        match handle with
-        | Private cache ->
-            Plan_cache.find ~counters:t.counters cache ~key ~data_gb:small_gb t.lookup
-        | Shared shared ->
-            let r = Shared_plan_cache.find shared ~key ~data_gb:small_gb t.lookup in
-            (match r with
-            | Some _ -> Counters.record_hit t.counters
-            | None -> Counters.record_miss t.counters);
-            r
-      in
-      match found with
-      | Some cached ->
-          Counters.record_evaluation t.counters;
-          Some (cached, Op_cost.predict_exn model impl ~small_gb ~resources:cached)
-      | None -> None)
+            Shared_plan_cache.find_exact shared ~model ~conditions ~impl ~data_gb:small_gb)
+    | Plan_cache.Nearest_neighbor _ | Plan_cache.Weighted_average _ -> (
+        let key = { Plan_cache.model; conditions; impl } in
+        let near =
+          match handle with
+          | Private cache -> Plan_cache.find cache ~key ~data_gb:small_gb t.lookup
+          | Shared shared -> Shared_plan_cache.find shared ~key ~data_gb:small_gb t.lookup
+        in
+        match near with
+        | Some cached ->
+            Counters.record_evaluation t.counters;
+            Some (cached, Op_cost.predict_exn model impl ~small_gb ~resources:cached)
+        | None -> None)
+  in
+  (match found with
+  | Some _ -> Counters.record_hit t.counters
+  | None -> Counters.record_miss t.counters);
+  found
 
 let plan t ~model ~impl ~small_gb =
   if not (feasible model impl ~small_gb t.conditions) then None
@@ -173,8 +166,7 @@ let plan t ~model ~impl ~small_gb =
             let key = { Plan_cache.model; conditions = t.conditions; impl } in
             (match handle with
             | Private cache ->
-                Plan_cache.insert ~counters:t.counters ~cost cache ~key ~data_gb:small_gb
-                  resources
+                ignore (Plan_cache.insert ~cost cache ~key ~data_gb:small_gb resources)
             | Shared shared ->
                 Shared_plan_cache.insert ~cost shared ~key ~data_gb:small_gb resources);
             Some found)

@@ -1,10 +1,10 @@
 (* A thread-safe wrapper over Plan_cache for cross-query reuse in a resident
    optimizer: Plan_cache itself is unsynchronized single-writer state, so
-   concurrent planners share one behind a mutex. Hit/miss/eviction/insert
-   counts live in always-on sharded cells (exact once concurrent sections
-   join) and mirror into a metrics registry when observability is enabled,
-   under dedicated [raqo_shared_plan_cache_*] names so per-planner Counters
-   and the shared structure stay separately attributable. *)
+   concurrent planners share one behind a mutex. Each count has one cell, a
+   handle resolved at [create] in the cache's own registry and recorded
+   always (lock-free shards, exact once concurrent sections join), under
+   dedicated [raqo_shared_plan_cache_*] names so per-planner Counters and
+   the shared structure stay separately attributable. *)
 
 module M = Raqo_obs.Metrics
 
@@ -15,26 +15,18 @@ type t = {
   misses : M.Counter.t;
   evictions : M.Counter.t;
   inserts : M.Counter.t;
-  g_hits : M.Counter.t;
-  g_misses : M.Counter.t;
-  g_evictions : M.Counter.t;
-  g_inserts : M.Counter.t;
-  g_entries : M.Gauge.t;
+  entries : M.Gauge.t;
 }
 
-let create ?capacity ?(registry = M.default) () =
+let create ?capacity ?(registry = M.create_registry ()) () =
   {
     mutex = Mutex.create ();
     cache = Plan_cache.create ?capacity ();
-    hits = M.Counter.create ();
-    misses = M.Counter.create ();
-    evictions = M.Counter.create ();
-    inserts = M.Counter.create ();
-    g_hits = M.counter_in registry "raqo_shared_plan_cache_hits_total";
-    g_misses = M.counter_in registry "raqo_shared_plan_cache_misses_total";
-    g_evictions = M.counter_in registry "raqo_shared_plan_cache_evictions_total";
-    g_inserts = M.counter_in registry "raqo_shared_plan_cache_inserts_total";
-    g_entries = M.gauge_in registry "raqo_shared_plan_cache_entries";
+    hits = M.counter_in registry "raqo_shared_plan_cache_hits_total";
+    misses = M.counter_in registry "raqo_shared_plan_cache_misses_total";
+    evictions = M.counter_in registry "raqo_shared_plan_cache_evictions_total";
+    inserts = M.counter_in registry "raqo_shared_plan_cache_inserts_total";
+    entries = M.gauge_in registry "raqo_shared_plan_cache_entries";
   }
 
 let locked t f =
@@ -47,15 +39,7 @@ let locked t f =
       Mutex.unlock t.mutex;
       raise e
 
-let record_lookup t found =
-  if found then begin
-    M.Counter.inc t.hits;
-    if Raqo_obs.Obs.enabled () then M.Counter.inc t.g_hits
-  end
-  else begin
-    M.Counter.inc t.misses;
-    if Raqo_obs.Obs.enabled () then M.Counter.inc t.g_misses
-  end
+let record_lookup t found = M.Counter.inc (if found then t.hits else t.misses)
 
 let find t ~key ~data_gb lookup =
   let result = locked t (fun c -> Plan_cache.find c ~key ~data_gb lookup) in
@@ -78,32 +62,17 @@ let find_exact t ~model ~conditions ~impl ~data_gb =
   record_lookup t (Option.is_some result);
   result
 
+let size t = locked t Plan_cache.size
+
 let insert ~cost t ~key ~data_gb resources =
-  let evicted, entries =
-    locked t (fun c ->
-        (* An exact probe under the same lock tells overwrite from growth, so
-           the size delta below attributes evictions correctly (an overwrite
-           neither grows the cache nor evicts). *)
-        let existed = Plan_cache.find c ~key ~data_gb Plan_cache.Exact <> None in
-        let before = Plan_cache.size c in
-        Plan_cache.insert ~cost c ~key ~data_gb resources;
-        let after = Plan_cache.size c in
-        let grown = if existed then 0 else 1 in
-        (before + grown - after, after))
-  in
+  let evicted = locked t (fun c -> Plan_cache.insert ~cost c ~key ~data_gb resources) in
   M.Counter.inc t.inserts;
   if evicted > 0 then M.Counter.add t.evictions evicted;
-  if Raqo_obs.Obs.enabled () then begin
-    M.Counter.inc t.g_inserts;
-    if evicted > 0 then M.Counter.add t.g_evictions evicted;
-    M.Gauge.set t.g_entries (float_of_int entries)
-  end
-
-let size t = locked t Plan_cache.size
+  if Raqo_obs.Obs.enabled () then M.Gauge.set t.entries (float_of_int (size t))
 
 let clear t =
   locked t Plan_cache.clear;
-  if Raqo_obs.Obs.enabled () then M.Gauge.set t.g_entries 0.0
+  if Raqo_obs.Obs.enabled () then M.Gauge.set t.entries 0.0
 
 let hits t = M.Counter.value t.hits
 let misses t = M.Counter.value t.misses

@@ -5,25 +5,26 @@
     shares one of these: one {!Plan_cache} behind one mutex. The [capacity]
     bound is the total entry count, enforced by the wrapped cache's LRU.
 
-    Hit/miss/eviction/insert counts are always recorded in lock-free sharded
-    cells (exact once concurrent sections have joined); when
-    {!Raqo_obs.Obs.enabled} is on they also mirror into the metrics registry
-    the cache was created against, under
-    [raqo_shared_plan_cache_{hits,misses,evictions,inserts}_total] and the
-    [raqo_shared_plan_cache_entries] gauge — distinct names from the
-    per-planner {!Counters} mirrors, so `raqo metrics --prometheus` shows
-    both the per-request and the shared-structure view. *)
+    Hit/miss/eviction/insert counts each live in one cell: the counter
+    [raqo_shared_plan_cache_{hits,misses,evictions,inserts}_total] of the
+    registry the cache was created against, recorded whether or not
+    {!Raqo_obs.Obs.enabled} is on (lock-free shards, exact once concurrent
+    sections have joined). Only the [raqo_shared_plan_cache_entries] gauge
+    is obs-gated. The names differ from the per-planner {!Counters}
+    mirrors, so `raqo metrics --prometheus` shows both the per-request and
+    the shared-structure view. *)
 
 type t
 
 (** [create ()] builds an empty cache with no capacity bound. [capacity] is
-    the total entry bound (LRU). [registry] receives the observability
-    mirrors (default: the process-wide registry).
+    the total entry bound (LRU). [registry] holds the cache's counts
+    (default: a fresh registry, so two caches never share a count); give
+    one registry at most one cache.
     @raise Invalid_argument when [capacity < 1]. *)
 val create : ?capacity:int -> ?registry:Raqo_obs.Metrics.registry -> unit -> t
 
 (** [find t ~key ~data_gb lookup] is {!Plan_cache.find} under the lock.
-    Records a hit or miss in [t]'s own counters (callers that also keep
+    Records a hit or miss in [t]'s own counts (callers that also keep
     per-planner {!Counters} record there themselves). *)
 val find :
   t ->
@@ -45,8 +46,8 @@ val find_exact :
   (Raqo_cluster.Resources.t * float) option
 
 (** [insert t ~key ~data_gb resources] is {!Plan_cache.insert} under the
-    lock, [cost] included; evictions forced by the bound are counted
-    against [t]. *)
+    lock, [cost] included; the evictions it reports are counted against
+    [t]. *)
 val insert :
   cost:float -> t -> key:Plan_cache.key -> data_gb:float -> Raqo_cluster.Resources.t -> unit
 

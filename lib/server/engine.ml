@@ -40,17 +40,13 @@ type t = {
   queue : Protocol.request Queue.t;
   queue_mutex : Mutex.t;
   tenants : (string, tstats) Hashtbl.t;
-  (* Private cells are the source of truth (always recorded, lock-free);
-     the registry carries gated mirrors, per the repo's counters pattern. *)
+  (* One cell per count, resolved in [registry] and recorded always; only
+     the queue-depth gauge and the tenant-labelled counters are obs-gated. *)
   admitted : M.Counter.t;
   rejected : M.Counter.t;
   responses : M.Counter.t;
   latency : M.Histogram.t;
-  g_admitted : M.Counter.t;
-  g_rejected : M.Counter.t;
-  g_responses : M.Counter.t;
-  g_queue_depth : M.Gauge.t;
-  g_latency : M.Histogram.t;
+  queue_depth : M.Gauge.t;
 }
 
 let create ?(config = default_config) ?registry () =
@@ -72,15 +68,11 @@ let create ?(config = default_config) ?registry () =
     queue = Queue.create ();
     queue_mutex = Mutex.create ();
     tenants = Hashtbl.create 8;
-    admitted = M.Counter.create ();
-    rejected = M.Counter.create ();
-    responses = M.Counter.create ();
-    latency = M.Histogram.create ();
-    g_admitted = M.counter_in registry "raqo_server_admitted_total";
-    g_rejected = M.counter_in registry "raqo_server_rejected_total";
-    g_responses = M.counter_in registry "raqo_server_responses_total";
-    g_queue_depth = M.gauge_in registry "raqo_server_queue_depth";
-    g_latency = M.histogram_in registry "raqo_server_latency_seconds";
+    admitted = M.counter_in registry "raqo_server_admitted_total";
+    rejected = M.counter_in registry "raqo_server_rejected_total";
+    responses = M.counter_in registry "raqo_server_responses_total";
+    latency = M.histogram_in registry "raqo_server_latency_seconds";
+    queue_depth = M.gauge_in registry "raqo_server_queue_depth";
   }
 
 let config t = t.config
@@ -342,17 +334,13 @@ let submit t (req : Protocol.request) : Protocol.response option =
   | `Admit depth ->
       M.Counter.inc t.admitted;
       if obs_on () then begin
-        M.Counter.inc t.g_admitted;
         M.Counter.inc (tenant_counter t "admitted" tenant);
-        M.Gauge.set t.g_queue_depth (float_of_int depth)
+        M.Gauge.set t.queue_depth (float_of_int depth)
       end;
       None
   | `Reject message ->
       M.Counter.inc t.rejected;
-      if obs_on () then begin
-        M.Counter.inc t.g_rejected;
-        M.Counter.inc (tenant_counter t "rejected" tenant)
-      end;
+      if obs_on () then M.Counter.inc (tenant_counter t "rejected" tenant);
       Some
         (Protocol.Rejected { id = Some req.id; reason = Protocol.Overloaded; message })
 
@@ -368,7 +356,7 @@ let drain_batch t =
   in
   let depth = Queue.length t.queue in
   Mutex.unlock t.queue_mutex;
-  if obs_on () then M.Gauge.set t.g_queue_depth (float_of_int depth);
+  if obs_on () then M.Gauge.set t.queue_depth (float_of_int depth);
   batch
 
 let process_wave t =
@@ -381,10 +369,6 @@ let process_wave t =
         let dt = Unix.gettimeofday () -. t0 in
         M.Histogram.observe t.latency dt;
         M.Counter.inc t.responses;
-        if obs_on () then begin
-          M.Histogram.observe t.g_latency dt;
-          M.Counter.inc t.g_responses
-        end;
         (req, response)
       in
       (* Requests plan in submission order on the calling domain, each on

@@ -47,9 +47,10 @@ val default_config : config
 type t
 
 (** [create ()] builds a resident engine. [registry] overrides the default
-    fresh per-engine metrics registry — `raqo metrics` passes the
-    process-wide one so server counters show up in its dump; servers keep
-    the fresh default for isolation. *)
+    fresh per-engine metrics registry, which holds the engine's and its
+    shared cache's counts — `raqo metrics` passes the process-wide one so
+    server counters show up in its dump; servers keep the fresh default for
+    isolation. *)
 val create : ?config:config -> ?registry:Raqo_obs.Metrics.registry -> unit -> t
 val config : t -> config
 val registry : t -> Raqo_obs.Metrics.registry
@@ -105,10 +106,12 @@ val process_wave : t -> (Protocol.request * Protocol.response) list
 (** [drain t] runs {!process_wave} until the queue is empty. *)
 val drain : t -> (Protocol.request * Protocol.response) list
 
-(** Lifetime counters (always recorded, independent of observability mode;
-    the registry carries the obs-gated mirrors
-    [raqo_server_{admitted,rejected,responses}_total], gauge
-    [raqo_server_queue_depth], histogram [raqo_server_latency_seconds]). *)
+(** Lifetime counts, read from the engine's registry, where each lives in
+    one cell: [raqo_server_{admitted,rejected,responses}_total] and the
+    histogram [raqo_server_latency_seconds], recorded whatever the
+    observability mode. Only the gauge [raqo_server_queue_depth] and the
+    tenant-labelled counters are obs-gated. Engines that share a registry
+    share these counts. *)
 val admitted : t -> int
 
 val rejected : t -> int

@@ -8,6 +8,7 @@ module Brute_force = Raqo_resource.Brute_force
 module Hill_climb = Raqo_resource.Hill_climb
 module Plan_cache = Raqo_resource.Plan_cache
 module Resource_planner = Raqo_resource.Resource_planner
+module Shared_plan_cache = Raqo_resource.Shared_plan_cache
 
 let res nc gb = Resources.make ~containers:nc ~container_gb:gb
 
@@ -162,9 +163,13 @@ let key_of ?(conditions = Conditions.default) impl = { Plan_cache.model; conditi
 let smj = key_of Join_impl.Smj
 let bhj = key_of Join_impl.Bhj
 
+(* Plan_cache.insert reports the entries it evicted; most cases here only
+   fill a cache. *)
+let cache_insert cache ~key ~data_gb r = ignore (Plan_cache.insert ~cost:0.0 cache ~key ~data_gb r)
+
 let test_cache_exact_hit_miss () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:3.0 (res 10 2.0);
+  cache_insert cache ~key:smj ~data_gb:3.0 (res 10 2.0);
   (match Plan_cache.find cache ~key:smj ~data_gb:3.0 Plan_cache.Exact with
   | Some r -> Alcotest.(check int) "hit" 10 r.Resources.containers
   | None -> Alcotest.fail "expected hit");
@@ -175,8 +180,8 @@ let test_cache_exact_hit_miss () =
 
 let test_cache_overwrite () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1.0 (res 9 9.0);
+  cache_insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  cache_insert cache ~key:smj ~data_gb:1.0 (res 9 9.0);
   (match Plan_cache.find cache ~key:smj ~data_gb:1.0 Plan_cache.Exact with
   | Some r -> Alcotest.(check int) "overwritten" 9 r.Resources.containers
   | None -> Alcotest.fail "hit expected");
@@ -184,8 +189,8 @@ let test_cache_overwrite () =
 
 let test_cache_nearest_neighbor () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1.0 (res 10 1.0);
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:2.0 (res 20 2.0);
+  cache_insert cache ~key:smj ~data_gb:1.0 (res 10 1.0);
+  cache_insert cache ~key:smj ~data_gb:2.0 (res 20 2.0);
   (match Plan_cache.find cache ~key:smj ~data_gb:1.9 (Plan_cache.Nearest_neighbor 0.5) with
   | Some r -> Alcotest.(check int) "closest is 2.0" 20 r.Resources.containers
   | None -> Alcotest.fail "hit expected");
@@ -194,8 +199,8 @@ let test_cache_nearest_neighbor () =
 
 let test_cache_weighted_average () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1.0 (res 10 2.0);
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:3.0 (res 30 4.0);
+  cache_insert cache ~key:smj ~data_gb:1.0 (res 10 2.0);
+  cache_insert cache ~key:smj ~data_gb:3.0 (res 30 4.0);
   match Plan_cache.find cache ~key:smj ~data_gb:2.0 (Plan_cache.Weighted_average 1.5) with
   | Some r ->
       (* Equidistant: plain average. *)
@@ -205,8 +210,8 @@ let test_cache_weighted_average () =
 
 let test_cache_weighted_average_prefers_exact () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:2.0 (res 7 7.0);
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:2.5 (res 9 9.0);
+  cache_insert cache ~key:smj ~data_gb:2.0 (res 7 7.0);
+  cache_insert cache ~key:smj ~data_gb:2.5 (res 9 9.0);
   match Plan_cache.find cache ~key:smj ~data_gb:2.0 (Plan_cache.Weighted_average 1.0) with
   | Some r -> Alcotest.(check int) "exact wins" 7 r.Resources.containers
   | None -> Alcotest.fail "hit expected"
@@ -218,8 +223,8 @@ let test_cache_weighted_average_epsilon_exact_guard () =
      an exact hit and return it verbatim. *)
   let cache = Plan_cache.create () in
   let near_exact = Float.succ 2.0 in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:near_exact (res 8 4.0);
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:2.5 (res 2 1.0);
+  cache_insert cache ~key:smj ~data_gb:near_exact (res 8 4.0);
+  cache_insert cache ~key:smj ~data_gb:2.5 (res 2 1.0);
   match Plan_cache.find cache ~key:smj ~data_gb:2.0 (Plan_cache.Weighted_average 1.0) with
   | Some r ->
       Alcotest.(check bool)
@@ -233,8 +238,8 @@ let test_cache_weighted_average_denormal_distance () =
      weight to infinity and the average to nan, which [Resources.make]
      rejects — the lookup used to raise instead of answering. *)
   let cache = Plan_cache.create () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1e-310 (res 8 4.0);
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:0.3 (res 2 1.0);
+  cache_insert cache ~key:smj ~data_gb:1e-310 (res 8 4.0);
+  cache_insert cache ~key:smj ~data_gb:0.3 (res 2 1.0);
   match Plan_cache.find cache ~key:smj ~data_gb:0.0 (Plan_cache.Weighted_average 0.5) with
   | Some r -> Alcotest.(check bool) "near-exact entry wins" true (Resources.equal r (res 8 4.0))
   | None -> Alcotest.fail "hit expected"
@@ -242,7 +247,7 @@ let test_cache_weighted_average_denormal_distance () =
 let test_cache_resizes_past_initial_capacity () =
   let cache = Plan_cache.create () in
   for i = 1 to 100 do
-    Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:(float_of_int i) (res i 1.0)
+    cache_insert cache ~key:smj ~data_gb:(float_of_int i) (res i 1.0)
   done;
   Alcotest.(check int) "100 entries" 100 (Plan_cache.size cache);
   (* Every entry still findable after the resizes and shifting. *)
@@ -257,7 +262,7 @@ let test_cache_insert_random_order_stays_sorted () =
   let rng = Raqo_util.Rng.create 5 in
   let sizes = Array.init 50 (fun i -> float_of_int (i + 1)) in
   Raqo_util.Rng.shuffle rng sizes;
-  Array.iter (fun s -> Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:s (res 1 1.0)) sizes;
+  Array.iter (fun s -> cache_insert cache ~key:smj ~data_gb:s (res 1 1.0)) sizes;
   (* Nearest-neighbor across the whole range works iff ordering is intact. *)
   match Plan_cache.find cache ~key:smj ~data_gb:25.4 (Plan_cache.Nearest_neighbor 1.0) with
   | Some _ -> ()
@@ -265,24 +270,15 @@ let test_cache_insert_random_order_stays_sorted () =
 
 let test_cache_clear () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  cache_insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
   Plan_cache.clear cache;
   Alcotest.(check int) "empty" 0 (Plan_cache.size cache)
-
-let test_cache_counters () =
-  let cache = Plan_cache.create () in
-  let k = Counters.create () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1.0 (res 1 1.0);
-  ignore (Plan_cache.find ~counters:k cache ~key:smj ~data_gb:1.0 Plan_cache.Exact);
-  ignore (Plan_cache.find ~counters:k cache ~key:smj ~data_gb:9.0 Plan_cache.Exact);
-  Alcotest.(check int) "one hit" 1 (Counters.cache_hits k);
-  Alcotest.(check int) "one miss" 1 (Counters.cache_misses k)
 
 let test_cache_key_identity () =
   (* Keys hold the model and the conditions by identity: a structurally
      equal copy of either only misses, and so does the other operator. *)
   let cache = Plan_cache.create () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1.0 (res 4 2.0);
+  cache_insert cache ~key:smj ~data_gb:1.0 (res 4 2.0);
   let miss key = Plan_cache.find cache ~key ~data_gb:1.0 Plan_cache.Exact = None in
   Alcotest.(check bool) "same key hits" false (miss smj);
   Alcotest.(check bool) "equal conditions copy misses" true
@@ -300,7 +296,7 @@ let prop_cache_wa_within_neighbor_hull =
       let cache = Plan_cache.create () in
       List.iter
         (fun c ->
-          Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:(float_of_int c)
+          cache_insert cache ~key:smj ~data_gb:(float_of_int c)
             (res c (float_of_int (1 + (c mod 10)))))
         entries;
       let threshold = 10.0 in
@@ -322,7 +318,7 @@ let prop_cache_nn_within_threshold =
     (fun (inserts, probe) ->
       let cache = Plan_cache.create () in
       List.iteri
-        (fun i s -> Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:s (res (i + 1) 1.0))
+        (fun i s -> cache_insert cache ~key:smj ~data_gb:s (res (i + 1) 1.0))
         inserts;
       let threshold = 2.0 in
       match Plan_cache.find cache ~key:smj ~data_gb:probe (Plan_cache.Nearest_neighbor threshold) with
@@ -715,14 +711,54 @@ let test_planner_reset () =
     (Counters.cost_evaluations (Resource_planner.counters planner));
   Alcotest.(check int) "cache emptied" 0 (Resource_planner.cache_size planner)
 
-let test_counters_add () =
-  let a = Counters.create () and b = Counters.create () in
-  Counters.record_evaluations a 3;
-  Counters.record_evaluations b 4;
-  Counters.record_hit b;
-  Counters.add ~into:a b;
-  Alcotest.(check int) "evals" 7 (Counters.cost_evaluations a);
-  Alcotest.(check int) "hits" 1 (Counters.cache_hits a)
+(* The planner is the one layer that counts lookups: every plan that
+   reaches the cache records exactly one hit or one miss in its counters,
+   over either cache handle and all three lookup modes, and a shared
+   handle's own counts move by the same amounts. An infeasible plan never
+   reaches the cache and counts nothing. *)
+let test_planner_counts_each_lookup_once () =
+  let sizes = [ 1.0; 1.0; 1.2; 3.0; 3.0; 9.0; 1.1 ] in
+  List.iter
+    (fun (lname, lookup) ->
+      List.iter
+        (fun handle ->
+          let counters = Counters.create () in
+          let shared =
+            match handle with `Private -> None | `Shared -> Some (Shared_plan_cache.create ())
+          in
+          let planner =
+            Resource_planner.create ~lookup ~counters ?shared_cache:shared Conditions.default
+          in
+          let label =
+            Printf.sprintf "%s %s" (match handle with `Private -> "private" | `Shared -> "shared") lname
+          in
+          let counts () =
+            let own = (Counters.cache_hits counters, Counters.cache_misses counters) in
+            match shared with
+            | None -> (own, own)
+            | Some c -> (own, (Shared_plan_cache.hits c, Shared_plan_cache.misses c))
+          in
+          let step impl small_gb ~probes =
+            let (h0, m0), (sh0, sm0) = counts () in
+            ignore (Resource_planner.plan planner ~model ~impl ~small_gb);
+            let (h1, m1), (sh1, sm1) = counts () in
+            let at = Printf.sprintf "%s %s @ %g" label (Join_impl.to_string impl) small_gb in
+            Alcotest.(check int) (at ^ ": lookups recorded") probes (h1 - h0 + (m1 - m0));
+            Alcotest.(check (pair int int)) (at ^ ": shared counts move alike")
+              (h1 - h0, m1 - m0) (sh1 - sh0, sm1 - sm0)
+          in
+          List.iter (step Join_impl.Smj ~probes:1) sizes;
+          step Join_impl.Bhj 1000.0 ~probes:0;
+          Alcotest.(check int) (label ^ ": every plan counted") (List.length sizes)
+            (Counters.cache_hits counters + Counters.cache_misses counters);
+          Alcotest.(check bool) (label ^ ": hits and misses both seen") true
+            (Counters.cache_hits counters > 0 && Counters.cache_misses counters > 0))
+        [ `Private; `Shared ])
+    [
+      ("exact", Plan_cache.Exact);
+      ("nearest 0.5", Plan_cache.Nearest_neighbor 0.5);
+      ("weighted 0.5", Plan_cache.Weighted_average 0.5);
+    ]
 
 (* ------------------------------------------------------ compiled kernels *)
 
@@ -1048,15 +1084,15 @@ let test_cache_capacity_validates () =
 let test_cache_unbounded_by_default () =
   let cache = Plan_cache.create () in
   for i = 1 to 100 do
-    Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:(float_of_int i) (res i 1.0)
+    cache_insert cache ~key:smj ~data_gb:(float_of_int i) (res i 1.0)
   done;
   Alcotest.(check int) "everything retained" 100 (Plan_cache.size cache)
 
 let test_cache_capacity_evicts_lru () =
   let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:2.0 (res 2 2.0);
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:3.0 (res 3 3.0);
+  cache_insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  cache_insert cache ~key:smj ~data_gb:2.0 (res 2 2.0);
+  cache_insert cache ~key:smj ~data_gb:3.0 (res 3 3.0);
   Alcotest.(check int) "bounded" 2 (Plan_cache.size cache);
   Alcotest.(check (list (float 0.0)))
     "oldest evicted" [ 2.0; 3.0 ]
@@ -1064,24 +1100,24 @@ let test_cache_capacity_evicts_lru () =
 
 let test_cache_lookup_refreshes_recency () =
   let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:2.0 (res 2 2.0);
+  cache_insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  cache_insert cache ~key:smj ~data_gb:2.0 (res 2 2.0);
   (* Touch 1.0: now 2.0 is the cold entry. *)
   Alcotest.(check bool) "hit" true
     (Plan_cache.find cache ~key:smj ~data_gb:1.0 Plan_cache.Exact <> None);
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:3.0 (res 3 3.0);
+  cache_insert cache ~key:smj ~data_gb:3.0 (res 3 3.0);
   Alcotest.(check (list (float 0.0)))
     "2.0 evicted, touched 1.0 kept" [ 1.0; 3.0 ]
     (List.map fst (Plan_cache.entries cache ~key:smj))
 
 let test_cache_nearest_lookup_refreshes_recency () =
   let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:2.0 (res 2 2.0);
+  cache_insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  cache_insert cache ~key:smj ~data_gb:2.0 (res 2 2.0);
   (* A nearest-neighbor probe that matches 1.0 must warm that entry. *)
   Alcotest.(check bool) "nn hit" true
     (Plan_cache.find cache ~key:smj ~data_gb:1.1 (Plan_cache.Nearest_neighbor 0.5) <> None);
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:3.0 (res 3 3.0);
+  cache_insert cache ~key:smj ~data_gb:3.0 (res 3 3.0);
   Alcotest.(check (list (float 0.0)))
     "nn-matched entry survives" [ 1.0; 3.0 ]
     (List.map fst (Plan_cache.entries cache ~key:smj))
@@ -1089,33 +1125,32 @@ let test_cache_nearest_lookup_refreshes_recency () =
 let test_cache_capacity_spans_keys () =
   (* The bound is global across cache keys, and an emptied key disappears. *)
   let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert ~cost:0.0 cache ~key:bhj ~data_gb:1.0 (res 2 2.0);
-  Plan_cache.insert ~cost:0.0 cache ~key:bhj ~data_gb:2.0 (res 3 3.0);
+  cache_insert cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  cache_insert cache ~key:bhj ~data_gb:1.0 (res 2 2.0);
+  cache_insert cache ~key:bhj ~data_gb:2.0 (res 3 3.0);
   Alcotest.(check int) "bounded across keys" 2 (Plan_cache.size cache);
   Alcotest.(check (list string)) "key a emptied and dropped" [ "BHJ" ]
     (List.map (fun k -> Join_impl.to_string k.Plan_cache.impl) (Plan_cache.keys cache))
 
 let test_cache_overwrite_does_not_evict () =
-  let k = Counters.create () in
-  let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert ~cost:0.0 ~counters:k cache ~key:smj ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert ~cost:0.0 ~counters:k cache ~key:smj ~data_gb:2.0 (res 2 2.0);
-  Plan_cache.insert ~cost:0.0 ~counters:k cache ~key:smj ~data_gb:2.0 (res 9 9.0);
-  Alcotest.(check int) "still two entries" 2 (Plan_cache.size cache);
-  Alcotest.(check int) "no evictions" 0 (Counters.cache_evictions k);
+  let cache = Shared_plan_cache.create ~capacity:2 () in
+  Shared_plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:1.0 (res 1 1.0);
+  Shared_plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:2.0 (res 2 2.0);
+  Shared_plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:2.0 (res 9 9.0);
+  Alcotest.(check int) "still two entries" 2 (Shared_plan_cache.size cache);
+  Alcotest.(check int) "no evictions" 0 (Shared_plan_cache.evictions cache);
   Alcotest.(check bool) "overwrite took" true
-    (Plan_cache.find cache ~key:smj ~data_gb:2.0 Plan_cache.Exact = Some (res 9 9.0))
+    (Shared_plan_cache.find cache ~key:smj ~data_gb:2.0 Plan_cache.Exact = Some (res 9 9.0))
 
 let test_cache_eviction_counters () =
-  let k = Counters.create () in
-  let cache = Plan_cache.create ~capacity:3 () in
+  let cache = Shared_plan_cache.create ~capacity:3 () in
   for i = 1 to 10 do
-    Plan_cache.insert ~cost:0.0 ~counters:k cache ~key:smj ~data_gb:(float_of_int i) (res i 1.0)
+    Shared_plan_cache.insert ~cost:0.0 cache ~key:smj ~data_gb:(float_of_int i) (res i 1.0)
   done;
-  Alcotest.(check int) "bounded" 3 (Plan_cache.size cache);
-  Alcotest.(check int) "seven evictions recorded" 7 (Counters.cache_evictions k);
-  Alcotest.(check int) "clear resets" 0 (Plan_cache.size (Plan_cache.clear cache; cache))
+  Alcotest.(check int) "bounded" 3 (Shared_plan_cache.size cache);
+  Alcotest.(check int) "seven evictions recorded" 7 (Shared_plan_cache.evictions cache);
+  Alcotest.(check int) "clear resets" 0
+    (Shared_plan_cache.size (Shared_plan_cache.clear cache; cache))
 
 let prop_cache_capacity_never_exceeded =
   QCheck.Test.make ~name:"bounded cache never exceeds capacity" ~count:100
@@ -1128,7 +1163,7 @@ let prop_cache_capacity_never_exceeded =
       let key = function 0 -> smj | 1 -> bhj | _ -> other in
       List.for_all
         (fun (k, v) ->
-          Plan_cache.insert ~cost:0.0 cache ~key:(key k) ~data_gb:(float_of_int v) (res v 1.0);
+          cache_insert cache ~key:(key k) ~data_gb:(float_of_int v) (res v 1.0);
           Plan_cache.size cache <= cap)
         ops)
 
@@ -1259,8 +1294,6 @@ let test_planner_kernel_cache_hit_recosting () =
 
 (* ---------------------------------------------------- Shared plan cache *)
 
-module Shared_plan_cache = Raqo_resource.Shared_plan_cache
-
 let test_shared_cache_basics () =
   let c = Shared_plan_cache.create ~capacity:10 () in
   Shared_plan_cache.insert ~cost:0.0 c ~key:smj ~data_gb:1.0 (res 4 2.0);
@@ -1385,27 +1418,34 @@ let test_shared_cache_concurrent_lru_bound () =
   Alcotest.(check int) "find totals still exact" (domains * ops)
     (Shared_plan_cache.hits cache + Shared_plan_cache.misses cache)
 
-let test_shared_cache_registry_mirrors () =
-  (* With observability on, the cache's registry carries equal totals under
-     the raqo_shared_plan_cache_* names. *)
-  let registry = Raqo_obs.Metrics.create_registry () in
-  let cache = Shared_plan_cache.create ~capacity:4 ~registry () in
-  Raqo_obs.Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Raqo_obs.Obs.set_enabled false)
-    (fun () ->
-      ignore (shared_cache_workload cache 0 100);
-      let counter name =
-        Raqo_obs.Metrics.Counter.value (Raqo_obs.Metrics.counter_in registry name)
-      in
-      Alcotest.(check int) "hits mirrored" (Shared_plan_cache.hits cache)
-        (counter "raqo_shared_plan_cache_hits_total");
-      Alcotest.(check int) "misses mirrored" (Shared_plan_cache.misses cache)
-        (counter "raqo_shared_plan_cache_misses_total");
-      Alcotest.(check int) "inserts mirrored" (Shared_plan_cache.inserts cache)
-        (counter "raqo_shared_plan_cache_inserts_total");
-      Alcotest.(check int) "evictions mirrored" (Shared_plan_cache.evictions cache)
-        (counter "raqo_shared_plan_cache_evictions_total"))
+let test_shared_cache_counts_are_registry () =
+  (* Each count lives in one cell of the cache's registry, recorded with
+     observability off as well as on; two caches created without a registry
+     never share a count. *)
+  let counter registry name =
+    Raqo_obs.Metrics.Counter.value (Raqo_obs.Metrics.counter_in registry name)
+  in
+  List.iter
+    (fun obs ->
+      Raqo_obs.Obs.with_enabled obs (fun () ->
+          let registry = Raqo_obs.Metrics.create_registry () in
+          let cache = Shared_plan_cache.create ~capacity:4 ~registry () in
+          let other = Shared_plan_cache.create ~capacity:4 () in
+          ignore (shared_cache_workload cache 0 100);
+          ignore (shared_cache_workload other 1 30);
+          let check what mine name =
+            Alcotest.(check int) (Printf.sprintf "%s (obs %b)" what obs) mine (counter registry name)
+          in
+          check "hits" (Shared_plan_cache.hits cache) "raqo_shared_plan_cache_hits_total";
+          check "misses" (Shared_plan_cache.misses cache) "raqo_shared_plan_cache_misses_total";
+          check "inserts" (Shared_plan_cache.inserts cache) "raqo_shared_plan_cache_inserts_total";
+          check "evictions" (Shared_plan_cache.evictions cache)
+            "raqo_shared_plan_cache_evictions_total";
+          Alcotest.(check int) (Printf.sprintf "finds counted (obs %b)" obs) 100
+            (Shared_plan_cache.hits cache + Shared_plan_cache.misses cache);
+          Alcotest.(check int) (Printf.sprintf "other cache apart (obs %b)" obs) 30
+            (Shared_plan_cache.hits other + Shared_plan_cache.misses other)))
+    [ false; true ]
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1455,7 +1495,6 @@ let () =
           Alcotest.test_case "random insert order stays sorted" `Quick
             test_cache_insert_random_order_stays_sorted;
           Alcotest.test_case "clear" `Quick test_cache_clear;
-          Alcotest.test_case "hit/miss counters" `Quick test_cache_counters;
           Alcotest.test_case "keys match by identity" `Quick test_cache_key_identity;
         ]
         @ qsuite [ prop_cache_nn_within_threshold; prop_cache_wa_within_neighbor_hull ] );
@@ -1490,7 +1529,8 @@ let () =
           Alcotest.test_case "infeasible BHJ searches nothing" `Quick
             test_planner_infeasible_searches_nothing;
           Alcotest.test_case "reset" `Quick test_planner_reset;
-          Alcotest.test_case "counter accumulation" `Quick test_counters_add;
+          Alcotest.test_case "one hit or miss per lookup" `Quick
+            test_planner_counts_each_lookup_once;
         ] );
       ( "kernel_search",
         [
@@ -1539,7 +1579,8 @@ let () =
             test_shared_cache_concurrent_no_lost_entries;
           Alcotest.test_case "4 domains, total LRU bound holds" `Quick
             test_shared_cache_concurrent_lru_bound;
-          Alcotest.test_case "registry mirrors" `Quick test_shared_cache_registry_mirrors;
+          Alcotest.test_case "the cache's counts are its registry's" `Quick
+            test_shared_cache_counts_are_registry;
           Alcotest.test_case "holds exactly its capacity" `Quick
             test_shared_cache_holds_capacity;
         ] );

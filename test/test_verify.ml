@@ -125,8 +125,8 @@ let test_checker_rejects_dominated_pareto () =
 
 let test_cache_lookup_checker_passes_on_real_cache () =
   let cache = Plan_cache.create () in
-  Plan_cache.insert ~cost:0.0 cache ~key ~data_gb:1.0 (res 2 2.0);
-  Plan_cache.insert ~cost:0.0 cache ~key ~data_gb:2.0 (res 4 3.0);
+  ignore (Plan_cache.insert ~cost:0.0 cache ~key ~data_gb:1.0 (res 2 2.0));
+  ignore (Plan_cache.insert ~cost:0.0 cache ~key ~data_gb:2.0 (res 4 3.0));
   List.iter
     (fun data_gb ->
       List.iter
@@ -304,10 +304,10 @@ let prop_cache_lookups_pass_audit =
       let cache = Plan_cache.create () in
       List.iter
         (fun (data_gb, nc, gb) ->
-          Plan_cache.insert ~cost:0.0 cache ~key ~data_gb (res nc gb);
+          ignore (Plan_cache.insert ~cost:0.0 cache ~key ~data_gb (res nc gb));
           (* Near-duplicate keys a few ulps apart are exactly the regime the
              weighted-average epsilon guard exists for. *)
-          Plan_cache.insert ~cost:0.0 cache ~key ~data_gb:(Float.succ data_gb) (res nc gb))
+          ignore (Plan_cache.insert ~cost:0.0 cache ~key ~data_gb:(Float.succ data_gb) (res nc gb)))
         entries;
       let probes = probes @ List.map (fun (d, _, _) -> d) entries in
       let diags =
