@@ -65,16 +65,37 @@ let conditions max_containers max_gb =
         max_containers max_gb msg;
       exit 2
 
-(* Every --jobs takes an integer >= 1: a domain-pool size on [trace] and
-   [fuzz], a simulated job count on [queue]. The same check runs before
-   cmdliner in [main], so a bad value exits 2 on every subcommand. *)
-let jobs_of_string s =
-  match int_of_string_opt s with
-  | Some n when n >= 1 -> Ok n
-  | Some _ | None ->
-      Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= 1" s))
+(* A bad option value is refused by the option's own converter, so only
+   subcommands that take the flag check it. The message lists the valid
+   choices, and [main] turns cmdliner's usage-error exit into 2. *)
+let invalid_value s choices =
+  Error
+    (`Msg
+      (Printf.sprintf "invalid value %S. Valid choices:\n%s" s
+         (String.concat "\n" (List.map (fun c -> "  " ^ c) choices))))
 
-let jobs_conv = Arg.conv (jobs_of_string, Format.pp_print_int)
+(* An enumerated option: its names are its valid choices. *)
+let choice_conv choices =
+  let parse s =
+    match List.assoc_opt s choices with
+    | Some v -> Ok v
+    | None -> invalid_value s (List.map fst choices)
+  in
+  let print fmt v = Format.pp_print_string fmt (fst (List.find (fun (_, w) -> w = v) choices)) in
+  Arg.conv (parse, print)
+
+let planner_conv =
+  choice_conv [ ("selinger", `Selinger); ("randomized", `Randomized); ("dpsub", `Dpsub) ]
+
+(* Every --jobs takes an integer >= 1: a domain-pool size on [trace] and
+   [fuzz], a simulated job count on [queue]. *)
+let jobs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> invalid_value s [ "an integer >= 1, e.g. 2" ]
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let no_kernel_arg =
   Arg.(value & flag & info [ "no-kernel" ]
@@ -110,7 +131,14 @@ let est_error_conv =
     ( (fun s ->
         match Raqo_execsim.Estimation_error.of_string s with
         | Ok t -> Ok t
-        | Error m -> Error (`Msg m)),
+        | Error _ ->
+            invalid_value s
+              [
+                "none (exact estimates, the default)";
+                "lognormal:SEED        e.g. lognormal:42";
+                "skew=MAG:SEED         e.g. skew=0.5:7";
+                "correlated:SEED       (DIST:SEED or DIST=MAG:SEED forms)";
+              ]),
       fun fmt t -> Format.pp_print_string fmt (Raqo_execsim.Estimation_error.to_string t) )
 
 let est_error_arg =
@@ -160,10 +188,7 @@ let plan_cmd =
            ~doc:"TPC-H relations to join (default: customer orders lineitem).")
   in
   let planner_arg =
-    Arg.(value
-         & opt
-             (enum [ ("selinger", `Selinger); ("randomized", `Randomized); ("dpsub", `Dpsub) ])
-             `Selinger
+    Arg.(value & opt planner_conv `Selinger
          & info [ "planner" ] ~docv:"PLANNER" ~doc:"Join-order planner.")
   in
   let mode_arg =
@@ -453,10 +478,7 @@ let trace_cmd =
            ~doc:"Also write the Chrome trace_event JSON to $(docv).")
   in
   let planner_arg =
-    Arg.(value
-         & opt
-             (enum [ ("selinger", `Selinger); ("randomized", `Randomized); ("dpsub", `Dpsub) ])
-             `Selinger
+    Arg.(value & opt planner_conv `Selinger
          & info [ "planner" ] ~docv:"PLANNER" ~doc:"Join-order planner.")
   in
   let jobs_arg =
@@ -815,7 +837,7 @@ let allocate_cmd =
   let objective_arg =
     Arg.(value
          & opt
-             (enum
+             (choice_conv
                 [
                   ("makespan", Allocator.Makespan);
                   ("cost", Allocator.Dollars);
@@ -826,15 +848,23 @@ let allocate_cmd =
              ~doc:"Which frontier point to recommend: makespan, cost, or balanced. The \
                    whole frontier is always printed.")
   in
+  let fairness_conv =
+    let parse s =
+      match float_of_string_opt s with
+      | Some f when f >= 0.0 && f <= 1.0 -> Ok f
+      | Some _ | None -> invalid_value s [ "a number in [0,1], e.g. 0.5" ]
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
   let fairness_arg =
-    Arg.(value & opt float 0.0 & info [ "fairness" ] ~docv:"F"
+    Arg.(value & opt fairness_conv 0.0 & info [ "fairness" ] ~docv:"F"
            ~doc:"Weighted-tenant fairness floor in [0,1]: each query is guaranteed \
                  $(docv) times its weight share of the budget; 0 (default) lets the \
                  frontier starve queries freely.")
   in
   let search_arg =
     Arg.(value
-         & opt (enum [ ("exact", `Exact); ("randomized", `Randomized); ("auto", `Auto) ])
+         & opt (choice_conv [ ("exact", `Exact); ("randomized", `Randomized); ("auto", `Auto) ])
              `Auto
          & info [ "search" ] ~docv:"MODE"
              ~doc:"Frontier search: exact Pareto DP, seeded randomized local search, or \
@@ -868,13 +898,6 @@ let allocate_cmd =
   let run n budget seed objective fairness search slo tenants arrival_rate spot json_path
       max_containers max_gb no_kernel trace =
     with_trace trace @@ fun () ->
-    (* The argv prescan already rejected out-of-range literals; this backstop
-       covers values smuggled past it (e.g. via a response file). *)
-    if fairness < 0.0 || fairness > 1.0 then begin
-      Printf.eprintf "raqo: invalid value %g for --fairness (want a number in [0,1])\n"
-        fairness;
-      exit 2
-    end;
     if n < 1 || budget < 1 || tenants < 1 || arrival_rate <= 0.0 then begin
       Printf.eprintf
         "raqo: --queries, --budget, --tenants must be >= 1 and --arrival-rate > 0\n";
@@ -1066,62 +1089,13 @@ let () =
       Printf.eprintf "Run 'raqo --help' for details.\n";
       exit 2
   | _ -> ());
-  (* Same contract for enumerated option values: an unknown --planner or
-     --est-error, or a --jobs below 1, exits 2 with the valid choices, instead of cmdliner's
-     generic usage error (exit 124). Both --flag VALUE and --flag=VALUE
-     spellings are caught. *)
-  let option_values flag =
-    let prefix = flag ^ "=" in
-    let plen = String.length prefix in
-    let rec go acc = function
-      | [] -> List.rev acc
-      | a :: rest when a = flag -> (
-          match rest with v :: rest' -> go (v :: acc) rest' | [] -> List.rev acc)
-      | a :: rest when String.length a > plen && String.sub a 0 plen = prefix ->
-          go (String.sub a plen (String.length a - plen) :: acc) rest
-      | _ :: rest -> go acc rest
-    in
-    go [] (Array.to_list Sys.argv)
-  in
-  let reject_invalid flag ~valid ~choices =
-    List.iter
-      (fun v ->
-        if not (valid v) then begin
-          Printf.eprintf "raqo: invalid value %S for %s. Valid choices:\n" v flag;
-          List.iter (fun c -> Printf.eprintf "  %s\n" c) choices;
-          exit 2
-        end)
-      (option_values flag)
-  in
-  reject_invalid "--planner"
-    ~valid:(fun v -> List.mem v [ "selinger"; "randomized"; "dpsub" ])
-    ~choices:[ "selinger"; "randomized"; "dpsub" ];
-  reject_invalid "--objective"
-    ~valid:(fun v -> List.mem v [ "makespan"; "cost"; "balanced" ])
-    ~choices:[ "makespan"; "cost"; "balanced" ];
-  reject_invalid "--search"
-    ~valid:(fun v -> List.mem v [ "exact"; "randomized"; "auto" ])
-    ~choices:[ "exact"; "randomized"; "auto" ];
-  reject_invalid "--jobs"
-    ~valid:(fun v -> Result.is_ok (jobs_of_string v))
-    ~choices:[ "an integer >= 1, e.g. 2" ];
-  reject_invalid "--fairness"
-    ~valid:(fun v ->
-      match float_of_string_opt v with
-      | Some f -> f >= 0.0 && f <= 1.0
-      | None -> false)
-    ~choices:[ "a number in [0,1], e.g. 0.5" ];
-  reject_invalid "--est-error"
-    ~valid:(fun v -> Result.is_ok (Raqo_execsim.Estimation_error.of_string v))
-    ~choices:
-      [
-        "none (exact estimates, the default)";
-        "lognormal:SEED        e.g. lognormal:42";
-        "skew=MAG:SEED         e.g. skew=0.5:7";
-        "correlated:SEED       (DIST:SEED or DIST=MAG:SEED forms)";
-      ];
   let info =
     Cmd.info "raqo" ~version:"1.0.0"
       ~doc:"Resource and query optimization (RAQO) for big data systems"
   in
-  exit (Cmd.eval (Cmd.group info commands))
+  (* A bad option value or an option the subcommand does not take is a
+     usage error: exit 2, as for an unknown subcommand, not cmdliner's 124. *)
+  exit
+    (match Cmd.eval (Cmd.group info commands) with
+    | code when code = Cmd.Exit.cli_error -> 2
+    | code -> code)

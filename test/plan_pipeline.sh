@@ -118,3 +118,22 @@ done
 # The rewrite absorbs 21 random relations down to 13, which DPsub plans.
 out=$("$raqo" trace --random 21 --planner dpsub) || fail "trace --random 21 --planner dpsub failed"
 grep -q "^joint plan for" <<<"$out" || fail "trace --random 21 --planner dpsub printed: $out"
+
+# Option values are checked by the subcommand that takes the flag: a flag
+# the subcommand does not take is an unknown option, whatever its value, and
+# a bad value names the valid choices. Both exit 2.
+for args in "serve --jobs 0" "serve --jobs 2" "serve --planner bogus"; do
+  rc=0
+  err=$("$raqo" $args 2>&1 </dev/null >/dev/null) || rc=$?
+  [ "$rc" = 2 ] || fail "$args exited $rc, want 2"
+  grep -qF "unknown option" <<<"$err" || fail "$args said: $err"
+  if grep -qF selinger <<<"$err"; then fail "$args listed the planners: $err"; fi
+done
+rc=0
+err=$("$raqo" plan --planner bogus 2>&1 >/dev/null) || rc=$?
+[ "$rc" = 2 ] || fail "plan --planner bogus exited $rc, want 2"
+grep -qF selinger <<<"$err" || fail "plan --planner bogus said: $err"
+rc=0
+err=$("$raqo" trace --jobs 0 2>&1 >/dev/null) || rc=$?
+[ "$rc" = 2 ] || fail "trace --jobs 0 exited $rc, want 2"
+grep -qF "integer >= 1" <<<"$err" || fail "trace --jobs 0 said: $err"

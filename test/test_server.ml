@@ -311,6 +311,42 @@ let test_admission_bounded () =
       | [ (_, Protocol.Planned _) ] -> ()
       | _ -> Alcotest.fail "a request after shedding must still plan")
 
+let test_engine_counts_are_its_registry () =
+  (* Each engine created without a registry gets its own: the admission and
+     response counts of one never move the other's, and each count is the
+     engine registry's raqo_server_*_total, with observability off or on. *)
+  let config = { Engine.default_config with queue_capacity = 2; batch = 2 } in
+  List.iter
+    (fun obs ->
+      Raqo_obs.Obs.with_enabled obs (fun () ->
+          let a = Engine.create ~config () and b = Engine.create ~config () in
+          let submit t n =
+            List.iter
+              (fun i -> ignore (Engine.submit t (parse_ok (req_line sql3 ~id:(string_of_int i)))))
+              (List.init n Fun.id);
+            ignore (Engine.drain t)
+          in
+          submit a 3;
+          submit b 1;
+          List.iter
+            (fun (name, t, (admitted, rejected, responses)) ->
+              let counter metric =
+                Raqo_obs.Metrics.Counter.value
+                  (Raqo_obs.Metrics.counter_in (Engine.registry t) metric)
+              in
+              let check what want got metric =
+                let label = Printf.sprintf "%s %s (obs %b)" name what obs in
+                Alcotest.(check int) label want got;
+                Alcotest.(check int) (label ^ " = registry") got (counter metric)
+              in
+              check "admitted" admitted (Engine.admitted t) "raqo_server_admitted_total";
+              check "rejected" rejected (Engine.rejected t) "raqo_server_rejected_total";
+              check "responses" responses (Engine.responses t) "raqo_server_responses_total";
+              Alcotest.(check int) (name ^ " latency observations") responses
+                (Raqo_obs.Metrics.Histogram.count (Engine.latency_histogram t)))
+            [ ("a", a, (2, 1, 2)); ("b", b, (1, 0, 1)) ]))
+    [ false; true ]
+
 (* --------------------------------------------------------------- Tenants *)
 
 let test_tenant_roundtrip () =
@@ -646,6 +682,8 @@ let () =
             test_engine_qo_and_adaptive;
           Alcotest.test_case "bounded admission, typed shedding" `Quick
             test_admission_bounded;
+          Alcotest.test_case "counts are its registry's" `Quick
+            test_engine_counts_are_its_registry;
         ] );
       ( "tenants",
         [
