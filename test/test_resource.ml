@@ -1529,8 +1529,7 @@ let () =
           Alcotest.test_case "infeasible BHJ searches nothing" `Quick
             test_planner_infeasible_searches_nothing;
           Alcotest.test_case "reset" `Quick test_planner_reset;
-          Alcotest.test_case "one hit or miss per lookup" `Quick
-            test_planner_counts_each_lookup_once;
+          Alcotest.test_case "one count per lookup" `Quick test_planner_counts_each_lookup_once;
         ] );
       ( "kernel_search",
         [
@@ -1579,8 +1578,7 @@ let () =
             test_shared_cache_concurrent_no_lost_entries;
           Alcotest.test_case "4 domains, total LRU bound holds" `Quick
             test_shared_cache_concurrent_lru_bound;
-          Alcotest.test_case "the cache's counts are its registry's" `Quick
-            test_shared_cache_counts_are_registry;
+          Alcotest.test_case "counted in registry" `Quick test_shared_cache_counts_are_registry;
           Alcotest.test_case "holds exactly its capacity" `Quick
             test_shared_cache_holds_capacity;
         ] );
