@@ -721,17 +721,12 @@ let test_planner_counts_each_lookup_once () =
   List.iter
     (fun (lname, lookup) ->
       List.iter
-        (fun handle ->
+        (fun shared ->
           let counters = Counters.create () in
-          let shared =
-            match handle with `Private -> None | `Shared -> Some (Shared_plan_cache.create ())
-          in
           let planner =
             Resource_planner.create ~lookup ~counters ?shared_cache:shared Conditions.default
           in
-          let label =
-            Printf.sprintf "%s %s" (match handle with `Private -> "private" | `Shared -> "shared") lname
-          in
+          let label = (if Option.is_some shared then "shared " else "private ") ^ lname in
           let counts () =
             let own = (Counters.cache_hits counters, Counters.cache_misses counters) in
             match shared with
@@ -753,7 +748,7 @@ let test_planner_counts_each_lookup_once () =
             (Counters.cache_hits counters + Counters.cache_misses counters);
           Alcotest.(check bool) (label ^ ": hits and misses both seen") true
             (Counters.cache_hits counters > 0 && Counters.cache_misses counters > 0))
-        [ `Private; `Shared ])
+        [ None; Some (Shared_plan_cache.create ()) ])
     [
       ("exact", Plan_cache.Exact);
       ("nearest 0.5", Plan_cache.Nearest_neighbor 0.5);
