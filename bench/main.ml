@@ -20,6 +20,7 @@ module Relation = Raqo_catalog.Relation
 module Tpch = Raqo_catalog.Tpch
 module Switch_points = Raqo_workload.Switch_points
 module Counters = Raqo_resource.Counters
+module Resource_planner = Raqo_resource.Resource_planner
 module Rng = Raqo_util.Rng
 module Stats = Raqo_util.Stats
 module Table = Raqo_util.Table_fmt
@@ -375,10 +376,10 @@ let model = lazy (Raqo.Models.hive ())
 
 (* The paper's figures plan resources by hill climbing unless a figure says
    otherwise; the optimizer's own default is the exact grid minimum. *)
-let make_opt ?kind ?cache ?lookup ?(resource_strategy = Raqo_resource.Resource_planner.Hill_climb)
-    ?kernel ?(conditions = Conditions.default) () =
-  Raqo.Cost_based.create ?kind ?cache ?lookup ~resource_strategy ?kernel
-    ~model:(Lazy.force model) ~conditions tpch
+let make_opt ?kind ?cache ?lookup ?(strategy = Resource_planner.Hill_climb) ?kernel () =
+  Raqo.Cost_based.create ?kind
+    ~resource_planner:(Resource_planner.create ~strategy ?cache ?lookup ?kernel)
+    ~model:(Lazy.force model) ~conditions:Conditions.default tpch
 
 let time_planner ?(runs = 3) opt query =
   let ms_total = ref 0.0 in
@@ -432,8 +433,7 @@ let fig13 () =
            every grid cell); the closed form returns the same minimum
            through the kernel from a few cells per memory row. *)
         let brute ~kernel =
-          make_opt ~resource_strategy:Raqo_resource.Resource_planner.Brute_force ~kernel
-            ~cache:false ()
+          make_opt ~strategy:Resource_planner.Brute_force ~kernel ~cache:false ()
         in
         let bf = brute ~kernel:false and cf = brute ~kernel:true in
         let hc = make_opt ~cache:false () in
@@ -521,7 +521,7 @@ let fig15a () =
   let params = { Raqo_planner.Randomized.iterations = 10; max_no_improve = 15 } in
   let mk ?cache ?lookup () =
     Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized ~randomized_params:params
-      ~resource_strategy:Raqo_resource.Resource_planner.Hill_climb ?cache ?lookup
+      ~resource_planner:(Resource_planner.create ~strategy:Hill_climb ?cache ?lookup)
       ~model:(Lazy.force model) ~conditions:Conditions.default schema
   in
   let sizes = [ 2; 5; 10; 20; 40; 60; 80; 100 ] in
@@ -594,9 +594,10 @@ let fig15b ~full () =
                here for fidelity. *)
             let mk () =
               Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized
-                ~randomized_params:params ~resource_strategy:Raqo_resource.Resource_planner.Hill_climb
-                ~cache:true
-                ~lookup:(Raqo_resource.Plan_cache.Nearest_neighbor 0.05)
+                ~randomized_params:params
+                ~resource_planner:
+                  (Resource_planner.create ~strategy:Hill_climb
+                     ~lookup:(Raqo_resource.Plan_cache.Nearest_neighbor 0.05))
                 ~model:Raqo_cost.Op_cost.paper ~conditions schema
             in
             let runs = if full then 1 else 2 in
@@ -922,7 +923,8 @@ let par_bench () =
   let m = Lazy.force model in
   let pairs = 10 in
   let randomized ?randomized_params ?cache schema () =
-    Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized ?randomized_params ?cache
+    Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized ?randomized_params
+      ~resource_planner:(Resource_planner.create ?cache)
       ~model:m ~conditions:Conditions.default schema
   in
   let random ~seed ~tables ~relations =

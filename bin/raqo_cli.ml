@@ -97,13 +97,6 @@ let jobs_conv =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let no_kernel_arg =
-  Arg.(value & flag & info [ "no-kernel" ]
-         ~doc:"Disable compiled cost kernels: resource search evaluates the scalar cost \
-               model per configuration instead of sweeping a precompiled grid. Plans, \
-               costs, and counters are identical either way (the kernels are bit-exact); \
-               this is a debugging escape hatch.")
-
 let no_rewrite_arg =
   Arg.(value & flag & info [ "no-rewrite" ]
          ~doc:"Disable the logical rewrite pass (predicate pushdown, FK/constant relation \
@@ -211,8 +204,8 @@ let plan_cmd =
                  e.g. \"select * from orders, lineitem where o_orderkey = l_orderkey and \
                  o_totalprice < 172000\".")
   in
-  let run relations planner mode max_containers max_gb nc gb sql no_kernel no_rewrite engine
-      adaptive est_error trace =
+  let run relations planner mode max_containers max_gb nc gb sql no_rewrite engine adaptive
+      est_error trace =
     with_trace trace @@ fun () ->
     let module F = Raqo.Sql_frontend in
     let model, engine = Raqo.Models.for_engine engine.Raqo_execsim.Engine.name in
@@ -240,7 +233,7 @@ let plan_cmd =
         exit 2);
     let query = match sql with Some sql -> F.Sql sql | None -> F.Relations relations in
     match
-      F.plan ~kind ~kernel:(not no_kernel) ~rewrite:(not no_rewrite) ~mode
+      F.plan ~kind ~rewrite:(not no_rewrite) ~mode
         ?adaptive:(if adaptive then Some (engine, est_error) else None)
         ~model ~conditions ~schema:(Raqo_catalog.Tpch.schema ())
         ~columns:(Raqo_catalog.Tpch.columns ()) query
@@ -274,7 +267,7 @@ let plan_cmd =
   in
   let term =
     Term.(const run $ relations_arg $ planner_arg $ mode_arg $ containers_arg $ memory_arg
-          $ fixed_containers $ fixed_gb $ sql_arg $ no_kernel_arg $ no_rewrite_arg
+          $ fixed_containers $ fixed_gb $ sql_arg $ no_rewrite_arg
           $ engine_arg $ adaptive_arg $ est_error_arg $ trace_arg)
   in
   Cmd.v (Cmd.info "plan" ~doc:"Jointly optimize a TPC-H query's plan and resources") term
@@ -334,12 +327,11 @@ let relations_pos =
          ~doc:"TPC-H relations to join (default: customer orders lineitem).")
 
 let pareto_cmd =
-  let run relations max_containers max_gb no_kernel =
+  let run relations max_containers max_gb =
     let schema = Raqo_catalog.Tpch.schema () in
     let opt =
       Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized
-        ~kernel:(not no_kernel) ~model:(Raqo.Models.hive ())
-        ~conditions:(conditions max_containers max_gb) schema
+        ~model:(Raqo.Models.hive ()) ~conditions:(conditions max_containers max_gb) schema
     in
     let front = Raqo.Pareto.front opt relations in
     print_string (Raqo.Pareto.render front);
@@ -352,7 +344,7 @@ let pareto_cmd =
   in
   Cmd.v
     (Cmd.info "pareto" ~doc:"Print the time-money Pareto front of joint plans")
-    Term.(const run $ relations_pos $ containers_arg $ memory_arg $ no_kernel_arg)
+    Term.(const run $ relations_pos $ containers_arg $ memory_arg)
 
 (* ---------------------------------------------------------------- robust *)
 
@@ -365,13 +357,13 @@ let robust_cmd =
     Arg.(value & opt float 3.0 & info [ "spike-gb" ] ~docv:"GB"
            ~doc:"Container memory left during the spike scenario.")
   in
-  let run relations max_containers max_gb sc sgb no_kernel =
+  let run relations max_containers max_gb sc sgb =
     let schema = Raqo_catalog.Tpch.schema () in
     let normal = conditions max_containers max_gb in
     let spiked = conditions sc sgb in
     let opt =
       Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized
-        ~kernel:(not no_kernel) ~model:(Raqo.Models.hive ()) ~conditions:normal schema
+        ~model:(Raqo.Models.hive ()) ~conditions:normal schema
     in
     match Raqo.Robust.optimize opt ~scenarios:[ normal; spiked ] relations with
     | Some choice ->
@@ -390,7 +382,7 @@ let robust_cmd =
     (Cmd.info "robust"
        ~doc:"Pick the plan shape most resilient to a cluster-condition spike")
     Term.(const run $ relations_pos $ containers_arg $ memory_arg $ spike_containers
-          $ spike_gb $ no_kernel_arg)
+          $ spike_gb)
 
 (* ----------------------------------------------------------------- queue *)
 
@@ -494,8 +486,8 @@ let trace_cmd =
                  tops out at 8 relations, so this is how to trace the planners on bigger \
                  queries.")
   in
-  let run relations planner random max_containers max_gb jobs no_kernel no_rewrite engine
-      adaptive est_error out =
+  let run relations planner random max_containers max_gb jobs no_rewrite engine adaptive
+      est_error out =
     Raqo_obs.Obs.set_enabled true;
     let kind =
       match planner with
@@ -545,8 +537,7 @@ let trace_cmd =
       | None -> Raqo_rewrite.Rewrite.no_hints
     in
     let opt =
-      Raqo.Cost_based.create ~kind ~kernel:(not no_kernel) ~rewrite:(not no_rewrite)
-        ~rewrite_hints ~model
+      Raqo.Cost_based.create ~kind ~rewrite:(not no_rewrite) ~rewrite_hints ~model
         ~conditions:(conditions max_containers max_gb)
         schema
     in
@@ -606,7 +597,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run one traced joint planning and print a per-span summary table")
     Term.(const run $ relations_pos $ planner_arg $ random_arg $ containers_arg
-          $ memory_arg $ jobs_arg $ no_kernel_arg $ no_rewrite_arg $ engine_arg
+          $ memory_arg $ jobs_arg $ no_rewrite_arg $ engine_arg
           $ adaptive_arg $ est_error_arg $ out_arg)
 
 (* --------------------------------------------------------------- metrics *)
@@ -616,15 +607,14 @@ let metrics_cmd =
     Arg.(value & flag & info [ "prometheus" ]
            ~doc:"Emit Prometheus text exposition instead of a table.")
   in
-  let run max_containers max_gb no_kernel prometheus =
+  let run max_containers max_gb prometheus =
     Raqo_obs.Obs.set_enabled true;
     (* Drive every instrumented layer once: plan each TPC-H evaluation query
        jointly with the paper's published model, sharing one optimizer so
        the plan cache sees reuse and the kernel search counter moves. *)
     let model = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
     let opt =
-      Raqo.Cost_based.create ~kernel:(not no_kernel) ~model
-        ~conditions:(conditions max_containers max_gb)
+      Raqo.Cost_based.create ~model ~conditions:(conditions max_containers max_gb)
         (Raqo_catalog.Tpch.schema ())
     in
     List.iter
@@ -638,7 +628,6 @@ let metrics_cmd =
       {
         Raqo_server.Engine.default_config with
         queue_capacity = 8;
-        kernel = not no_kernel;
         conditions = conditions max_containers max_gb;
       }
     in
@@ -662,7 +651,7 @@ let metrics_cmd =
     (Cmd.info "metrics"
        ~doc:"Plan the TPC-H evaluation queries with observability on and dump the \
              metrics registry")
-    Term.(const run $ containers_arg $ memory_arg $ no_kernel_arg $ prometheus_arg)
+    Term.(const run $ containers_arg $ memory_arg $ prometheus_arg)
 
 (* ----------------------------------------------------------------- serve *)
 
@@ -713,8 +702,8 @@ let serve_cmd =
                  the reference the smoke test diffs served responses against; \
                  byte-identical answers are the contract.")
   in
-  let run port queue_capacity tenant_quota batch cache_capacity no_kernel
-      no_rewrite max_containers max_gb max_connections gen_trace arrival_rate seed
+  let run port queue_capacity tenant_quota batch cache_capacity no_rewrite
+      max_containers max_gb max_connections gen_trace arrival_rate seed
       oneshot trace =
     match gen_trace with
     | Some n ->
@@ -729,7 +718,6 @@ let serve_cmd =
             tenant_quota;
             batch;
             cache_capacity = (if cache_capacity <= 0 then None else Some cache_capacity);
-            kernel = not no_kernel;
             rewrite = not no_rewrite;
             scale_factor = 100.0;
             conditions = conditions max_containers max_gb;
@@ -771,7 +759,7 @@ let serve_cmd =
              with a cross-query plan cache keyed by cost model, cluster conditions and \
              operator, and bounded-queue admission control")
     Term.(const run $ port_arg $ queue_arg $ tenant_quota_arg $ batch_arg
-          $ cache_capacity_arg $ no_kernel_arg $ no_rewrite_arg
+          $ cache_capacity_arg $ no_rewrite_arg
           $ containers_arg $ memory_arg $ max_connections_arg $ gen_trace_arg
           $ arrival_rate_arg $ seed_arg $ oneshot_arg $ trace_arg)
 
@@ -896,7 +884,7 @@ let allocate_cmd =
            ~doc:"Also write the frontier and baselines as JSON to $(docv).")
   in
   let run n budget seed objective fairness search slo tenants arrival_rate spot json_path
-      max_containers max_gb no_kernel trace =
+      max_containers max_gb trace =
     with_trace trace @@ fun () ->
     if n < 1 || budget < 1 || tenants < 1 || arrival_rate <= 0.0 then begin
       Printf.eprintf
@@ -922,12 +910,11 @@ let allocate_cmd =
           })
     in
     let plan rels =
-      let opt = Raqo.Cost_based.create ~kernel:(not no_kernel) ~model ~conditions schema in
+      let opt = Raqo.Cost_based.create ~model ~conditions schema in
       Option.map fst (Raqo.Cost_based.optimize opt rels)
     in
     let queries =
-      Raqo_alloc.Workload.queries ~use_kernel:(not no_kernel) ~model ~conditions ~schema
-        ~plan specs
+      Raqo_alloc.Workload.queries ~model ~conditions ~schema ~plan specs
     in
     if Array.length queries = 0 then begin
       print_endline "no feasible queries under the given cluster conditions";
@@ -1056,7 +1043,7 @@ let allocate_cmd =
              Pareto frontier of makespan, dollars, and SLO violations")
     Term.(const run $ n_arg $ budget_arg $ seed_arg $ objective_arg $ fairness_arg
           $ search_arg $ slo_arg $ tenants_arg $ arrival_rate_arg $ spot_arg $ json_arg
-          $ containers_arg $ memory_arg $ no_kernel_arg $ trace_arg)
+          $ containers_arg $ memory_arg $ trace_arg)
 
 let commands =
   [

@@ -9,16 +9,16 @@ type spec = {
   slo : float option;
 }
 
-let query ?use_kernel ~model ~conditions ~schema ~plan spec =
+let query ~model ~conditions ~schema ~plan spec =
   Option.map
     (fun joint ->
       Allocator.query ~tenant:spec.tenant ~weight:spec.weight ~arrival:spec.arrival
         ?slo:spec.slo ~name:spec.name
-        (Surface.build ?use_kernel ~model ~conditions ~schema ~name:spec.name joint))
+        (Surface.build ~model ~conditions ~schema ~name:spec.name joint))
     (plan spec.relations)
 
-let queries ?use_kernel ~model ~conditions ~schema ~plan specs =
-  Array.of_list (List.filter_map (query ?use_kernel ~model ~conditions ~schema ~plan) specs)
+let queries ~model ~conditions ~schema ~plan specs =
+  Array.of_list (List.filter_map (query ~model ~conditions ~schema ~plan) specs)
 
 (* Heavy-tailed arrival process reused verbatim from the queue simulation:
    only the arrival instants matter here (runtimes come from the response

@@ -17,7 +17,6 @@ type spec = {
 (** [query ~model ~conditions ~schema ~plan spec] plans one spec and builds
     its surface; [None] when [plan] finds no feasible joint plan. *)
 val query :
-  ?use_kernel:bool ->
   model:Raqo_cost.Op_cost.t ->
   conditions:Raqo_cluster.Conditions.t ->
   schema:Raqo_catalog.Schema.t ->
@@ -27,7 +26,6 @@ val query :
 
 (** [queries ...] plans every spec in order, dropping infeasible ones. *)
 val queries :
-  ?use_kernel:bool ->
   model:Raqo_cost.Op_cost.t ->
   conditions:Raqo_cluster.Conditions.t ->
   schema:Raqo_catalog.Schema.t ->

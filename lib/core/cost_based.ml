@@ -12,7 +12,6 @@ type t = {
   resource_planner : Resource_planner.t;
   rng : Raqo_util.Rng.t;
   randomized_params : Raqo_planner.Randomized.params;
-  kernel : bool;
   rewrite : Rewrite.t option;
   rewrite_hints : Rewrite.hints;
   (* Instrumentation handles resolved once at creation against the metrics
@@ -23,21 +22,21 @@ type t = {
 }
 
 let create ?(kind = Selinger) ?(seed = 42)
-    ?(randomized_params = Raqo_planner.Randomized.default_params)
-    ?(resource_strategy = Resource_planner.Brute_force) ?(cache = true)
-    ?(lookup = Raqo_resource.Plan_cache.Exact) ?(kernel = true) ?shared_cache
+    ?(randomized_params = Raqo_planner.Randomized.default_params) ?resource_planner
     ?(rewrite = true) ?(rewrite_hints = Rewrite.no_hints) ?(metrics = Raqo_obs.Metrics.default)
     ~model ~conditions schema =
+  let resource_planner =
+    match resource_planner with
+    | Some make -> make conditions
+    | None -> Resource_planner.create ~registry:metrics conditions
+  in
   {
     kind;
     schema;
     model;
-    resource_planner =
-      Resource_planner.create ~strategy:resource_strategy ~cache ~lookup ~kernel
-        ?shared_cache ~registry:metrics conditions;
+    resource_planner;
     rng = Raqo_util.Rng.create seed;
     randomized_params;
-    kernel;
     rewrite = (if rewrite then Some (Rewrite.create ~registry:metrics schema) else None);
     rewrite_hints;
     m_plans = Raqo_obs.Metrics.counter_in metrics "raqo_plans_total";
@@ -191,7 +190,8 @@ let optimize_adaptive ?replan_cost_s ~engine ~truth t relations =
   Option.map
     (fun (plan, est_cost) ->
       let report =
-        Raqo_adaptive.Adaptive_exec.run ?replan_cost_s ~kernel:t.kernel ~engine
+        Raqo_adaptive.Adaptive_exec.run ?replan_cost_s
+          ~kernel:(Resource_planner.kernel t.resource_planner) ~engine
           ~model:t.model ~conditions:(conditions t) ~truth ~estimates:t.schema plan
       in
       (report, est_cost))

@@ -1,9 +1,9 @@
 (** Cost-based RAQO (paper Section VI): a query planner whose
     [get_plan_cost] performs resource planning per sub-plan, emitting a
     joint query/resource plan. Works with both the Selinger DP and the fast
-    randomized planner, with the resource search (the exact grid minimum or
-    the paper's hill climb) and resource-plan caching controlled through the
-    embedded {!Raqo_resource.Resource_planner}. *)
+    randomized planner. The resource search (the exact grid minimum or the
+    paper's hill climb) and resource-plan caching belong to one pluggable
+    {!Raqo_resource.Resource_planner}, configured in one place. *)
 
 type planner_kind =
   | Selinger  (** System R bottom-up DP over left-deep trees *)
@@ -12,26 +12,21 @@ type planner_kind =
 
 type t
 
-(** [create ?kind ?seed ?randomized_params ~model ~conditions schema] builds
-    an optimizer. Defaults: Selinger, [Brute_force] resource planning (the
-    exact grid minimum per sub-plan) with an exact-match cache, seed 42.
-    [resource_strategy:Hill_climb] is the paper's Algorithm 1, kept for its
-    ablations. It takes 11 optional arguments.
+(** [create ?kind ?seed ?randomized_params ?resource_planner ~model
+    ~conditions schema] builds an optimizer. Defaults: Selinger, seed 42,
+    and [Resource_planner.create ~registry:metrics] as the resource planner:
+    the exact grid minimum per sub-plan, in closed form through the compiled
+    cost kernel, behind an exact-match cache. It takes 7 optional arguments.
 
-    [kernel] (default [true]) compiles the cost model — the paper's or a
-    trained extended-space one — into {!Raqo_cost.Kernel} form on each
-    resource-plan cache miss, so resource search runs allocation-free
-    instead of building a feature vector per point: the grid minimum in
-    closed form ({!Raqo_cost.Kernel.minimum}), the climb through the
-    kernel — bit-identical plans and costs, just faster (the climb's
-    counters too; the closed form counts the few cells it costs).
-    [~kernel:false] (the CLI's [--no-kernel]) forces the scalar path, where
-    [Brute_force] is the paper's exhaustive scan.
-
-    [shared_cache] plugs the embedded resource planner into a thread-safe
-    cross-query plan cache instead of a private one (see
-    {!Raqo_resource.Shared_plan_cache}): every fork handed to parallel
-    workers keeps the same handle, so concurrent optimizers warm each other.
+    [resource_planner] is the pluggable part (the paper's Section VI-C): it
+    is applied to [conditions], the one source of this optimizer's cluster
+    conditions, and the result answers every costed sub-plan. An ablation
+    passes another constructor, e.g.
+    [~resource_planner:(Resource_planner.create ~strategy:Hill_climb ~cache:false)]
+    (the paper's Algorithm 1, uncached), and a resident server one over its
+    cross-query cache, [Resource_planner.create ~shared_cache ~registry].
+    A constructor that omits [~registry] mirrors its counters into the
+    process-wide registry, not [metrics].
 
     [rewrite] (default [true]) runs the {!Raqo_rewrite.Rewrite} logical
     memo over every query before enumeration in {!optimize},
@@ -44,10 +39,10 @@ type t
     [~rewrite:false].
 
     [metrics] directs all of this optimizer's registry instrumentation —
-    plan counters, latency histograms, resource-planner counter mirrors — at
-    a caller-owned registry (default: the process-wide one); a resident
-    server passes its own so two servers, or a server and the CLI, never
-    share mutable state.
+    plan counters, latency histograms, the default resource planner's
+    counter mirrors — at a caller-owned registry (default: the process-wide
+    one); a resident server passes its own so two servers, or a server and
+    the CLI, never share mutable state.
 
     Queries of up to {!Raqo_catalog.Interned.max_relations} relations run on
     the interned, mask-based planner core; larger ones (the randomized
@@ -57,11 +52,7 @@ val create :
   ?kind:planner_kind ->
   ?seed:int ->
   ?randomized_params:Raqo_planner.Randomized.params ->
-  ?resource_strategy:Raqo_resource.Resource_planner.strategy ->
-  ?cache:bool ->
-  ?lookup:Raqo_resource.Plan_cache.lookup ->
-  ?kernel:bool ->
-  ?shared_cache:Raqo_resource.Shared_plan_cache.t ->
+  ?resource_planner:(Raqo_cluster.Conditions.t -> Raqo_resource.Resource_planner.t) ->
   ?rewrite:bool ->
   ?rewrite_hints:Raqo_rewrite.Rewrite.hints ->
   ?metrics:Raqo_obs.Metrics.registry ->

@@ -80,12 +80,13 @@ let check_mode mode ~adaptive =
   | Qo _ when adaptive -> Error "\"adaptive\" does not apply to mode \"qo\""
   | Qo _ | Raqo -> Ok ()
 
-let optimize ?kind ?seed ?kernel ?shared_cache ?(rewrite = true)
+let optimize ?kind ?seed ?shared_cache ?(rewrite = true)
     ?(metrics = Raqo_obs.Metrics.default) ?(mode = Raqo) ?adaptive ~model ~conditions
     (r : resolved) =
   let optimizer ~rewrite ~hints schema =
-    Cost_based.create ?kind ?seed ?kernel ?shared_cache ~rewrite ~rewrite_hints:hints
-      ~metrics ~model ~conditions schema
+    Cost_based.create ?kind ?seed
+      ~resource_planner:(Raqo_resource.Resource_planner.create ?shared_cache ~registry:metrics)
+      ~rewrite ~rewrite_hints:hints ~metrics ~model ~conditions schema
   in
   let planned opt ?adaptive (plan, est_cost) =
     let rewrite = match mode with Raqo -> Cost_based.rewrite_report opt | Qo _ -> None in
@@ -132,12 +133,12 @@ let optimize ?kind ?seed ?kernel ?shared_cache ?(rewrite = true)
                (report.Raqo_adaptive.Adaptive_exec.static_plan, est_cost))
       | None -> Error Infeasible)
 
-let plan ?kind ?seed ?kernel ?shared_cache ?rewrite ?metrics ?mode ?adaptive ~model
-    ~conditions ~schema ~columns query =
+let plan ?kind ?seed ?shared_cache ?rewrite ?metrics ?mode ?adaptive ~model ~conditions
+    ~schema ~columns query =
   match resolve ?metrics ~schema ~columns query with
   | Error message -> Error (Invalid message)
   | Ok r ->
-      optimize ?kind ?seed ?kernel ?shared_cache ?rewrite ?metrics ?mode ?adaptive ~model
+      optimize ?kind ?seed ?shared_cache ?rewrite ?metrics ?mode ?adaptive ~model
         ~conditions r
 
 let plan_tpch ?kind ?(scale_factor = 100.0) sql =

@@ -70,7 +70,7 @@ type planned = {
   counters : Raqo_resource.Counters.t;  (** its resource-search counters *)
 }
 
-(** [optimize ?kind ?seed ?kernel ?shared_cache ?rewrite ?metrics ?mode
+(** [optimize ?kind ?seed ?shared_cache ?rewrite ?metrics ?mode
     ?adaptive ~model ~conditions resolved] builds the one
     {!Cost_based} optimizer for the request and plans it.
 
@@ -85,13 +85,13 @@ type planned = {
     - [Qo resources] plans [truth] at the fixed [resources], unrewritten;
       with [?adaptive] it is [Invalid] (see {!check_mode}).
 
-    [kind], [seed], [kernel], [shared_cache] and [metrics] go to
-    {!Cost_based.create}: the resident server passes its cross-query cache
-    and its own registry. *)
+    [kind], [seed] and [metrics] go to {!Cost_based.create}, whose
+    resource planner is the default one over [shared_cache] (when given)
+    mirroring into [metrics]: the resident server passes its cross-query
+    cache and its own registry. *)
 val optimize :
   ?kind:Cost_based.planner_kind ->
   ?seed:int ->
-  ?kernel:bool ->
   ?shared_cache:Raqo_resource.Shared_plan_cache.t ->
   ?rewrite:bool ->
   ?metrics:Raqo_obs.Metrics.registry ->
@@ -107,7 +107,6 @@ val optimize :
 val plan :
   ?kind:Cost_based.planner_kind ->
   ?seed:int ->
-  ?kernel:bool ->
   ?shared_cache:Raqo_resource.Shared_plan_cache.t ->
   ?rewrite:bool ->
   ?metrics:Raqo_obs.Metrics.registry ->

@@ -46,8 +46,11 @@ let worker_loop t =
   in
   next ()
 
+let parallelism ~jobs = min jobs (Domain.recommended_domain_count ())
+
 let create ~jobs () =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
+  let jobs = parallelism ~jobs in
   let t =
     {
       jobs;

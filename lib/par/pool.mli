@@ -13,11 +13,13 @@
       in submission order, whatever order the tasks actually executed in. A
       caller that gives each task its own pre-split PRNG therefore observes
       output bit-identical to a sequential run.
-    - {b Helping submitter.} [create ~jobs] spawns [jobs - 1] worker domains;
-      the domain that submits a batch executes tasks itself while it waits.
-      Total parallelism is [jobs], and [jobs = 1] degenerates to a plain
-      sequential map with no domain spawned and no synchronization beyond
-      the queue discipline.
+    - {b Helping submitter.} [create ~jobs] spawns [parallelism ~jobs - 1]
+      worker domains; the domain that submits a batch executes tasks itself
+      while it waits. Total parallelism is [jobs], capped at the host's
+      recommended domain count, and a parallelism of 1 degenerates to a
+      plain sequential map with no domain spawned and no synchronization
+      beyond the queue discipline. Results do not depend on the cap (see
+      Determinism).
     - {b Nested use.} A task may itself submit a batch to the same pool: the
       inner submitter helps drain the queue instead of blocking on a worker
       slot, so nesting cannot deadlock even on a 1-job pool.
@@ -35,8 +37,13 @@
 
 type t
 
-(** [create ~jobs ()] builds a pool with total parallelism [jobs] ([jobs - 1]
-    worker domains plus the helping submitter).
+(** [parallelism ~jobs] is the total parallelism a pool asked for [jobs]
+    runs at: [jobs] capped at [Domain.recommended_domain_count ()]. *)
+val parallelism : jobs:int -> int
+
+(** [create ~jobs ()] builds a pool with total parallelism
+    [parallelism ~jobs] (that many worker domains minus one, plus the
+    helping submitter).
     @raise Invalid_argument when [jobs < 1]. *)
 val create : jobs:int -> unit -> t
 

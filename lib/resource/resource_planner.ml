@@ -176,6 +176,7 @@ let reset_counters t = Counters.reset t.counters
 let cache t = match t.cache with Some (Private cache) -> Some cache | Some (Shared _) | None -> None
 let shared_cache t = match t.cache with Some (Shared s) -> Some s | Some (Private _) | None -> None
 let lookup t = t.lookup
+let kernel t = t.use_kernel
 
 (* Clearing is scoped to state this planner owns: a shared cross-query cache
    belongs to the server, so per-query resets must not wipe it. *)

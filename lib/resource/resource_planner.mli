@@ -28,9 +28,10 @@ type t
     {!Raqo_cost.Kernel.t} on every cache miss: [Brute_force] then runs
     {!Raqo_cost.Kernel.minimum} and [Hill_climb] probes through the kernel —
     bit-identical costs, same plans, no per-point feature vectors and no
-    grid buffer. [~kernel:false] forces the scalar path everywhere (the
-    CLI's [--no-kernel] escape hatch): [Brute_force] then evaluates every
-    grid cell, the paper's exhaustive search, with the same answers.
+    grid buffer. [~kernel:false] forces the scalar path everywhere, the
+    reference the tests and the verification oracle compare against:
+    [Brute_force] then evaluates every grid cell, the paper's exhaustive
+    search, with the same answers.
 
     The private cache is unbounded, the paper's behaviour.
 
@@ -117,3 +118,6 @@ val shared_cache : t -> Shared_plan_cache.t option
 
 (** [lookup t] is the lookup policy this planner queries its cache with. *)
 val lookup : t -> Plan_cache.lookup
+
+(** [kernel t] is the [kernel] setting this planner was created with. *)
+val kernel : t -> bool

@@ -53,9 +53,9 @@ type outcome =
 
 (** [run ?policy ?submit engine ~model schema ~capacity plan] executes
     [plan]'s stages sequentially from [submit] time (default 0) under the
-    capacity trace. [model] supplies the cost model for [Reoptimize]
-    (ignored by the other policies). Stage durations come from the
-    execution simulator. *)
+    capacity trace. [model] supplies the cost model [Reoptimize] and
+    [Replan_remaining] plan with ([Wait], [Fail] and [Downscale] ignore
+    it). Stage durations come from the execution simulator. *)
 val run :
   ?policy:policy ->
   ?submit:float ->

@@ -5,7 +5,6 @@ type config = {
   tenant_quota : int option;
   batch : int;
   cache_capacity : int option;
-  kernel : bool;
   rewrite : bool;
   scale_factor : float;
   conditions : Raqo_cluster.Conditions.t;
@@ -17,18 +16,20 @@ let default_config =
     tenant_quota = None;
     batch = 8;
     cache_capacity = Some 4096;
-    kernel = true;
     rewrite = true;
     scale_factor = 100.0;
     conditions = Raqo_cluster.Conditions.default;
   }
 
-(* Per-tenant admission accounting, guarded by [queue_mutex] like the queue
-   itself (the counts must agree with what the queue holds). *)
+(* Per-tenant accounting, guarded by [queue_mutex] like the queue itself
+   (the counts must agree with what the queue holds). [t_queued] is a plain
+   int; the lifetime counts are one registry cell each, labelled with the
+   tenant and resolved when the tenant is first seen. *)
 type tstats = {
   mutable t_queued : int;  (** requests currently in the admission queue *)
-  mutable t_planned : int;
-  mutable t_rejected : int;
+  t_admitted : M.Counter.t;
+  t_planned : M.Counter.t;
+  t_rejected : M.Counter.t;
 }
 
 type t = {
@@ -41,7 +42,7 @@ type t = {
   queue_mutex : Mutex.t;
   tenants : (string, tstats) Hashtbl.t;
   (* One cell per count, resolved in [registry] and recorded always; only
-     the queue-depth gauge and the tenant-labelled counters are obs-gated. *)
+     the queue-depth gauge is obs-gated. *)
   admitted : M.Counter.t;
   rejected : M.Counter.t;
   responses : M.Counter.t;
@@ -132,8 +133,8 @@ let plan_request t (req : Protocol.request) : Protocol.response =
   let reject reason message = Protocol.Rejected { id = Some req.id; reason; message } in
   let model, sim_engine = Raqo.Models.for_engine req.engine in
   match
-    Raqo.Sql_frontend.plan ~kind:req.planner ~seed:req.seed ~kernel:t.config.kernel
-      ~shared_cache:t.cache ~rewrite:t.config.rewrite ~metrics:t.registry ~mode:req.mode
+    Raqo.Sql_frontend.plan ~kind:req.planner ~seed:req.seed ~shared_cache:t.cache
+      ~rewrite:t.config.rewrite ~metrics:t.registry ~mode:req.mode
       ?adaptive:(if req.adaptive then Some (sim_engine, req.est_error) else None)
       ~model ~conditions:t.config.conditions ~schema:t.schema ~columns:t.columns
       req.payload
@@ -178,14 +179,14 @@ let allocate t (areq : Protocol.alloc_request) : Protocol.response =
         match
           Raqo_obs.Trace.with_ ~name:"alloc/plan" (fun () ->
               Raqo.Sql_frontend.optimize ~kind:areq.planner ~seed:areq.seed
-                ~kernel:t.config.kernel ~shared_cache:t.cache ~rewrite:false
-                ~metrics:t.registry ~model ~conditions:t.config.conditions r)
+                ~shared_cache:t.cache ~rewrite:false ~metrics:t.registry ~model
+                ~conditions:t.config.conditions r)
         with
         | Error _ -> Error q.qid
         | Ok { plan; _ } ->
             let surface =
-              Surface.build ~use_kernel:t.config.kernel ~model
-                ~conditions:t.config.conditions ~schema:r.truth ~name:q.qid plan
+              Surface.build ~model ~conditions:t.config.conditions ~schema:r.truth
+                ~name:q.qid plan
             in
             let tenant =
               match (q.tenant, areq.tenant) with
@@ -269,28 +270,35 @@ let obs_on () = Raqo_obs.Obs.enabled ()
 
 let tenant_label (tenant : string option) = Option.value tenant ~default:"default"
 
-(* Call with [queue_mutex] held. *)
+(* Call with [queue_mutex] held. The tenant is embedded in each counter's
+   name as a Prometheus label: [Export.prometheus] prints names verbatim, so
+   the label renders as valid exposition-format output. *)
 let tstats_for t tenant =
   match Hashtbl.find_opt t.tenants tenant with
   | Some s -> s
   | None ->
-      let s = { t_queued = 0; t_planned = 0; t_rejected = 0 } in
+      let counter event =
+        M.counter_in t.registry
+          (Printf.sprintf "raqo_server_tenant_%s_total{tenant=%S}" event tenant)
+      in
+      let s =
+        {
+          t_queued = 0;
+          t_admitted = counter "admitted";
+          t_planned = counter "planned";
+          t_rejected = counter "rejected";
+        }
+      in
       Hashtbl.add t.tenants tenant s;
       s
-
-(* Registry mirror with the tenant embedded as a Prometheus label:
-   [Export.prometheus] prints counter names verbatim, so the label renders
-   as valid exposition-format output. Find-or-create per event is cheap —
-   the registry interns by name. *)
-let tenant_counter t event tenant =
-  M.counter_in t.registry
-    (Printf.sprintf "raqo_server_tenant_%s_total{tenant=%S}" event tenant)
 
 let tenant_stats t =
   Mutex.lock t.queue_mutex;
   let xs =
     Hashtbl.fold
-      (fun tenant s acc -> (tenant, (s.t_queued, s.t_planned, s.t_rejected)) :: acc)
+      (fun tenant s acc ->
+        (tenant, (s.t_queued, M.Counter.value s.t_planned, M.Counter.value s.t_rejected))
+        :: acc)
       t.tenants []
   in
   Mutex.unlock t.queue_mutex;
@@ -327,20 +335,16 @@ let submit t (req : Protocol.request) : Protocol.response option =
           stats.t_queued <- stats.t_queued + 1;
           `Admit (Queue.length t.queue)
   in
-  (if match decision with `Reject _ -> true | `Admit _ -> false then
-     stats.t_rejected <- stats.t_rejected + 1);
+  M.Counter.inc
+    (match decision with `Admit _ -> stats.t_admitted | `Reject _ -> stats.t_rejected);
   Mutex.unlock t.queue_mutex;
   match decision with
   | `Admit depth ->
       M.Counter.inc t.admitted;
-      if obs_on () then begin
-        M.Counter.inc (tenant_counter t "admitted" tenant);
-        M.Gauge.set t.queue_depth (float_of_int depth)
-      end;
+      if obs_on () then M.Gauge.set t.queue_depth (float_of_int depth);
       None
   | `Reject message ->
       M.Counter.inc t.rejected;
-      if obs_on () then M.Counter.inc (tenant_counter t "rejected" tenant);
       Some
         (Protocol.Rejected { id = Some req.id; reason = Protocol.Overloaded; message })
 
@@ -378,17 +382,10 @@ let process_wave t =
       List.iter
         (fun ((req : Protocol.request), response) ->
           let stats = tstats_for t (tenant_label req.tenant) in
-          if Protocol.is_ok response then stats.t_planned <- stats.t_planned + 1
-          else stats.t_rejected <- stats.t_rejected + 1)
+          M.Counter.inc
+            (if Protocol.is_ok response then stats.t_planned else stats.t_rejected))
         wave;
       Mutex.unlock t.queue_mutex;
-      if obs_on () then
-        List.iter
-          (fun ((req : Protocol.request), response) ->
-            let tenant = tenant_label req.tenant in
-            let event = if Protocol.is_ok response then "planned" else "rejected" in
-            M.Counter.inc (tenant_counter t event tenant))
-          wave;
       wave
 
 let rec drain t =

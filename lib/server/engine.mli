@@ -28,7 +28,6 @@ type config = {
           the rest. [None] (default) disables the quota. *)
   batch : int;  (** max requests planned per {!process_wave} *)
   cache_capacity : int option;  (** shared-cache LRU bound ([None] unbounded) *)
-  kernel : bool;  (** compiled cost kernels (the CLI's [--no-kernel] gates it) *)
   rewrite : bool;
       (** logical rewrite pass before enumeration: SQL filter selectivities
           become pushdown hints (replaying the resolver's scan scaling
@@ -40,8 +39,8 @@ type config = {
   conditions : Raqo_cluster.Conditions.t;
 }
 
-(** Queue 64, batch 8, cache 4096 entries, kernel on, rewrite
-    on, SF 100, default conditions. *)
+(** Queue 64, batch 8, cache 4096 entries, rewrite on, SF 100, default
+    conditions. *)
 val default_config : config
 
 type t
@@ -58,7 +57,7 @@ val cache : t -> Raqo_resource.Shared_plan_cache.t
 
 (** [plan_request t req] plans one request synchronously on the calling
     domain, bypassing admission. It is {!Raqo.Sql_frontend.plan} with the
-    engine's catalog, cache, registry, kernel and rewrite settings and the
+    engine's catalog, cache, registry and rewrite setting and the
     request engine's {!Raqo.Models.for_engine} model: resolve and option
     errors come back [Bad_request], no feasible plan [Infeasible]. Never raises:
     planner exceptions come back as [Rejected {reason = Internal; _}]. *)
@@ -109,9 +108,8 @@ val drain : t -> (Protocol.request * Protocol.response) list
 (** Lifetime counts, read from the engine's registry, where each lives in
     one cell: [raqo_server_{admitted,rejected,responses}_total] and the
     histogram [raqo_server_latency_seconds], recorded whatever the
-    observability mode. Only the gauge [raqo_server_queue_depth] and the
-    tenant-labelled counters are obs-gated. Engines that share a registry
-    share these counts. *)
+    observability mode. Only the gauge [raqo_server_queue_depth] is
+    obs-gated. Engines that share a registry share these counts. *)
 val admitted : t -> int
 
 val rejected : t -> int
@@ -120,6 +118,9 @@ val latency_histogram : t -> Raqo_obs.Metrics.Histogram.t
 
 (** [tenant_stats t] is per-tenant [(tenant, (queued, planned, rejected))],
     sorted by tenant name. Requests that name no tenant account under
-    ["default"]. The registry carries obs-gated mirrors
-    [raqo_server_tenant_{admitted,planned,rejected}_total{tenant="..."}]. *)
+    ["default"]. [queued] is the tenant's current share of the admission
+    queue; [planned] and [rejected] are read from the registry's
+    [raqo_server_tenant_{planned,rejected}_total{tenant="..."}] cells (next
+    to [raqo_server_tenant_admitted_total]), recorded always like the counts
+    above. *)
 val tenant_stats : t -> (string * (int * int * int)) list

@@ -521,9 +521,9 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
      pool, reproduce the sequential search bitwise at every pool size. *)
   let cb_run ?(hints = Rewrite.no_hints) ~rewrite kind pool_jobs =
     let t =
-      Cost_based.create ~kind ~kernel:false
-        ~resource_strategy:Resource_planner.Brute_force ~rewrite ~rewrite_hints:hints
-        ~model ~conditions schema
+      Cost_based.create ~kind
+        ~resource_planner:(Resource_planner.create ~kernel:false)
+        ~rewrite ~rewrite_hints:hints ~model ~conditions schema
     in
     match pool_jobs with
     | None -> Cost_based.optimize t rels
@@ -718,10 +718,7 @@ let alloc_workload t =
   in
   let joins = min t.joins (t.tables - 1) in
   let plan rels =
-    let opt =
-      Cost_based.create ~resource_strategy:Resource_planner.Brute_force ~model
-        ~conditions t.schema
-    in
+    let opt = Cost_based.create ~model ~conditions t.schema in
     Cost_based.optimize opt rels
   in
   List.init alloc_queries (fun i ->

@@ -25,8 +25,11 @@ let hive = Engine.hive
 let res nc gb = Resources.make ~containers:nc ~container_gb:gb
 let model = Models.hive ()
 let make_opt ?kind ?resource_strategy ?cache ?lookup ?kernel () =
-  Cost_based.create ?kind ?resource_strategy ?cache ?lookup ?kernel ~model
-    ~conditions:Conditions.default schema
+  Cost_based.create ?kind
+    ~resource_planner:
+      (Raqo_resource.Resource_planner.create ?strategy:resource_strategy ?cache ?lookup
+         ?kernel)
+    ~model ~conditions:Conditions.default schema
 
 (* -------------------------------------------------------------- Join_dt *)
 
@@ -278,10 +281,10 @@ let test_candidates_nonempty () =
 
 let test_kernel_toggle_is_invisible () =
   (* Compiled kernels are a pure perf lever: a kernel-on optimizer and its
-     --no-kernel twin emit identical joint plans and costs, and the climb's
-     instrumentation too (brute force through the kernel is the closed form,
-     which by design costs fewer cells than the exhaustive scalar scan; its
-     invocation count still matches). The kernels engage on both the
+     [~kernel:false] twin emit identical joint plans and costs, and the
+     climb's instrumentation too (brute force through the kernel is the
+     closed form, which by design costs fewer cells than the exhaustive
+     scalar scan; its invocation count still matches). The kernels engage on both the
      paper-space model and the extended-space hive model; the flag must be
      invisible either way. *)
   let models =
@@ -302,7 +305,9 @@ let test_kernel_toggle_is_invisible () =
         (fun (sname, strategy) ->
           let run kernel =
             let opt =
-              Cost_based.create ~resource_strategy:strategy ~cache:false ~kernel
+              Cost_based.create
+                ~resource_planner:
+                  (Raqo_resource.Resource_planner.create ~strategy ~cache:false ~kernel)
                 ~model ~conditions:Conditions.default schema
             in
             let result = Cost_based.optimize opt Tpch.q5 in
@@ -320,6 +325,61 @@ let test_kernel_toggle_is_invisible () =
             (r_on = r_off && i_on = i_off && same_evals))
         strategies)
     models
+
+let test_kernel_matches_scalar_on_trained_models () =
+  (* `raqo plan`'s settings on the trained models: with compiled kernels the
+     resource search is the closed-form grid minimum, on the scalar path the
+     exhaustive scan over every cell. Every planner must emit the same plan,
+     per-join resources and cost bits either way, under the Spark model and
+     on a ragged grid whose max-gb (10.5) is not a memory row. Only the
+     count of configurations explored differs. *)
+  let grid max_gb = Conditions.make ~max_containers:100 ~max_gb () in
+  let settings =
+    [
+      ("hive", Models.hive (), grid 10.0);
+      ("spark", Models.spark (), grid 10.0);
+      ("hive, max-gb 10.5", Models.hive (), grid 10.5);
+    ]
+  in
+  let kinds =
+    [
+      ("selinger", Cost_based.Selinger);
+      ("dpsub", Cost_based.Bushy_dp);
+      ("randomized", Cost_based.Fast_randomized);
+    ]
+  in
+  let queries = [ Tpch.q3; [ "customer"; "orders"; "lineitem"; "nation"; "supplier" ] ] in
+  List.iter
+    (fun (sname, model, conditions) ->
+      List.iter
+        (fun (kname, kind) ->
+          List.iter
+            (fun rels ->
+              let run ?resource_planner () =
+                match
+                  Cost_based.optimize
+                    (Cost_based.create ~kind ?resource_planner ~model ~conditions schema)
+                    rels
+                with
+                | Some (plan, cost) ->
+                    ( Format.asprintf "%a" Join_tree.pp_joint plan,
+                      Join_tree.annotations plan,
+                      Int64.bits_of_float cost )
+                | None -> Alcotest.failf "%s/%s: no plan" sname kname
+              in
+              let kp, kr, kc = run ()
+              and sp, sr, sc =
+                run ~resource_planner:(Raqo_resource.Resource_planner.create ~kernel:false) ()
+              in
+              let label what =
+                Printf.sprintf "%s, %s, %s: %s" sname kname (String.concat " " rels) what
+              in
+              Alcotest.(check string) (label "plan") sp kp;
+              Alcotest.(check bool) (label "per-join resources") true (kr = sr);
+              Alcotest.(check int64) (label "cost bits") sc kc)
+            queries)
+        kinds)
+    settings
 
 (* ------------------------------------------------------------ Use_cases *)
 
@@ -746,6 +806,8 @@ let () =
           Alcotest.test_case "candidates for multi-objective use" `Quick test_candidates_nonempty;
           Alcotest.test_case "kernel toggle changes nothing observable" `Quick
             test_kernel_toggle_is_invisible;
+          Alcotest.test_case "kernel matches scalar on trained models" `Quick
+            test_kernel_matches_scalar_on_trained_models;
         ] );
       ( "use_cases",
         [

@@ -25,6 +25,18 @@ let test_map_order () =
             (Pool.parallel_map pool (fun x -> x * x) xs)))
     pool_sizes
 
+let test_parallelism_capped () =
+  (* The count is computed, never spawned: asking one more than the host
+     recommends gets the recommendation. *)
+  let host = Domain.recommended_domain_count () in
+  Alcotest.(check int) "one job stays one" 1 (Pool.parallelism ~jobs:1);
+  Alcotest.(check int) "the host's count stays" host (Pool.parallelism ~jobs:host);
+  Alcotest.(check int) "above the host's count is capped" host
+    (Pool.parallelism ~jobs:(host + 1));
+  Alcotest.check_raises "jobs below 1 rejected"
+    (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
+      ignore (Pool.create ~jobs:0 ()))
+
 let test_empty_and_single () =
   Pool.with_pool ~jobs:2 (fun pool ->
       Alcotest.(check (list int)) "empty batch" [] (Pool.parallel_map pool succ []);
@@ -193,6 +205,7 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map preserves order" `Quick test_map_order;
+          Alcotest.test_case "parallelism capped at the host" `Quick test_parallelism_capped;
           Alcotest.test_case "empty and single batches" `Quick test_empty_and_single;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "usable after a failed batch" `Quick

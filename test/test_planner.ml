@@ -371,8 +371,9 @@ let test_validity_rejects () =
 let join_large_run kind ~kernel rels =
   let catalog = Lazy.force big_catalog in
   let opt =
-    Raqo.Cost_based.create ~kind ~kernel ~model:(Raqo.Models.hive ())
-      ~conditions:Conditions.default catalog
+    Raqo.Cost_based.create ~kind
+      ~resource_planner:(Raqo_resource.Resource_planner.create ~kernel)
+      ~model:(Raqo.Models.hive ()) ~conditions:Conditions.default catalog
   in
   match Raqo.Cost_based.optimize opt rels with
   | None -> None
@@ -384,7 +385,7 @@ let join_large_run kind ~kernel rels =
           Printf.sprintf "%h" c,
           [ K.cost_evaluations k; K.cache_hits k; K.cache_misses k; K.planner_invocations k ] )
 
-(* The pins are the scalar path's answers: with --no-kernel the default
+(* The pins are the scalar path's answers: with [~kernel:false] the default
    strategy is the paper's exhaustive scan, which costs all 1,000 cells per
    search. The closed form must reproduce its plan, cost and cache counts
    exactly, from the pinned, far smaller number of evaluations. *)

@@ -257,7 +257,11 @@ let test_cost_based_default_identity () =
   let schema = Tpch.schema () in
   let rels = [ "customer"; "orders"; "lineitem" ] in
   let run rewrite =
-    let t = Cost_based.create ~kernel:false ~rewrite ~model ~conditions schema in
+    let t =
+      Cost_based.create
+        ~resource_planner:(Raqo_resource.Resource_planner.create ~kernel:false)
+        ~rewrite ~model ~conditions schema
+    in
     Cost_based.optimize t rels
   in
   Alcotest.(check bool) "rewrite-on (default hints) = rewrite-off, bitwise" true
@@ -269,9 +273,9 @@ let test_cost_based_hinted_never_worse () =
   let hints = { Rewrite.filters = []; referenced = Some [ "fact"; "other" ] } in
   let run rewrite =
     let t =
-      Cost_based.create ~kernel:false
-        ~resource_strategy:Raqo_resource.Resource_planner.Brute_force ~rewrite
-        ~rewrite_hints:hints ~model ~conditions schema
+      Cost_based.create
+        ~resource_planner:(Raqo_resource.Resource_planner.create ~kernel:false)
+        ~rewrite ~rewrite_hints:hints ~model ~conditions schema
     in
     Cost_based.optimize t rels
   in
@@ -334,7 +338,7 @@ let test_sql_frontend_bitwise_identity () =
   in
   let plan rewrite =
     match
-      Raqo.Sql_frontend.plan ~kernel:false ~rewrite ~model ~conditions
+      Raqo.Sql_frontend.plan ~rewrite ~model ~conditions
         ~schema:(Tpch.schema ()) ~columns:(Tpch.columns ()) (Raqo.Sql_frontend.Sql sql)
     with
     | Ok planned -> planned
@@ -359,7 +363,7 @@ let test_sql_frontend_narrows_unprojected () =
   in
   let plan rewrite =
     match
-      Raqo.Sql_frontend.plan ~kernel:false ~rewrite ~model ~conditions
+      Raqo.Sql_frontend.plan ~rewrite ~model ~conditions
         ~schema:(Tpch.schema ()) ~columns:(Tpch.columns ()) (Raqo.Sql_frontend.Sql sql)
     with
     | Ok planned -> planned

@@ -314,7 +314,8 @@ let test_admission_bounded () =
 let test_engine_counts_are_its_registry () =
   (* Each engine created without a registry gets its own: the admission and
      response counts of one never move the other's, and each count is the
-     engine registry's raqo_server_*_total, with observability off or on. *)
+     engine registry's raqo_server_*_total, with observability off or on.
+     The per-tenant counts are its registry's tenant-labelled cells too. *)
   let config = { Engine.default_config with queue_capacity = 2; batch = 2 } in
   List.iter
     (fun obs ->
@@ -343,9 +344,56 @@ let test_engine_counts_are_its_registry () =
               check "rejected" rejected (Engine.rejected t) "raqo_server_rejected_total";
               check "responses" responses (Engine.responses t) "raqo_server_responses_total";
               Alcotest.(check int) (name ^ " latency observations") responses
-                (Raqo_obs.Metrics.Histogram.count (Engine.latency_histogram t)))
+                (Raqo_obs.Metrics.Histogram.count (Engine.latency_histogram t));
+              Alcotest.(check (list (pair string (triple int int int))))
+                (Printf.sprintf "%s tenant stats (obs %b)" name obs)
+                [ ("default", (0, admitted, rejected)) ]
+                (Engine.tenant_stats t);
+              List.iter
+                (fun (event, want) ->
+                  let metric =
+                    Printf.sprintf "raqo_server_tenant_%s_total{tenant=\"default\"}" event
+                  in
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s tenant %s = registry (obs %b)" name event obs)
+                    want (counter metric))
+                [ ("admitted", admitted); ("planned", responses); ("rejected", rejected) ])
             [ ("a", a, (2, 1, 2)); ("b", b, (1, 0, 1)) ]))
     [ false; true ]
+
+let test_served_instrumentation_in_engine_registry () =
+  (* A served request's optimizer and resource planner record into the
+     engine's registry, never the process-wide one: the plan count and the
+     planner's counter mirrors (invocations, and the cache hits of a repeated
+     request served from the shared cache) move there and only there. *)
+  Raqo_obs.Obs.with_enabled true (fun () ->
+      let names =
+        [ "raqo_plans_total"; "raqo_planner_invocations_total"; "raqo_plan_cache_hits_total" ]
+      in
+      let values registry =
+        List.map
+          (fun name ->
+            Raqo_obs.Metrics.Counter.value (Raqo_obs.Metrics.counter_in registry name))
+          names
+      in
+      let global_before = values Raqo_obs.Metrics.default in
+      let e = Engine.create ~config:small_config () in
+      List.iter
+        (fun id -> ignore (Engine.submit e (parse_ok (req_line sql3 ~id))))
+        [ "first"; "again" ];
+      let served = Engine.drain e in
+      Alcotest.(check int) "both served" 2
+        (List.length (List.filter (fun (_, r) -> Protocol.is_ok r) served));
+      (match values (Engine.registry e) with
+      | [ plans; invocations; hits ] ->
+          Alcotest.(check int) "raqo_plans_total in the engine registry" 2 plans;
+          Alcotest.(check bool) "raqo_planner_invocations_total in the engine registry" true
+            (invocations > 0);
+          Alcotest.(check bool) "raqo_plan_cache_hits_total in the engine registry" true
+            (hits > 0)
+      | _ -> assert false);
+      Alcotest.(check (list int)) "process-wide registry untouched" global_before
+        (values Raqo_obs.Metrics.default))
 
 (* --------------------------------------------------------------- Tenants *)
 
@@ -684,6 +732,8 @@ let () =
             test_admission_bounded;
           Alcotest.test_case "counts are its registry's" `Quick
             test_engine_counts_are_its_registry;
+          Alcotest.test_case "served instrumentation stays in its registry" `Quick
+            test_served_instrumentation_in_engine_registry;
         ] );
       ( "tenants",
         [
