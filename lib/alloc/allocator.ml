@@ -124,15 +124,26 @@ let compare_points a b =
       if c <> 0 then c else compare a.alloc b.alloc
 
 (* Non-dominated subset, duplicates (same objective vector) collapsed onto
-   the lexicographically-smallest allocation, sorted by makespan. *)
+   the lexicographically-smallest allocation, sorted by makespan. One sweep
+   in [compare_points] order: every point that covers [p] sorts before it
+   (an equal-vector twin only when its allocation is smaller), and every
+   earlier point already has makespan <= p's, so [p] is dropped exactly when
+   some earlier point with at most [p]'s violations has dollars <= p's.
+   [least.(v)] is the least dollars seen at [v] violations; [nan] (no point
+   yet) fails every [<=]. *)
 let frontier_of points =
   let sorted = List.sort_uniq compare_points points in
-  let keep p =
-    List.for_all
-      (fun q -> q == p || not (covers q p) || (covers p q && compare_points p q < 0))
-      sorted
+  let vmax = List.fold_left (fun acc p -> max acc p.violations) 0 sorted in
+  let least = Array.make (vmax + 1) Float.nan in
+  let sweep kept p =
+    let covered = ref false in
+    for v = 0 to p.violations do
+      if least.(v) <= p.dollars then covered := true
+    done;
+    if not (least.(p.violations) <= p.dollars) then least.(p.violations) <- p.dollars;
+    if !covered then kept else p :: kept
   in
-  let front = List.filter keep sorted in
+  let front = List.rev (List.fold_left sweep [] sorted) in
   if obs_on () then M.Counter.add m_frontier (List.length front);
   front
 
@@ -140,7 +151,10 @@ let frontier_of points =
 
 exception Too_large
 
-type partial = { pm : float; pd : float; pv : int; chosen : int list }
+(* A surviving partial allocation: its objective vector so far, the caps
+   chosen (last query first), and when it entered its cell ([seq] grows with
+   every accepted insert). *)
+type partial = { pm : float; pd : float; pv : int; seq : int; chosen : int list }
 
 (* Per-(query, cap) contribution, precomputed so the DP inner loop is pure
    arithmetic. *)
@@ -161,13 +175,88 @@ let choices ?(pricing = Pricing.flat Pricing.default) ~budget ~floor q =
            Some (c, finish, dollars, violations))
   |> Array.of_list
 
-let p_covers a b = a.pm <= b.pm && a.pd <= b.pd && a.pv <= b.pv
+(* One violation count's share of a DP cell: a staircase of mutually
+   non-dominated partials, makespan strictly ascending and dollars strictly
+   descending in [ps.(0 .. len - 1)]. *)
+type stair = { mutable len : int; mutable ps : partial array }
+
+let no_partial = { pm = Float.nan; pd = Float.nan; pv = 0; seq = 0; chosen = [] }
+
+(* The last index whose makespan is <= [m] (-1 if none), and the first
+   whose makespan is >= [m] ([len] if none). *)
+let last_le s m =
+  let lo = ref 0 and hi = ref s.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if s.ps.(mid).pm <= m then lo := mid + 1 else hi := mid
+  done;
+  !lo - 1
+
+let first_ge s m =
+  let lo = ref 0 and hi = ref s.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if s.ps.(mid).pm < m then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The last index whose dollars are >= [d] (-1 if none). *)
+let last_dollars_ge s d =
+  let lo = ref 0 and hi = ref s.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if s.ps.(mid).pd >= d then lo := mid + 1 else hi := mid
+  done;
+  !lo - 1
+
+(* Some partial at <= [v] violations covers (m, d, v): on each staircase the
+   last point with makespan <= m has the least dollars among those. *)
+let covered cell m d v =
+  let hit = ref false and v' = ref 0 in
+  while (not !hit) && !v' <= v do
+    let s = cell.(!v') in
+    let k = last_le s m in
+    hit := k >= 0 && s.ps.(k).pd <= d;
+    incr v'
+  done;
+  !hit
+
+(* Drops the points of [s] that (m, d) covers — one contiguous run, from the
+   first makespan >= m to the last dollars >= d — leaving a gap of [room]
+   slots at its start; returns the gap's index and how many were dropped.
+   Vacated slots are reset to [no_partial] so dropped partials can be
+   collected. *)
+let evict s m d ~room =
+  let lo = first_ge s m in
+  let hi = max (lo - 1) (last_dollars_ge s d) in
+  let dropped = hi - lo + 1 in
+  let len' = s.len - dropped + room in
+  if len' > Array.length s.ps then begin
+    let ps = Array.make (max 8 (2 * len')) no_partial in
+    Array.blit s.ps 0 ps 0 lo;
+    Array.blit s.ps (hi + 1) ps (lo + room) (s.len - hi - 1);
+    s.ps <- ps
+  end
+  else if dropped <> room then begin
+    Array.blit s.ps (hi + 1) s.ps (lo + room) (s.len - hi - 1);
+    if len' < s.len then Array.fill s.ps len' (s.len - len') no_partial
+  end;
+  s.len <- len';
+  (lo, dropped)
 
 (* Exact tri-objective DP over (query prefix, containers used): each cell
    keeps the non-dominated partial vectors only. Pruning is lossless because
    every objective accumulates monotonically (max for makespan, sums for
    dollars and violations): a dominated prefix stays dominated under any
-   common extension. *)
+   common extension.
+
+   A cell is one staircase per violation count, so a dominance test is a
+   binary search per count and an insert evicts one contiguous run per
+   count. The survivors are exactly those of a plain list of partials
+   extended newest-first, where a candidate enters unless some member
+   covers it ([<=] on all three, so of two equal vectors the first inserted
+   stays) and then evicts every member it covers: each cell's survivors are
+   extended in descending [seq]. *)
 let exact ?(max_states = 500_000) ?pricing ~budget ~fairness queries =
   Raqo_obs.Trace.with_ ~name:"alloc/exact" @@ fun () ->
   let n = Array.length queries in
@@ -176,56 +265,76 @@ let exact ?(max_states = 500_000) ?pricing ~budget ~fairness queries =
   for i = n - 1 downto 0 do
     suffix.(i) <- suffix.(i + 1) + floors.(i)
   done;
-  let states = ref 0 and evaluated = ref 0 in
-  let dp = Array.make (budget + 1) [] in
-  dp.(0) <- [ { pm = 0.0; pd = 0.0; pv = 0; chosen = [] } ];
+  let vmax = Array.fold_left (fun acc q -> if q.slo = None then acc else acc + 1) 0 queries in
+  let cells =
+    Array.init (budget + 1) (fun _ -> Array.init (vmax + 1) (fun _ -> { len = 0; ps = [||] }))
+  in
+  let states = ref 0 and peak = ref 0 and evaluated = ref 0 and seq = ref 0 in
+  let dp = Array.make (budget + 1) [||] in
+  dp.(0) <- [| { pm = 0.0; pd = 0.0; pv = 0; seq = 0; chosen = [] } |];
+  (* Empties the staircases into [dp], each cell newest-first. *)
+  let harvest () =
+    Array.iteri
+      (fun b cell ->
+        let parts = ref [] in
+        Array.iter
+          (fun s ->
+            for k = 0 to s.len - 1 do
+              parts := s.ps.(k) :: !parts
+            done;
+            Array.fill s.ps 0 s.len no_partial;
+            s.len <- 0)
+          cell;
+        let parts = Array.of_list !parts in
+        Array.sort (fun a b -> Int.compare b.seq a.seq) parts;
+        dp.(b) <- parts)
+      cells
+  in
   try
     for i = 0 to n - 1 do
       let opts = choices ?pricing ~budget ~floor:floors.(i) queries.(i) in
-      let ndp = Array.make (budget + 1) [] in
       states := 0;
       for b = 0 to budget do
-        match dp.(b) with
-        | [] -> ()
-        | parts ->
-            Array.iter
-              (fun (c, finish, dollars, violations) ->
-                if b + c + suffix.(i + 1) <= budget then begin
-                  let cell = b + c in
-                  List.iter
-                    (fun p ->
-                      incr evaluated;
-                      let np =
-                        {
-                          pm = Float.max p.pm finish;
-                          pd = p.pd +. dollars;
-                          pv = p.pv + violations;
-                          chosen = c :: p.chosen;
-                        }
-                      in
-                      if not (List.exists (fun q -> p_covers q np) ndp.(cell)) then begin
-                        let kept = List.filter (fun q -> not (p_covers np q)) ndp.(cell) in
-                        states := !states - (List.length ndp.(cell) - List.length kept) + 1;
-                        ndp.(cell) <- np :: kept;
-                        if !states > max_states then raise Too_large
-                      end)
-                    parts
-                end)
-              opts
+        Array.iter
+          (fun (c, finish, dollars, violations) ->
+            if b + c + suffix.(i + 1) <= budget then begin
+              let cell = cells.(b + c) in
+              Array.iter
+                (fun p ->
+                  incr evaluated;
+                  let m = Float.max p.pm finish
+                  and d = p.pd +. dollars
+                  and v = p.pv + violations in
+                  if not (covered cell m d v) then begin
+                    for v' = v + 1 to vmax do
+                      states := !states - snd (evict cell.(v') m d ~room:0)
+                    done;
+                    let s = cell.(v) in
+                    let at, dropped = evict s m d ~room:1 in
+                    incr seq;
+                    s.ps.(at) <- { pm = m; pd = d; pv = v; seq = !seq; chosen = c :: p.chosen };
+                    states := !states - dropped + 1;
+                    if !states > !peak then peak := !states;
+                    if !states > max_states then raise Too_large
+                  end)
+                dp.(b)
+            end)
+          opts
       done;
-      Array.blit ndp 0 dp 0 (budget + 1)
+      harvest ()
     done;
-    if obs_on () then M.Counter.add m_exact_states !states;
+    if obs_on () then M.Counter.add m_exact_states !peak;
     let points =
       Array.to_list dp
-      |> List.concat_map
-           (List.map (fun p ->
-                {
-                  alloc = Array.of_list (List.rev p.chosen);
-                  makespan = p.pm;
-                  dollars = p.pd;
-                  violations = p.pv;
-                }))
+      |> List.concat_map (fun parts ->
+             Array.to_list parts
+             |> List.map (fun p ->
+                    {
+                      alloc = Array.of_list (List.rev p.chosen);
+                      makespan = p.pm;
+                      dollars = p.pd;
+                      violations = p.pv;
+                    }))
     in
     if obs_on () then M.Counter.add m_evaluations !evaluated;
     Some

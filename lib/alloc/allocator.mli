@@ -66,6 +66,18 @@ val covers : point -> point -> bool
 
 val dominates : point -> point -> bool
 
+(** The frontier's order: makespan, then dollars, then violations (floats
+    by [Float.compare]), then the allocation. *)
+val compare_points : point -> point -> int
+
+(** [frontier_of points] is the non-dominated subset of [points], sorted by
+    {!compare_points}, with equal objective vectors collapsed onto the
+    smallest allocation. One sweep in that order: whatever covers a point
+    sorts before it, so a point is dropped exactly when an earlier one with
+    at most its violations has at most its dollars — a running minimum of
+    dollars per violation count decides. *)
+val frontier_of : point list -> point list
+
 (** [floors ~budget ~fairness queries] is each query's guaranteed container
     floor: [fairness] (in [\[0, 1\]]) times its weight share of the budget,
     rounded down onto its cap grid and never below the grid minimum.
@@ -78,8 +90,26 @@ val equal_split :
   ?pricing:Raqo_cluster.Pricing.schedule -> budget:int -> fairness:float -> query array -> point
 
 (** [exact ?max_states ?pricing ~budget ~fairness queries] runs the exact
-    Pareto DP; [None] when a DP layer's non-dominated state count exceeds
-    [max_states] (default 500k) — callers fall back to {!randomized}. *)
+    Pareto DP over (query prefix, containers used); [None] when a DP
+    layer's non-dominated state count exceeds [max_states] (default 500k)
+    — callers fall back to {!randomized}.
+
+    Each cell keeps one staircase per violation count: partials sorted by
+    makespan ascending, dollars strictly descending. Whether a candidate is
+    covered is one binary search per count at or below its own; the
+    partials it covers are one contiguous run per count at or above it.
+    The survivors are those of a plain list cell extended newest-first,
+    where a candidate enters unless a member covers it ([<=] on all three
+    objectives) and then evicts every member it covers: so of two equal
+    vectors the {e first inserted} stays, and each cell's survivors are
+    extended in reverse insertion order. The frontier's bytes depend on
+    both rules; [Raqo_verify.Alloc_reference] keeps the list DP as the
+    baseline this is checked against.
+
+    With observability on, [raqo_alloc_exact_states_total] grows by the
+    largest state count any layer of the run reached — the figure
+    [max_states] bounds — and [raqo_alloc_evaluations_total] by
+    [evaluated]. *)
 val exact :
   ?max_states:int ->
   ?pricing:Raqo_cluster.Pricing.schedule ->

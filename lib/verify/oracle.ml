@@ -843,6 +843,29 @@ let check_alloc t =
           [ D.v ~invariant:"alloc/exact-too-large"
               "exact DP overflowed its state bound on an oracle-sized workload" ]
     | Some o -> check_points "alloc-exact" o);
+    (* The staircase DP against the list DP it replaced: the same answer
+       bit for bit, and an overflow at the same state bound. *)
+    arm ();
+    (match exact with
+    | None -> ()
+    | Some _ ->
+        let bound =
+          Alloc_reference.overflow_bound ~pricing ~budget:alloc_budget
+            ~fairness:alloc_fairness queries
+        in
+        List.iter
+          (fun max_states ->
+            match
+              Alloc_reference.mismatch ?max_states ~pricing ~budget:alloc_budget
+                ~fairness:alloc_fairness queries
+            with
+            | None -> ()
+            | Some what ->
+                add
+                  [ D.v ~invariant:"alloc/exact-vs-reference" "max_states %s: %s"
+                      (match max_states with Some m -> string_of_int m | None -> "default")
+                      what ])
+          [ None; Some bound; Some (bound - 1) ]);
     arm ();
     let seed = alloc_seed t.seed + 2 in
     let rand =

@@ -119,6 +119,8 @@ val alloc_fairness : float
     point must be within budget, above its fairness floor, re-priceable to
     the identical objective vector, and non-dominated; the best makespan
     must never exceed the naive equal split's (both modes); equal-seed
-    randomized searches must be bit-identical; and the exact DP frontier
-    must cover every randomized frontier point. *)
+    randomized searches must be bit-identical; the exact DP frontier
+    must cover every randomized frontier point; and the exact DP must
+    answer as {!Alloc_reference.exact} does, bit for bit, overflowing at
+    the same [max_states] ([alloc/exact-vs-reference]). *)
 val check_alloc : instance -> Diagnostic.t list

@@ -176,6 +176,122 @@ let test_search_deterministic () =
   Alcotest.(check bool) "forced randomized runs randomized" true
     (forced.mode = Allocator.Randomized)
 
+(* ------------------------------------------- exact vs the list reference *)
+
+module Alloc_reference = Raqo_verify.Alloc_reference
+
+(* Sweep and quadratic filter on small-integer vectors and 2-cap
+   allocations: most sets hold equal vectors, equal makespans and exact
+   duplicates, the ties the sweep's [<=] and its order must get right. *)
+let prop_frontier_sweep_matches_quadratic =
+  let point =
+    QCheck.Gen.(
+      map
+        (fun (m, d, v, a) ->
+          {
+            Allocator.alloc = a;
+            makespan = float_of_int m;
+            dollars = float_of_int d;
+            violations = v;
+          })
+        (quad (int_range 0 3) (int_range 0 3) (int_range 0 2)
+           (array_size (return 2) (int_range 0 2))))
+  in
+  let print ps =
+    String.concat "; "
+      (List.map
+         (fun (p : Allocator.point) ->
+           Printf.sprintf "(%g,%g,%d,[%d %d])" p.makespan p.dollars p.violations p.alloc.(0)
+             p.alloc.(1))
+         ps)
+  in
+  QCheck.Test.make ~name:"frontier sweep matches the quadratic filter" ~count:2000
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 0 60) point))
+    (fun ps -> Allocator.frontier_of ps = Alloc_reference.frontier ps)
+
+(* TPC-H members on a compact 16 x 6 GB grid, planned once per query. With
+   [slo], each member's deadline sits halfway between its fastest and
+   slowest latency, so the violations axis splits the cells. *)
+let tpch_members =
+  let model = Raqo.Models.hive () in
+  let conditions = Raqo_cluster.Conditions.make ~max_containers:16 ~max_gb:6.0 () in
+  let schema = Raqo_catalog.Tpch.schema () in
+  let evaluation = Array.of_list Raqo_catalog.Tpch.evaluation_queries in
+  let planned = Hashtbl.create 16 in
+  let plan rels =
+    match Hashtbl.find_opt planned rels with
+    | Some joint -> joint
+    | None ->
+        let opt = Raqo.Cost_based.create ~model ~conditions schema in
+        let joint = Option.map fst (Raqo.Cost_based.optimize opt rels) in
+        Hashtbl.add planned rels joint;
+        joint
+  in
+  fun ~n ~budget ~slo ->
+    let arrivals = Workload.arrivals (Rng.create (97 + n)) ~n ~rate:0.02 ~capacity:budget in
+    let specs =
+      List.init n (fun i ->
+          let qname, relations = evaluation.(i mod Array.length evaluation) in
+          {
+            Workload.name = Printf.sprintf "q%d:%s" (i + 1) qname;
+            relations;
+            tenant = Printf.sprintf "t%d" (i mod 2);
+            weight = float_of_int (1 + (i mod 2));
+            arrival = arrivals.(i);
+            slo = None;
+          })
+    in
+    let queries = Workload.queries ~model ~conditions ~schema ~plan specs in
+    Alcotest.(check int) "every member planned" n (Array.length queries);
+    if not slo then queries
+    else
+      Array.map
+        (fun (q : Allocator.query) ->
+          let s = q.surface in
+          let fast = Surface.latency_at s (Surface.max_cap s)
+          and slow = Surface.latency_at s (Surface.min_cap s) in
+          { q with slo = Some ((fast +. slow) /. 2.0) })
+        queries
+
+let spot =
+  Pricing.spot
+    ~swings:(Pricing.random_swings (Rng.create 5) ~horizon:7200.0 ~segments:6)
+    Pricing.default
+
+let agree ?max_states ?pricing ~budget ~fairness queries =
+  match Alloc_reference.mismatch ?max_states ?pricing ~budget ~fairness queries with
+  | None -> ()
+  | Some what -> Alcotest.fail what
+
+(* The staircase DP answers as the list DP does, bit for bit, on workloads
+   big enough to fill cells with ties: (members, budget, SLOs, fairness,
+   spot pricing). *)
+let test_exact_matches_reference () =
+  List.iter
+    (fun (n, budget, slo, fairness, spot_priced) ->
+      let queries = tpch_members ~n ~budget ~slo in
+      let pricing = if spot_priced then Some spot else None in
+      agree ?pricing ~budget ~fairness queries)
+    [
+      (8, 24, false, 0.0, false);
+      (12, 36, true, 0.5, true);
+      (16, 48, true, 0.0, false);
+      (16, 48, false, 0.5, true);
+      (20, 60, true, 0.5, false);
+      (20, 48, false, 0.0, true);
+    ]
+
+(* A small [max_states]: both DPs overflow below the list DP's largest
+   layer and finish at it. *)
+let test_exact_overflows_with_reference () =
+  let queries = tpch_members ~n:10 ~budget:30 ~slo:true in
+  let budget = 30 and fairness = 0.0 in
+  let bound = Alloc_reference.overflow_bound ~budget ~fairness queries in
+  Alcotest.(check bool) "the bound is below the default" true (bound > 1 && bound < 500_000);
+  List.iter
+    (fun max_states -> agree ~max_states ~budget ~fairness queries)
+    [ bound - 1; bound; bound / 2 ]
+
 (* ----------------------------------------------------- fairness + pricing *)
 
 let test_fairness_floors () =
@@ -307,6 +423,13 @@ let () =
           Alcotest.test_case "spot pricing scales dollars" `Quick
             test_spot_pricing_scales_dollars;
           Alcotest.test_case "hypervolume" `Quick test_hypervolume;
+        ] );
+      ( "exact reference",
+        [
+          Alcotest.test_case "matches the list DP" `Quick test_exact_matches_reference;
+          Alcotest.test_case "overflows with the list DP" `Quick
+            test_exact_overflows_with_reference;
+          QCheck_alcotest.to_alcotest prop_frontier_sweep_matches_quadratic;
         ] );
       ( "workload",
         [
