@@ -205,7 +205,7 @@ let prop_frontier_sweep_matches_quadratic =
              p.alloc.(1))
          ps)
   in
-  QCheck.Test.make ~name:"frontier sweep matches the quadratic filter" ~count:2000
+  QCheck.Test.make ~name:"sweep matches quadratic filter" ~count:2000
     (QCheck.make ~print QCheck.Gen.(list_size (int_range 0 60) point))
     (fun ps -> Allocator.frontier_of ps = Alloc_reference.frontier ps)
 
@@ -424,7 +424,7 @@ let () =
             test_spot_pricing_scales_dollars;
           Alcotest.test_case "hypervolume" `Quick test_hypervolume;
         ] );
-      ( "exact reference",
+      ( "reference",
         [
           Alcotest.test_case "matches the list DP" `Quick test_exact_matches_reference;
           Alcotest.test_case "overflows with the list DP" `Quick
