@@ -611,7 +611,7 @@ let metrics_cmd =
     Raqo_obs.Obs.set_enabled true;
     (* Drive every instrumented layer once: plan each TPC-H evaluation query
        jointly with the paper's published model, sharing one optimizer so
-       the plan cache sees reuse and the kernel search counter moves. *)
+       the plan cache sees reuse and the kernel sweep counters move. *)
     let model = Raqo_cost.Op_cost.with_floor 0.01 Raqo_cost.Op_cost.paper in
     let opt =
       Raqo.Cost_based.create ~model ~conditions:(conditions max_containers max_gb)
@@ -852,8 +852,12 @@ let allocate_cmd =
   in
   let search_arg =
     Arg.(value
-         & opt (choice_conv [ ("exact", `Exact); ("randomized", `Randomized); ("auto", `Auto) ])
-             `Auto
+         & opt
+             (choice_conv
+                (List.map
+                   (fun n -> (n, Option.get (Allocator.want_of_string n)))
+                   Allocator.want_names))
+             Allocator.Auto
          & info [ "search" ] ~docv:"MODE"
              ~doc:"Frontier search: exact Pareto DP, seeded randomized local search, or \
                    auto (exact when the DP is small enough).")
@@ -883,7 +887,7 @@ let allocate_cmd =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Also write the frontier and baselines as JSON to $(docv).")
   in
-  let run n budget seed objective fairness search slo tenants arrival_rate spot json_path
+  let run n budget seed objective fairness want slo tenants arrival_rate spot json_path
       max_containers max_gb trace =
     with_trace trace @@ fun () ->
     if n < 1 || budget < 1 || tenants < 1 || arrival_rate <= 0.0 then begin
@@ -928,12 +932,6 @@ let allocate_cmd =
                ~segments:6)
           Pricing.default
       else Pricing.flat Pricing.default
-    in
-    let want =
-      match search with
-      | `Exact -> Allocator.Want_exact
-      | `Randomized -> Allocator.Want_randomized
-      | `Auto -> Allocator.Auto
     in
     (* Every member needs at least its surface's smallest cap; a budget below
        their sum has no allocation at all. *)

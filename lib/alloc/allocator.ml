@@ -372,7 +372,10 @@ let random_fill rng ~budget ~floors queries =
    restart descending a randomly weighted scalarization. Every evaluated
    allocation lands in the archive; the frontier is the archive's
    non-dominated subset. Fully deterministic for a fixed seed. *)
-let randomized ?(restarts = 8) ?(moves = 256) ?pricing ~seed ~budget ~fairness queries =
+let restarts = 8
+let moves = 256
+
+let randomized ?pricing ~seed ~budget ~fairness queries =
   Raqo_obs.Trace.with_ ~name:"alloc/randomized" @@ fun () ->
   let n = Array.length queries in
   let floors = floors ~budget ~fairness queries in
@@ -450,18 +453,17 @@ let want_of_string = function
 
 let want_names = [ "exact"; "randomized"; "auto" ]
 
-let search ?(want = Auto) ?max_states ?restarts ?moves ?pricing ~seed ~budget ~fairness
-    queries =
-  let fallback () = randomized ?restarts ?moves ?pricing ~seed ~budget ~fairness queries in
+let search ?(want = Auto) ?pricing ~seed ~budget ~fairness queries =
+  let fallback () = randomized ?pricing ~seed ~budget ~fairness queries in
   match want with
   | Want_randomized -> fallback ()
   | Want_exact -> (
-      match exact ?max_states ?pricing ~budget ~fairness queries with
+      match exact ?pricing ~budget ~fairness queries with
       | Some outcome -> outcome
       | None -> fallback ())
   | Auto ->
       if exact_work ~budget queries <= 200_000 then
-        match exact ?max_states ?pricing ~budget ~fairness queries with
+        match exact ?pricing ~budget ~fairness queries with
         | Some outcome -> outcome
         | None -> fallback ()
       else fallback ()

@@ -118,12 +118,10 @@ val exact :
   query array ->
   outcome option
 
-(** [randomized ?restarts ?moves ?pricing ~seed ~budget ~fairness queries]
-    runs the seeded local search (defaults: 8 restarts, 256 moves each).
-    Deterministic for a fixed seed. *)
+(** [randomized ?pricing ~seed ~budget ~fairness queries] runs the seeded
+    local search: 8 restarts of 256 moves each. Deterministic for a fixed
+    seed. *)
 val randomized :
-  ?restarts:int ->
-  ?moves:int ->
   ?pricing:Raqo_cluster.Pricing.schedule ->
   seed:int ->
   budget:int ->
@@ -141,9 +139,6 @@ val want_names : string list
 
 val search :
   ?want:want ->
-  ?max_states:int ->
-  ?restarts:int ->
-  ?moves:int ->
   ?pricing:Raqo_cluster.Pricing.schedule ->
   seed:int ->
   budget:int ->

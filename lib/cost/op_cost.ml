@@ -70,9 +70,6 @@ let predict_exn t impl ~small_gb ~resources =
   | Some c -> c
   | None -> Float.infinity
 
-let scan_cost t ~gb ~resources =
-  Linreg.predict t.scan (Feature.vector_of t.space ~small_gb:gb ~resources)
-
 let best_impl t ~small_gb ~resources =
   List.fold_left
     (fun best impl ->

@@ -38,9 +38,6 @@ val predict_exn :
   resources:Raqo_cluster.Resources.t ->
   float
 
-(** [scan_cost t ~gb ~resources] estimates a standalone scan. *)
-val scan_cost : t -> gb:float -> resources:Raqo_cluster.Resources.t -> float
-
 (** [with_floor floor t] returns [t] clamping every prediction to at least
     [floor]. *)
 val with_floor : float -> t -> t

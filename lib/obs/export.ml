@@ -41,7 +41,12 @@ let write_chrome_trace path =
 
 (* Shortest representation that round-trips through [float_of_string]:
    integral values print plainly, others at the lowest precision that reads
-   back bit-identical (0.1 stays "0.1", not "0.10000000000000001"). *)
+   back bit-identical (0.1 stays "0.1", not "0.10000000000000001"). A normal
+   double whose shortest form has at most 15 digits prints that form at
+   [%.15g] (every 15-digit decimal survives a trip through a double,
+   DBL_DIG = 15; [%g] drops the trailing zeros, and the exponent style can
+   only differ on integers below 1e15, printed above), so the search starts
+   there. Subnormals carry fewer bits and start at 1. *)
 let fmt_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else begin
@@ -51,7 +56,7 @@ let fmt_float v =
         let s = Printf.sprintf "%.*g" p v in
         if float_of_string s = v then s else shortest (p + 1)
     in
-    shortest 1
+    shortest (if Float.classify_float v = FP_subnormal then 1 else 15)
   end
 
 let prometheus ?registry () =

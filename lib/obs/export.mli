@@ -9,6 +9,12 @@
     so the hierarchy survives even where timestamps tie. *)
 val chrome_json : Trace.event list -> string
 
+(** [escape_json buf s] appends [s] to [buf] escaped for the inside of a
+    JSON string: quote, backslash and control characters; other bytes pass
+    through. The one JSON string escaper (the server's [Json] prints with
+    it). *)
+val escape_json : Buffer.t -> string -> unit
+
 (** [write_chrome_trace path] dumps the current rings to [path]. *)
 val write_chrome_trace : string -> unit
 

@@ -153,14 +153,6 @@ let of_strings ctx t =
   in
   { best_join_masked; masked_name = t.name }
 
-let to_strings ctx m =
-  let best_join ~left ~right =
-    m.best_join_masked
-      ~left:(Interned.mask_of_names ctx left)
-      ~right:(Interned.mask_of_names ctx right)
-  in
-  { best_join; name = m.masked_name }
-
 (* Statistics cache keyed on the subset mask — one Hashtbl probe on an int
    instead of sort + concat over the relation names; a miss reads the
    context's precomputed statistics instead of the schema's maps. *)

@@ -95,10 +95,6 @@ type masked = {
     adapted costers observe byte-identical arguments. *)
 val of_strings : Raqo_catalog.Interned.t -> t -> masked
 
-(** [to_strings ctx m] adapts a masked coster back to the string seam
-    (CLI, examples, and differential-oracle reference arms). *)
-val to_strings : Raqo_catalog.Interned.t -> masked -> t
-
 (** [fixed_masked model ctx resources] is {!fixed} on the mask seam,
     with the statistics cache keyed on subset masks. *)
 val fixed_masked :

@@ -51,11 +51,6 @@ let fork t =
       | (Some (Shared _) | None) as cache -> cache);
   }
 
-(* Which implementation a search took, split kernel vs scalar so `raqo
-   metrics` shows how often the compiled path actually runs. *)
-let m_kernel_searches = Raqo_obs.Metrics.counter "raqo_resource_search_kernel_total"
-let m_scalar_searches = Raqo_obs.Metrics.counter "raqo_resource_search_scalar_total"
-
 (* Static span names: picked by branch, never built at runtime. *)
 let span_name strategy ~kernel =
   match (strategy, kernel) with
@@ -92,10 +87,7 @@ let climb_start (model : Op_cost.t) impl ~small_gb (conditions : Conditions.t) =
 let search t model impl ~small_gb =
   let span =
     if not (Raqo_obs.Obs.enabled ()) then Raqo_obs.Trace.none
-    else begin
-      Raqo_obs.Metrics.Counter.inc (if t.use_kernel then m_kernel_searches else m_scalar_searches);
-      Raqo_obs.Trace.start (span_name t.strategy ~kernel:t.use_kernel)
-    end
+    else Raqo_obs.Trace.start (span_name t.strategy ~kernel:t.use_kernel)
   in
   let result =
     if t.use_kernel then begin

@@ -3,7 +3,11 @@
     the trained cost model (warm compiled kernels), a cross-query
     {!Raqo_resource.Shared_plan_cache} and a private metrics
     {!Raqo_obs.Metrics.registry}. Nothing is ambient: two engines (two
-    servers, or a server and the CLI) share no mutable state.
+    servers, or a server and the CLI) share no mutable state, except the
+    counters that only count while observability is on and stay in the
+    process-wide {!Raqo_obs.Metrics.default}: Selinger and DPsub
+    expansions, randomized restarts, kernel sweeps, and the adaptive and
+    executor counts.
 
     Admission control: {!submit} either enqueues a request into a bounded
     FIFO or immediately returns a typed [Overloaded] rejection — the queue

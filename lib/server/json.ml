@@ -2,7 +2,8 @@
    avoids new dependencies, and the protocol needs exactly one nonstandard
    property: floats must round-trip bit-identically, so responses can be
    diffed byte-for-byte against the one-shot CLI path. Printing reuses the
-   shortest-round-trip encoder the Prometheus exporter already ships. *)
+   shortest-round-trip encoder and the string escaper the exporters already
+   ship. *)
 
 type t =
   | Null
@@ -14,19 +15,6 @@ type t =
 
 (* ---------- printing ---------- *)
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -37,7 +25,7 @@ let rec write buf = function
       else Buffer.add_string buf (Raqo_obs.Export.fmt_float v)
   | Str s ->
       Buffer.add_char buf '"';
-      escape buf s;
+      Raqo_obs.Export.escape_json buf s;
       Buffer.add_char buf '"'
   | List xs ->
       Buffer.add_char buf '[';
@@ -53,7 +41,7 @@ let rec write buf = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          escape buf k;
+          Raqo_obs.Export.escape_json buf k;
           Buffer.add_string buf "\":";
           write buf v)
         kvs;
@@ -237,4 +225,3 @@ let to_int = function
 
 let to_str = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
-let to_list = function List xs -> Some xs | _ -> None

@@ -37,8 +37,6 @@ let objective_of_string = function
 
 let objective_name = function Makespan -> "makespan" | Dollars -> "cost" | Balanced -> "balanced"
 
-let search_names = [ "exact"; "randomized"; "auto" ]
-
 type alloc_query = {
   qid : string;
   payload : payload;
@@ -55,7 +53,7 @@ type alloc_request = {
   planner : Raqo.Cost_based.planner_kind;
   objective : objective;
   fairness : float;
-  search : string;  (* validated against [search_names] *)
+  search : string;  (* one of [Allocator.want_names] *)
   seed : int;
   engine : string;
   tenant : string option;
@@ -115,13 +113,19 @@ let planner_name = function
   | Raqo.Cost_based.Fast_randomized -> "fast_randomized"
   | Raqo.Cost_based.Bushy_dp -> "bushy_dp"
 
-(* Strict field whitelist: a typo'd option silently falling back to a default
-   would make "bit-identical to the CLI" vacuously true for the wrong plan. *)
-let known_keys =
-  [ "id"; "sql"; "relations"; "planner"; "mode"; "containers"; "gb"; "seed";
-    "adaptive"; "est_error"; "engine"; "tenant" ]
-
 let ( let* ) = Result.bind
+
+(* ---------- field readers ----------
+   One reader per field, shared by every grammar that takes it, so a field
+   has one set of rules and one message wherever it appears. *)
+
+(* Strict field whitelist: a typo'd option silently falling back to a default
+   would make "bit-identical to the CLI" vacuously true for the wrong plan.
+   [prefix] starts the message: "unknown field(s): " and the like. *)
+let check_keys known ~prefix json =
+  match List.filter (fun k -> not (List.mem k known)) (Json.keys json) with
+  | [] -> Ok ()
+  | ks -> Error (prefix ^ String.concat ", " ks)
 
 let field_opt json key ~cast ~what =
   match Json.member key json with
@@ -131,9 +135,44 @@ let field_opt json key ~cast ~what =
       | Some x -> Ok (Some x)
       | None -> Error (Printf.sprintf "field %S must be %s" key what))
 
-(* Exactly one of "sql"/"relations" — shared by plan requests and each
-   member of an allocate request's query list. *)
-let parse_payload json =
+(* [what] names the field in the message: "field" on requests and probes,
+   "query field" on allocate members. *)
+let read_id ?(what = "field") json =
+  match Json.member "id" json with
+  | None -> Ok None
+  | Some (Json.Str s) when s <> "" -> Ok (Some s)
+  | Some _ -> Error (Printf.sprintf "%s \"id\" must be a non-empty string" what)
+
+let require_id ?what ~missing json =
+  let* id = read_id ?what json in
+  Option.to_result ~none:missing id
+
+let read_string json key ~default =
+  let* s = field_opt json key ~cast:Json.to_str ~what:"a string" in
+  Ok (Option.value s ~default)
+
+let read_planner json =
+  let* s = read_string json "planner" ~default:"selinger" in
+  planner_of_string s
+
+let read_engine json =
+  let* engine = read_string json "engine" ~default:"hive" in
+  match engine with
+  | "hive" | "spark" -> Ok engine
+  | s -> Error (Printf.sprintf "unknown engine %S (want hive|spark)" s)
+
+let read_seed json =
+  let* seed = field_opt json "seed" ~cast:Json.to_int ~what:"an integer" in
+  Ok (Option.value seed ~default:42)
+
+let read_tenant json =
+  match Json.member "tenant" json with
+  | None -> Ok None
+  | Some (Json.Str s) when s <> "" -> Ok (Some s)
+  | Some _ -> Error "field \"tenant\" must be a non-empty string"
+
+(* Exactly one of "sql"/"relations". *)
+let read_payload json =
   match (Json.member "sql" json, Json.member "relations" json) with
   | Some (Json.Str sql), None -> Ok (Sql sql)
   | None, Some (Json.List xs) ->
@@ -147,36 +186,34 @@ let parse_payload json =
   | Some _, Some _ -> Error "give exactly one of \"sql\" or \"relations\""
   | None, None -> Error "give exactly one of \"sql\" or \"relations\""
 
-let parse_tenant json =
-  match Json.member "tenant" json with
-  | None -> Ok None
-  | Some (Json.Str s) when s <> "" -> Ok (Some s)
-  | Some _ -> Error "field \"tenant\" must be a non-empty string"
+let read_search json =
+  let* s = read_string json "search" ~default:"auto" in
+  match Raqo_alloc.Allocator.want_of_string s with
+  | Some _ -> Ok s
+  | None ->
+      Error
+        (Printf.sprintf "unknown search %S (want %s)" s
+           (String.concat "|" Raqo_alloc.Allocator.want_names))
 
-let parse_request line =
-  let* json = Json.parse line in
-  (match json with Json.Obj _ -> Ok () | _ -> Error "request must be a JSON object")
-  |> fun check_obj ->
-  let* () = check_obj in
+(* ---------- plan requests ---------- *)
+
+let known_keys =
+  [ "id"; "sql"; "relations"; "planner"; "mode"; "containers"; "gb"; "seed";
+    "adaptive"; "est_error"; "engine"; "tenant" ]
+
+let parse_request_json json =
   let* () =
-    match List.filter (fun k -> not (List.mem k known_keys)) (Json.keys json) with
-    | [] -> Ok ()
-    | ks -> Error (Printf.sprintf "unknown field(s): %s" (String.concat ", " ks))
+    match json with Json.Obj _ -> Ok () | _ -> Error "request must be a JSON object"
   in
-  let* id =
-    match Json.member "id" json with
-    | Some (Json.Str s) when s <> "" -> Ok s
-    | Some _ -> Error "field \"id\" must be a non-empty string"
-    | None -> Error "missing required field \"id\""
-  in
-  let* payload = parse_payload json in
-  let* planner_s = field_opt json "planner" ~cast:Json.to_str ~what:"a string" in
-  let* planner = planner_of_string (Option.value planner_s ~default:"selinger") in
-  let* mode_s = field_opt json "mode" ~cast:Json.to_str ~what:"a string" in
+  let* () = check_keys known_keys ~prefix:"unknown field(s): " json in
+  let* id = require_id ~missing:"missing required field \"id\"" json in
+  let* payload = read_payload json in
+  let* planner = read_planner json in
+  let* mode_s = read_string json "mode" ~default:"raqo" in
   let* containers = field_opt json "containers" ~cast:Json.to_int ~what:"an integer" in
   let* gb = field_opt json "gb" ~cast:Json.to_float ~what:"a number" in
   let* mode =
-    match (Option.value mode_s ~default:"raqo", containers, gb) with
+    match (mode_s, containers, gb) with
     | "raqo", None, None -> Ok Raqo
     | "raqo", _, _ -> Error "\"containers\"/\"gb\" only apply to mode \"qo\""
     | "qo", Some c, Some g -> (
@@ -186,7 +223,7 @@ let parse_request line =
     | "qo", _, _ -> Error "mode \"qo\" requires \"containers\" and \"gb\""
     | s, _, _ -> Error (Printf.sprintf "unknown mode %S (want raqo|qo)" s)
   in
-  let* seed = field_opt json "seed" ~cast:Json.to_int ~what:"an integer" in
+  let* seed = read_seed json in
   let* adaptive = field_opt json "adaptive" ~cast:Json.to_bool ~what:"a boolean" in
   let adaptive = Option.value adaptive ~default:false in
   let* est_error_s = field_opt json "est_error" ~cast:Json.to_str ~what:"a string" in
@@ -200,26 +237,14 @@ let parse_request line =
     | None -> Ok Raqo_execsim.Estimation_error.exact
     | Some s -> Raqo_execsim.Estimation_error.of_string s
   in
-  let* engine = field_opt json "engine" ~cast:Json.to_str ~what:"a string" in
-  let* engine =
-    match Option.value engine ~default:"hive" with
-    | ("hive" | "spark") as e -> Ok e
-    | s -> Error (Printf.sprintf "unknown engine %S (want hive|spark)" s)
-  in
+  let* engine = read_engine json in
   let* () = Raqo.Sql_frontend.check_mode mode ~adaptive in
-  let* tenant = parse_tenant json in
-  Ok
-    {
-      id;
-      payload;
-      planner;
-      mode;
-      seed = Option.value seed ~default:42;
-      adaptive;
-      est_error;
-      engine;
-      tenant;
-    }
+  let* tenant = read_tenant json in
+  Ok { id; payload; planner; mode; seed; adaptive; est_error; engine; tenant }
+
+let parse_request line =
+  let* json = Json.parse line in
+  parse_request_json json
 
 (* ---------- "op":"allocate" ---------- *)
 
@@ -231,26 +256,17 @@ let alloc_query_known_keys =
   [ "id"; "sql"; "relations"; "tenant"; "weight"; "arrival"; "slo" ]
 
 let parse_alloc_query json =
-  (match json with
-  | Json.Obj _ -> Ok ()
-  | _ -> Error "each entry of \"queries\" must be a JSON object")
-  |> fun check_obj ->
-  let* () = check_obj in
   let* () =
-    match
-      List.filter (fun k -> not (List.mem k alloc_query_known_keys)) (Json.keys json)
-    with
-    | [] -> Ok ()
-    | ks -> Error (Printf.sprintf "unknown query field(s): %s" (String.concat ", " ks))
+    match json with
+    | Json.Obj _ -> Ok ()
+    | _ -> Error "each entry of \"queries\" must be a JSON object"
   in
+  let* () = check_keys alloc_query_known_keys ~prefix:"unknown query field(s): " json in
   let* qid =
-    match Json.member "id" json with
-    | Some (Json.Str s) when s <> "" -> Ok s
-    | Some _ -> Error "query field \"id\" must be a non-empty string"
-    | None -> Error "each entry of \"queries\" needs an \"id\""
+    require_id ~what:"query field" ~missing:"each entry of \"queries\" needs an \"id\"" json
   in
-  let* payload = parse_payload json in
-  let* tenant = parse_tenant json in
+  let* payload = read_payload json in
+  let* tenant = read_tenant json in
   let* weight = field_opt json "weight" ~cast:Json.to_float ~what:"a number" in
   let weight = Option.value weight ~default:1.0 in
   let* () =
@@ -271,19 +287,8 @@ let parse_alloc_query json =
   Ok { qid; payload; tenant; weight; arrival; slo }
 
 let parse_allocate json =
-  let* () =
-    match
-      List.filter (fun k -> not (List.mem k alloc_known_keys)) (Json.keys json)
-    with
-    | [] -> Ok ()
-    | ks -> Error (Printf.sprintf "unknown field(s): %s" (String.concat ", " ks))
-  in
-  let* id =
-    match Json.member "id" json with
-    | Some (Json.Str s) when s <> "" -> Ok s
-    | Some _ -> Error "field \"id\" must be a non-empty string"
-    | None -> Error "missing required field \"id\""
-  in
+  let* () = check_keys alloc_known_keys ~prefix:"unknown field(s): " json in
+  let* id = require_id ~missing:"missing required field \"id\"" json in
   let* budget =
     match Json.member "budget" json with
     | Some v -> (
@@ -319,76 +324,34 @@ let parse_allocate json =
           Ok ()))
       (Ok ()) queries
   in
-  let* planner_s = field_opt json "planner" ~cast:Json.to_str ~what:"a string" in
-  let* planner = planner_of_string (Option.value planner_s ~default:"selinger") in
-  let* objective_s = field_opt json "objective" ~cast:Json.to_str ~what:"a string" in
-  let* objective = objective_of_string (Option.value objective_s ~default:"balanced") in
+  let* planner = read_planner json in
+  let* objective_s = read_string json "objective" ~default:"balanced" in
+  let* objective = objective_of_string objective_s in
   let* fairness = field_opt json "fairness" ~cast:Json.to_float ~what:"a number" in
   let fairness = Option.value fairness ~default:0.0 in
   let* () =
     if fairness >= 0.0 && fairness <= 1.0 then Ok ()
     else Error "field \"fairness\" must be in [0,1]"
   in
-  let* search = field_opt json "search" ~cast:Json.to_str ~what:"a string" in
-  let search = Option.value search ~default:"auto" in
-  let* () =
-    if List.mem search search_names then Ok ()
-    else
-      Error
-        (Printf.sprintf "unknown search %S (want %s)" search
-           (String.concat "|" search_names))
-  in
-  let* seed = field_opt json "seed" ~cast:Json.to_int ~what:"an integer" in
-  let* engine = field_opt json "engine" ~cast:Json.to_str ~what:"a string" in
-  let* engine =
-    match Option.value engine ~default:"hive" with
-    | ("hive" | "spark") as e -> Ok e
-    | s -> Error (Printf.sprintf "unknown engine %S (want hive|spark)" s)
-  in
-  let* tenant = parse_tenant json in
-  Ok
-    {
-      id;
-      queries;
-      budget;
-      planner;
-      objective;
-      fairness;
-      search;
-      seed = Option.value seed ~default:42;
-      engine;
-      tenant;
-    }
+  let* search = read_search json in
+  let* seed = read_seed json in
+  let* engine = read_engine json in
+  let* tenant = read_tenant json in
+  Ok { id; queries; budget; planner; objective; fairness; search; seed; engine; tenant }
 
-(* A health probe is its own tiny grammar ([op] plus an optional [id]), kept
-   out of [parse_request] so request parsing — and every caller pinning its
-   error catalogue — is untouched. *)
+(* ---------- one wire line ---------- *)
+
+(* A line is parsed once; its "op" picks the grammar the value goes to. A
+   health probe is [op] plus an optional [id]. *)
 let parse_line s =
   let* json = Json.parse s in
   match Json.member "op" json with
-  | None -> (
-      match parse_request s with Ok req -> Ok (Request req) | Error e -> Error e)
+  | None -> Result.map (fun r -> Request r) (parse_request_json json)
   | Some (Json.Str "health") ->
-      let* () =
-        match
-          List.filter (fun k -> k <> "op" && k <> "id") (Json.keys json)
-        with
-        | [] -> Ok ()
-        | ks ->
-            Error
-              (Printf.sprintf "\"op\":\"health\" takes no field(s): %s"
-                 (String.concat ", " ks))
-      in
-      let* id =
-        match Json.member "id" json with
-        | None -> Ok None
-        | Some (Json.Str s) when s <> "" -> Ok (Some s)
-        | Some _ -> Error "field \"id\" must be a non-empty string"
-      in
+      let* () = check_keys [ "op"; "id" ] ~prefix:"\"op\":\"health\" takes no field(s): " json in
+      let* id = read_id json in
       Ok (Health { id })
-  | Some (Json.Str "allocate") ->
-      let* a = parse_allocate json in
-      Ok (Allocate a)
+  | Some (Json.Str "allocate") -> Result.map (fun a -> Allocate a) (parse_allocate json)
   | Some (Json.Str s) ->
       Error (Printf.sprintf "unknown op %S (want health|allocate)" s)
   | Some _ -> Error "field \"op\" must be a string"

@@ -87,9 +87,6 @@ type objective = Raqo_alloc.Allocator.objective = Makespan | Dollars | Balanced
 val objective_of_string : string -> (objective, string) result
 val objective_name : objective -> string
 
-(** Valid ["search"] values: ["exact"], ["randomized"], ["auto"]. *)
-val search_names : string list
-
 type alloc_query = {
   qid : string;
   payload : payload;
@@ -106,7 +103,8 @@ type alloc_request = {
   planner : Raqo.Cost_based.planner_kind;
   objective : objective;
   fairness : float;  (** floor knob in [0,1] (default 0.0) *)
-  search : string;  (** one of {!search_names} (default ["auto"]) *)
+  search : string;
+      (** one of {!Raqo_alloc.Allocator.want_names} (default ["auto"]) *)
   seed : int;
   engine : string;
   tenant : string option;  (** default tenant for queries that name none *)
@@ -160,7 +158,9 @@ val planner_name : Raqo.Cost_based.planner_kind -> string
     is not a request; use {!parse_line} where probes are legal. *)
 val parse_request : string -> (request, string) result
 
-(** [parse_line line] parses a request or an [{"op":"health"}] probe. *)
+(** [parse_line line] parses a request, an allocate request or an
+    [{"op":"health"}] probe. The line is parsed as JSON once; a plan request
+    then goes through the same field readers as {!parse_request}. *)
 val parse_line : string -> (line, string) result
 
 (** [request_to_json r] renders [r] as one line (no newline); round-trips

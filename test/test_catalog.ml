@@ -1,12 +1,11 @@
 (* Tests for Raqo_catalog: relations, join graphs, schemas and cardinality
-   estimation, the TPC-H instance, random schema generation, queries. *)
+   estimation, the TPC-H instance, random schema generation. *)
 
 module Relation = Raqo_catalog.Relation
 module Join_graph = Raqo_catalog.Join_graph
 module Schema = Raqo_catalog.Schema
 module Tpch = Raqo_catalog.Tpch
 module Random_schema = Raqo_catalog.Random_schema
-module Query = Raqo_catalog.Query
 module Interned = Raqo_catalog.Interned
 module Rng = Raqo_util.Rng
 
@@ -386,34 +385,6 @@ let prop_random_schema_always_connected =
       let s = Random_schema.generate (Rng.create seed) ~tables in
       Schema.joinable s (Schema.relation_names s))
 
-(* ---------------------------------------------------------------- Query *)
-
-let test_query_make_valid () =
-  let s = Tpch.schema () in
-  let q = Query.make ~name:"q3" s Tpch.q3 in
-  Alcotest.(check int) "2 joins" 2 (Query.n_joins q)
-
-let test_query_rejects_unknown () =
-  let s = Tpch.schema () in
-  Alcotest.check_raises "unknown" (Invalid_argument "Query.make: unknown relation zz")
-    (fun () -> ignore (Query.make ~name:"bad" s [ "orders"; "zz" ]))
-
-let test_query_rejects_duplicates () =
-  let s = Tpch.schema () in
-  Alcotest.check_raises "dup" (Invalid_argument "Query.make: duplicate relations")
-    (fun () -> ignore (Query.make ~name:"bad" s [ "orders"; "orders" ]))
-
-let test_query_rejects_cartesian () =
-  let s = Tpch.schema () in
-  Alcotest.check_raises "cartesian"
-    (Invalid_argument "Query.make: relations of bad are not joinable (cartesian product)")
-    (fun () -> ignore (Query.make ~name:"bad" s [ "region"; "orders" ]))
-
-let test_query_rejects_empty () =
-  let s = Tpch.schema () in
-  Alcotest.check_raises "empty" (Invalid_argument "Query.make: empty relation set")
-    (fun () -> ignore (Query.make ~name:"bad" s []))
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -475,12 +446,4 @@ let () =
           Alcotest.test_case "rejects oversized queries" `Quick test_random_query_rejects_oversize;
         ]
         @ qsuite [ prop_random_schema_always_connected ] );
-      ( "query",
-        [
-          Alcotest.test_case "valid query" `Quick test_query_make_valid;
-          Alcotest.test_case "rejects unknown relation" `Quick test_query_rejects_unknown;
-          Alcotest.test_case "rejects duplicates" `Quick test_query_rejects_duplicates;
-          Alcotest.test_case "rejects cartesian products" `Quick test_query_rejects_cartesian;
-          Alcotest.test_case "rejects empty" `Quick test_query_rejects_empty;
-        ] );
     ]

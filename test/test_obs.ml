@@ -386,6 +386,52 @@ let test_counters_mirror () =
     (Raqo_resource.Counters.cost_evaluations c);
   Alcotest.(check int) "registry untouched when off" 5 (registry_evals ())
 
+(* The search [Export.fmt_float] replaced: every precision from 1 to 17,
+   kept here as the reference its shortcut must reproduce byte for byte. *)
+let fmt_float_reference v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else begin
+    let rec shortest p =
+      if p > 17 then Printf.sprintf "%.17g" v
+      else
+        let s = Printf.sprintf "%.*g" p v in
+        if float_of_string s = v then s else shortest (p + 1)
+    in
+    shortest 1
+  end
+
+let fmt_float_edges =
+  [ 0.0; -0.0; 0.1; -0.1; 1.5; 1.0 /. 3.0; Float.pi; 2.0 ** 53.0; 2.0 ** 53.0 +. 2.0;
+    Float.epsilon; Float.min_float; Float.max_float; -.Float.max_float; 1e308;
+    Int64.float_of_bits 1L; Int64.float_of_bits 0x000fffffffffffffL; Float.min_float /. 3.0;
+    5e-324; 1e-310; 123456.5; 1e15; 1e15 +. 1.0; 1e16; 1e17; 1e17 -. 16.0;
+    999999999999999.9; 1234567890123456.0; 1e-5; 1e-4; 232.22321803658696 ]
+  @ List.init 101 (fun i -> 1e15 +. (float_of_int i *. 9.9e14))
+
+let test_fmt_float_edges () =
+  List.iter
+    (fun v ->
+      Alcotest.(check string) (Printf.sprintf "%h" v) (fmt_float_reference v)
+        (Export.fmt_float v))
+    fmt_float_edges
+
+(* Random bit patterns cover the normal range; subnormal mantissas and
+   integers from 1e15 to 1e17 get their own share, since that is where the
+   search's starting precision matters. *)
+let prop_fmt_float_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map Int64.float_of_bits ui64);
+          (2, map (fun m -> Int64.float_of_bits (Int64.logand m 0x800fffffffffffffL)) ui64);
+          (2, map (fun x -> Float.round (1e15 +. (x *. 99e15))) (float_bound_inclusive 1.0));
+        ])
+  in
+  QCheck.Test.make ~name:"fmt_float matches the 1..17 search" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun v -> String.equal (Export.fmt_float v) (fmt_float_reference v))
+
 let () =
   Alcotest.run "obs"
     [
@@ -410,6 +456,8 @@ let () =
         [
           Alcotest.test_case "chrome json parses" `Quick test_chrome_json;
           Alcotest.test_case "prometheus round-trip" `Quick test_prometheus_round_trip;
+          Alcotest.test_case "fmt_float edges" `Quick test_fmt_float_edges;
+          QCheck_alcotest.to_alcotest prop_fmt_float_matches_reference;
           Alcotest.test_case "counters mirror the registry" `Quick test_counters_mirror;
         ] );
     ]
