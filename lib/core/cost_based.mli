@@ -126,10 +126,6 @@ val candidates : t -> string list -> (Raqo_plan.Join_tree.joint * float) list
     it reproduces the reported cost. *)
 val coster : t -> Raqo_planner.Coster.t
 
-(** [coster_qo t ~resources] is the fixed-resource coster behind
-    {!optimize_qo}. *)
-val coster_qo : t -> resources:Raqo_cluster.Resources.t -> Raqo_planner.Coster.t
-
 (** [rewrite_report t] is the per-rule fired counts and group merges of the
     most recent rewrite pass ({!Raqo_rewrite.Rewrite.last}); [None] when the
     optimizer was built with [~rewrite:false]. *)

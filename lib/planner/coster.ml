@@ -153,23 +153,26 @@ let of_strings ctx t =
   in
   { best_join_masked; masked_name = t.name }
 
-(* Statistics cache keyed on the subset mask — one Hashtbl probe on an int
-   instead of sort + concat over the relation names; a miss reads the
-   context's precomputed statistics instead of the schema's maps. *)
-let memoized_size_masked ctx =
-  let sizes = Hashtbl.create 512 in
+(* Per relation set: its size (statistics caching) and, once the set has
+   been a build side, the join choice at that size. *)
+type memo = { size : float; mutable choice : choice option option }
+
+module Masks = Hashtbl.Make (Int) (* no polymorphic [compare] per probe *)
+
+let memo_of_masks ctx =
+  let memos = Masks.create 256 in
   fun mask ->
-    match Hashtbl.find_opt sizes mask with
-    | Some s -> s
-    | None ->
-        let s = Interned.join_size_gb ctx mask in
-        Hashtbl.add sizes mask s;
-        s
+    match Masks.find memos mask with
+    | m -> m
+    | exception Not_found ->
+        let m = { size = Interned.join_size_gb ctx mask; choice = None } in
+        Masks.add memos mask m;
+        m
 
 let fixed_masked model ctx resources =
-  let size = memoized_size_masked ctx in
+  let memo = memo_of_masks ctx in
   let best_join_masked ~left ~right =
-    let small_gb = Float.min (size left) (size right) in
+    let small_gb = Float.min (memo left).size (memo right).size in
     List.fold_left
       (fun best impl ->
         let cost = Op_cost.predict_exn model impl ~small_gb ~resources in
@@ -178,10 +181,23 @@ let fixed_masked model ctx resources =
   in
   { best_join_masked; masked_name = "qo-fixed-resources" }
 
+(* Under an exact cache a repeated build side (the side whose size
+   [Float.min] returned, by its bits) is answered from its memo. *)
 let raqo_masked model ctx planner =
-  let size = memoized_size_masked ctx in
+  let memo = memo_of_masks ctx in
+  let memoize = Raqo_resource.Resource_planner.exact_cached planner in
   let best_join_masked ~left ~right =
-    best_choice model planner ~small_gb:(Float.min (size left) (size right))
+    let l = memo left and r = memo right in
+    let small_gb = Float.min l.size r.size in
+    if not memoize then best_choice model planner ~small_gb
+    else
+      let build = if Int64.bits_of_float small_gb = Int64.bits_of_float r.size then r else l in
+      match build.choice with
+      | Some choice -> choice
+      | None ->
+          let choice = best_choice model planner ~small_gb in
+          build.choice <- Some choice;
+          choice
   in
   { best_join_masked; masked_name = "raqo" }
 

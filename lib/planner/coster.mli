@@ -103,7 +103,17 @@ val fixed_masked :
   Raqo_cluster.Resources.t ->
   masked
 
-(** [raqo_masked model ctx planner] is {!raqo} on the mask seam. *)
+(** [raqo_masked model ctx planner] is {!raqo} on the mask seam, with a
+    per-coster memo from a relation mask to its size and, once it has been
+    a build side (the side whose size [Float.min] returns, by its bits),
+    its {!best_choice}: a repeat makes no call into [planner] and allocates
+    nothing. The memo is on only when
+    {!Raqo_resource.Resource_planner.exact_cached} holds, where the repeat
+    would be an exact hit: plans, cost bits, evaluations, misses and
+    invocations are unchanged and only cache hits fall (a memo answer is no
+    probe; an entry a bounded shared cache evicts between two calls is not
+    searched again). Use a coster from one domain; parallel restarts each
+    get their own. *)
 val raqo_masked :
   Raqo_cost.Op_cost.t ->
   Raqo_catalog.Interned.t ->

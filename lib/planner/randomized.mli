@@ -59,26 +59,14 @@ val local_optima :
   string list ->
   (Raqo_plan.Join_tree.joint * float) list
 
-(** [local_optima_par ?params pool rng ~coster schema relations] is
-    {!local_optima} with the restarts distributed across [pool]'s domains.
-    [coster] is a factory invoked once per restart: the shipped costers hold
+(** [optimize_par ?params pool rng ~coster schema relations] is {!optimize}
+    with the restarts distributed across [pool]'s domains. [coster] is a
+    factory invoked once per restart: the shipped costers hold
     non-thread-safe memo tables, so each restart needs its own instance. As
     long as the factory's costers compute the same values (true of every
-    pure coster), the result — order included — is
-    bit-identical to [local_optima rng (coster ())] for any pool size. *)
-val local_optima_par :
-  ?params:params ->
-  Raqo_par.Pool.t ->
-  Raqo_util.Rng.t ->
-  coster:(unit -> Coster.t) ->
-  Raqo_catalog.Schema.t ->
-  string list ->
-  (Raqo_plan.Join_tree.joint * float) list
-
-(** [optimize_par ?params pool rng ~coster schema relations] is {!optimize}
-    over {!local_optima_par}: same ties-toward-earlier-restart fold, so the
-    chosen plan and cost match the sequential [optimize] for a fixed seed
-    at any pool size. *)
+    pure coster), each restart's local optimum is bit-identical to the
+    sequential one's and the same ties-toward-earlier-restart fold picks
+    the plan and cost [optimize] does, for a fixed seed at any pool size. *)
 val optimize_par :
   ?params:params ->
   Raqo_par.Pool.t ->
@@ -112,18 +100,10 @@ val optimize_masked :
   Raqo_catalog.Interned.t ->
   (Raqo_plan.Join_tree.joint * float) option
 
-(** [local_optima_par_masked ?params pool rng ~coster ctx] distributes
-    restarts across [pool]; [coster] is a factory invoked once per restart
-    (masked memo tables are single-domain, the context itself is immutable
-    and shared). *)
-val local_optima_par_masked :
-  ?params:params ->
-  Raqo_par.Pool.t ->
-  Raqo_util.Rng.t ->
-  coster:(unit -> Coster.masked) ->
-  Raqo_catalog.Interned.t ->
-  (Raqo_plan.Join_tree.joint * float) list
-
+(** [optimize_par_masked ?params pool rng ~coster ctx] distributes restarts
+    across [pool]; [coster] is a factory invoked once per restart (masked
+    memo tables are single-domain, the context itself is immutable and
+    shared). *)
 val optimize_par_masked :
   ?params:params ->
   Raqo_par.Pool.t ->

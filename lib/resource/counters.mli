@@ -33,6 +33,9 @@ val cost_evaluations : t -> int
     (** resource configurations whose cost was computed *)
 
 val cache_hits : t -> int
+    (** cache probes answered; a build side the mask-seam raqo coster
+        answers from its memo is not a probe *)
+
 val cache_misses : t -> int
 
 val planner_invocations : t -> int

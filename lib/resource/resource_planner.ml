@@ -170,6 +170,10 @@ let shared_cache t = match t.cache with Some (Shared s) -> Some s | Some (Privat
 let lookup t = t.lookup
 let kernel t = t.use_kernel
 
+let exact_cached t =
+  Option.is_some t.cache
+  && match t.lookup with Plan_cache.Exact -> true | Nearest_neighbor _ | Weighted_average _ -> false
+
 (* Clearing is scoped to state this planner owns: a shared cross-query cache
    belongs to the server, so per-query resets must not wipe it. *)
 let clear_cache t =

@@ -121,3 +121,9 @@ val lookup : t -> Plan_cache.lookup
 
 (** [kernel t] is the [kernel] setting this planner was created with. *)
 val kernel : t -> bool
+
+(** [exact_cached t] holds when a cache, private or shared, answers [t]'s
+    lookups with [Exact], so a repeated {!plan} call is an exact hit
+    returning the first call's answer. False with no cache (every call
+    searches) and for nearest-neighbour or weighted-average lookups. *)
+val exact_cached : t -> bool

@@ -322,7 +322,30 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
       let m, mc, s, sc = pair () in
       identical "oracle/mask-randomized" "randomized search (same seed)"
         (Randomized.optimize_masked (Rng.create rand_seed) m ctx, mc ())
-        (Randomized.optimize (Rng.create rand_seed) s schema rels, sc ()));
+        (Randomized.optimize (Rng.create rand_seed) s schema rels, sc ());
+      (* Memoized vs string raqo coster, fresh planners: same plan, cost bits,
+         evaluations, misses, invocations; hits fall only under the memo. *)
+      List.iter
+        (fun (label, lookup, cache) ->
+          let run coster_of =
+            if Raqo_obs.Obs.enabled () then Raqo_obs.Metrics.Counter.inc m_arms;
+            let rp = Resource_planner.create ~cache ~lookup conditions in
+            let plan = Selinger.optimize_masked (coster_of rp) ctx in
+            let k = Resource_planner.counters rp in
+            ( Option.map (fun (p, c) -> (p, Int64.bits_of_float c)) plan,
+              Counters.[ cost_evaluations k; cache_misses k; planner_invocations k ],
+              Counters.cache_hits k )
+          in
+          let plan, counts, hits = run (Coster.raqo_masked model ctx) in
+          let plan', counts', hits' = run (fun rp -> Coster.of_strings ctx (Coster.raqo model schema rp)) in
+          if plan <> plan' || counts <> counts' || hits > hits' || (label <> "exact" && hits <> hits')
+          then
+            add
+              [ D.v ~invariant:"oracle/raqo-memo-vs-string"
+                  "memoized raqo coster diverged from the string coster (%s cache): hits %d vs %d"
+                  label hits hits' ])
+        [ ("exact", Plan_cache.Exact, true); ("no", Plan_cache.Exact, false);
+          ("nearest-neighbour", Plan_cache.Nearest_neighbor 0.5, true) ]);
 
   (* ------------------------------------------------ compiled cost kernels *)
   (* The kernel path must be bit-identical to the scalar oracle baseline —

@@ -21,6 +21,8 @@
     - joint brute force <= joint hill climbing <= nothing (local optima),
       and joint brute force <= the fixed baseline at an in-grid config;
     - exact-lookup caching does not change the brute-force joint optimum;
+    - the memoized {!Raqo_planner.Coster.raqo_masked} plans and counts like
+      the string coster, with no more cache hits (exact, none and NN caches);
     - every cache lookup policy answers within its radius
       ({!Invariant.check_cache_lookup}). *)
 

@@ -415,7 +415,7 @@ let test_randomized_join_large_pinned () =
   List.iter
     (check_join_large_pinned Raqo.Cost_based.Fast_randomized)
     [
-      (24, 1, "d5902dec8a963e9274947848a8329d1b", "0x1.d70a3d70a3d73p-3", [ 3885; 6776; 308; 308 ]);
+      (24, 1, "d5902dec8a963e9274947848a8329d1b", "0x1.d70a3d70a3d73p-3", [ 3885; 0; 308; 308 ]);
       (63, 2, "c4fb49bc1b7b8412331fc22a99d00e94", "0x1.3d70a3d70a3dap-1", [ 11014; 16858; 874; 874 ]);
       (70, 3, "bdc11097ebe96d703d2290f808c17cf6", "0x1.6147ae147ae18p-1", [ 11510; 20058; 918; 918 ]);
     ]
@@ -425,10 +425,10 @@ let test_randomized_join_large_pinned () =
 let test_dp_join_large_pinned () =
   check_join_large_pinned Raqo.Cost_based.Selinger
     (17, 5, "7d1580548cce7531b82aeab559aa7617", "0x1.47ae147ae147bp-3",
-     [ 62650; 19506; 5012; 5012 ]);
+     [ 62650; 0; 5012; 5012 ]);
   check_join_large_pinned Raqo.Cost_based.Bushy_dp
     (17, 5, "bf66483d2222db77d8dd1e4e77307868", "0x1.47ae147ae147ap-3",
-     [ 63932; 39732; 5086; 5086 ])
+     [ 63932; 0; 5086; 5086 ])
 
 (* ------------------------------------------------------------ Exhaustive *)
 
@@ -901,6 +901,98 @@ let test_masked_raqo_coster_bit_identical () =
   let reference = Selinger.optimize_reference (Coster.raqo model schema rp_string) schema Tpch.q2 in
   Alcotest.(check bool) "same joint plan and cost" true (masked = reference)
 
+(* The memoized [Coster.raqo_masked] against the string coster on the mask
+   seam, each on a fresh planner from [make]: plan and cost bits,
+   evaluations, misses and invocations equal. Hits may only fall, and only
+   under an exact-lookup cache; with the memo off they are equal too. *)
+let check_memo_vs_string ~label ~model ~make ~memo schema rels =
+  let ctx = Interned.make schema rels in
+  let module K = Raqo_resource.Counters in
+  List.iter
+    (fun (planner, run) ->
+      let arm coster_of =
+        let rp = make () in
+        let result = run (coster_of rp) ctx in
+        let k = Raqo_resource.Resource_planner.counters rp in
+        ( Option.map (fun (plan, cost) -> (plan, Int64.bits_of_float cost)) result,
+          [ K.cost_evaluations k; K.cache_misses k; K.planner_invocations k ],
+          K.cache_hits k )
+      in
+      let m_result, m_counts, m_hits = arm (Coster.raqo_masked model ctx) in
+      let s_result, s_counts, s_hits = arm (fun rp -> Coster.of_strings ctx (Coster.raqo model schema rp)) in
+      let what = Printf.sprintf "%s, %s, %d relations" label planner (List.length rels) in
+      Alcotest.(check bool) (what ^ ": plan and cost bits") true (m_result = s_result);
+      Alcotest.(check (list int)) (what ^ ": evaluations, misses, invocations") s_counts m_counts;
+      if memo then
+        Alcotest.(check bool) (Printf.sprintf "%s: hits %d <= %d" what m_hits s_hits) true
+          (m_hits <= s_hits)
+      else Alcotest.(check int) (what ^ ": hits") s_hits m_hits)
+    [
+      ("selinger", Selinger.optimize_masked);
+      ("dpsub", Dpsub.optimize_masked);
+      ("randomized", fun m ctx -> Randomized.optimize_masked (Rng.create 11) m ctx);
+    ]
+
+let test_raqo_memo_matches_string_coster () =
+  let module Rp = Raqo_resource.Resource_planner in
+  let catalog = Lazy.force big_catalog in
+  let walks =
+    List.map
+      (fun (n, seed) ->
+        Raqo_catalog.Random_schema.query (Rng.create seed) catalog ~joins:(n - 1))
+      [ (12, 4); (17, 5) ]
+  in
+  List.iter
+    (fun (label, make, memo) ->
+      List.iter
+        (fun (_, rels) -> check_memo_vs_string ~label ~model ~make ~memo schema rels)
+        Tpch.evaluation_queries;
+      List.iter
+        (check_memo_vs_string ~label ~model:(Raqo.Models.hive ()) ~make ~memo catalog)
+        walks)
+    [
+      ("default", (fun () -> Rp.create Conditions.default), true);
+      ("cache off", (fun () -> Rp.create ~cache:false Conditions.default), false);
+      ( "nearest neighbour",
+        (fun () -> Rp.create ~lookup:(Raqo_resource.Plan_cache.Nearest_neighbor 0.5) Conditions.default),
+        false );
+    ]
+
+(* Two relations of one size: [Float.min] returns the right side's size on
+   a tie, and the memo answers at that size in either argument order. *)
+let test_raqo_memo_equal_sizes () =
+  let region = Schema.find schema "region" in
+  let equal = Schema.with_relation schema { region with Raqo_catalog.Relation.name = "nation" } in
+  let ctx = Interned.make equal [ "region"; "nation" ] in
+  let a = Interned.mask_of_name ctx "region" and b = Interned.mask_of_name ctx "nation" in
+  Alcotest.(check bool) "equal sizes" true
+    (Interned.join_size_gb ctx a = Interned.join_size_gb ctx b);
+  let fresh () = Raqo_resource.Resource_planner.create Conditions.default in
+  let memo = Coster.raqo_masked model ctx (fresh ()) in
+  let reference = Coster.of_strings ctx (Coster.raqo model equal (fresh ())) in
+  List.iter
+    (fun (left, right) ->
+      let got = memo.Coster.best_join_masked ~left ~right in
+      Alcotest.(check bool) "answer equals the string coster's" true
+        (got = reference.Coster.best_join_masked ~left ~right);
+      Alcotest.(check bool) "answer is the choice at the smaller size" true
+        (got
+        = Coster.best_choice model (fresh ())
+            ~small_gb:(Float.min (Interned.join_size_gb ctx left) (Interned.join_size_gb ctx right))))
+    [ (a, b); (b, a); (a, b); (b, a) ]
+
+(* A repeated build side is two table probes: no cache key, no answer. *)
+let test_raqo_memo_hit_allocates_nothing () =
+  let ctx = Interned.make schema Tpch.q3 in
+  let m = Coster.raqo_masked model ctx (Raqo_resource.Resource_planner.create Conditions.default) in
+  let left = Interned.mask_of_name ctx "customer" and right = Interned.mask_of_name ctx "orders" in
+  ignore (Sys.opaque_identity (m.Coster.best_join_masked ~left ~right));
+  let w0 = Gc.minor_words () in
+  let r = m.Coster.best_join_masked ~left ~right in
+  let w = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity r);
+  Alcotest.(check (float 0.0)) "minor words of a memo hit" 0.0 w
+
 let test_masked_public_entry_points_agree () =
   (* The public string API now runs on the mask core; spot-check it against
      the kept reference implementations. *)
@@ -1028,6 +1120,11 @@ let () =
             test_masked_randomized_bit_identical;
           Alcotest.test_case "masked RAQO coster bit-identical" `Quick
             test_masked_raqo_coster_bit_identical;
+          Alcotest.test_case "RAQO memo = string coster" `Quick
+            test_raqo_memo_matches_string_coster;
+          Alcotest.test_case "RAQO memo on equal sizes" `Quick test_raqo_memo_equal_sizes;
+          Alcotest.test_case "RAQO memo hit allocates nothing" `Quick
+            test_raqo_memo_hit_allocates_nothing;
           Alcotest.test_case "public entry points = references" `Quick
             test_masked_public_entry_points_agree;
           Alcotest.test_case "relation caps preserved" `Quick test_masked_caps_preserved;
